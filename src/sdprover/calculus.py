@@ -9,8 +9,6 @@ are minted through the supplied factory with rule name and parent ids.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from .clauses import (
     Clause,
     ClauseFactory,
@@ -18,22 +16,16 @@ from .clauses import (
     apply,
     canonical_literals,
     neq,
+    orientations,
     rename_apart,
     select,
 )
 from .ordering import OrderResult, compare_terms
-from .terms import App, Substitution, Term, Var, preorder_subterms, replace_at, unify_pairs
+from .terms import Term, Var, preorder_subterms, replace_at, unify_pairs
 
 
 def _not_greater(a: Term, b: Term) -> bool:
     return compare_terms(a, b) is not OrderResult.GREATER
-
-
-def _orientations(lit: Literal) -> Iterator[tuple[Term, Term]]:
-    lhs, rhs = lit.args
-    yield lhs, rhs
-    if lhs != rhs:
-        yield rhs, lhs
 
 
 def _mint_all(raw: list[tuple[Literal, ...]], factory: ClauseFactory, rule: str, parents) -> list[Clause]:
@@ -138,7 +130,7 @@ def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause
         if not (li.positive and li.is_equality):
             continue
         eq_rest = tuple(lit for k, lit in enumerate(c1.literals) if k != i)
-        for s, t in _orientations(li):
+        for s, t in orientations(li):
             for j in sel2:
                 _superpose_into(eq_rest, s, t, lits2, j, raw)
     return _mint_all(raw, factory, "superposition", (c1.cid, c2.cid))
@@ -174,8 +166,8 @@ def equality_factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
         for j, lj in enumerate(c.literals):
             if j == i or not (lj.positive and lj.is_equality):
                 continue
-            for s, t in _orientations(li):
-                for s2, t2 in _orientations(lj):
+            for s, t in orientations(li):
+                for s2, t2 in orientations(lj):
                     theta = unify_pairs([(s, s2)])
                     if theta is None:
                         continue
@@ -197,8 +189,3 @@ def unary_inferences(c: Clause, factory: ClauseFactory) -> list[Clause]:
     out += equality_factoring(c, factory)
     return out
 
-
-def binary_inferences(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
-    out = resolution(c1, c2, factory)
-    out += superposition(c1, c2, factory)
-    return out

@@ -2,25 +2,11 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .terms import (
-    App,
-    EMPTY_SUBST,
-    Signature,
-    SignatureError,
-    Substitution,
-    Term,
-    Var,
-    apply_term,
-    match_pairs,
-    match_term,
-    term_vars,
-    unify_pairs,
-)
+from .terms import App, Signature, SignatureError, Substitution, Term, Var, apply_term, term_vars
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -97,6 +83,14 @@ def neq(lhs: Term, rhs: Term) -> Literal:
     return Literal(False, None, (lhs, rhs))
 
 
+def orientations(lit: Literal) -> Iterator[tuple[Term, Term]]:
+    """The sides of an equality as stored, then flipped unless they coincide."""
+    lhs, rhs = lit.args
+    yield lhs, rhs
+    if lhs != rhs:
+        yield rhs, lhs
+
+
 @dataclass(frozen=True, slots=True)
 class PredicateSymbol:
     """Interned predicate symbol; calling it builds a positive literal."""
@@ -130,6 +124,7 @@ class Clause:
     cid: int
     rule: str = "input"
     parents: tuple[int, ...] = ()
+    _selected: Optional[tuple[int, ...]] = field(init=False, default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -148,15 +143,7 @@ class Clause:
         return f"<{self.cid}: {' | '.join(map(repr, self.literals))}>"
 
 
-Expression = Union[Term, Literal, Clause, tuple]
-
-
-def literal_vars(lit: Literal) -> set[int]:
-    out: set[int] = set()
-    for a in lit.args:
-        if not a.ground:
-            out |= term_vars(a)
-    return out
+Expression = Union[Term, Literal, tuple]
 
 
 def clause_vars(lits: Iterable[Literal]) -> set[int]:
@@ -169,17 +156,11 @@ def clause_vars(lits: Iterable[Literal]) -> set[int]:
 
 
 def apply(expr: Expression, subst: Substitution):
-    """Apply a substitution to a term, literal, clause, or literal tuple.
-
-    Clauses come back as plain literal tuples: an instantiated clause is not
-    a registered clause until a factory normalizes it.
-    """
+    """Apply a substitution to a term, literal, or literal tuple."""
     if isinstance(expr, (Var, App)):
         return apply_term(expr, subst)
     if isinstance(expr, Literal):
         return Literal(expr.positive, expr.pred, tuple(apply_term(a, subst) for a in expr.args))
-    if isinstance(expr, Clause):
-        return tuple(apply(lit, subst) for lit in expr.literals)
     return tuple(apply(lit, subst) for lit in expr)
 
 
@@ -192,65 +173,6 @@ def _literal_pairings(a: Literal, b: Literal):
         swapped = tuple(zip(a.args, (b.args[1], b.args[0])))
         if swapped != tuple(zip(a.args, b.args)):
             yield swapped
-
-
-def unify(e1: Expression, e2: Expression) -> Optional[Substitution]:
-    """Most general unifier for terms, literals, or equal-length clauses.
-
-    Clause unification pairs literals positionally.  Equality atoms try both
-    argument orders, first the stored one.
-    """
-    if isinstance(e1, (Var, App)):
-        return unify_pairs([(e1, e2)])
-    if isinstance(e1, Literal):
-        for pairs in _literal_pairings(e1, e2):
-            out = unify_pairs(pairs)
-            if out is not None:
-                return out
-        return None
-    lits1 = e1.literals if isinstance(e1, Clause) else tuple(e1)
-    lits2 = e2.literals if isinstance(e2, Clause) else tuple(e2)
-    if len(lits1) != len(lits2):
-        return None
-    return _unify_literal_seq(lits1, lits2, 0, None)
-
-
-def _unify_literal_seq(lits1, lits2, i, base) -> Optional[Substitution]:
-    if i == len(lits1):
-        return base if base is not None else EMPTY_SUBST
-    for pairs in _literal_pairings(lits1[i], lits2[i]):
-        sub = unify_pairs(pairs, base)
-        if sub is not None:
-            out = _unify_literal_seq(lits1, lits2, i + 1, sub)
-            if out is not None:
-                return out
-    return None
-
-
-def match_expr(pattern: Expression, target: Expression, base: Optional[Substitution] = None) -> Optional[Substitution]:
-    """One-way match extending base, or None.  Instantiates pattern only."""
-    if base is None:
-        base = EMPTY_SUBST
-    if isinstance(pattern, (Var, App)):
-        return match_term(pattern, target, base)
-    if isinstance(pattern, Literal):
-        if not isinstance(target, Literal):
-            return None
-        for pairs in _literal_pairings(pattern, target):
-            out = match_pairs(pairs, base)
-            if out is not None:
-                return out
-        return None
-    lits1 = pattern.literals if isinstance(pattern, Clause) else tuple(pattern)
-    lits2 = target.literals if isinstance(target, Clause) else tuple(target)
-    if len(lits1) != len(lits2):
-        return None
-    out = base
-    for p, t in zip(lits1, lits2):
-        out = match_expr(p, t, out)
-        if out is None:
-            return None
-    return out
 
 
 def canonical_literals(literals: Sequence[Literal]) -> tuple[Literal, ...]:
@@ -307,17 +229,21 @@ class ClauseFactory:
         return clause
 
 
-@functools.lru_cache(maxsize=None)
 def select(clause: Clause) -> tuple[int, ...]:
-    """Positions of the selected literals.
+    """Positions of the selected literals, computed once per clause object.
 
     If the clause has a negative literal, select exactly one: a negative
     literal of maximal weight, leftmost on ties.  Otherwise select all
     maximal literals under the literal ordering.
     """
+    if clause._selected is None:
+        object.__setattr__(clause, "_selected", _select(clause.literals))
+    return clause._selected
+
+
+def _select(lits: tuple[Literal, ...]) -> tuple[int, ...]:
     from .ordering import OrderResult, compare_literals
 
-    lits = clause.literals
     negatives = [i for i, lit in enumerate(lits) if not lit.positive]
     if negatives:
         best = max(negatives, key=lambda i: (lits[i].weight, -i))

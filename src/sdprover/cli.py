@@ -1,7 +1,9 @@
 """Command-line driver: parse a problem, saturate, report SZS status.
 
 Exit codes: 0 unsatisfiable, 1 satisfiable, 2 resource limit hit, 3 bad
-input (unreadable file, parse error, arity conflict, or bad usage).
+input (unreadable file, parse error, arity conflict, or bad usage), 4 any
+other error, reported as SZS status Error so a crash never reads as a
+verdict.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        return _run(argv)
+    except Exception as exc:
+        print("% SZS status Error")
+        print(f"sdprover: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+
+
+def _run(argv: Optional[list[str]]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -73,7 +73,7 @@ class FsdIndex:
     """Forward index of potential side premises for subsumption demodulation.
 
     Holds only clauses with at least one positive equality and at least two
-    literals; unit equalities are the business of plain demodulation.
+    literals; demodulation tries unit equalities directly.
     """
 
     def __init__(self) -> None:
@@ -128,9 +128,6 @@ class BackwardIndex:
 
     def __contains__(self, c: Clause) -> bool:
         return c.cid in self._members
-
-    def clauses(self) -> list[Clause]:
-        return list(self._members.values())
 
     def insert(self, c: Clause) -> None:
         if c.cid in self._members:

@@ -11,14 +11,15 @@ demodulation exactly one positive equality of the source is left out of the
 match and reserved as the rewriting equality; any positive equality may take
 that role, so the enumeration branches between "reserve this equality" and
 "match it like the rest".  Backtracking runs over source literals in order
-of decreasing weight, and enumeration is exhaustive and duplicate-free, so a
-cursor can resume where the previous solution left off.
+of decreasing weight, and enumeration is exhaustive and duplicate-free, so
+the generator resumes where the previous solution left off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional
 
 from .clauses import Clause, Literal, _literal_pairings, rename_apart
 from .terms import EMPTY_SUBST, Substitution, match_pairs
@@ -80,10 +81,14 @@ def match_solutions(
     if need > len(dst):
         return
     order = sorted(range(len(src)), key=lambda i: (-src[i].weight, i))
+    # while no equality is reserved, the last positive equality in the order
+    # must take that role: matching it instead cannot lead to a solution
+    last_eq = -1
+    if reserve_equality:
+        last_eq = max((k for k, i in enumerate(order) if src[i].positive and src[i].is_equality), default=-1)
     compatible: dict[tuple[bool, Optional[int]], list[int]] = {}
     for j, dlit in enumerate(dst):
         compatible.setdefault((dlit.positive, dlit.pred), []).append(j)
-    count = 0
 
     def search(k: int, subst: Substitution, used: frozenset[int], pairs, eq_pos: Optional[int]) -> Iterator[MLMatch]:
         if k == len(order):
@@ -94,43 +99,16 @@ def match_solutions(
         lit = src[i]
         if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
             yield from search(k + 1, subst, used, pairs, i)
+            if k == last_eq:
+                return
         for j in compatible.get((lit.positive, lit.pred), ()):
             if j in used:
                 continue
             for extended in literal_match_substs(lit, dst[j], subst):
                 yield from search(k + 1, extended, used | {j}, pairs + [(i, j)], eq_pos)
 
-    for sol in search(0, EMPTY_SUBST, frozenset(), [], None):
-        yield sol
-        count += 1
-        if limit and count >= limit:
-            return
-
-
-class MatchCursor:
-    """Resumable position inside the match enumeration for one clause pair."""
-
-    def __init__(self, iterator: Iterator[MLMatch]) -> None:
-        self._iterator = iterator
-
-    def next(self) -> Optional[MLMatch]:
-        return next(self._iterator, None)
-
-
-def find_next_ml_match(
-    source, target, cursor: Optional[MatchCursor] = None, *, limit: int = 0
-) -> Optional[tuple[MLMatch, MatchCursor]]:
-    """Return the next match and a cursor to resume from, or None.
-
-    Passing no cursor starts a fresh enumeration; passing the cursor from
-    the previous call continues it without repeating solutions.
-    """
-    if cursor is None:
-        cursor = MatchCursor(match_solutions(source, target, reserve_equality=True, limit=limit))
-    found = cursor.next()
-    if found is None:
-        return None
-    return found, cursor
+    solutions = search(0, EMPTY_SUBST, frozenset(), [], None)
+    yield from islice(solutions, limit) if limit else solutions
 
 
 def subsumes(c, d) -> bool:

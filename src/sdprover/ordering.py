@@ -67,11 +67,6 @@ def compare_terms(s: Term, t: Term) -> OrderResult:
     return OrderResult.INCOMPARABLE
 
 
-def is_oriented(lhs: Term, rhs: Term) -> bool:
-    """True when the two sides are strictly ordered one way or the other."""
-    return compare_terms(lhs, rhs) in (OrderResult.GREATER, OrderResult.LESS)
-
-
 def multiset_extension(xs: Sequence, ys: Sequence, cmp: Callable) -> OrderResult:
     """Multiset extension of a partial order given by cmp.
 

@@ -17,7 +17,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import calculus
 from .clauses import Clause, ClauseFactory, variant
@@ -254,32 +254,30 @@ def proof_clauses(result: SaturationResult) -> list[Clause]:
     return [registry[cid] for cid in sorted(seen)]
 
 
+def _replay_rewrite(main: Clause, side: Clause, factory: ClauseFactory, rule: str) -> list[Clause]:
+    return [build_simplified_clause(main, step, factory, rule) for step in sd_simplifications(side, main)]
+
+
+# rule -> replay(*parents, factory, rule); the three rewriting rules share one engine
+_REPLAY: dict[str, Callable[..., list[Clause]]] = {
+    "resolution": lambda c1, c2, factory, _: calculus.resolution(c1, c2, factory),
+    "superposition": lambda c1, c2, factory, _: calculus.superposition(c1, c2, factory),
+    "factoring": lambda c, factory, _: calculus.factoring(c, factory),
+    "eq_resolution": lambda c, factory, _: calculus.equality_resolution(c, factory),
+    "eq_factoring": lambda c, factory, _: calculus.equality_factoring(c, factory),
+    "demodulation": _replay_rewrite,
+    "fsd": _replay_rewrite,
+    "bsd": _replay_rewrite,
+}
+
+
 def _reproducible(node: Clause, registry: dict[int, Clause]) -> bool:
-    scratch = ClauseFactory()
-    parents = [registry[p] for p in node.parents]
-    rule = node.rule
-    if rule == "input":
+    if node.rule == "input":
         return True
-    if rule in ("resolution", "superposition"):
-        conclusions = getattr(calculus, rule)(parents[0], parents[1], scratch)
-    elif rule == "factoring":
-        conclusions = calculus.factoring(parents[0], scratch)
-    elif rule == "eq_resolution":
-        conclusions = calculus.equality_resolution(parents[0], scratch)
-    elif rule == "eq_factoring":
-        conclusions = calculus.equality_factoring(parents[0], scratch)
-    elif rule == "demodulation":
-        main, unit = parents
-        redone = demodulate(unit, main, scratch)
-        conclusions = [] if redone is None else [redone]
-    elif rule in ("fsd", "bsd"):
-        main, side = parents
-        conclusions = [
-            build_simplified_clause(main, step, scratch, rule)
-            for step in sd_simplifications(side, main)
-        ]
-    else:
+    replay = _REPLAY.get(node.rule)
+    if replay is None:
         return False
+    conclusions = replay(*(registry[p] for p in node.parents), ClauseFactory(), node.rule)
     return any(variant(c.literals, node.literals) for c in conclusions)
 
 

@@ -1,9 +1,10 @@
 """Simplification and deletion rules over the active clause set.
 
-Demodulation rewrites with a unit equality.  Subsumption demodulation
-generalizes it: the side premise is an equality plus extra literals, and the
-extra literals must match, instantiated, into the main premise.  The main
-premise L[t] | D is replaced by L[r sigma] | D when
+Subsumption demodulation rewrites with a side premise that is an equality
+plus extra literals; the extra literals must match, instantiated, into the
+main premise.  Demodulation is the same rule with a unit side premise: one
+engine serves both.  The main premise L[t] | D is replaced by L[r sigma] | D
+when
 
   - some solution of the multi-literal matcher covers every side literal
     except one positive equality l = r (partial substitution sigma'),
@@ -15,7 +16,12 @@ premise L[t] | D is replaced by L[r sigma] | D when
 
 The last check is the cheap equivalent of demanding that the main premise
 exceed the instantiated side premise: the matched image and the side
-literals it instantiates cancel, leaving exactly this comparison.
+literals it instantiates cancel, leaving exactly this comparison.  With a
+unit side premise the image is empty and the whole main premise must exceed
+the instantiated equality.
+
+Unit equalities rewrite forward only: backward subsumption demodulation
+skips unit sides, so a new unit equality does not rewrite active clauses.
 
 Replacement rewrites one occurrence per application; the saturation loop
 re-applies to fixpoint.  Scan order is deterministic: candidate side
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .clauses import Clause, ClauseFactory, Literal, eq, rename_apart
+from .clauses import Clause, ClauseFactory, Literal, eq, orientations, rename_apart
 from .index import BackwardIndex, FsdIndex
 from .matching import match_solutions, subsumes
 from .ordering import OrderResult, compare_literal_multisets, compare_terms
@@ -40,26 +46,16 @@ from .terms import App, Substitution, Term, apply_term, match_pairs, preorder_su
 class RewriteStep:
     """One validated rewrite of a main premise by a side premise equality.
 
-    eq_pos/flipped identify the rewriting equality and the orientation used;
     lit_pos/path locate the rewritten occurrence; subst is the full matching
-    substitution over the renamed side premise; lhs_image and rhs_image are
-    the instantiated equality sides (lhs_image is the occurrence itself).
-    pairs records the matched (side position, main position) literal pairs.
+    substitution over the renamed side premise; rhs_image replaces the
+    occurrence.
     """
 
     side_cid: int
-    eq_pos: int
-    flipped: bool
     lit_pos: int
     path: tuple[int, ...]
     subst: Substitution
-    lhs_image: Term
     rhs_image: Term
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(dst for _, dst in self.pairs)
 
 
 def literal_occurrences(lit: Literal) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -78,13 +74,6 @@ def replace_in_literal(lit: Literal, path: tuple[int, ...], new: Term) -> Litera
     args = list(lit.args)
     args[path[0]] = replace_at(args[path[0]], path[1:], new)
     return Literal(lit.positive, lit.pred, tuple(args))
-
-
-def _orientations(lit: Literal) -> Iterator[tuple[Term, Term, bool]]:
-    a, b = lit.args
-    yield a, b, False
-    if a != b:
-        yield b, a, True
 
 
 def check_ordering_conditions(
@@ -117,34 +106,23 @@ def sd_rewrite_steps(
             if lit_pos in image:
                 continue
             for path, t in literal_occurrences(lit):
-                for lhs, rhs, flipped in _orientations(equality):
+                for lhs, rhs in orientations(equality):
                     sigma = match_pairs([(lhs, t)], m.subst)
                     if sigma is None:
                         continue
                     rhs_image = apply_term(rhs, sigma)
                     if not check_ordering_conditions(main, t, rhs_image, image):
                         continue
-                    yield RewriteStep(
-                        side_cid=side_cid,
-                        eq_pos=m.rewrite_eq_pos,
-                        flipped=flipped,
-                        lit_pos=lit_pos,
-                        path=path,
-                        subst=sigma,
-                        lhs_image=t,
-                        rhs_image=rhs_image,
-                        pairs=m.pairs,
-                    )
+                    yield RewriteStep(side_cid, lit_pos, path, sigma, rhs_image)
 
 
 def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iterator[RewriteStep]:
     """All subsumption demodulation steps with the given side and main premise."""
-    if not any(l.positive and l.is_equality for l in side.literals):
-        return
     if len(side.literals) - 1 > len(main.literals):
-        return
-    side_lits = rename_apart(side.literals, main.literals)
-    yield from sd_rewrite_steps(side_lits, main, side.cid, match_limit)
+        return iter(())
+    if not any(l.positive and l.is_equality for l in side.literals):
+        return iter(())
+    return sd_rewrite_steps(rename_apart(side.literals, main.literals), main, side.cid, match_limit)
 
 
 def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFactory, rule: str) -> Clause:
@@ -154,31 +132,20 @@ def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFact
     return factory.make(lits, rule=rule, parents=(main.cid, step.side_cid))
 
 
+def _rewrite_once(
+    side: Clause, main: Clause, factory: ClauseFactory, rule: str, match_limit: int = 0
+) -> Optional[Clause]:
+    step = next(sd_simplifications(side, main, match_limit), None)
+    return None if step is None else build_simplified_clause(main, step, factory, rule)
+
+
 def demodulate(unit: Clause, main: Clause, factory: ClauseFactory) -> Optional[Clause]:
     """Rewrite one occurrence in main with a unit equality, or None.
 
-    Requires the instantiated equality to be oriented and the whole main
-    premise to exceed it as a multiset.  Scan order matches the subsumption
-    demodulation engine: literals left to right, subterms outermost first,
-    the equality as stored before its flip.
+    Subsumption demodulation with a unit side premise, labelled
+    demodulation in proofs.
     """
-    renamed = rename_apart(unit.literals, main.literals)
-    equality = renamed[0]
-    for lit_pos, lit in enumerate(main.literals):
-        for path, t in literal_occurrences(lit):
-            for lhs, rhs, _ in _orientations(equality):
-                sigma = match_pairs([(lhs, t)])
-                if sigma is None:
-                    continue
-                rhs_image = apply_term(rhs, sigma)
-                if compare_terms(t, rhs_image) is not OrderResult.GREATER:
-                    continue
-                if compare_literal_multisets(main.literals, [eq(t, rhs_image)]) is not OrderResult.GREATER:
-                    continue
-                lits = list(main.literals)
-                lits[lit_pos] = replace_in_literal(lit, path, rhs_image)
-                return factory.make(lits, rule="demodulation", parents=(main.cid, unit.cid))
-    return None
+    return _rewrite_once(unit, main, factory, "demodulation")
 
 
 def forward_subsumption_demodulation(
@@ -186,9 +153,9 @@ def forward_subsumption_demodulation(
 ) -> Optional[Clause]:
     """Simplify d with the first applicable indexed side premise, or None."""
     for c in sorted(ix.retrieve_fsd_candidates(d), key=lambda c: c.cid):
-        step = next(sd_simplifications(c, d, match_limit), None)
-        if step is not None:
-            return build_simplified_clause(d, step, factory, rule="fsd")
+        out = _rewrite_once(c, d, factory, "fsd", match_limit)
+        if out is not None:
+            return out
     return None
 
 
@@ -200,9 +167,9 @@ def backward_subsumption_demodulation(
         return []
     out: list[tuple[Clause, Clause]] = []
     for d in sorted(active.retrieve_bsd_candidates(c), key=lambda d: d.cid):
-        step = next(sd_simplifications(c, d, match_limit), None)
-        if step is not None:
-            out.append((d, build_simplified_clause(d, step, factory, rule="bsd")))
+        new = _rewrite_once(c, d, factory, "bsd", match_limit)
+        if new is not None:
+            out.append((d, new))
     return out
 
 

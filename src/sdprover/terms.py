@@ -112,7 +112,7 @@ class Signature:
 
     def __init__(self) -> None:
         self._ids: dict[tuple[str, str], int] = {}
-        self._info: list[tuple[str, int, str]] = []
+        self._info: list[tuple[str, int]] = []
 
     def intern(self, name: str, arity: int, kind: str = "function") -> int:
         key = (name, kind)
@@ -120,7 +120,7 @@ class Signature:
         if sid is None:
             sid = len(self._info)
             self._ids[key] = sid
-            self._info.append((name, arity, kind))
+            self._info.append((name, arity))
             return sid
         declared = self._info[sid][1]
         if declared != arity:
@@ -132,12 +132,6 @@ class Signature:
 
     def name(self, sid: int) -> str:
         return self._info[sid][0]
-
-    def arity(self, sid: int) -> int:
-        return self._info[sid][1]
-
-    def kind(self, sid: int) -> str:
-        return self._info[sid][2]
 
     def __len__(self) -> int:
         return len(self._info)
@@ -174,20 +168,8 @@ class Substitution:
     def get(self, vid: int) -> Optional[Term]:
         return self._map.get(vid)
 
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._map)
-
     def items(self):
         return self._map.items()
-
-    def bind(self, vid: int, term: Term) -> "Substitution":
-        """Return a copy extended with vid -> term."""
-        new = dict(self._map)
-        new[vid] = term
-        return Substitution(new)
-
-    def is_empty(self) -> bool:
-        return not self._map
 
     def __len__(self) -> int:
         return len(self._map)
@@ -215,11 +197,6 @@ def apply_term(term: Term, subst: Substitution) -> Term:
     if term.ground:
         return term
     return App(term.sym, tuple(apply_term(a, subst) for a in term.args))
-
-
-def term_weight(term: Term) -> int:
-    """Number of symbol and variable occurrences in the term."""
-    return term.weight
 
 
 def term_vars(term: Term) -> set[int]:
@@ -329,11 +306,6 @@ def unify_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
     return Substitution({v: _deep_apply(t, bindings) for v, t in bindings.items()})
 
 
-def unify_terms(s: Term, t: Term) -> Optional[Substitution]:
-    """Most general unifier of two terms, or None."""
-    return unify_pairs([(s, t)])
-
-
 def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:
     """One-way match of pattern/target term pairs extending base, or None.
 
@@ -341,7 +313,7 @@ def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
     not already bound acquire bindings.  All pairs share one binding map, so
     repeated pattern variables stay consistent across the whole sequence.
     """
-    bindings: dict[int, Term] = dict(base.items()) if base is not None else {}
+    bindings: dict[int, Term] = dict(base._map) if base is not None else {}
     stack = list(pairs)
     while stack:
         p, t = stack.pop()
@@ -360,8 +332,3 @@ def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
                 return None
             stack.extend(zip(p.args, t.args))
     return Substitution(bindings)
-
-
-def match_term(pattern: Term, target: Term, base: Optional[Substitution] = None) -> Optional[Substitution]:
-    """One-way match: find subst extending base with apply(pattern) == target."""
-    return match_pairs([(pattern, target)], base)

@@ -181,6 +181,38 @@ def naive_sd_applicable(side_lits, main_lits) -> bool:
     return bool(naive_sd_results(side_lits, main_lits))
 
 
+def reference_demodulate(unit_lits, main_lits) -> Optional[tuple[Literal, ...]]:
+    """First rewrite of main by a unit equality, as plain demodulation, or None.
+
+    A demodulator of its own, outside the subsumption demodulation engine,
+    scanning in the engine's order: main literals left to right, subterms
+    outermost first, the equality as stored before its flip.  The
+    instantiated equality must be oriented and the whole main premise must
+    exceed it as a multiset.  The result is renamed canonically, as a clause
+    factory would mint it.
+    """
+    main = list(main_lits)
+    (equality,) = rename_apart(tuple(unit_lits), tuple(main))
+    stored, flipped = tuple(equality.args), (equality.args[1], equality.args[0])
+    for lit_pos, lit in enumerate(main):
+        for arg_idx, arg in enumerate(lit.args):
+            for sub_path, t in _all_positions(arg, ()):
+                for lhs, rhs in (stored, flipped):
+                    sigma = naive_match_term(lhs, t, {})
+                    if sigma is None:
+                        continue
+                    rhs_image = naive_apply(rhs, sigma)
+                    if compare_terms(t, rhs_image) is not OrderResult.GREATER:
+                        continue
+                    if compare_literal_multisets(main, [eq(t, rhs_image)]) is not OrderResult.GREATER:
+                        continue
+                    new_args = list(lit.args)
+                    new_args[arg_idx] = _replace(arg, sub_path, rhs_image)
+                    new_lit = Literal(lit.positive, lit.pred, tuple(new_args))
+                    return canonical_literals(main[:lit_pos] + [new_lit] + main[lit_pos + 1 :])
+    return None
+
+
 # ------------------------------------------------- ground entailment
 
 def _atom_key(lit: Literal):

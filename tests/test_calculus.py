@@ -4,7 +4,6 @@ from oracles import ground_entails
 from randgen import Gen, GroundGen
 
 from sdprover.calculus import (
-    binary_inferences,
     equality_factoring,
     equality_resolution,
     factoring,
@@ -160,7 +159,7 @@ def test_ground_inferences_are_sound():
             lits2 = lits2 + (gg.rng.choice(lits1).negated(),)
         c1 = factory.make(lits1)
         c2 = factory.make(lits2)
-        produced = unary_inferences(c1, factory) + binary_inferences(c1, c2, factory)
+        produced = unary_inferences(c1, factory) + resolution(c1, c2, factory) + superposition(c1, c2, factory)
         for concl in produced:
             assert ground_entails([c1.literals, c2.literals], concl.literals)
             checked += 1

@@ -4,23 +4,20 @@ import pytest
 from randgen import Gen
 
 from sdprover.clauses import (
-    Clause,
     ClauseFactory,
     Literal,
+    _literal_pairings,
     apply,
     canonical_literals,
     clause_vars,
     eq,
-    match_expr,
     neq,
-    predicate,
     rename_apart,
     select,
-    unify,
     variant,
 )
 from sdprover.ordering import OrderResult, compare_literals
-from sdprover.terms import Signature, SignatureError, Substitution, Var, apply_term
+from sdprover.terms import SignatureError, Substitution, Var, unify_pairs
 
 env = Gen(seed=11)
 x, y = Var(0), Var(1)
@@ -85,21 +82,15 @@ def test_apply_on_literal_and_tuple():
 
 def test_unify_literals_with_equality_orientation():
     # only the swapped orientation unifies here
-    sub = unify(eq(env.f(x), env.a), eq(env.a, env.f(env.b)))
+    stored, swapped = _literal_pairings(eq(env.f(x), env.a), eq(env.a, env.f(env.b)))
+    assert unify_pairs(stored) is None
+    sub = unify_pairs(swapped)
     assert sub is not None
     assert apply(eq(env.f(x), env.a), sub) == eq(env.a, env.f(env.b))
 
 
 def test_unify_respects_polarity():
-    assert unify(env.p(x), env.p(env.a).negated()) is None
-
-
-def test_match_expr_extends_base():
-    base = Substitution({0: env.a})
-    sub = match_expr(env.h(x, y), env.h(env.a, env.b), base)
-    assert sub is not None
-    assert sub.get(1) == env.b
-    assert match_expr(env.h(x, x), env.h(env.a, env.b), base) is None
+    assert list(_literal_pairings(env.p(x), env.p(env.a).negated())) == []
 
 
 def test_canonical_literals_first_occurrence_order():
@@ -121,6 +112,14 @@ def test_select_prefers_heaviest_negative():
     factory = ClauseFactory()
     c = factory.make([env.p(env.a), env.q(env.f(env.b)).negated(), env.p(env.b).negated()])
     assert select(c) == (1,)
+
+
+def test_select_is_stored_on_the_clause():
+    factory = ClauseFactory()
+    c = factory.make([env.p(x), env.q(env.a).negated()])
+    first = select(c)
+    assert c._selected == first
+    assert select(c) is first
 
 
 def test_select_negative_tie_breaks_leftmost():

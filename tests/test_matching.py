@@ -4,7 +4,7 @@ from oracles import naive_ml_solutions, naive_subsumes
 from randgen import Gen
 
 from sdprover.clauses import eq, rename_apart
-from sdprover.matching import MatchCursor, find_next_ml_match, match_solutions, subsumes
+from sdprover.matching import match_solutions, subsumes
 from sdprover.terms import Var
 
 env = Gen(seed=23)
@@ -92,13 +92,12 @@ def test_cursor_resumes_without_repeating():
     side = (eq(x, y), env.p(x))
     main = (env.p(env.a), env.p(env.b))
     direct = list(match_solutions(side, main, reserve_equality=True))
-    found = find_next_ml_match(side, main)
-    collected = []
-    while found is not None:
-        match, cursor = found
-        collected.append(match)
-        found = find_next_ml_match(side, main, cursor)
-    assert collected == direct
+    # the generator is the cursor: each next() resumes the enumeration
+    cursor = match_solutions(side, main, reserve_equality=True)
+    first = next(cursor)
+    rest = list(cursor)
+    assert [first] + rest == direct
+    assert first not in rest
 
 
 def test_unit_equality_source_has_single_trivial_solution():
@@ -107,4 +106,4 @@ def test_unit_equality_source_has_single_trivial_solution():
     solutions = list(match_solutions(side, main, reserve_equality=True))
     assert len(solutions) == 1
     assert solutions[0].pairs == ()
-    assert solutions[0].subst.is_empty()
+    assert len(solutions[0].subst) == 0

@@ -222,6 +222,33 @@ def test_every_ground_derivation_step_is_entailed_by_its_parents():
     assert checked > 40
 
 
+def test_four_configurations_agree_with_the_ground_oracle():
+    """Standing verdict differential on random ground problems.
+
+    Every fsd/bsd configuration must reach the verdict the model-enumeration
+    oracle gives, and every refutation must re-check.
+    """
+    gg = GroundGen(seed=2024)
+    configs = [(True, True), (True, False), (False, True), (False, False)]
+    verdicts = {SatStatus.UNSATISFIABLE: 0, SatStatus.SATURATED: 0}
+    for _ in range(50):
+        lits = [gg.lits(gg.rng.randrange(1, 3)) for _ in range(gg.rng.randrange(3, 7))]
+        if gg.rng.random() < 0.5:
+            # a complemented unit makes refutations common
+            lits.append((gg.rng.choice(gg.rng.choice(lits)).negated(),))
+        unsat = ground_entails(lits, [])
+        expected = SatStatus.UNSATISFIABLE if unsat else SatStatus.SATURATED
+        for fsd, bsd in configs:
+            factory = ClauseFactory()
+            inputs = [factory.make(clause) for clause in lits]
+            result = saturate(inputs, _quick(fsd=fsd, bsd=bsd), factory)
+            assert result.status is expected, (lits, fsd, bsd)
+            if unsat:
+                assert verify_proof(result) == [], (lits, fsd, bsd)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
 def test_passive_queue_alternates_age_and_weight():
     s = Setup()
     queue = PassiveQueue()

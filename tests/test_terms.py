@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 
 from sdprover.terms import (
     EMPTY_SUBST,
-    App,
     Signature,
     SignatureError,
     Substitution,
     Var,
     apply_term,
     match_pairs,
-    match_term,
     preorder_subterms,
     replace_at,
     term_vars,
-    term_weight,
-    unify_terms,
+    unify_pairs,
     var_counts,
 )
 
@@ -62,15 +59,7 @@ def test_wrong_argument_count_raises():
 
 def test_substitution_drops_identity_bindings():
     assert Substitution({0: Var(0), 1: a}) == Substitution({1: a})
-    assert Substitution({0: Var(0)}).is_empty
-
-
-def test_substitution_bind_returns_new_value():
-    base = Substitution({0: a})
-    extended = base.bind(1, b)
-    assert base.get(1) is None
-    assert extended.get(1) == b
-    assert extended.get(0) == a
+    assert len(Substitution({0: Var(0)})) == 0
 
 
 def test_apply_term_replaces_simultaneously():
@@ -80,29 +69,38 @@ def test_apply_term_replaces_simultaneously():
 
 
 def test_unify_binds_and_applies():
-    sub = unify_terms(h(x, g(y)), h(f(z), g(a)))
+    sub = unify_pairs([(h(x, g(y)), h(f(z), g(a)))])
     assert sub is not None
     assert apply_term(h(x, g(y)), sub) == apply_term(h(f(z), g(a)), sub)
 
 
 def test_unify_occurs_check():
-    assert unify_terms(x, f(x)) is None
-    assert unify_terms(h(x, x), h(f(y), y)) is None
+    assert unify_pairs([(x, f(x))]) is None
+    assert unify_pairs([(h(x, x), h(f(y), y))]) is None
 
 
 def test_unify_clash():
-    assert unify_terms(f(a), g(a)) is None
-    assert unify_terms(a, b) is None
+    assert unify_pairs([(f(a), g(a))]) is None
+    assert unify_pairs([(a, b)]) is None
 
 
 def test_match_target_variables_are_rigid():
-    assert match_term(f(x), f(y)) == Substitution({0: y})
-    assert match_term(f(a), f(x)) is None
+    assert match_pairs([(f(x), f(y))]) == Substitution({0: y})
+    assert match_pairs([(f(a), f(x))]) is None
 
 
 def test_match_bound_variable_must_agree():
-    assert match_term(h(x, x), h(a, a)) is not None
-    assert match_term(h(x, x), h(a, b)) is None
+    assert match_pairs([(h(x, x), h(a, a))]) is not None
+    assert match_pairs([(h(x, x), h(a, b))]) is None
+
+
+def test_match_pairs_extends_base():
+    base = Substitution({0: a})
+    sub = match_pairs([(h(x, y), h(a, b))], base)
+    assert sub is not None
+    assert sub.get(1) == b
+    assert base.get(1) is None
+    assert match_pairs([(h(x, x), h(a, b))], base) is None
 
 
 def test_match_pairs_keeps_identity_across_pairs():
@@ -115,7 +113,7 @@ def test_var_helpers():
     t = h(x, f(x))
     assert term_vars(t) == {0}
     assert var_counts(t)[0] == 2
-    assert term_weight(t) == 4
+    assert t.weight == 4
 
 
 def test_replace_at_roundtrip():
@@ -127,12 +125,12 @@ def test_replace_at_roundtrip():
 
 @given(terms)
 def test_weight_counts_preorder_nodes(t):
-    assert term_weight(t) == len(list(preorder_subterms(t)))
+    assert t.weight == len(list(preorder_subterms(t)))
 
 
 @given(terms, terms)
 def test_unifier_unifies_and_is_idempotent(s, t):
-    sub = unify_terms(s, t)
+    sub = unify_pairs([(s, t)])
     if sub is not None:
         left = apply_term(s, sub)
         assert left == apply_term(t, sub)
@@ -141,7 +139,7 @@ def test_unifier_unifies_and_is_idempotent(s, t):
 
 @given(terms, terms)
 def test_match_agrees_with_application(s, t):
-    sub = match_term(s, t)
+    sub = match_pairs([(s, t)])
     if sub is not None:
         assert apply_term(s, sub) == t
 

@@ -335,3 +335,25 @@ def test_cli_fsd_only_configuration(tmp_path, capsys):
     path = _write(tmp_path, text)
     assert main(["--fsd", "on", "--bsd", "off", path]) == 1
     assert "% SZS status Satisfiable" in capsys.readouterr().out
+
+
+def test_cli_deep_term_gets_a_status_not_a_traceback(tmp_path, capsys):
+    depth = 1200
+    path = _write(tmp_path, f"cnf(a, axiom, p({'f(' * depth}a{')' * depth})).")
+    code = main([path])
+    status = capsys.readouterr().out.splitlines()[0]
+    # Satisfiable is the right answer; Error is the honest one while the
+    # parser recurses per nesting level
+    assert (status, code) in {("% SZS status Satisfiable", 1), ("% SZS status Error", 4)}
+
+
+def test_cli_unexpected_exception_is_status_error(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("sdprover.cli.saturate", crash)
+    path = _write(tmp_path, "cnf(a, axiom, p(c)).")
+    assert main([path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "% SZS status Error"
+    assert "RuntimeError: boom" in captured.err
