@@ -3,8 +3,9 @@
 Every rule applies only to literals returned by select().  Ordering side
 conditions are checked after unification on the instantiated premises, and a
 check of the form "not greater" passes when the comparison is INCOMPARABLE.
-Binary rules rename the second premise apart before unifying.  Conclusions
-are minted through the supplied factory with rule name and parent ids.
+Binary rules rename the second premise apart before unifying, shifting its
+variables past the first premise's stored variable count.  Conclusions are
+minted through the supplied factory with rule name and parent ids.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _mint_all(raw: list[tuple[Literal, ...]], factory: ClauseFactory, rule: str,
 def resolution(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
     """Resolve a selected positive predicate literal of c1 against a selected
     negative one of c2."""
-    lits2 = rename_apart(c2.literals, c1.literals)
+    lits2 = rename_apart(c2, c1)
     sel2 = select(c2)
     raw = []
     for i in select(c1):
@@ -122,7 +123,7 @@ def _superpose_into(
 def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
     """Rewrite inside a selected literal of c2 with a selected positive
     equality of c1, at a non-variable position."""
-    lits2 = rename_apart(c2.literals, c1.literals)
+    lits2 = rename_apart(c2, c1)
     sel2 = select(c2)
     raw: list = []
     for i in select(c1):

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .terms import App, Signature, SignatureError, Substitution, Term, Var, apply_term, term_vars
+from .terms import App, Signature, SignatureError, Substitution, Term, Var, apply_term, shift_vars
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -118,13 +118,21 @@ class Clause:
 
     Clause objects compare by identity; use Counter(c.literals) or variant()
     for content comparisons.  Duplicate literals are preserved.
+
+    nvars is one past the largest variable id; ClauseFactory numbers
+    variables 0, 1, ..., so it is the clause's variable count.  The slots
+    after it hold work done once per clause object: the literal selection
+    and the multi-literal matcher's set-up as source and as target.
     """
 
     literals: tuple[Literal, ...]
     cid: int
     rule: str = "input"
     parents: tuple[int, ...] = ()
+    nvars: int = 0
     _selected: Optional[tuple[int, ...]] = field(init=False, default=None, compare=False, repr=False)
+    _match_order: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
+    _match_table: Optional[dict] = field(init=False, default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -144,15 +152,6 @@ class Clause:
 
 
 Expression = Union[Term, Literal, tuple]
-
-
-def clause_vars(lits: Iterable[Literal]) -> set[int]:
-    out: set[int] = set()
-    for lit in lits:
-        for a in lit.args:
-            if not a.ground:
-                out |= term_vars(a)
-    return out
 
 
 def apply(expr: Expression, subst: Substitution):
@@ -177,6 +176,11 @@ def _literal_pairings(a: Literal, b: Literal):
 
 def canonical_literals(literals: Sequence[Literal]) -> tuple[Literal, ...]:
     """Rename variables to 0, 1, ... in order of first occurrence."""
+    return _canonical(literals)[0]
+
+
+def _canonical(literals: Sequence[Literal]) -> tuple[tuple[Literal, ...], int]:
+    """Canonical literals and their variable count."""
     mapping: dict[int, Term] = {}
 
     def walk(term: Term) -> None:
@@ -191,21 +195,22 @@ def canonical_literals(literals: Sequence[Literal]) -> tuple[Literal, ...]:
         for a in lit.args:
             walk(a)
     sub = Substitution(mapping)
-    return tuple(apply(lit, sub) for lit in literals)
+    return tuple(apply(lit, sub) for lit in literals), len(mapping)
 
 
-def rename_literals(literals: Sequence[Literal], offset: int) -> tuple[Literal, ...]:
-    """Shift every variable id by offset."""
-    sub = Substitution({v: Var(v + offset) for v in clause_vars(literals)})
-    return tuple(apply(lit, sub) for lit in literals)
+def rename_apart(clause: Clause, away_from: Clause) -> tuple[Literal, ...]:
+    """clause's literals with its variables shifted past those of away_from.
 
-
-def rename_apart(literals: Sequence[Literal], away_from: Iterable[Literal]) -> tuple[Literal, ...]:
-    """Rename literals so they share no variables with away_from."""
-    used = clause_vars(away_from)
-    if not used or not (clause_vars(literals) & used):
-        return tuple(literals)
-    return rename_literals(literals, max(used) + 1)
+    The shift is away_from's stored variable count, so no term is scanned
+    to find it; ground literals come back as they are.
+    """
+    offset = away_from.nvars
+    if not offset or not clause.nvars:
+        return clause.literals
+    return tuple(
+        Literal(lit.positive, lit.pred, tuple(shift_vars(a, offset) for a in lit.args))
+        for lit in clause.literals
+    )
 
 
 class ClauseFactory:
@@ -224,7 +229,8 @@ class ClauseFactory:
         return len(self.registry)
 
     def make(self, literals: Iterable[Literal], rule: str = "input", parents: tuple[int, ...] = ()) -> Clause:
-        clause = Clause(canonical_literals(tuple(literals)), next(self._counter), rule, parents)
+        lits, nvars = _canonical(tuple(literals))
+        clause = Clause(lits, next(self._counter), rule, parents, nvars)
         self.registry[clause.cid] = clause
         return clause
 

@@ -33,6 +33,11 @@ def literal_key(lit: Literal) -> LiteralKey:
     return (PRED_TAG, lit.pred, lit.positive)
 
 
+def _distinct_keys(c: Clause) -> set[LiteralKey]:
+    # a bucket is read once however many literals share its key
+    return {literal_key(lit) for lit in c.literals}
+
+
 def _ranked_positions(c: Clause) -> list[int]:
     # heaviest first, leftmost on ties
     return sorted(range(len(c.literals)), key=lambda i: (-c.literals[i].weight, i))
@@ -110,8 +115,8 @@ class FsdIndex:
     def retrieve_fsd_candidates(self, d: Clause) -> set[Clause]:
         """Stored clauses whose indexed literal could match a literal of d."""
         out: set[Clause] = set()
-        for lit in d.literals:
-            for cid, _ in self._buckets.get(literal_key(lit), ()):
+        for key in _distinct_keys(d):
+            for cid, _ in self._buckets.get(key, ()):
                 out.add(self._members[cid])
         return out
 
@@ -171,8 +176,8 @@ class BackwardIndex:
         among d's keys; one shared key is the cheapest complete filter.
         """
         out: set[Clause] = set()
-        for lit in d.literals:
-            for cid in self._bucket(literal_key(lit)):
+        for key in _distinct_keys(d):
+            for cid in self._bucket(key):
                 if cid != d.cid:
                     out.add(self._members[cid])
         return out
@@ -186,9 +191,8 @@ class BackwardIndex:
         """
         if not g.literals:
             return set()
-        keys = {literal_key(lit) for lit in g.literals}
         ids: Optional[set[int]] = None
-        for key in keys:
+        for key in _distinct_keys(g):
             bucket = self._bucket(key)
             ids = set(bucket) if ids is None else ids & bucket
             if not ids:

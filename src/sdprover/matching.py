@@ -13,6 +13,13 @@ that role, so the enumeration branches between "reserve this equality" and
 "match it like the rest".  Backtracking runs over source literals in order
 of decreasing weight, and enumeration is exhaustive and duplicate-free, so
 the generator resumes where the previous solution left off.
+
+Source and target are matched as stored, with no renaming: the target's
+variables are rigid constants, and substitutions keep X -> X bindings, so a
+source variable that shares an id with a target variable is still a
+variable of its own.  The set-up each side needs (the source's literal order,
+the target's table of compatible literals) is computed once per clause
+object and kept on it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .clauses import Clause, Literal, _literal_pairings, rename_apart
+from .clauses import Clause, Literal, _literal_pairings
+from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .terms import EMPTY_SUBST, Substitution, match_pairs
 
 
@@ -30,7 +38,8 @@ class MLMatch:
     """One match of a source clause into a target clause.
 
     rewrite_eq_pos: source position of the reserved rewriting equality.
-    subst: the partial substitution built from the matched literals.
+    subst: the partial substitution built from the matched literals; it
+        binds source variables only and keeps X -> X bindings.
     pairs: (source position, target position) for every matched literal.
     """
 
@@ -47,6 +56,33 @@ def _lits(clause_or_lits) -> tuple[Literal, ...]:
     if isinstance(clause_or_lits, Clause):
         return clause_or_lits.literals
     return tuple(clause_or_lits)
+
+
+def _source_order(src: tuple[Literal, ...]) -> tuple[tuple[int, ...], int]:
+    """Source positions by decreasing weight, leftmost on ties, and the
+    place in that order of the last positive equality (-1 if none)."""
+    order = tuple(sorted(range(len(src)), key=lambda i: (-src[i].weight, i)))
+    last_eq = max((k for k, i in enumerate(order) if src[i].positive and src[i].is_equality), default=-1)
+    return order, last_eq
+
+
+def _target_table(dst: tuple[Literal, ...]) -> dict[tuple[bool, Optional[int]], tuple[int, ...]]:
+    """Target positions by (polarity, predicate), ascending."""
+    table: dict[tuple[bool, Optional[int]], list[int]] = {}
+    for j, dlit in enumerate(dst):
+        table.setdefault((dlit.positive, dlit.pred), []).append(j)
+    return {key: tuple(js) for key, js in table.items()}
+
+
+def _set_up(clause_or_lits, slot: str, build):
+    """build(literals), kept in the clause's slot after the first call."""
+    if not isinstance(clause_or_lits, Clause):
+        return build(tuple(clause_or_lits))
+    stored = getattr(clause_or_lits, slot)
+    if stored is None:
+        stored = build(clause_or_lits.literals)
+        object.__setattr__(clause_or_lits, slot, stored)
+    return stored
 
 
 def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) -> Iterator[Substitution]:
@@ -73,22 +109,17 @@ def match_solutions(
     else; otherwise all source literals are matched (plain subsumption).
     A positive limit caps the number of solutions enumerated.
 
-    Source and target must not share variables; callers rename apart first.
+    Source and target may share variable ids.  Target variables are rigid,
+    and each solution's substitution binds source variables only, keeping
+    X -> X bindings; apply it to source terms, never to target terms.
     """
     src = _lits(source)
     dst = _lits(target)
     need = len(src) - (1 if reserve_equality else 0)
     if need > len(dst):
         return
-    order = sorted(range(len(src)), key=lambda i: (-src[i].weight, i))
-    # while no equality is reserved, the last positive equality in the order
-    # must take that role: matching it instead cannot lead to a solution
-    last_eq = -1
-    if reserve_equality:
-        last_eq = max((k for k, i in enumerate(order) if src[i].positive and src[i].is_equality), default=-1)
-    compatible: dict[tuple[bool, Optional[int]], list[int]] = {}
-    for j, dlit in enumerate(dst):
-        compatible.setdefault((dlit.positive, dlit.pred), []).append(j)
+    order, last_eq = _set_up(source, "_match_order", _source_order)
+    compatible = _set_up(target, "_match_table", _target_table)
 
     def search(k: int, subst: Substitution, used: frozenset[int], pairs, eq_pos: Optional[int]) -> Iterator[MLMatch]:
         if k == len(order):
@@ -99,6 +130,8 @@ def match_solutions(
         lit = src[i]
         if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
             yield from search(k + 1, subst, used, pairs, i)
+            # while no equality is reserved, the last positive equality in
+            # the order must take that role: matching it cannot succeed
             if k == last_eq:
                 return
         for j in compatible.get((lit.positive, lit.pred), ()):
@@ -113,9 +146,6 @@ def match_solutions(
 
 def subsumes(c, d) -> bool:
     """True when some instance of c is a sub-multiset of d."""
-    src = _lits(c)
-    dst = _lits(d)
-    if len(src) > len(dst):
+    if len(c) > len(d):
         return False
-    src = rename_apart(src, dst)
-    return next(match_solutions(src, dst, reserve_equality=False), None) is not None
+    return next(match_solutions(c, d, reserve_equality=False), None) is not None

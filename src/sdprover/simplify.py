@@ -33,13 +33,14 @@ stored before its flip, first full pass wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .clauses import Clause, ClauseFactory, Literal, eq, orientations, rename_apart
+from .clauses import Clause, ClauseFactory, Literal, eq, orientations
+from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .index import BackwardIndex, FsdIndex
 from .matching import match_solutions, subsumes
 from .ordering import OrderResult, compare_literal_multisets, compare_terms
-from .terms import App, Substitution, Term, apply_term, match_pairs, preorder_subterms, replace_at
+from .terms import App, Substitution, Term, apply_term, match_pairs, preorder_subterms, replace_at, term_vars
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class RewriteStep:
     """One validated rewrite of a main premise by a side premise equality.
 
     lit_pos/path locate the rewritten occurrence; subst is the full matching
-    substitution over the renamed side premise; rhs_image replaces the
-    occurrence.
+    substitution over the side premise's own variables (X -> X bindings
+    kept, since the main premise's variables are rigid); rhs_image replaces
+    the occurrence.
     """
 
     side_cid: int
@@ -92,28 +94,36 @@ def check_ordering_conditions(
     return compare_literal_multisets(outside, [eq(lhs_image, rhs_image)]) is OrderResult.GREATER
 
 
-def sd_rewrite_steps(
-    side_lits: Sequence[Literal], main: Clause, side_cid: int, match_limit: int = 0
-) -> Iterator[RewriteStep]:
-    """Every validated rewrite of main by the renamed side literals, in scan order.
+def sd_rewrite_steps(side: Clause, main: Clause, match_limit: int = 0) -> Iterator[RewriteStep]:
+    """Every validated rewrite of main by side, in scan order.
 
-    side_lits must already be renamed apart from main.
+    Side and main are matched as stored.  An orientation whose right-hand
+    side has a variable that neither its left-hand side nor the matched
+    literals bind is skipped: that variable would stay in the replacement,
+    and no term exceeds one holding a variable it lacks.
     """
-    for m in match_solutions(side_lits, main.literals, reserve_equality=True, limit=match_limit):
-        equality = side_lits[m.rewrite_eq_pos]
+    for m in match_solutions(side, main, reserve_equality=True, limit=match_limit):
+        bound = m.subst
+        usable = [
+            (lhs, rhs)
+            for lhs, rhs in orientations(side.literals[m.rewrite_eq_pos])
+            if all(bound.get(v) is not None for v in term_vars(rhs) - term_vars(lhs))
+        ]
+        if not usable:
+            continue
         image = m.image
         for lit_pos, lit in enumerate(main.literals):
             if lit_pos in image:
                 continue
             for path, t in literal_occurrences(lit):
-                for lhs, rhs in orientations(equality):
-                    sigma = match_pairs([(lhs, t)], m.subst)
+                for lhs, rhs in usable:
+                    sigma = match_pairs([(lhs, t)], bound)
                     if sigma is None:
                         continue
                     rhs_image = apply_term(rhs, sigma)
                     if not check_ordering_conditions(main, t, rhs_image, image):
                         continue
-                    yield RewriteStep(side_cid, lit_pos, path, sigma, rhs_image)
+                    yield RewriteStep(side.cid, lit_pos, path, sigma, rhs_image)
 
 
 def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iterator[RewriteStep]:
@@ -122,7 +132,7 @@ def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iter
         return iter(())
     if not any(l.positive and l.is_equality for l in side.literals):
         return iter(())
-    return sd_rewrite_steps(rename_apart(side.literals, main.literals), main, side.cid, match_limit)
+    return sd_rewrite_steps(side, main, match_limit)
 
 
 def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFactory, rule: str) -> Clause:

@@ -147,8 +147,11 @@ class Signature:
 class Substitution:
     """An immutable finite map from variable ids to terms.
 
-    Identity bindings are dropped on construction.  Application replaces all
-    bound variables simultaneously; extension returns a new value.
+    Identity bindings are dropped on construction.  Match results are the
+    exception: match_pairs keeps X -> X, because it binds a pattern variable
+    to the target's rigid variable of the same id, and a later extension must
+    see that binding.  Application replaces all bound variables
+    simultaneously; extension returns a new value.
     """
 
     __slots__ = ("_map",)
@@ -161,6 +164,13 @@ class Substitution:
                 continue
             mapping[vid] = value
         object.__setattr__(self, "_map", mapping)
+
+    @classmethod
+    def _adopt(cls, mapping: dict[int, Term]) -> "Substitution":
+        """Wrap mapping as it is, identity bindings included; the caller must not change it afterwards."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "_map", mapping)
+        return sub
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Substitution is immutable")
@@ -197,6 +207,36 @@ def apply_term(term: Term, subst: Substitution) -> Term:
     if term.ground:
         return term
     return App(term.sym, tuple(apply_term(a, subst) for a in term.args))
+
+
+def shift_vars(term: Term, offset: int) -> Term:
+    """term with every variable id raised by offset.
+
+    Rebuilt bottom-up from an explicit stack, so deep terms cannot exhaust
+    the interpreter's; ground subterms are shared, not copied.
+    """
+    if term.ground:
+        return term
+    if isinstance(term, Var):
+        return Var(term.vid + offset)
+    done: list[Term] = []
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            # (symbol, arity): its arguments are the last arity results
+            sym, n = t
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(App(sym, args))
+        elif t.ground:
+            done.append(t)
+        elif isinstance(t, Var):
+            done.append(Var(t.vid + offset))
+        else:
+            todo.append((t.sym, len(t.args)))
+            todo.extend(reversed(t.args))
+    return done[0]
 
 
 def term_vars(term: Term) -> set[int]:
@@ -309,9 +349,11 @@ def unify_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
 def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:
     """One-way match of pattern/target term pairs extending base, or None.
 
-    Variables of the targets are treated as constants; only pattern variables
-    not already bound acquire bindings.  All pairs share one binding map, so
-    repeated pattern variables stay consistent across the whole sequence.
+    Variables of the targets are rigid constants; only pattern variables not
+    already bound acquire bindings.  Pattern and target may share variable
+    ids: the result keeps X -> X bindings, so a pattern variable bound to the
+    target variable of its own id stays bound.  All pairs share one binding
+    map, so repeated pattern variables stay consistent across the sequence.
     """
     bindings: dict[int, Term] = dict(base._map) if base is not None else {}
     stack = list(pairs)
@@ -331,4 +373,4 @@ def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
             if not isinstance(t, App) or p.sym != t.sym or len(p.args) != len(t.args):
                 return None
             stack.extend(zip(p.args, t.args))
-    return Substitution(bindings)
+    return Substitution._adopt(bindings)

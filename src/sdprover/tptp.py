@@ -17,7 +17,7 @@ from typing import Optional
 
 from .clauses import Clause, ClauseFactory, Literal, eq, neq, predicate
 from .saturation import SatStatus, SaturationResult, proof_clauses
-from .terms import App, Signature, SignatureError, Term, Var
+from .terms import App, FunctionSymbol, Signature, SignatureError, Term, Var
 
 
 class ParseError(Exception):
@@ -189,36 +189,62 @@ class _Parser:
         atom = sym(*[self.to_term(a, scope) for a in args])
         return atom.negated() if negated else atom
 
-    # raw atoms defer the function/predicate decision until the context is known
+    # raw atoms defer the function/predicate decision until the context is known;
+    # both passes keep their open applications on a list, not on the call stack,
+    # so nesting depth is bounded by memory alone
     def raw_atom(self):
-        tok = self.take()
-        if tok.kind == "upper":
-            return ("v", tok.text)
-        if tok.kind in ("lower", "quoted", "num"):
-            name = tok.text.strip("'") if tok.kind == "quoted" else tok.text
-            args = []
-            if self.peek().text == "(":
-                self.take()
-                args.append(self.raw_atom())
-                while self.peek().text == ",":
+        open_apps: list = []  # ("f", name, args, line, col) still reading arguments
+        while True:
+            tok = self.take()
+            if tok.kind == "upper":
+                node = ("v", tok.text)
+            elif tok.kind in ("lower", "quoted", "num"):
+                name = tok.text.strip("'") if tok.kind == "quoted" else tok.text
+                node = ("f", name, [], tok.line, tok.col)
+                if self.peek().text == "(":
                     self.take()
-                    args.append(self.raw_atom())
+                    open_apps.append(node)
+                    continue
+            else:
+                raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            # node is complete: hand it to its parent, closing every
+            # application whose last argument it was
+            while open_apps:
+                open_apps[-1][2].append(node)
+                if self.peek().text == ",":
+                    self.take()
+                    break
                 self.expect(")")
-            return ("f", name, args, tok.line, tok.col)
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+                node = open_apps.pop()
+            else:
+                return node
 
     def to_term(self, raw, scope: dict[str, Var]) -> Term:
-        if raw[0] == "v":
-            name = raw[1]
-            if name not in scope:
-                scope[name] = Var(len(scope))
-            return scope[name]
-        _, name, args, line, col = raw
-        try:
-            sym = self.sig.function(name, len(args))
-        except SignatureError as exc:
-            raise ParseError(str(exc), line, col) from exc
-        return sym(*[self.to_term(a, scope) for a in args])
+        """Build a raw atom, interning symbols and numbering variables in pre-order."""
+        done: list[Term] = []
+        todo: list = [raw]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, FunctionSymbol):
+                # every argument is built: they are the last arity results
+                first = len(done) - item.arity
+                args = done[first:]
+                del done[first:]
+                done.append(item(*args))
+            elif item[0] == "v":
+                name = item[1]
+                if name not in scope:
+                    scope[name] = Var(len(scope))
+                done.append(scope[name])
+            else:
+                _, name, args, line, col = item
+                try:
+                    sym = self.sig.function(name, len(args))
+                except SignatureError as exc:
+                    raise ParseError(str(exc), line, col) from exc
+                todo.append(sym)
+                todo.extend(reversed(args))
+        return done[0]
 
     def intern_predicate(self, name: str, arity: int, tok: _Token):
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from sdprover.clauses import Literal, canonical_literals, eq, rename_apart
+from sdprover.clauses import Literal, canonical_literals, eq
 from sdprover.ordering import OrderResult, compare_literal_multisets, compare_terms
 from sdprover.terms import App, Term, Var
 
@@ -30,6 +30,35 @@ def multiset_greater_ref(xs, ys, cmp) -> bool:
     if not xs:
         return False
     return all(any(cmp(x, y) is OrderResult.GREATER for x in xs) for y in ys)
+
+
+# ---------------------------------------------------------------- renaming
+
+def clause_vars(lits) -> set[int]:
+    """Every variable id occurring in a literal sequence."""
+    out: set[int] = set()
+    stack = [a for lit in lits for a in lit.args]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out.add(t.vid)
+        else:
+            stack.extend(t.args)
+    return out
+
+
+def rename_literals(lits, offset: int) -> tuple[Literal, ...]:
+    """Shift every variable id by offset."""
+    shift = {v: Var(v + offset) for v in clause_vars(lits)}
+    return tuple(Literal(lit.positive, lit.pred, tuple(naive_apply(a, shift) for a in lit.args)) for lit in lits)
+
+
+def rename_apart(lits, away_from) -> tuple[Literal, ...]:
+    """Rename lits so they share no variables with away_from, scanning both."""
+    used = clause_vars(away_from)
+    if not used or not (clause_vars(lits) & used):
+        return tuple(lits)
+    return rename_literals(lits, max(used) + 1)
 
 
 # ---------------------------------------------------------------- matching
@@ -98,7 +127,8 @@ def naive_ml_solutions(side_lits, main_lits) -> set[tuple]:
     """All (reserved equality position, matched pairs, substitution items)
     solutions of the demodulation matcher, as comparable tuples.
 
-    Assumes the inputs share no variables, like the production matcher.
+    Assumes the inputs share no variables, so that no identity binding
+    arises; rename them apart first.
     """
     side = list(side_lits)
     main = list(main_lits)

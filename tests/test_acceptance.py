@@ -13,10 +13,10 @@ import os
 import time
 from collections import Counter
 
-from oracles import ground_entails, naive_sd_applicable, reference_demodulate
+from oracles import ground_entails, naive_sd_applicable, reference_demodulate, rename_apart
 from randgen import Gen, GroundGen
 
-from sdprover.clauses import ClauseFactory, eq, predicate, rename_apart
+from sdprover.clauses import ClauseFactory, eq, predicate
 from sdprover.index import BackwardIndex, FsdIndex
 from sdprover.matching import match_solutions
 from sdprover.ordering import OrderResult, compare_clauses, compare_terms

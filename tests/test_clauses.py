@@ -1,6 +1,7 @@
 """Tests for literals, clauses, selection, renaming, and variants."""
 
 import pytest
+from oracles import clause_vars
 from randgen import Gen
 
 from sdprover.clauses import (
@@ -9,7 +10,6 @@ from sdprover.clauses import (
     _literal_pairings,
     apply,
     canonical_literals,
-    clause_vars,
     eq,
     neq,
     rename_apart,
@@ -63,6 +63,7 @@ def test_factory_canonicalizes_variables():
     factory = ClauseFactory()
     c = factory.make([env.p(Var(7)), env.q(Var(7)), env.p(Var(3))])
     assert clause_vars(c.literals) == {0, 1}
+    assert c.nvars == 2
     assert c.literals[0].args == c.literals[1].args
 
 
@@ -100,12 +101,15 @@ def test_canonical_literals_first_occurrence_order():
 
 
 def test_rename_apart_makes_vars_disjoint():
+    factory = ClauseFactory()
     for _ in range(200):
-        a = env.lits(env.rng.randrange(1, 4))
-        b = env.lits(env.rng.randrange(1, 4))
+        a = factory.make(env.lits(env.rng.randrange(1, 4)))
+        b = factory.make(env.lits(env.rng.randrange(1, 4)))
         renamed = rename_apart(a, b)
-        assert not (clause_vars(renamed) & clause_vars(b))
-        assert variant(renamed, a)
+        assert not (clause_vars(renamed) & clause_vars(b.literals))
+        assert variant(renamed, a.literals)
+        # the shift is b's variable count, so the ids stay dense
+        assert clause_vars(renamed) == {v + b.nvars for v in clause_vars(a.literals)}
 
 
 def test_select_prefers_heaviest_negative():

@@ -1,9 +1,9 @@
 """Index tests: key stability, bucket choice, and retrieval completeness."""
 
-from oracles import naive_sd_applicable, naive_subsumes
+from oracles import naive_sd_applicable, naive_subsumes, rename_apart
 from randgen import Gen
 
-from sdprover.clauses import ClauseFactory, apply, eq, rename_apart
+from sdprover.clauses import ClauseFactory, apply, eq
 from sdprover.index import (
     BackwardIndex,
     FsdIndex,

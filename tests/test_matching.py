@@ -1,11 +1,12 @@
 """Multi-literal matcher tests: subsumption, solution enumeration, cursors."""
 
-from oracles import naive_ml_solutions, naive_subsumes
+from oracles import naive_ml_solutions, naive_subsumes, rename_apart
 from randgen import Gen
 
-from sdprover.clauses import eq, rename_apart
+from sdprover.clauses import Clause, ClauseFactory, apply, eq
 from sdprover.matching import match_solutions, subsumes
-from sdprover.terms import Var
+from sdprover.simplify import sd_simplifications
+from sdprover.terms import Substitution, Var
 
 env = Gen(seed=23)
 x, y = Var(0), Var(1)
@@ -37,6 +38,46 @@ def test_subsumption_shared_variables_stay_independent():
     # the source x is renamed away from the target x, so it may map anywhere
     assert subsumes((env.p(x),), (env.p(env.f(x)),))
     assert not subsumes((env.p(x), env.q(x)), (env.p(x), env.q(env.a)))
+
+
+def test_subsumption_without_renaming_keeps_shared_ids_apart():
+    # source and target share ids 0 and 1; target variables stay rigid
+    factory = ClauseFactory()
+    for c, d, expected in (
+        ((env.r(x, y),), (env.r(y, x),), True),
+        ((env.r(x, x),), (env.r(x, y),), False),
+        # the same, split over two literals matched one after the other
+        ((env.p(x), env.q(x)), (env.q(y), env.p(x)), False),
+    ):
+        assert subsumes(c, d) is expected
+        assert subsumes(factory.make(c), factory.make(d)) is expected
+
+
+def test_rename_free_matching_agrees_with_renamed_inputs():
+    factory = ClauseFactory()
+    subsumed = rewritten = 0
+    for round_no in range(400):
+        lits = env.lits(env.rng.randrange(1, 4))
+        c = factory.make((env.pos_eq(),) + lits if round_no % 2 else lits)
+        d_lits = env.lits(env.rng.randrange(1, 4))
+        if round_no % 4 < 2:
+            # an instance of c inside d, over variables with c's own ids
+            inst = Substitution({v: env.term(1) for v in range(env.n_vars)})
+            d_lits += apply(c.literals, inst)
+        d = factory.make(d_lits)
+        renamed = rename_apart(c.literals, d.literals)
+        expected = subsumes(renamed, d.literals)
+        assert subsumes(c, d) == expected
+        subsumed += expected
+        step = next(sd_simplifications(c, d), None)
+        reference = next(sd_simplifications(Clause(renamed, c.cid), d), None)
+        if reference is None:
+            assert step is None
+        else:
+            assert (step.lit_pos, step.path, step.rhs_image) == (
+                reference.lit_pos, reference.path, reference.rhs_image)
+            rewritten += 1
+    assert subsumed > 100 and rewritten > 50
 
 
 def test_subsumes_matches_oracle():

@@ -132,6 +132,25 @@ def test_match_targets_stay_rigid():
     assert list(sd_simplifications(side, main)) == []
 
 
+def test_rhs_variable_outside_lhs_rewrites_only_when_a_matched_literal_binds_it():
+    # side and main share variable ids 0 and 1, and nothing renames them apart
+    factory = ClauseFactory()
+    x0, x1 = Var(0), Var(1)
+    # no side literal binds X1: rewriting g(f(X1)) to X1 would capture the
+    # main premise's X1, which no instance of the side premise justifies
+    side = factory.make([eq(env.g(x0), x1), env.p(x0)])
+    main = factory.make([env.r(x0, x1), env.p(env.f(x1)), env.q(env.g(env.f(x1)))])
+    assert list(sd_simplifications(side, main)) == []
+    assert naive_sd_results(side.literals, main.literals) == set()
+    # here r(X0, X1) matches r(f(X1), X1), binding X1 -> X1, and the step is sound
+    side = factory.make([eq(env.g(x0), x1), env.r(x0, x1)])
+    main = factory.make([env.p(x0), env.r(env.f(x1), x1), env.q(env.g(env.f(x1)))])
+    (step,) = sd_simplifications(side, main)
+    built = build_simplified_clause(main, step, factory, rule="fsd")
+    assert built.literals == (env.p(x0), env.r(env.f(x1), x1), env.q(x1))
+    assert {built.literals} == naive_sd_results(side.literals, main.literals)
+
+
 def test_ordering_conditions_on_a_heavier_outside_literal():
     factory = ClauseFactory()
     main = factory.make([p(h(c, d)), q(c)])

@@ -55,6 +55,15 @@ def test_variables_are_clause_scoped():
     assert second.literals[0].args == (Var(0),)
 
 
+def test_symbols_intern_and_variables_number_in_preorder():
+    # interning order fixes the ordering precedence
+    problem, sig, _ = _parse("cnf(a, axiom, p(f(Y, g(X, a)), X, b) | h(c, Y) = Y).")
+    assert [sig.name(sid) for sid in range(len(sig))] == ["p", "f", "g", "a", "b", "h", "c"]
+    atom, equality = problem.clauses[0].literals
+    assert atom.args[0].args[0] == Var(0) and atom.args[1] == Var(1)
+    assert equality.rhs == Var(0)
+
+
 def test_roles_recorded_per_clause():
     problem, _, _ = _parse(
         "cnf(a, axiom, p(c)). cnf(g, negated_conjecture, ~p(c))."
@@ -342,9 +351,7 @@ def test_cli_deep_term_gets_a_status_not_a_traceback(tmp_path, capsys):
     path = _write(tmp_path, f"cnf(a, axiom, p({'f(' * depth}a{')' * depth})).")
     code = main([path])
     status = capsys.readouterr().out.splitlines()[0]
-    # Satisfiable is the right answer; Error is the honest one while the
-    # parser recurses per nesting level
-    assert (status, code) in {("% SZS status Satisfiable", 1), ("% SZS status Error", 4)}
+    assert (status, code) == ("% SZS status Satisfiable", 1)
 
 
 def test_cli_unexpected_exception_is_status_error(tmp_path, capsys, monkeypatch):
