@@ -4,8 +4,13 @@ Every rule applies only to literals returned by select().  Ordering side
 conditions are checked after unification on the instantiated premises, and a
 check of the form "not greater" passes when the comparison is INCOMPARABLE.
 Binary rules rename the second premise apart before unifying, shifting its
-variables past the first premise's stored variable count.  Conclusions are
-minted through the supplied factory with rule name and parent ids.
+variables past the first premise's stored variable count.
+
+A rule does not instantiate its conclusions itself: it hands each one to
+the factory as its uninstantiated literals and the unifier, all conclusions
+of one call together, and the factory applies the unifier while it
+canonicalizes, drops variants of earlier conclusions of the call, and mints
+the rest with the rule name and parent ids.
 """
 
 from __future__ import annotations
@@ -14,31 +19,19 @@ from .clauses import (
     Clause,
     ClauseFactory,
     Literal,
-    apply,
-    canonical_literals,
+    literal_occurrences,
     neq,
     orientations,
     rename_apart,
+    replace_in_literal,
     select,
 )
 from .ordering import OrderResult, compare_terms
-from .terms import Term, Var, preorder_subterms, replace_at, unify_pairs
+from .terms import Term, apply_term, unify_pairs
 
 
 def _not_greater(a: Term, b: Term) -> bool:
     return compare_terms(a, b) is not OrderResult.GREATER
-
-
-def _mint_all(raw: list[tuple[Literal, ...]], factory: ClauseFactory, rule: str, parents) -> list[Clause]:
-    out: list[Clause] = []
-    seen: set[tuple[Literal, ...]] = set()
-    for lits in raw:
-        key = canonical_literals(lits)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(factory.make(lits, rule, parents))
-    return out
 
 
 def resolution(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
@@ -60,8 +53,8 @@ def resolution(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
                 continue
             rest = [lit for k, lit in enumerate(c1.literals) if k != i]
             rest += [lit for k, lit in enumerate(lits2) if k != j]
-            raw.append(apply(tuple(rest), sub))
-    return _mint_all(raw, factory, "resolution", (c1.cid, c2.cid))
+            raw.append((tuple(rest), sub))
+    return factory.make_all(raw, "resolution", (c1.cid, c2.cid))
 
 
 def factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
@@ -82,8 +75,8 @@ def factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
             if sub is None:
                 continue
             rest = [lit for k, lit in enumerate(c.literals) if k != j]
-            raw.append(apply(tuple(rest), sub))
-    return _mint_all(raw, factory, "factoring", (c.cid,))
+            raw.append((tuple(rest), sub))
+    return factory.make_all(raw, "factoring", (c.cid,))
 
 
 def _superpose_into(
@@ -95,29 +88,19 @@ def _superpose_into(
     raw: list,
 ) -> None:
     target = target_lits[target_pos]
-    if target.is_equality:
-        sides = (0, 1)
-    else:
-        sides = tuple(range(len(target.args)))
-    for arg_idx in sides:
-        for path, sub_term in preorder_subterms(target.args[arg_idx]):
-            if isinstance(sub_term, Var):
+    for path, sub_term in literal_occurrences(target):
+        theta = unify_pairs([(s, sub_term)])
+        if theta is None:
+            continue
+        if not _not_greater(apply_term(t, theta), apply_term(s, theta)):
+            continue
+        if target.is_equality:
+            into_side = apply_term(target.args[path[0]], theta)
+            other_side = apply_term(target.args[1 - path[0]], theta)
+            if not _not_greater(other_side, into_side):
                 continue
-            theta = unify_pairs([(s, sub_term)])
-            if theta is None:
-                continue
-            if not _not_greater(apply(t, theta), apply(s, theta)):
-                continue
-            if target.is_equality:
-                into_side = apply(target.args[arg_idx], theta)
-                other_side = apply(target.args[1 - arg_idx], theta)
-                if not _not_greater(other_side, into_side):
-                    continue
-            new_args = list(target.args)
-            new_args[arg_idx] = replace_at(target.args[arg_idx], path, t)
-            new_target = Literal(target.positive, target.pred, tuple(new_args))
-            lits = eq_rest + target_lits[:target_pos] + (new_target,) + target_lits[target_pos + 1 :]
-            raw.append(apply(lits, theta))
+        new_target = replace_in_literal(target, path, t)
+        raw.append((eq_rest + target_lits[:target_pos] + (new_target,) + target_lits[target_pos + 1 :], theta))
 
 
 def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
@@ -134,7 +117,7 @@ def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause
         for s, t in orientations(li):
             for j in sel2:
                 _superpose_into(eq_rest, s, t, lits2, j, raw)
-    return _mint_all(raw, factory, "superposition", (c1.cid, c2.cid))
+    return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 
 def equality_resolution(c: Clause, factory: ClauseFactory) -> list[Clause]:
@@ -148,8 +131,8 @@ def equality_resolution(c: Clause, factory: ClauseFactory) -> list[Clause]:
         if sub is None:
             continue
         rest = tuple(lit for k, lit in enumerate(c.literals) if k != i)
-        raw.append(apply(rest, sub))
-    return _mint_all(raw, factory, "eq_resolution", (c.cid,))
+        raw.append((rest, sub))
+    return factory.make_all(raw, "eq_resolution", (c.cid,))
 
 
 def equality_factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
@@ -172,16 +155,16 @@ def equality_factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
                     theta = unify_pairs([(s, s2)])
                     if theta is None:
                         continue
-                    if not _not_greater(apply(t, theta), apply(s, theta)):
+                    if not _not_greater(apply_term(t, theta), apply_term(s, theta)):
                         continue
-                    if not _not_greater(apply(t2, theta), apply(t, theta)):
+                    if not _not_greater(apply_term(t2, theta), apply_term(t, theta)):
                         continue
                     rest = tuple(
                         lit for k, lit in enumerate(c.literals) if k != i and k != j
                     )
                     lits = (Literal(True, None, (s, t)), neq(t, t2)) + rest
-                    raw.append(apply(lits, theta))
-    return _mint_all(raw, factory, "eq_factoring", (c.cid,))
+                    raw.append((lits, theta))
+    return factory.make_all(raw, "eq_factoring", (c.cid,))
 
 
 def unary_inferences(c: Clause, factory: ClauseFactory) -> list[Clause]:

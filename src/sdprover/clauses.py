@@ -4,9 +4,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .terms import App, Signature, SignatureError, Substitution, Term, Var, apply_term, shift_vars
+from .terms import (
+    EMPTY_SUBST,
+    App,
+    Signature,
+    SignatureError,
+    Substitution,
+    Term,
+    Var,
+    preorder_subterms,
+    rebuild,
+    replace_at,
+    shift_vars,
+)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -151,18 +163,6 @@ class Clause:
         return f"<{self.cid}: {' | '.join(map(repr, self.literals))}>"
 
 
-Expression = Union[Term, Literal, tuple]
-
-
-def apply(expr: Expression, subst: Substitution):
-    """Apply a substitution to a term, literal, or literal tuple."""
-    if isinstance(expr, (Var, App)):
-        return apply_term(expr, subst)
-    if isinstance(expr, Literal):
-        return Literal(expr.positive, expr.pred, tuple(apply_term(a, subst) for a in expr.args))
-    return tuple(apply(lit, subst) for lit in expr)
-
-
 def _literal_pairings(a: Literal, b: Literal):
     """Ways to align the argument tuples of two compatible literals."""
     if a.positive != b.positive or a.pred != b.pred or len(a.args) != len(b.args):
@@ -174,28 +174,29 @@ def _literal_pairings(a: Literal, b: Literal):
             yield swapped
 
 
-def canonical_literals(literals: Sequence[Literal]) -> tuple[Literal, ...]:
-    """Rename variables to 0, 1, ... in order of first occurrence."""
-    return _canonical(literals)[0]
+def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[tuple[Literal, ...], int]:
+    """literals instantiated by unifier, variables renumbered 0, 1, ... in
+    pre-order of first occurrence, and the number of variables.
 
+    One pass over each term: a bound variable's image is rebuilt in place
+    of the variable, renumbering as it goes, and reused where the variable
+    recurs.  unifier must be in unify_pairs's fully applied form (no
+    variable it binds occurs in a term it binds to), so an image never
+    contains a variable that needs instantiating.
+    """
+    images: dict[int, Term] = {}
+    fresh = itertools.count()
 
-def _canonical(literals: Sequence[Literal]) -> tuple[tuple[Literal, ...], int]:
-    """Canonical literals and their variable count."""
-    mapping: dict[int, Term] = {}
+    def leaf(v: Var) -> Term:
+        image = images.get(v.vid)
+        if image is None:
+            bound = unifier.get(v.vid)
+            image = Var(next(fresh)) if bound is None else rebuild(bound, leaf)
+            images[v.vid] = image
+        return image
 
-    def walk(term: Term) -> None:
-        if isinstance(term, Var):
-            if term.vid not in mapping:
-                mapping[term.vid] = Var(len(mapping))
-        elif not term.ground:
-            for a in term.args:
-                walk(a)
-
-    for lit in literals:
-        for a in lit.args:
-            walk(a)
-    sub = Substitution(mapping)
-    return tuple(apply(lit, sub) for lit in literals), len(mapping)
+    out = tuple(Literal(lit.positive, lit.pred, tuple(rebuild(a, leaf) for a in lit.args)) for lit in literals)
+    return out, next(fresh)
 
 
 def rename_apart(clause: Clause, away_from: Clause) -> tuple[Literal, ...]:
@@ -216,6 +217,12 @@ def rename_apart(clause: Clause, away_from: Clause) -> tuple[Literal, ...]:
 class ClauseFactory:
     """Mints normalized clauses with unique ids and keeps a registry.
 
+    The factory is the one place that canonicalizes: each conclusion comes
+    in as its literals and the unifier of its inference, and one pass
+    instantiates the literals and numbers their variables 0, 1, ... in
+    pre-order of first occurrence.  The unifier must be in unify_pairs's
+    fully applied form.
+
     Every clause ever created stays in the registry so proofs can be
     reconstructed after simplification deletes clauses from the search state.
     """
@@ -229,10 +236,48 @@ class ClauseFactory:
         return len(self.registry)
 
     def make(self, literals: Iterable[Literal], rule: str = "input", parents: tuple[int, ...] = ()) -> Clause:
-        lits, nvars = _canonical(tuple(literals))
-        clause = Clause(lits, next(self._counter), rule, parents, nvars)
-        self.registry[clause.cid] = clause
-        return clause
+        return self.make_all([(tuple(literals), EMPTY_SUBST)], rule, parents)[0]
+
+    def make_all(
+        self, conclusions: Iterable[tuple[Sequence[Literal], Substitution]], rule: str, parents: tuple[int, ...]
+    ) -> list[Clause]:
+        """Mint the (literals, unifier) conclusions of one inference call, in order.
+
+        A conclusion that is a variant of an earlier one of the same call
+        (equal once canonical) is dropped before it is minted, so it spends
+        no id and no registry entry: created is what the clause limit reads.
+        """
+        out: list[Clause] = []
+        seen: set[tuple[Literal, ...]] = set()
+        for literals, unifier in conclusions:
+            lits, nvars = canonical_instance(literals, unifier)
+            if lits in seen:
+                continue
+            seen.add(lits)
+            clause = Clause(lits, next(self._counter), rule, parents, nvars)
+            self.registry[clause.cid] = clause
+            out.append(clause)
+        return out
+
+
+def literal_occurrences(lit: Literal) -> Iterator[tuple[tuple[int, ...], Term]]:
+    """Non-variable subterm occurrences of a literal, outermost first.
+
+    Paths start with the argument index.  Variable occurrences are skipped:
+    superposition never rewrites at a variable position, and no term is
+    smaller than a variable, so simplification cannot rewrite one either.
+    """
+    for i, arg in enumerate(lit.args):
+        for path, sub in preorder_subterms(arg, (i,)):
+            if isinstance(sub, App):
+                yield path, sub
+
+
+def replace_in_literal(lit: Literal, path: tuple[int, ...], new: Term) -> Literal:
+    """lit with the occurrence at path (as literal_occurrences gives it) replaced by new."""
+    args = list(lit.args)
+    args[path[0]] = replace_at(args[path[0]], path[1:], new)
+    return Literal(lit.positive, lit.pred, tuple(args))
 
 
 def select(clause: Clause) -> tuple[int, ...]:

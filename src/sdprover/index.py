@@ -38,40 +38,23 @@ def _distinct_keys(c: Clause) -> set[LiteralKey]:
     return {literal_key(lit) for lit in c.literals}
 
 
-def _ranked_positions(c: Clause) -> list[int]:
-    # heaviest first, leftmost on ties
-    return sorted(range(len(c.literals)), key=lambda i: (-c.literals[i].weight, i))
-
-
-def _indexed_entries(c: Clause) -> list[tuple[int, LiteralKey]]:
-    """(literal position, key) pairs the clause is indexed under.
-
-    Empty when the clause has no positive equality or is too small to have
-    both a rewriting equality and an indexed literal.
-    """
-    if len(c.literals) < 2:
-        return []
-    if not any(l.positive and l.is_equality for l in c.literals):
-        return []
-    ranked = _ranked_positions(c)
-    best, second = ranked[0], ranked[1]
-
-    def is_pos_eq(i: int) -> bool:
-        lit = c.literals[i]
-        return lit.positive and lit.is_equality
-
-    if not is_pos_eq(best):
-        chosen = [best]
-    elif not is_pos_eq(second):
-        chosen = [second]
-    else:
-        chosen = [best, second]
-    return [(i, literal_key(c.literals[i])) for i in chosen]
-
-
 def best_literal_keys(c: Clause) -> list[LiteralKey]:
-    """Keys the clause is indexed under; [] when it is not indexable."""
-    return [key for _, key in _indexed_entries(c)]
+    """Keys the clause is indexed under; [] when it is not indexable.
+
+    That is the key of its heaviest literal (leftmost on ties), or of the
+    second heaviest when the heaviest is a positive equality, or of both
+    when both are.  A clause with no positive equality, or too small to
+    have both a rewriting equality and an indexed literal, is not indexable.
+    """
+    lits = c.literals
+    if len(lits) < 2 or not any(l.positive and l.is_equality for l in lits):
+        return []
+    best, second = sorted(range(len(lits)), key=lambda i: (-lits[i].weight, i))[:2]
+    chosen = [best]
+    if lits[best].positive and lits[best].is_equality:
+        second_is_eq = lits[second].positive and lits[second].is_equality
+        chosen = [best, second] if second_is_eq else [second]
+    return [literal_key(lits[i]) for i in chosen]
 
 
 class FsdIndex:
@@ -82,7 +65,7 @@ class FsdIndex:
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[LiteralKey, set[tuple[int, int]]] = {}
+        self._buckets: dict[LiteralKey, set[int]] = {}
         self._members: dict[int, Clause] = {}
 
     def __len__(self) -> int:
@@ -94,21 +77,21 @@ class FsdIndex:
     def insert(self, c: Clause) -> None:
         if c.cid in self._members:
             return
-        entries = _indexed_entries(c)
-        if not entries:
+        keys = best_literal_keys(c)
+        if not keys:
             return
         self._members[c.cid] = c
-        for pos, key in entries:
-            self._buckets.setdefault(key, set()).add((c.cid, pos))
+        for key in keys:
+            self._buckets.setdefault(key, set()).add(c.cid)
 
     def remove(self, c: Clause) -> None:
         if c.cid not in self._members:
             return
         del self._members[c.cid]
-        for pos, key in _indexed_entries(c):
+        for key in best_literal_keys(c):
             bucket = self._buckets.get(key)
             if bucket is not None:
-                bucket.discard((c.cid, pos))
+                bucket.discard(c.cid)
                 if not bucket:
                     del self._buckets[key]
 
@@ -116,7 +99,7 @@ class FsdIndex:
         """Stored clauses whose indexed literal could match a literal of d."""
         out: set[Clause] = set()
         for key in _distinct_keys(d):
-            for cid, _ in self._buckets.get(key, ()):
+            for cid in self._buckets.get(key, ()):
                 out.add(self._members[cid])
         return out
 

@@ -52,12 +52,6 @@ class MLMatch:
         return frozenset(j for _, j in self.pairs)
 
 
-def _lits(clause_or_lits) -> tuple[Literal, ...]:
-    if isinstance(clause_or_lits, Clause):
-        return clause_or_lits.literals
-    return tuple(clause_or_lits)
-
-
 def _source_order(src: tuple[Literal, ...]) -> tuple[tuple[int, ...], int]:
     """Source positions by decreasing weight, leftmost on ties, and the
     place in that order of the last positive equality (-1 if none)."""
@@ -74,14 +68,12 @@ def _target_table(dst: tuple[Literal, ...]) -> dict[tuple[bool, Optional[int]], 
     return {key: tuple(js) for key, js in table.items()}
 
 
-def _set_up(clause_or_lits, slot: str, build):
-    """build(literals), kept in the clause's slot after the first call."""
-    if not isinstance(clause_or_lits, Clause):
-        return build(tuple(clause_or_lits))
-    stored = getattr(clause_or_lits, slot)
+def _set_up(clause: Clause, slot: str, build):
+    """build(clause.literals), kept in the clause's slot after the first call."""
+    stored = getattr(clause, slot)
     if stored is None:
-        stored = build(clause_or_lits.literals)
-        object.__setattr__(clause_or_lits, slot, stored)
+        stored = build(clause.literals)
+        object.__setattr__(clause, slot, stored)
     return stored
 
 
@@ -100,7 +92,7 @@ def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) 
 
 
 def match_solutions(
-    source, target, *, reserve_equality: bool, limit: int = 0
+    source: Clause, target: Clause, *, reserve_equality: bool, limit: int = 0
 ) -> Iterator[MLMatch]:
     """Enumerate matches of source into target.
 
@@ -113,8 +105,8 @@ def match_solutions(
     and each solution's substitution binds source variables only, keeping
     X -> X bindings; apply it to source terms, never to target terms.
     """
-    src = _lits(source)
-    dst = _lits(target)
+    src = source.literals
+    dst = target.literals
     need = len(src) - (1 if reserve_equality else 0)
     if need > len(dst):
         return
@@ -144,7 +136,7 @@ def match_solutions(
     yield from islice(solutions, limit) if limit else solutions
 
 
-def subsumes(c, d) -> bool:
+def subsumes(c: Clause, d: Clause) -> bool:
     """True when some instance of c is a sub-multiset of d."""
     if len(c) > len(d):
         return False

@@ -35,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .clauses import Clause, ClauseFactory, Literal, eq, orientations
+from .clauses import Clause, ClauseFactory, eq, literal_occurrences, orientations, replace_in_literal
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .index import BackwardIndex, FsdIndex
 from .matching import match_solutions, subsumes
 from .ordering import OrderResult, compare_literal_multisets, compare_terms
-from .terms import App, Substitution, Term, apply_term, match_pairs, preorder_subterms, replace_at, term_vars
+from .terms import Substitution, Term, apply_term, match_pairs, term_vars
 
 
 @dataclass(frozen=True)
@@ -58,24 +58,6 @@ class RewriteStep:
     path: tuple[int, ...]
     subst: Substitution
     rhs_image: Term
-
-
-def literal_occurrences(lit: Literal) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """Non-variable subterm occurrences of a literal, outermost first.
-
-    Paths start with the argument index.  Variable occurrences are skipped:
-    no term is smaller than a variable, so they can never be rewritten.
-    """
-    for i, arg in enumerate(lit.args):
-        for path, sub in preorder_subterms(arg, (i,)):
-            if isinstance(sub, App):
-                yield path, sub
-
-
-def replace_in_literal(lit: Literal, path: tuple[int, ...], new: Term) -> Literal:
-    args = list(lit.args)
-    args[path[0]] = replace_at(args[path[0]], path[1:], new)
-    return Literal(lit.positive, lit.pred, tuple(args))
 
 
 def check_ordering_conditions(

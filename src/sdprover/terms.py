@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class SignatureError(Exception):
@@ -209,16 +209,18 @@ def apply_term(term: Term, subst: Substitution) -> Term:
     return App(term.sym, tuple(apply_term(a, subst) for a in term.args))
 
 
-def shift_vars(term: Term, offset: int) -> Term:
-    """term with every variable id raised by offset.
+def rebuild(term: Term, leaf: Callable[[Var], Term]) -> Term:
+    """term with every variable occurrence v replaced by leaf(v).
 
-    Rebuilt bottom-up from an explicit stack, so deep terms cannot exhaust
-    the interpreter's; ground subterms are shared, not copied.
+    The one term rebuilder: bottom-up from an explicit stack, so deep terms
+    cannot exhaust the interpreter's.  leaf is called on the variable
+    occurrences in pre-order, left to right; ground subterms are shared,
+    not copied.
     """
     if term.ground:
         return term
-    if isinstance(term, Var):
-        return Var(term.vid + offset)
+    if type(term) is Var:
+        return leaf(term)
     done: list[Term] = []
     todo: list = [term]
     while todo:
@@ -229,14 +231,19 @@ def shift_vars(term: Term, offset: int) -> Term:
             args = tuple(done[-n:])
             del done[-n:]
             done.append(App(sym, args))
+        elif type(t) is Var:
+            done.append(leaf(t))
         elif t.ground:
             done.append(t)
-        elif isinstance(t, Var):
-            done.append(Var(t.vid + offset))
         else:
             todo.append((t.sym, len(t.args)))
             todo.extend(reversed(t.args))
     return done[0]
+
+
+def shift_vars(term: Term, offset: int) -> Term:
+    """term with every variable id raised by offset."""
+    return rebuild(term, lambda v: Var(v.vid + offset))
 
 
 def term_vars(term: Term) -> set[int]:

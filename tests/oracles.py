@@ -11,9 +11,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from sdprover.clauses import Literal, canonical_literals, eq
+from sdprover.clauses import Literal, eq
 from sdprover.ordering import OrderResult, compare_literal_multisets, compare_terms
-from sdprover.terms import App, Term, Var
+from sdprover.terms import App, Substitution, Term, Var
 
 
 def multiset_greater_ref(xs, ys, cmp) -> bool:
@@ -59,6 +59,27 @@ def rename_apart(lits, away_from) -> tuple[Literal, ...]:
     if not used or not (clause_vars(lits) & used):
         return tuple(lits)
     return rename_literals(lits, max(used) + 1)
+
+
+def apply(expr, subst: Substitution):
+    """A substitution applied to a term, a literal, or a literal tuple."""
+    bindings = dict(subst.items())
+    if isinstance(expr, (Var, App)):
+        return naive_apply(expr, bindings)
+    if isinstance(expr, Literal):
+        return Literal(expr.positive, expr.pred, tuple(naive_apply(a, bindings) for a in expr.args))
+    return tuple(apply(lit, subst) for lit in expr)
+
+
+def canonical_literals(lits) -> tuple[Literal, ...]:
+    """Variables renamed 0, 1, ... in order of first occurrence, pre-order, left to right."""
+    mapping: dict[int, Var] = {}
+    for lit in lits:
+        for arg in lit.args:
+            for _, t in _all_positions(arg, ()):
+                if isinstance(t, Var) and t.vid not in mapping:
+                    mapping[t.vid] = Var(len(mapping))
+    return tuple(Literal(lit.positive, lit.pred, tuple(naive_apply(a, mapping) for a in lit.args)) for lit in lits)
 
 
 # ---------------------------------------------------------------- matching

@@ -16,7 +16,7 @@ from collections import Counter
 from oracles import ground_entails, naive_sd_applicable, reference_demodulate, rename_apart
 from randgen import Gen, GroundGen
 
-from sdprover.clauses import ClauseFactory, eq, predicate
+from sdprover.clauses import Clause, ClauseFactory, eq, literal_occurrences, predicate, replace_in_literal
 from sdprover.index import BackwardIndex, FsdIndex
 from sdprover.matching import match_solutions
 from sdprover.ordering import OrderResult, compare_clauses, compare_terms
@@ -33,8 +33,6 @@ from sdprover.simplify import (
     demodulate,
     forward_subsumption_delete,
     forward_subsumption_demodulation,
-    literal_occurrences,
-    replace_in_literal,
     sd_simplifications,
 )
 from sdprover.terms import Signature, Substitution, Var, apply_term, match_pairs
@@ -170,7 +168,7 @@ def test_criterion_1_worked_examples(capsys):
     # the two stage match binds one variable first, the occurrence the other
     side = factory.make([eq(w.h(x, y), y), w.q(x)])
     main = factory.make([w.p(w.h(w.c, w.d)), w.q(w.c)])
-    first = next(match_solutions(side.literals, main.literals, reserve_equality=True))
+    first = next(match_solutions(side, main, reserve_equality=True))
     assert first.rewrite_eq_pos == 0
     assert first.subst == Substitution({0: w.c})
     step = next(sd_simplifications(side, main))
@@ -292,7 +290,7 @@ def _rewrite_configurations():
         if len(side.literals) - 1 > len(main.literals):
             continue
         side_lits = rename_apart(side.literals, main.literals)
-        for m in match_solutions(side_lits, main.literals, reserve_equality=True):
+        for m in match_solutions(Clause(side_lits, side.cid), main, reserve_equality=True):
             equality = side_lits[m.rewrite_eq_pos]
             orientations = [(equality.args[0], equality.args[1])]
             if equality.args[0] != equality.args[1]:

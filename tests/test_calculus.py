@@ -66,6 +66,16 @@ def test_factoring_unifies_two_selected_literals():
     assert out[0].rule == "factoring"
 
 
+def test_factoring_mints_one_clause_per_variant():
+    factory = ClauseFactory()
+    c = factory.make([env.p(Var(0)), env.p(Var(1)), env.p(Var(2))])
+    before = factory.created
+    out = factoring(c, factory)
+    # six factoring pairs, all conclusions variants of p(X) | p(Y)
+    assert _lits_of(out) == {(env.p(Var(0)), env.p(Var(1)))}
+    assert factory.created == before + 1
+
+
 def test_factoring_skips_negative_clauses_with_one_selected_literal():
     factory = ClauseFactory()
     # only the heaviest negative literal is selected, so no pair unifies

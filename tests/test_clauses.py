@@ -1,15 +1,13 @@
 """Tests for literals, clauses, selection, renaming, and variants."""
 
 import pytest
-from oracles import clause_vars
+from oracles import apply, canonical_literals, clause_vars
 from randgen import Gen
 
 from sdprover.clauses import (
     ClauseFactory,
     Literal,
     _literal_pairings,
-    apply,
-    canonical_literals,
     eq,
     neq,
     rename_apart,
@@ -17,7 +15,7 @@ from sdprover.clauses import (
     variant,
 )
 from sdprover.ordering import OrderResult, compare_literals
-from sdprover.terms import SignatureError, Substitution, Var, unify_pairs
+from sdprover.terms import SignatureError, Substitution, Var, shift_vars, unify_pairs
 
 env = Gen(seed=11)
 x, y = Var(0), Var(1)
@@ -76,6 +74,7 @@ def test_clauses_compare_by_identity():
 
 
 def test_apply_on_literal_and_tuple():
+    # the dispatcher is a test oracle now; other tests lean on it
     sub = Substitution({0: env.a})
     assert apply(env.p(x), sub) == env.p(env.a)
     assert apply((env.p(x), eq(x, env.b)), sub) == (env.p(env.a), eq(env.a, env.b))
@@ -96,8 +95,35 @@ def test_unify_respects_polarity():
 
 def test_canonical_literals_first_occurrence_order():
     lits = (env.p(Var(5)), env.r(Var(2), Var(5)))
-    renamed = canonical_literals(lits)
+    renamed = ClauseFactory().make(lits).literals
     assert renamed == (env.p(Var(0)), env.r(Var(1), Var(0)))
+
+
+def test_one_pass_instance_agrees_with_apply_then_canonicalize():
+    gen = Gen(seed=53, n_vars=4)
+    factory = ClauseFactory()
+    checked = nonground_images = 0
+    for _ in range(300):
+        lits = gen.lits(gen.rng.randrange(1, 4), depth=3)
+        terms = [a for lit in lits for a in lit.args]
+        # bind the literals' variables to terms over fresh variables, and
+        # sometimes to each other, so bound images hold unbound variables
+        pairs = [(Var(v), shift_vars(gen.term(2), gen.n_vars)) for v in range(gen.n_vars) if gen.rng.random() < 0.5]
+        if gen.rng.random() < 0.5:
+            pairs.append((gen.rng.choice(terms), gen.rng.choice(terms)))
+        sub = unify_pairs(pairs)
+        if sub is None:
+            continue
+        (clause,) = factory.make_all([(lits, sub)], "test", ())
+        expected = canonical_literals(apply(lits, sub))
+        # compare argument tuples: equality literals compare unordered
+        assert [(l.positive, l.pred, l.args) for l in clause.literals] == [
+            (l.positive, l.pred, l.args) for l in expected
+        ]
+        assert clause_vars(expected) == set(range(clause.nvars))
+        checked += 1
+        nonground_images += any(not t.ground for _, t in sub.items())
+    assert checked > 200 and nonground_images > 150
 
 
 def test_rename_apart_makes_vars_disjoint():

@@ -1,15 +1,20 @@
 """Multi-literal matcher tests: subsumption, solution enumeration, cursors."""
 
-from oracles import naive_ml_solutions, naive_subsumes, rename_apart
+from oracles import apply, naive_ml_solutions, naive_subsumes, rename_apart
 from randgen import Gen
 
-from sdprover.clauses import Clause, ClauseFactory, apply, eq
+from sdprover.clauses import Clause, ClauseFactory, eq
 from sdprover.matching import match_solutions, subsumes
 from sdprover.simplify import sd_simplifications
 from sdprover.terms import Substitution, Var
 
 env = Gen(seed=23)
 x, y = Var(0), Var(1)
+
+
+def _clause(lits, cid: int = 0) -> Clause:
+    # literals exactly as given: the factory would renumber their variables
+    return Clause(tuple(lits), cid)
 
 
 def test_subsumption_by_instance_submultiset():
@@ -21,23 +26,23 @@ def test_subsumption_by_instance_submultiset():
         env.q(env.f(env.g(env.c))),
         env.r(y, y),
     )
-    assert subsumes(c, d)
+    assert subsumes(_clause(c), _clause(d))
 
 
 def test_subsumption_needs_distinct_targets():
     # two source copies cannot share one target literal
-    assert not subsumes((env.p(x), env.p(y)), (env.p(env.a),))
-    assert subsumes((env.p(x), env.p(y)), (env.p(env.a), env.p(env.b)))
+    assert not subsumes(_clause((env.p(x), env.p(y))), _clause((env.p(env.a),)))
+    assert subsumes(_clause((env.p(x), env.p(y))), _clause((env.p(env.a), env.p(env.b))))
 
 
 def test_subsumption_tries_equality_orientations():
-    assert subsumes((eq(x, env.a),), (eq(env.a, env.b),))
+    assert subsumes(_clause((eq(x, env.a),)), _clause((eq(env.a, env.b),)))
 
 
 def test_subsumption_shared_variables_stay_independent():
     # the source x is renamed away from the target x, so it may map anywhere
-    assert subsumes((env.p(x),), (env.p(env.f(x)),))
-    assert not subsumes((env.p(x), env.q(x)), (env.p(x), env.q(env.a)))
+    assert subsumes(_clause((env.p(x),)), _clause((env.p(env.f(x)),)))
+    assert not subsumes(_clause((env.p(x), env.q(x))), _clause((env.p(x), env.q(env.a))))
 
 
 def test_subsumption_without_renaming_keeps_shared_ids_apart():
@@ -49,7 +54,7 @@ def test_subsumption_without_renaming_keeps_shared_ids_apart():
         # the same, split over two literals matched one after the other
         ((env.p(x), env.q(x)), (env.q(y), env.p(x)), False),
     ):
-        assert subsumes(c, d) is expected
+        assert subsumes(_clause(c), _clause(d)) is expected
         assert subsumes(factory.make(c), factory.make(d)) is expected
 
 
@@ -66,7 +71,7 @@ def test_rename_free_matching_agrees_with_renamed_inputs():
             d_lits += apply(c.literals, inst)
         d = factory.make(d_lits)
         renamed = rename_apart(c.literals, d.literals)
-        expected = subsumes(renamed, d.literals)
+        expected = subsumes(_clause(renamed), d)
         assert subsumes(c, d) == expected
         subsumed += expected
         step = next(sd_simplifications(c, d), None)
@@ -86,7 +91,7 @@ def test_subsumes_matches_oracle():
         c = env.lits(env.rng.randrange(1, 4))
         d = env.lits(env.rng.randrange(1, 5))
         c = rename_apart(c, d)
-        assert subsumes(c, d) == naive_subsumes(c, d)
+        assert subsumes(_clause(c), _clause(d)) == naive_subsumes(c, d)
         agreements += 1
     assert agreements == 400
 
@@ -99,7 +104,7 @@ def test_match_solutions_exhaustive_and_duplicate_free():
         side = rename_apart(side, main)
         got = [
             (m.rewrite_eq_pos, tuple(sorted(m.pairs)), tuple(sorted(m.subst.items())))
-            for m in match_solutions(side, main, reserve_equality=True)
+            for m in match_solutions(_clause(side), _clause(main), reserve_equality=True)
         ]
         assert len(got) == len(set(got))
         assert set(got) == naive_ml_solutions(side, main)
@@ -108,21 +113,21 @@ def test_match_solutions_exhaustive_and_duplicate_free():
 
 
 def test_match_solutions_reserves_exactly_one_positive_equality():
-    side = (eq(x, env.a), env.p(x))
-    main = (env.p(env.b),)
+    side = _clause((eq(x, env.a), env.p(x)))
+    main = _clause((env.p(env.b),))
     solutions = list(match_solutions(side, main, reserve_equality=True))
     assert [m.rewrite_eq_pos for m in solutions] == [0]
     assert solutions[0].subst.get(0) == env.b
 
 
 def test_match_solutions_without_equality_yields_nothing_when_reserving():
-    side = (env.p(x),)
-    assert list(match_solutions(side, (env.p(env.a),), reserve_equality=True)) == []
+    side = _clause((env.p(x),))
+    assert list(match_solutions(side, _clause((env.p(env.a),)), reserve_equality=True)) == []
 
 
 def test_match_solutions_limit():
-    side = (eq(x, y), env.p(x))
-    main = (env.p(env.a), env.p(env.b), env.p(env.c))
+    side = _clause((eq(x, y), env.p(x)))
+    main = _clause((env.p(env.a), env.p(env.b), env.p(env.c)))
     unlimited = list(match_solutions(side, main, reserve_equality=True))
     assert len(unlimited) == 3
     capped = list(match_solutions(side, main, reserve_equality=True, limit=2))
@@ -130,8 +135,8 @@ def test_match_solutions_limit():
 
 
 def test_cursor_resumes_without_repeating():
-    side = (eq(x, y), env.p(x))
-    main = (env.p(env.a), env.p(env.b))
+    side = _clause((eq(x, y), env.p(x)))
+    main = _clause((env.p(env.a), env.p(env.b)))
     direct = list(match_solutions(side, main, reserve_equality=True))
     # the generator is the cursor: each next() resumes the enumeration
     cursor = match_solutions(side, main, reserve_equality=True)
@@ -142,8 +147,8 @@ def test_cursor_resumes_without_repeating():
 
 
 def test_unit_equality_source_has_single_trivial_solution():
-    side = (eq(env.f(x), x),)
-    main = (env.p(env.f(env.a)),)
+    side = _clause((eq(env.f(x), x),))
+    main = _clause((env.p(env.f(env.a)),))
     solutions = list(match_solutions(side, main, reserve_equality=True))
     assert len(solutions) == 1
     assert solutions[0].pairs == ()

@@ -1,9 +1,9 @@
 """Simplification rule tests: demodulation, conditional rewriting, subsumption."""
 
-from oracles import naive_sd_results, reference_demodulate
+from oracles import canonical_literals, naive_sd_results, reference_demodulate
 from randgen import Gen
 
-from sdprover.clauses import ClauseFactory, canonical_literals, eq, predicate
+from sdprover.clauses import ClauseFactory, eq, predicate
 from sdprover.index import BackwardIndex, FsdIndex
 from sdprover.ordering import OrderResult, compare_clauses
 from sdprover.simplify import (

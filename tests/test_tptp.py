@@ -352,6 +352,12 @@ def test_cli_deep_term_gets_a_status_not_a_traceback(tmp_path, capsys):
     code = main([path])
     status = capsys.readouterr().out.splitlines()[0]
     assert (status, code) == ("% SZS status Satisfiable", 1)
+    # a non-ground tower goes through canonicalization when it is minted
+    depth = 1500
+    path = _write(tmp_path, f"cnf(a, axiom, p({'f(' * depth}X{')' * depth})).\ncnf(b, axiom, ~q(a)).")
+    code = main([path])
+    status = capsys.readouterr().out.splitlines()[0]
+    assert (status, code) == ("% SZS status Satisfiable", 1)
 
 
 def test_cli_unexpected_exception_is_status_error(tmp_path, capsys, monkeypatch):
