@@ -6,6 +6,13 @@ check of the form "not greater" passes when the comparison is INCOMPARABLE.
 Binary rules rename the second premise apart before unifying, shifting its
 variables past the first premise's stored variable count.
 
+Superposition reads the orientations of the first premise's equalities from
+its matcher set-up, computed once per clause object.  An orientation s -> t
+with t > s is skipped before any unification: KBO is stable under
+substitution, so t theta > s theta for every unifier and the ordering check
+would reject each of its conclusions.  A position whose top symbol differs
+from that of a non-variable s is skipped before unify_pairs.
+
 A rule does not instantiate its conclusions itself: it hands each one to
 the factory as its uninstantiated literals and the unifier, all conclusions
 of one call together, and the factory applies the unifier while it
@@ -26,8 +33,9 @@ from .clauses import (
     replace_in_literal,
     select,
 )
+from .matching import source_set_up
 from .ordering import OrderResult, compare_terms
-from .terms import Term, apply_term, unify_pairs
+from .terms import Term, Var, apply_term, unify_pairs
 
 
 def _not_greater(a: Term, b: Term) -> bool:
@@ -88,7 +96,10 @@ def _superpose_into(
     raw: list,
 ) -> None:
     target = target_lits[target_pos]
+    sym = None if type(s) is Var else s.sym
     for path, sub_term in literal_occurrences(target):
+        if sym is not None and sub_term.sym != sym:
+            continue
         theta = unify_pairs([(s, sub_term)])
         if theta is None:
             continue
@@ -106,17 +117,19 @@ def _superpose_into(
 def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
     """Rewrite inside a selected literal of c2 with a selected positive
     equality of c1, at a non-variable position."""
+    equations = source_set_up(c1).equations
+    froms = [i for i in select(c1) if equations[i]]
+    if not froms:
+        return []
     lits2 = rename_apart(c2, c1)
     sel2 = select(c2)
     raw: list = []
-    for i in select(c1):
-        li = c1.literals[i]
-        if not (li.positive and li.is_equality):
-            continue
+    for i in froms:
         eq_rest = tuple(lit for k, lit in enumerate(c1.literals) if k != i)
-        for s, t in orientations(li):
+        # an orientation s -> t with t > s is left out: no instance of it passes
+        for o in equations[i]:
             for j in sel2:
-                _superpose_into(eq_rest, s, t, lits2, j, raw)
+                _superpose_into(eq_rest, o.lhs, o.rhs, lits2, j, raw)
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 

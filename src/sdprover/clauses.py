@@ -144,7 +144,7 @@ class Clause:
     nvars: int = 0
     _selected: Optional[tuple[int, ...]] = field(init=False, default=None, compare=False, repr=False)
     _match_order: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
-    _match_table: Optional[dict] = field(init=False, default=None, compare=False, repr=False)
+    _match_table: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -299,18 +299,15 @@ def _select(lits: tuple[Literal, ...]) -> tuple[int, ...]:
     if negatives:
         best = max(negatives, key=lambda i: (lits[i].weight, -i))
         return (best,)
-    # scan likely dominators first so non-maximal literals fail fast
-    by_rank = sorted(range(len(lits)), key=lambda j: (lits[j].is_equality, -lits[j].weight))
-    maximal = []
-    for i, lit in enumerate(lits):
-        if any(
-            compare_literals(lits[j], lit) is OrderResult.GREATER
-            for j in by_rank
-            if j != i
-        ):
-            continue
-        maximal.append(i)
-    return tuple(maximal)
+    # duplicates compare EQUAL, so maximality is decided once per distinct
+    # literal; likely dominators come first so non-maximal literals fail fast
+    distinct = sorted(dict.fromkeys(lits), key=lambda lit: (lit.is_equality, -lit.weight))
+    maximal = {
+        lit
+        for lit in distinct
+        if not any(other is not lit and compare_literals(other, lit) is OrderResult.GREATER for other in distinct)
+    }
+    return tuple(i for i, lit in enumerate(lits) if lit in maximal)
 
 
 def variant(lits_a: Sequence[Literal], lits_b: Sequence[Literal]) -> bool:

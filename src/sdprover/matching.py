@@ -17,20 +17,26 @@ the generator resumes where the previous solution left off.
 Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
 source variable that shares an id with a target variable is still a
-variable of its own.  The set-up each side needs (the source's literal order,
-the target's table of compatible literals) is computed once per clause
-object and kept on it.
+variable of its own.  The set-up each side needs is computed once per
+clause object and kept on it: as a source, the literal order, and each
+positive equality oriented as a rewrite rule together with the top symbols
+it can rewrite (SourceSetUp, which superposition reads too); as a target,
+the table of compatible literals and the symbols that occur (TargetSetUp).
+Subsumption demodulation screens a pair on those symbols before it starts
+the matcher.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional
+from itertools import chain, islice
+from typing import Iterator, NamedTuple, Optional
 
-from .clauses import Clause, Literal, _literal_pairings
+from . import ordering  # compare_terms is looked up on the module, where perfbench's tracer counts it
+from .clauses import Clause, Literal, _literal_pairings, orientations
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
-from .terms import EMPTY_SUBST, Substitution, match_pairs
+from .ordering import OrderResult
+from .terms import EMPTY_SUBST, App, Substitution, Term, Var, match_pairs, term_vars
 
 
 @dataclass(frozen=True)
@@ -52,28 +58,112 @@ class MLMatch:
         return frozenset(j for _, j in self.pairs)
 
 
-def _source_order(src: tuple[Literal, ...]) -> tuple[tuple[int, ...], int]:
-    """Source positions by decreasing weight, leftmost on ties, and the
-    place in that order of the last positive equality (-1 if none)."""
+class Orientation(NamedTuple):
+    """A positive equality of a clause read as the rewrite rule lhs -> rhs.
+
+    verdict is compare_terms(lhs, rhs).  KBO is stable under substitution,
+    so GREATER, LESS and EQUAL hold for every instance as well; only
+    INCOMPARABLE leaves an instance to be compared.
+    """
+
+    lhs: Term
+    rhs: Term
+    verdict: OrderResult
+    lhs_vars: tuple[int, ...]
+    extra_vars: tuple[int, ...]  # variables of rhs that lhs lacks
+
+
+class SourceSetUp(NamedTuple):
+    """What a clause needs as the source of a match, or as a rewriting side.
+
+    order: source positions by decreasing weight, leftmost on ties.
+    last_eq: the place in order of the last positive equality (-1 if none).
+    equations: per literal position, a positive equality's orientations as
+        orientations() gives them, less those whose verdict is LESS (no
+        instance of them is oriented); () for any other literal.
+    triggers: the top symbols of the left-hand sides that can rewrite
+        (verdict GREATER or INCOMPARABLE), or None when one of them is a
+        variable.  A rewrite needs one of them at a non-variable position
+        of the main premise.
+    """
+
+    order: tuple[int, ...]
+    last_eq: int
+    equations: tuple[tuple[Orientation, ...], ...]
+    triggers: Optional[tuple[int, ...]]
+
+
+class TargetSetUp(NamedTuple):
+    """What a clause needs as the target of a match.
+
+    table: target positions by (polarity, predicate), ascending.
+    symbols: the symbol of every non-variable subterm of the literals'
+        arguments, each once (a tuple: it is short, and kept on every
+        target clause).
+    """
+
+    table: dict[tuple[bool, Optional[int]], tuple[int, ...]]
+    symbols: tuple[int, ...]
+
+
+_FLIPPED = {OrderResult.GREATER: OrderResult.LESS, OrderResult.LESS: OrderResult.GREATER}
+
+
+def _orientations(lit: Literal) -> tuple[Orientation, ...]:
+    verdict = ordering.compare_terms(lit.lhs, lit.rhs)
+    verdicts = (verdict, _FLIPPED.get(verdict, verdict))
+    out = []
+    for (lhs, rhs), verdict in zip(orientations(lit), verdicts):
+        if verdict is not OrderResult.LESS:
+            lhs_vars = term_vars(lhs)
+            out.append(Orientation(lhs, rhs, verdict, tuple(lhs_vars), tuple(term_vars(rhs) - lhs_vars)))
+    return tuple(out)
+
+
+def _source_set_up(src: tuple[Literal, ...]) -> SourceSetUp:
     order = tuple(sorted(range(len(src)), key=lambda i: (-src[i].weight, i)))
     last_eq = max((k for k, i in enumerate(order) if src[i].positive and src[i].is_equality), default=-1)
-    return order, last_eq
+    equations = tuple(_orientations(lit) if lit.positive and lit.is_equality else () for lit in src)
+    triggers: Optional[set[int]] = set()
+    for o in chain.from_iterable(equations):
+        if o.verdict is OrderResult.EQUAL:
+            continue
+        if type(o.lhs) is Var:
+            triggers = None
+            break
+        triggers.add(o.lhs.sym)
+    return SourceSetUp(order, last_eq, equations, None if triggers is None else tuple(sorted(triggers)))
 
 
-def _target_table(dst: tuple[Literal, ...]) -> dict[tuple[bool, Optional[int]], tuple[int, ...]]:
-    """Target positions by (polarity, predicate), ascending."""
+def _target_set_up(dst: tuple[Literal, ...]) -> TargetSetUp:
     table: dict[tuple[bool, Optional[int]], list[int]] = {}
     for j, dlit in enumerate(dst):
         table.setdefault((dlit.positive, dlit.pred), []).append(j)
-    return {key: tuple(js) for key, js in table.items()}
+    symbols = set()
+    stack = [a for lit in dst for a in lit.args]
+    while stack:
+        t = stack.pop()
+        if type(t) is App:
+            symbols.add(t.sym)
+            stack.extend(t.args)
+    return TargetSetUp({key: tuple(js) for key, js in table.items()}, tuple(sorted(symbols)))
 
 
-def _set_up(clause: Clause, slot: str, build):
-    """build(clause.literals), kept in the clause's slot after the first call."""
-    stored = getattr(clause, slot)
+def source_set_up(clause: Clause) -> SourceSetUp:
+    """The clause's set-up as a source, computed on the first call and kept on it."""
+    stored = clause._match_order
     if stored is None:
-        stored = build(clause.literals)
-        object.__setattr__(clause, slot, stored)
+        stored = _source_set_up(clause.literals)
+        object.__setattr__(clause, "_match_order", stored)
+    return stored
+
+
+def target_set_up(clause: Clause) -> TargetSetUp:
+    """The clause's set-up as a target, computed on the first call and kept on it."""
+    stored = clause._match_table
+    if stored is None:
+        stored = _target_set_up(clause.literals)
+        object.__setattr__(clause, "_match_table", stored)
     return stored
 
 
@@ -110,8 +200,8 @@ def match_solutions(
     need = len(src) - (1 if reserve_equality else 0)
     if need > len(dst):
         return
-    order, last_eq = _set_up(source, "_match_order", _source_order)
-    compatible = _set_up(target, "_match_table", _target_table)
+    order, last_eq, _, _ = source_set_up(source)
+    compatible = target_set_up(target).table
 
     def search(k: int, subst: Substitution, used: frozenset[int], pairs, eq_pos: Optional[int]) -> Iterator[MLMatch]:
         if k == len(order):

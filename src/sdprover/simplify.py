@@ -28,6 +28,21 @@ re-applies to fixpoint.  Scan order is deterministic: candidate side
 premises by ascending clause id, matcher solutions in enumeration order,
 main literals left to right, subterms outermost first, the equality as
 stored before its flip, first full pass wins.
+
+Screens in front of the matcher and the site scan leave out only work that
+cannot yield a step, so the steps and their order are those of the full
+scan:
+
+  - each positive equality of a side premise is oriented once per clause
+    object (matching.source_set_up).  KBO is stable under substitution, so
+    an orientation whose sides compare LESS or EQUAL never rewrites and is
+    dropped, and one that compares GREATER needs no comparison per instance;
+  - the matcher does not start unless the main premise contains the top
+    symbol of some left-hand side that can rewrite (no screen when one of
+    them is a variable);
+  - the main premise's non-variable occurrences are listed once per call,
+    not once per matcher solution, and a non-variable left-hand side is
+    matched only at occurrences of its own top symbol.
 """
 
 from __future__ import annotations
@@ -35,12 +50,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .clauses import Clause, ClauseFactory, eq, literal_occurrences, orientations, replace_in_literal
+from .clauses import Clause, ClauseFactory, eq, literal_occurrences, replace_in_literal
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .index import BackwardIndex, FsdIndex
-from .matching import match_solutions, subsumes
+from .matching import match_solutions, source_set_up, subsumes, target_set_up
 from .ordering import OrderResult, compare_literal_multisets, compare_terms
-from .terms import Substitution, Term, apply_term, match_pairs, term_vars
+from .terms import App, Substitution, Term, apply_term, match_pairs
 
 
 @dataclass(frozen=True)
@@ -66,55 +81,70 @@ def check_ordering_conditions(
     """Orientation and redundancy checks for one candidate rewrite.
 
     The instantiated equality must be oriented left to right, and the main
-    literals outside the matched image must exceed it as a multiset.  The
-    multiset comparison is kept exact: when the equality instance itself
-    occurs outside the image it cancels, and the remainder decides.
+    literals outside the matched image must exceed it as a multiset.
     """
-    if compare_terms(lhs_image, rhs_image) is not OrderResult.GREATER:
-        return False
+    return compare_terms(lhs_image, rhs_image) is OrderResult.GREATER and remainder_exceeds(
+        main, lhs_image, rhs_image, matched_image
+    )
+
+
+def remainder_exceeds(main: Clause, lhs_image: Term, rhs_image: Term, matched_image: frozenset[int]) -> bool:
+    """The redundancy check alone: the main literals outside the matched image
+    exceed the instantiated equality as a multiset.
+
+    The comparison is kept exact: when the equality instance itself occurs
+    outside the image it cancels, and the remainder decides.
+    """
     outside = [lit for i, lit in enumerate(main.literals) if i not in matched_image]
     return compare_literal_multisets(outside, [eq(lhs_image, rhs_image)]) is OrderResult.GREATER
 
 
-def sd_rewrite_steps(side: Clause, main: Clause, match_limit: int = 0) -> Iterator[RewriteStep]:
-    """Every validated rewrite of main by side, in scan order.
+def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iterator[RewriteStep]:
+    """Every subsumption demodulation step with the given side and main premise, in scan order.
 
     Side and main are matched as stored.  An orientation whose right-hand
     side has a variable that neither its left-hand side nor the matched
     literals bind is skipped: that variable would stay in the replacement,
     and no term exceeds one holding a variable it lacks.
     """
+    if len(side.literals) - 1 > len(main.literals):
+        return
+    _, last_eq, equations, triggers = source_set_up(side)
+    if last_eq < 0:
+        return
+    if triggers is not None:
+        symbols = target_set_up(main).symbols
+        if not any(sym in symbols for sym in triggers):
+            return
+    occurrences: Optional[list[list[tuple[tuple[int, ...], Term]]]] = None  # per main literal
     for m in match_solutions(side, main, reserve_equality=True, limit=match_limit):
         bound = m.subst
         usable = [
-            (lhs, rhs)
-            for lhs, rhs in orientations(side.literals[m.rewrite_eq_pos])
-            if all(bound.get(v) is not None for v in term_vars(rhs) - term_vars(lhs))
+            o
+            for o in equations[m.rewrite_eq_pos]
+            if o.verdict is not OrderResult.EQUAL and all(bound.get(v) is not None for v in o.extra_vars)
         ]
         if not usable:
             continue
-        image = m.image
-        for lit_pos, lit in enumerate(main.literals):
-            if lit_pos in image:
+        if occurrences is None:
+            occurrences = [list(literal_occurrences(lit)) for lit in main.literals]
+        for lit_pos, occs in enumerate(occurrences):
+            if lit_pos in m.image:
                 continue
-            for path, t in literal_occurrences(lit):
-                for lhs, rhs in usable:
-                    sigma = match_pairs([(lhs, t)], bound)
+            for path, t in occs:
+                for o in usable:
+                    if type(o.lhs) is App and o.lhs.sym != t.sym:
+                        continue
+                    sigma = match_pairs([(o.lhs, t)], bound)
                     if sigma is None:
                         continue
-                    rhs_image = apply_term(rhs, sigma)
-                    if not check_ordering_conditions(main, t, rhs_image, image):
-                        continue
-                    yield RewriteStep(side.cid, lit_pos, path, sigma, rhs_image)
-
-
-def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iterator[RewriteStep]:
-    """All subsumption demodulation steps with the given side and main premise."""
-    if len(side.literals) - 1 > len(main.literals):
-        return iter(())
-    if not any(l.positive and l.is_equality for l in side.literals):
-        return iter(())
-    return sd_rewrite_steps(side, main, match_limit)
+                    rhs_image = apply_term(o.rhs, sigma)
+                    if o.verdict is OrderResult.GREATER:
+                        ok = remainder_exceeds(main, t, rhs_image, m.image)
+                    else:
+                        ok = check_ordering_conditions(main, t, rhs_image, m.image)
+                    if ok:
+                        yield RewriteStep(side.cid, lit_pos, path, sigma, rhs_image)
 
 
 def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFactory, rule: str) -> Clause:

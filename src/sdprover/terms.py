@@ -201,25 +201,23 @@ EMPTY_SUBST = Substitution()
 
 
 def apply_term(term: Term, subst: Substitution) -> Term:
-    if isinstance(term, Var):
-        bound = subst.get(term.vid)
-        return bound if bound is not None else term
-    if term.ground:
-        return term
-    return App(term.sym, tuple(apply_term(a, subst) for a in term.args))
+    """term with its variables replaced simultaneously by their images under subst."""
+    get = subst._map.get
+    return rebuild(term, lambda v: get(v.vid, v))
 
 
-def rebuild(term: Term, leaf: Callable[[Var], Term]) -> Term:
+def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Term:
     """term with every variable occurrence v replaced by leaf(v).
 
     The one term rebuilder: bottom-up from an explicit stack, so deep terms
     cannot exhaust the interpreter's.  leaf is called on the variable
     occurrences in pre-order, left to right; ground subterms are shared,
-    not copied.
+    not copied.  With again, an image other than v itself is rebuilt in
+    turn, so leaf must not lead back to a variable it replaced.
     """
     if term.ground:
         return term
-    if type(term) is Var:
+    if type(term) is Var and not again:
         return leaf(term)
     done: list[Term] = []
     todo: list = [term]
@@ -232,7 +230,11 @@ def rebuild(term: Term, leaf: Callable[[Var], Term]) -> Term:
             del done[-n:]
             done.append(App(sym, args))
         elif type(t) is Var:
-            done.append(leaf(t))
+            image = leaf(t)
+            if again and image is not t:
+                todo.append(image)
+            else:
+                done.append(image)
         elif t.ground:
             done.append(t)
         else:
@@ -274,20 +276,23 @@ def var_counts(term: Term) -> Counter:
 
 def preorder_subterms(term: Term, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Term]]:
     """Yield (path, subterm) pairs, outermost first, left to right."""
-    yield prefix, term
-    if isinstance(term, App):
-        for i, arg in enumerate(term.args):
-            yield from preorder_subterms(arg, prefix + (i,))
+    stack = [(prefix, term)]
+    while stack:
+        path, t = stack.pop()
+        yield path, t
+        if type(t) is App:
+            stack.extend((path + (i,), t.args[i]) for i in range(len(t.args) - 1, -1, -1))
 
 
 def replace_at(term: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    assert isinstance(term, App)
-    i = path[0]
-    args = list(term.args)
-    args[i] = replace_at(args[i], path[1:], new)
-    return App(term.sym, tuple(args))
+    """term with the subterm at path replaced by new."""
+    spine = []
+    for i in path:
+        spine.append(term)
+        term = term.args[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        new = App(node.sym, node.args[:i] + (new,) + node.args[i + 1 :])
+    return new
 
 
 def _occurs(vid: int, term: Term, bindings: dict[int, Term]) -> bool:
@@ -316,12 +321,11 @@ def _walk(term: Term, bindings: dict[int, Term]) -> Term:
 
 
 def _deep_apply(term: Term, bindings: dict[int, Term]) -> Term:
+    """term with bound variables replaced, and their images in turn, until none is left."""
     term = _walk(term, bindings)
-    if isinstance(term, Var):
+    if type(term) is Var or term.ground:
         return term
-    if term.ground or not term.args:
-        return term
-    return App(term.sym, tuple(_deep_apply(a, bindings) for a in term.args))
+    return rebuild(term, lambda v: bindings.get(v.vid, v), again=True)
 
 
 def unify_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:

@@ -330,8 +330,13 @@ _SZS = {
 
 
 def emit_result(result: SaturationResult, sig: Signature, proof: bool = True) -> str:
-    """SZS status line, plus numbered derivation lines for refutations."""
-    lines = [f"% SZS status {_SZS[result.status]}"]
+    """SZS status line, plus numbered derivation lines for refutations.
+
+    A run stopped by the time limit is a Timeout; one stopped by the clause
+    or iteration cap is ResourceOut.
+    """
+    status = "Timeout" if result.limit_reason == "time" else _SZS[result.status]
+    lines = [f"% SZS status {status}"]
     if proof and result.status is SatStatus.UNSATISFIABLE:
         for node in proof_clauses(result):
             tag = node.rule if not node.parents else f"{node.rule} {' '.join(str(p) for p in node.parents)}"

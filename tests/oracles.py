@@ -3,7 +3,10 @@
 Not a test module.  Everything here favors obviousness over speed: raw-dict
 matching, quantifier-style multiset comparison, and model enumeration with
 congruence closure.  Ordering comparisons are the only shared code; their
-own axiom tests cover them.
+own axiom tests cover them.  The exception is the unscreened engine scans:
+they are the engine's rewriting and superposition loops with every screen
+taken out, built from the engine's own matcher and term helpers, so that a
+screened result can be compared step for step with an unscreened one.
 """
 
 from __future__ import annotations
@@ -11,9 +14,12 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from sdprover.clauses import Literal, eq
+from sdprover.clauses import Literal, eq, literal_occurrences, orientations, replace_in_literal, select
+from sdprover.clauses import rename_apart as rename_clause_apart
+from sdprover.matching import match_solutions
 from sdprover.ordering import OrderResult, compare_literal_multisets, compare_terms
-from sdprover.terms import App, Substitution, Term, Var
+from sdprover.simplify import RewriteStep, check_ordering_conditions
+from sdprover.terms import App, Substitution, Term, Var, apply_term, match_pairs, term_vars, unify_pairs
 
 
 def multiset_greater_ref(xs, ys, cmp) -> bool:
@@ -262,6 +268,69 @@ def reference_demodulate(unit_lits, main_lits) -> Optional[tuple[Literal, ...]]:
                     new_lit = Literal(lit.positive, lit.pred, tuple(new_args))
                     return canonical_literals(main[:lit_pos] + [new_lit] + main[lit_pos + 1 :])
     return None
+
+
+# ------------------------------------------------- unscreened engine scans
+
+def unscreened_sd_steps(side, main, match_limit: int = 0) -> list:
+    """Every subsumption demodulation step of main by side, scanned with no screen.
+
+    The engine's matcher, then for every solution, every subterm of the
+    main premise outside the matched image and every orientation of the
+    reserved equality, a full match and both ordering checks.  This is the
+    scan order the screened engine must reproduce step for step.
+    """
+    if len(side.literals) - 1 > len(main.literals):
+        return []
+    steps = []
+    for m in match_solutions(side, main, reserve_equality=True, limit=match_limit):
+        bound = m.subst
+        usable = [
+            (lhs, rhs)
+            for lhs, rhs in orientations(side.literals[m.rewrite_eq_pos])
+            if all(bound.get(v) is not None for v in term_vars(rhs) - term_vars(lhs))
+        ]
+        for lit_pos, lit in enumerate(main.literals):
+            if lit_pos in m.image:
+                continue
+            for path, t in literal_occurrences(lit):
+                for lhs, rhs in usable:
+                    sigma = match_pairs([(lhs, t)], bound)
+                    if sigma is None:
+                        continue
+                    rhs_image = apply_term(rhs, sigma)
+                    if check_ordering_conditions(main, t, rhs_image, m.image):
+                        steps.append(RewriteStep(side.cid, lit_pos, path, sigma, rhs_image))
+    return steps
+
+
+def unscreened_superposition(c1, c2, factory) -> list:
+    """Superposition of c1 into c2 that unifies every orientation at every position."""
+    def not_greater(a, b):
+        return compare_terms(a, b) is not OrderResult.GREATER
+
+    lits2 = rename_clause_apart(c2, c1)
+    raw = []
+    for i in select(c1):
+        li = c1.literals[i]
+        if not (li.positive and li.is_equality):
+            continue
+        eq_rest = tuple(lit for k, lit in enumerate(c1.literals) if k != i)
+        for s, t in orientations(li):
+            for j in select(c2):
+                target = lits2[j]
+                for path, sub_term in literal_occurrences(target):
+                    theta = unify_pairs([(s, sub_term)])
+                    if theta is None or not not_greater(apply_term(t, theta), apply_term(s, theta)):
+                        continue
+                    if target.is_equality:
+                        into_side = apply_term(target.args[path[0]], theta)
+                        other_side = apply_term(target.args[1 - path[0]], theta)
+                        if not not_greater(other_side, into_side):
+                            continue
+                    new_target = replace_in_literal(target, path, t)
+                    raw.append((eq_rest + lits2[:j] + (new_target,) + lits2[j + 1 :], theta))
+    return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 
 # ------------------------------------------------- ground entailment

@@ -1,6 +1,6 @@
 """Generating rule tests: unit cases, selection discipline, ground soundness."""
 
-from oracles import ground_entails
+from oracles import apply, ground_entails, unscreened_superposition
 from randgen import Gen, GroundGen
 
 from sdprover.calculus import (
@@ -12,7 +12,7 @@ from sdprover.calculus import (
     unary_inferences,
 )
 from sdprover.clauses import ClauseFactory, eq, neq, select, variant
-from sdprover.terms import Var
+from sdprover.terms import Substitution, Var
 
 env = Gen(seed=47)
 x, y = Var(0), Var(1)
@@ -176,3 +176,29 @@ def test_ground_inferences_are_sound():
     assert checked > 50
 
 
+def _minted(clauses):
+    return [(c.cid, c.rule, c.parents, c.nvars, c.literals) for c in clauses]
+
+
+def test_screened_superposition_agrees_with_the_unscreened_scan():
+    gen = Gen(seed=89)
+    produced = 0
+    for round_no in range(300):
+        if round_no % 3 == 0:
+            equality = eq(gen.h(Var(0), Var(1)), gen.h(Var(1), Var(0)))
+        elif round_no % 3 == 1:
+            equality = eq(Var(0), gen.rng.choice(gen.unary)(Var(1)))
+        else:
+            equality = gen.pos_eq()
+        lits1 = (equality,) + gen.lits(gen.rng.randrange(0, 2), depth=1)
+        # the partner holds an instance of one side, so unification often succeeds
+        redex = apply(gen.rng.choice(equality.args), Substitution({0: gen.term(1), 1: gen.term(1)}))
+        lits2 = (gen.rng.choice([gen.p, gen.q])(gen.f(redex)),) + gen.lits(gen.rng.randrange(0, 2), depth=1)
+        for first, second in ((lits1, lits2), (lits2, lits1)):
+            screened, unscreened = ClauseFactory(), ClauseFactory()
+            c1, c2 = screened.make(first), screened.make(second)
+            d1, d2 = unscreened.make(first), unscreened.make(second)
+            got = superposition(c1, c2, screened)
+            assert _minted(got) == _minted(unscreened_superposition(d1, d2, unscreened)), (first, second)
+            produced += len(got)
+    assert produced > 150, produced

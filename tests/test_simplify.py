@@ -1,10 +1,12 @@
 """Simplification rule tests: demodulation, conditional rewriting, subsumption."""
 
-from oracles import canonical_literals, naive_sd_results, reference_demodulate
+from oracles import apply, canonical_literals, naive_sd_results, reference_demodulate, unscreened_sd_steps
 from randgen import Gen
 
+from sdprover import simplify
 from sdprover.clauses import ClauseFactory, eq, predicate
 from sdprover.index import BackwardIndex, FsdIndex
+from sdprover.matching import source_set_up
 from sdprover.ordering import OrderResult, compare_clauses
 from sdprover.simplify import (
     backward_subsumption_deletions,
@@ -16,7 +18,7 @@ from sdprover.simplify import (
     forward_subsumption_demodulation,
     sd_simplifications,
 )
-from sdprover.terms import Signature, Var
+from sdprover.terms import Signature, Substitution, Var
 
 # fixed signature for the worked examples: h > f > g > a > b > c > d
 sig = Signature()
@@ -315,3 +317,61 @@ def test_subsumption_respects_multiset_discipline():
     single = factory.make([p(c)])
     # two source literals cannot collapse onto one target literal
     assert forward_subsumption_delete(single, active) is None
+
+
+def _side_with_instance(factory, gen):
+    """A side premise, and a main premise holding an instance of its extra
+    literals and of one side of its equality, plus some noise."""
+    shape = gen.rng.randrange(4)
+    if shape == 0:
+        # not orientable: both orientations stay INCOMPARABLE
+        equality = eq(gen.h(Var(0), Var(1)), gen.h(Var(1), Var(0)))
+    elif shape == 1:
+        # a variable left-hand side, its right-hand side bound by a matched literal or not
+        equality = eq(Var(0), gen.rng.choice(gen.unary)(Var(1)))
+    else:
+        equality = gen.pos_eq()
+    extra = gen.lits(gen.rng.randrange(0, 3), depth=1)
+    if shape == 3:
+        # a second positive equality brings trigger symbols of its own
+        extra = (gen.pos_eq(depth=1),) + extra
+    side = factory.make((equality,) + extra)
+    sub = Substitution({v: gen.term(1) for v in range(side.nvars)})
+    instance = [apply(lit, sub) for lit in side.literals]
+    redex = gen.rng.choice(instance[0].args)
+    main_lits = instance[1:] + [gen.rng.choice([gen.p, gen.q])(gen.rng.choice([redex, gen.f(redex)]))]
+    main_lits += gen.lits(gen.rng.randrange(0, 3), depth=1)
+    gen.rng.shuffle(main_lits)
+    return side, factory.make(main_lits)
+
+
+def test_screened_rewriting_agrees_with_the_unscreened_scan():
+    gen = Gen(seed=83)
+    factory = ClauseFactory()
+    steps = incomparable = variable_lhs = 0
+    for round_no in range(400):
+        side, main = _side_with_instance(factory, gen)
+        limit = 2 if round_no % 5 == 0 else 0
+        got = list(sd_simplifications(side, main, limit))
+        assert got == unscreened_sd_steps(side, main, limit), (side, main)
+        if got:
+            steps += len(got)
+            orientations = source_set_up(side).equations[0]
+            incomparable += any(o.verdict is OrderResult.INCOMPARABLE for o in orientations)
+            variable_lhs += any(isinstance(o.lhs, Var) for o in orientations)
+    assert steps > 150 and incomparable > 20 and variable_lhs > 10, (steps, incomparable, variable_lhs)
+
+
+def test_wide_side_premise_without_a_trigger_symbol_starts_no_matcher(monkeypatch):
+    # six p-literals into ten leave 151,200 assignments, and none of them
+    # can rewrite: the main premise has no g and no h
+    ws = Signature()
+    wg, wh, wp = ws.function("g", 1), ws.function("h", 1), predicate(ws, "p", 1)
+    factory = ClauseFactory()
+    side = factory.make([wp(Var(i)) for i in range(6)] + [eq(wg(Var(6)), wh(Var(6)))])
+    main = factory.make([wp(ws.constant(f"a{i}")) for i in range(10)])
+    calls = []
+    matcher = simplify.match_solutions
+    monkeypatch.setattr(simplify, "match_solutions", lambda *args, **kwargs: calls.append(args) or matcher(*args, **kwargs))
+    assert list(sd_simplifications(side, main)) == []
+    assert calls == []

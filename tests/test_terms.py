@@ -147,3 +147,20 @@ def test_match_agrees_with_application(s, t):
 @given(terms)
 def test_empty_substitution_is_identity(t):
     assert apply_term(t, EMPTY_SUBST) == t
+
+
+def test_term_walks_run_on_deep_terms():
+    depth = 1500  # past the interpreter's default recursion limit of 1000
+    tower = x
+    for _ in range(depth):
+        tower = f(tower)
+    ground = apply_term(tower, Substitution({0: a}))
+    assert ground.ground and ground.weight == depth + 1
+    count, last = 0, None
+    for count, last in enumerate(preorder_subterms(tower), 1):
+        pass
+    assert count == depth + 1 and last == ((0,) * depth, x)
+    assert replace_at(tower, (0,) * depth, a) == ground
+    # y is bound through z to the tower: the unifier holds it fully applied
+    sub = unify_pairs([(h(y, z), h(f(z), tower))])
+    assert sub is not None and sub.get(1) == f(tower)

@@ -304,6 +304,13 @@ def test_cli_resource_out_exit(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "% SZS status ResourceOut"
 
 
+def test_cli_time_limit_is_timeout(tmp_path, capsys):
+    # p(c), p(f(c)), p(f(f(c))), ... never saturates; no clause cap stops it
+    path = _write(tmp_path, "cnf(a, axiom, p(c)). cnf(b, axiom, ~p(X) | p(f(X))).")
+    assert main(["--time-limit", "0.05", "--clause-limit", "0", path]) == 2
+    assert capsys.readouterr().out.strip() == "% SZS status Timeout"
+
+
 def test_cli_missing_file_exit(tmp_path, capsys):
     assert main([str(tmp_path / "absent.p")]) == 3
     assert "sdprover:" in capsys.readouterr().err
@@ -355,6 +362,11 @@ def test_cli_deep_term_gets_a_status_not_a_traceback(tmp_path, capsys):
     # a non-ground tower goes through canonicalization when it is minted
     depth = 1500
     path = _write(tmp_path, f"cnf(a, axiom, p({'f(' * depth}X{')' * depth})).\ncnf(b, axiom, ~q(a)).")
+    code = main([path])
+    status = capsys.readouterr().out.splitlines()[0]
+    assert (status, code) == ("% SZS status Satisfiable", 1)
+    # and takes part in an inference: resolution unifies and instantiates it
+    path = _write(tmp_path, f"cnf(a, axiom, p({'f(' * depth}X{')' * depth})).\ncnf(b, axiom, ~p(Y) | q(Y)).")
     code = main([path])
     status = capsys.readouterr().out.splitlines()[0]
     assert (status, code) == ("% SZS status Satisfiable", 1)
