@@ -11,7 +11,9 @@ its matcher set-up, computed once per clause object.  An orientation s -> t
 with t > s is skipped before any unification: KBO is stable under
 substitution, so t theta > s theta for every unifier and the ordering check
 would reject each of its conclusions.  A position whose top symbol differs
-from that of a non-variable s is skipped before unify_pairs.
+from that of a non-variable s is skipped before unify_pairs, and so is a
+ground position other than s when s is ground: ground terms unify only
+when they are equal, and the hashed comparison decides that without a walk.
 
 A rule does not instantiate its conclusions itself: it hands each one to
 the factory as its uninstantiated literals and the unifier, all conclusions
@@ -99,6 +101,8 @@ def _superpose_into(
     sym = None if type(s) is Var else s.sym
     for path, sub_term in literal_occurrences(target):
         if sym is not None and sub_term.sym != sym:
+            continue
+        if s.ground and sub_term.ground and s != sub_term:
             continue
         theta = unify_pairs([(s, sub_term)])
         if theta is None:

@@ -36,25 +36,30 @@ def _prec_greater(sym_a: int, arity_a: int, sym_b: int, arity_b: int) -> bool:
 
 
 def _kbo_greater(s: Term, t: Term) -> bool:
-    if isinstance(s, Var):
-        return False
-    if isinstance(t, Var):
-        return not s.ground and t.vid in term_vars(s)
-    if not t.ground:
-        # the variable condition can only fail against a non-ground right side
-        if s.ground:
+    # a loop, not recursion: with equal weights and symbols the verdict is
+    # that of the first differing arguments, so the descent is a tail call
+    while True:
+        if isinstance(s, Var):
             return False
-        sc, tc = var_counts(s), var_counts(t)
-        if any(tc[v] > sc.get(v, 0) for v in tc):
+        if isinstance(t, Var):
+            return not s.ground and t.vid in term_vars(s)
+        if not t.ground:
+            # the variable condition can only fail against a non-ground right side
+            if s.ground:
+                return False
+            sc, tc = var_counts(s), var_counts(t)
+            if any(tc[v] > sc.get(v, 0) for v in tc):
+                return False
+        if s.weight != t.weight:
+            return s.weight > t.weight
+        if s.sym != t.sym:
+            return _prec_greater(s.sym, len(s.args), t.sym, len(t.args))
+        for sa, ta in zip(s.args, t.args):
+            if sa != ta:
+                s, t = sa, ta
+                break
+        else:
             return False
-    if s.weight != t.weight:
-        return s.weight > t.weight
-    if s.sym != t.sym:
-        return _prec_greater(s.sym, len(s.args), t.sym, len(t.args))
-    for sa, ta in zip(s.args, t.args):
-        if sa != ta:
-            return _kbo_greater(sa, ta)
-    return False
 
 
 def compare_terms(s: Term, t: Term) -> OrderResult:

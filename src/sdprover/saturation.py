@@ -2,9 +2,11 @@
 
 Discount-style: passive clauses rest untouched until popped; the given
 clause is forward-simplified against the active set, then used backward to
-delete or rewrite active clauses, then activated and paired with every
-active clause for generating inferences.  Clause selection alternates age
-and weight at a 1:5 ratio, starting with age.
+delete or rewrite active clauses, then activated and used for generating
+inferences with itself and with the active clauses that the backward
+index retrieves as partners for each rule (index.BackwardIndex's
+generation keys).  Clause selection alternates age and weight at a 1:5
+ratio, starting with age.
 
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
@@ -181,15 +183,26 @@ def backward_simplify(g: Clause, st: ProverState) -> None:
 
 
 def _generate(g: Clause, st: ProverState) -> list[Clause]:
+    """Conclusions of g alone and of g with each active clause, g included.
+
+    Partners come in ascending id order, and with each the calls run in a
+    fixed order; a call is left out only when the index shows that it
+    gives no conclusion, so conclusions get the ids of a full pairing.
+    """
     out = list(calculus.unary_inferences(g, st.factory))
-    for cid in sorted(st.active):
+    first_res, first_sup, second_sup, second_res = st.bindex.generation_partners(g)
+    for cid in sorted(first_res | first_sup | second_sup | second_res):
         st.check_time()
         a = st.active[cid]
-        out.extend(calculus.resolution(g, a, st.factory))
-        out.extend(calculus.superposition(g, a, st.factory))
-        if a.cid != g.cid:
-            out.extend(calculus.superposition(a, g, st.factory))
-            out.extend(calculus.resolution(a, g, st.factory))
+        if cid in first_res:
+            out.extend(calculus.resolution(g, a, st.factory))
+        if cid in first_sup:
+            out.extend(calculus.superposition(g, a, st.factory))
+        if cid != g.cid:
+            if cid in second_sup:
+                out.extend(calculus.superposition(a, g, st.factory))
+            if cid in second_res:
+                out.extend(calculus.resolution(a, g, st.factory))
     return out
 
 

@@ -198,7 +198,7 @@ def backward_subsumption_demodulation(
 def forward_subsumption_delete(d: Clause, active: BackwardIndex) -> Optional[int]:
     """Id of an active clause subsuming d, or None."""
     for c in sorted(active.forward_subsumption_candidates(d), key=lambda c: c.cid):
-        if len(c.literals) <= len(d.literals) and subsumes(c, d):
+        if subsumes(c, d):
             return c.cid
     return None
 
@@ -207,6 +207,6 @@ def backward_subsumption_deletions(g: Clause, active: BackwardIndex) -> list[Cla
     """Active clauses subsumed by g, in ascending id order."""
     out = []
     for d in sorted(active.backward_subsumption_candidates(g), key=lambda d: d.cid):
-        if len(g.literals) <= len(d.literals) and subsumes(g, d):
+        if subsumes(g, d):
             out.append(d)
     return out

@@ -79,12 +79,33 @@ class App:
         return True
 
     def __repr__(self) -> str:
-        if not self.args:
-            return f"#{self.sym}"
-        return f"#{self.sym}({', '.join(map(repr, self.args))})"
+        return render(self, lambda sym: f"#{sym}", ", ")
 
 
 Term = Union[Var, App]
+
+
+def render(t: Term, name: Callable[[int], str], sep: str) -> str:
+    """t as text: name(sym) for each symbol, its arguments in parentheses
+    joined by sep, variables as X<id>.  Runs on an explicit stack."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is Var:
+            out.append(f"X{item.vid}")
+        else:
+            out.append(name(item.sym))
+            if item.args:
+                out.append("(")
+                stack.append(")")
+                for arg in reversed(item.args[1:]):
+                    stack.append(arg)
+                    stack.append(sep)
+                stack.append(item.args[0])
+    return "".join(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .clauses import Clause, ClauseFactory, Literal, eq, neq, predicate
 from .saturation import SatStatus, SaturationResult, proof_clauses
-from .terms import App, FunctionSymbol, Signature, SignatureError, Term, Var
+from .terms import FunctionSymbol, Signature, SignatureError, Term, Var, render
 
 
 class ParseError(Exception):
@@ -297,12 +297,7 @@ def load_problem(path: str, sig: Signature, factory: ClauseFactory) -> Problem:
 
 
 def format_term(t: Term, sig: Signature) -> str:
-    if isinstance(t, Var):
-        return f"X{t.vid}"
-    assert isinstance(t, App)
-    if not t.args:
-        return sig.name(t.sym)
-    return f"{sig.name(t.sym)}({','.join(format_term(a, sig) for a in t.args)})"
+    return render(t, sig.name, ",")
 
 
 def format_literal(lit: Literal, sig: Signature) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
+from sdprover import calculus
 from sdprover.clauses import Literal, eq, literal_occurrences, orientations, replace_in_literal, select
 from sdprover.clauses import rename_apart as rename_clause_apart
 from sdprover.matching import match_solutions
@@ -331,6 +332,25 @@ def unscreened_superposition(c1, c2, factory) -> list:
                     new_target = replace_in_literal(target, path, t)
                     raw.append((eq_rest + lits2[:j] + (new_target,) + lits2[j + 1 :], theta))
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
+
+
+def all_pairs_generate(g, st) -> list:
+    """The generation step with no partner retrieval: g against every active
+    clause, both ways round, in ascending id order.
+
+    A drop-in for saturation._generate; the indexed step must make the same
+    conclusions with the same ids.
+    """
+    out = list(calculus.unary_inferences(g, st.factory))
+    for cid in sorted(st.active):
+        st.check_time()
+        a = st.active[cid]
+        out.extend(calculus.resolution(g, a, st.factory))
+        out.extend(calculus.superposition(g, a, st.factory))
+        if a.cid != g.cid:
+            out.extend(calculus.superposition(a, g, st.factory))
+            out.extend(calculus.resolution(a, g, st.factory))
+    return out
 
 
 # ------------------------------------------------- ground entailment

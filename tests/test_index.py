@@ -3,6 +3,7 @@
 from oracles import apply, naive_sd_applicable, naive_subsumes, rename_apart
 from randgen import Gen
 
+from sdprover import calculus
 from sdprover.clauses import ClauseFactory, eq
 from sdprover.index import (
     BackwardIndex,
@@ -176,6 +177,14 @@ def test_bsd_retrieval_never_misses_a_rewritable_main():
     assert hits >= 15
 
 
+def _shares_a_key(c, d):
+    return any(literal_key(a) == literal_key(b) for a in c.literals for b in d.literals)
+
+
+def _has_every_key(c, d):
+    return all(any(literal_key(a) == literal_key(b) for b in d.literals) for a in c.literals)
+
+
 def test_forward_subsumption_retrieval_complete():
     factory = ClauseFactory()
     ix = BackwardIndex()
@@ -183,6 +192,7 @@ def test_forward_subsumption_retrieval_complete():
     for c in active:
         ix.insert(c)
     hits = 0
+    screened = 0
     for _ in range(40):
         d = factory.make(env.lits(env.rng.randrange(1, 4)))
         found = ix.forward_subsumption_candidates(d)
@@ -191,7 +201,11 @@ def test_forward_subsumption_retrieval_complete():
             if naive_subsumes(src, d.literals):
                 assert c in found
                 hits += 1
+            elif _shares_a_key(c, d) and c not in found:
+                screened += 1
     assert hits > 0
+    # the literal-count and symbol screen drops clauses the key lookup returns
+    assert screened > 0
 
 
 def test_backward_subsumption_retrieval_complete():
@@ -201,6 +215,7 @@ def test_backward_subsumption_retrieval_complete():
     for d in active:
         ix.insert(d)
     hits = 0
+    screened = 0
     for _ in range(40):
         g = factory.make(env.lits(env.rng.randrange(1, 3)))
         found = ix.backward_subsumption_candidates(g)
@@ -209,4 +224,46 @@ def test_backward_subsumption_retrieval_complete():
             if naive_subsumes(src, d.literals):
                 assert d in found
                 hits += 1
+            elif _has_every_key(g, d) and d not in found:
+                screened += 1
     assert hits > 0
+    assert screened > 0
+
+
+def test_generation_partners_cover_every_pair_with_a_conclusion():
+    """Every pair on which resolution or superposition gives a conclusion,
+    either way round and a clause with itself, is among the partners the
+    index returns for that call."""
+    gen = Gen(seed=57)
+    factory = ClauseFactory()
+    ix = BackwardIndex()
+    stored = []
+    for k in range(70):
+        lits = gen.lits(gen.rng.randrange(1, 4))
+        if k % 4 == 0:
+            lits += (gen.pos_eq(),)
+        stored.append(factory.make(lits))
+    for c in stored:
+        ix.insert(c)
+    scratch = ClauseFactory()
+    rules = (
+        lambda g, a: calculus.resolution(g, a, scratch),
+        lambda g, a: calculus.superposition(g, a, scratch),
+        lambda g, a: calculus.superposition(a, g, scratch),
+        lambda g, a: calculus.resolution(a, g, scratch),
+    )
+    fired = [0, 0, 0, 0]
+    retrieved = 0
+    for g in stored:
+        partners = ix.generation_partners(g)
+        retrieved += sum(map(len, partners))
+        for a in stored:
+            for k, (rule, ids) in enumerate(zip(rules, partners)):
+                if rule(g, a):
+                    assert a.cid in ids, (k, g, a)
+                    fired[k] += 1
+    assert min(fired) >= 20, fired
+    # an indexed clause that superposes into itself is its own partner
+    assert any(g.cid in ix.generation_partners(g)[1] for g in stored)
+    # the filter leaves out most of the pairs
+    assert retrieved < 4 * len(stored) ** 2 // 2

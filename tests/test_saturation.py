@@ -1,8 +1,13 @@
 """Saturation loop tests: verdicts, limits, simplification effects, proofs."""
 
-from oracles import ground_entails
+import glob
+import os
+from itertools import product
+
+from oracles import all_pairs_generate, ground_entails
 from randgen import GroundGen
 
+from sdprover import saturation
 from sdprover.clauses import ClauseFactory, eq, neq, predicate
 from sdprover.saturation import (
     PassiveQueue,
@@ -13,6 +18,7 @@ from sdprover.saturation import (
     verify_proof,
 )
 from sdprover.terms import Signature, Var
+from sdprover.tptp import emit_result, load_problem
 
 X = Var(0)
 
@@ -281,3 +287,31 @@ def test_proofs_only_reference_registered_clauses():
     for clause in proof_clauses(result):
         for pid in clause.parents:
             assert pid in s.factory.registry
+
+
+def _corpus_search(path, fsd, bsd):
+    """The SZS text and every registry entry of one corpus run."""
+    sig = Signature()
+    factory = ClauseFactory()
+    problem = load_problem(path, sig, factory)
+    config = ProverConfig(fsd=fsd, bsd=bsd, time_limit=0, clause_limit=100)
+    result = saturate(problem.clauses, config, factory)
+    registry = [(c.cid, c.rule, c.parents, repr(c.literals), c.nvars) for c in factory.registry.values()]
+    return emit_result(result, sig), registry
+
+
+def test_indexed_generation_matches_the_all_pairs_loop(monkeypatch):
+    """Generation through the index leaves out only calls that give no
+    conclusion, so every corpus run in every configuration makes the same
+    clauses, with the same ids and parents, as pairing with every clause."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "*.p")))
+    assert len(paths) == 20
+    unsat = 0
+    for path, (fsd, bsd) in product(paths, product((True, False), repeat=2)):
+        indexed = _corpus_search(path, fsd, bsd)
+        with monkeypatch.context() as patch:
+            patch.setattr(saturation, "_generate", all_pairs_generate)
+            oracle = _corpus_search(path, fsd, bsd)
+        assert indexed == oracle, (path, fsd, bsd)
+        unsat += indexed[0].startswith("% SZS status Unsatisfiable")
+    assert unsat > 0

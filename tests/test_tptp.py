@@ -185,8 +185,10 @@ def test_format_round_trip_is_identity_up_to_renaming():
     cnf(c, axiom, h(X, g(Y)) != h(Y, X)).
     cnf(d, axiom, r).
     cnf(e, axiom, $false).
+    cnf(f, axiom, s(k(X, g(z), Y, n), Y, z)).
     """
     problem, sig, _ = _parse(text)
+    assert format_clause(problem.clauses[-1], sig) == "s(k(X0,g(z),X1,n),X1,z)"
     reprinted = "\n".join(
         f"cnf(c{i}, axiom, {format_clause(c, sig)})." for i, c in enumerate(problem.clauses)
     )
@@ -370,6 +372,25 @@ def test_cli_deep_term_gets_a_status_not_a_traceback(tmp_path, capsys):
     code = main([path])
     status = capsys.readouterr().out.splitlines()[0]
     assert (status, code) == ("% SZS status Satisfiable", 1)
+    # a refutation prints its proof, deep terms included
+    tower = f"{'f(' * depth}a{')' * depth}"
+    path = _write(tmp_path, f"cnf(a, axiom, p({tower})).\ncnf(b, negated_conjecture, ~p({tower})).")
+    code = main([path])
+    lines = capsys.readouterr().out.splitlines()
+    assert (lines[0], code) == ("% SZS status Unsatisfiable", 0)
+    assert f"p({tower})" in lines[1]
+    # KBO compares towers of equal weight that differ only at the bottom
+    a_tower, b_tower = tower, f"{'f(' * depth}b{')' * depth}"
+    text = (
+        f"cnf(e, axiom, {a_tower} = {b_tower}).\n"
+        f"cnf(g, negated_conjecture, p({a_tower})).\n"
+        f"cnf(h, axiom, ~p({b_tower})).\n"
+    )
+    path = _write(tmp_path, text)
+    for flags in ([], ["--proof", "off"]):
+        code = main(flags + [path])
+        status = capsys.readouterr().out.splitlines()[0]
+        assert (status, code) == ("% SZS status Unsatisfiable", 0)
 
 
 def test_cli_unexpected_exception_is_status_error(tmp_path, capsys, monkeypatch):
