@@ -7,13 +7,25 @@ Binary rules rename the second premise apart before unifying, shifting its
 variables past the first premise's stored variable count.
 
 Superposition reads the orientations of the first premise's equalities from
-its matcher set-up, computed once per clause object.  An orientation s -> t
-with t > s is skipped before any unification: KBO is stable under
-substitution, so t theta > s theta for every unifier and the ordering check
-would reject each of its conclusions.  A position whose top symbol differs
-from that of a non-variable s is skipped before unify_pairs, and so is a
-ground position other than s when s is ground: ground terms unify only
-when they are equal, and the hashed comparison decides that without a walk.
+its matcher set-up, computed once per clause object, with their verdicts.
+KBO is stable under substitution, and renaming apart is a substitution, so
+a verdict other than INCOMPARABLE holds for every instance:
+
+  - an orientation s -> t with t > s is skipped before any unification,
+    since the ordering check would reject each of its conclusions;
+  - only an INCOMPARABLE orientation has t theta and s theta compared per
+    unifier (s > t and s = t pass for every instance);
+  - an equality target has its sides compared once per call, and only
+    INCOMPARABLE sides are compared per unifier.  Where the other side is
+    greater, every position in this side is skipped before unify_pairs;
+    where it is less or equal, every instance passes.
+
+A position whose top symbol differs from that of a non-variable s is
+skipped before unify_pairs, and so is a ground position other than s when
+s is ground: ground terms unify only when they are equal, and the hashed
+comparison decides that without a walk.  Each position that reaches
+unification first checks the factory's deadline, so a call over a deep
+term stops near the time limit.
 
 A rule does not instantiate its conclusions itself: it hands each one to
 the factory as its uninstantiated literals and the unifier, all conclusions
@@ -23,6 +35,8 @@ the rest with the rule name and parent ids.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 from .clauses import (
     Clause,
@@ -35,7 +49,7 @@ from .clauses import (
     replace_in_literal,
     select,
 )
-from .matching import source_set_up
+from .matching import Orientation, source_set_up
 from .ordering import OrderResult, compare_terms
 from .terms import Term, Var, apply_term, unify_pairs
 
@@ -91,25 +105,36 @@ def factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
 
 def _superpose_into(
     eq_rest: tuple[Literal, ...],
-    s: Term,
-    t: Term,
+    o: Orientation,
     target_lits: tuple[Literal, ...],
     target_pos: int,
+    sides: list[Optional[OrderResult]],
     raw: list,
+    check_time: Callable[[], None],
 ) -> None:
     target = target_lits[target_pos]
+    s, t = o.lhs, o.rhs
     sym = None if type(s) is Var else s.sym
     for path, sub_term in literal_occurrences(target):
         if sym is not None and sub_term.sym != sym:
             continue
         if s.ground and sub_term.ground and s != sub_term:
             continue
+        sides_verdict = None
+        if target.is_equality:
+            sides_verdict = sides[target_pos]
+            if sides_verdict is None:
+                sides_verdict = sides[target_pos] = compare_terms(target.args[0], target.args[1])
+            # the other side is greater in every instance: no conclusion here
+            if sides_verdict is (OrderResult.LESS if path[0] == 0 else OrderResult.GREATER):
+                continue
+        check_time()
         theta = unify_pairs([(s, sub_term)])
         if theta is None:
             continue
-        if not _not_greater(apply_term(t, theta), apply_term(s, theta)):
+        if o.verdict is OrderResult.INCOMPARABLE and not _not_greater(apply_term(t, theta), apply_term(s, theta)):
             continue
-        if target.is_equality:
+        if sides_verdict is OrderResult.INCOMPARABLE:
             into_side = apply_term(target.args[path[0]], theta)
             other_side = apply_term(target.args[1 - path[0]], theta)
             if not _not_greater(other_side, into_side):
@@ -127,13 +152,15 @@ def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause
         return []
     lits2 = rename_apart(c2, c1)
     sel2 = select(c2)
+    # per target literal, the verdict on its sides once an equality needs it
+    sides: list[Optional[OrderResult]] = [None] * len(lits2)
     raw: list = []
     for i in froms:
         eq_rest = tuple(lit for k, lit in enumerate(c1.literals) if k != i)
         # an orientation s -> t with t > s is left out: no instance of it passes
         for o in equations[i]:
             for j in sel2:
-                _superpose_into(eq_rest, o.lhs, o.rhs, lits2, j, raw)
+                _superpose_into(eq_rest, o, lits2, j, sides, raw, factory.check_time)
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -26,17 +27,25 @@ class Literal:
     """A literal: a possibly negated predicate atom or equality atom.
 
     Equality atoms (pred is None) are unordered pairs for identity purposes:
-    s = t and t = s compare equal and hash alike.
+    s = t and t = s compare equal and hash alike.  The hash is computed at
+    construction, as App's is: clauses, selection and the indexes hash
+    literals far more often than they build them.
     """
 
     positive: bool
     pred: Optional[int]
     args: tuple[Term, ...]
     weight: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
     _atom: Optional[Term] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", 1 + sum(a.weight for a in self.args))
+        if self.pred is None:
+            h = hash((self.positive, hash(self.args[0]) ^ hash(self.args[1])))
+        else:
+            h = hash((self.positive, self.pred, self.args))
+        object.__setattr__(self, "_hash", h)
 
     @property
     def is_equality(self) -> bool:
@@ -64,7 +73,7 @@ class Literal:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Literal):
             return NotImplemented
-        if self.positive != other.positive or self.pred != other.pred:
+        if self._hash != other._hash or self.positive != other.positive or self.pred != other.pred:
             return False
         if self.pred is None:
             a, b = self.args
@@ -73,9 +82,7 @@ class Literal:
         return self.args == other.args
 
     def __hash__(self) -> int:
-        if self.pred is None:
-            return hash((self.positive, hash(self.args[0]) ^ hash(self.args[1])))
-        return hash((self.positive, self.pred, self.args))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.pred is None:
@@ -182,7 +189,9 @@ def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tu
     of the variable, renumbering as it goes, and reused where the variable
     recurs.  unifier must be in unify_pairs's fully applied form (no
     variable it binds occurs in a term it binds to), so an image never
-    contains a variable that needs instantiating.
+    contains a variable that needs instantiating.  A ground literal comes
+    back as the same object, so the repeated literals of a clause and of
+    its descendants share one object.
     """
     images: dict[int, Term] = {}
     fresh = itertools.count()
@@ -195,7 +204,12 @@ def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tu
             images[v.vid] = image
         return image
 
-    out = tuple(Literal(lit.positive, lit.pred, tuple(rebuild(a, leaf) for a in lit.args)) for lit in literals)
+    out = tuple(
+        lit
+        if all(a.ground for a in lit.args)
+        else Literal(lit.positive, lit.pred, tuple(rebuild(a, leaf) for a in lit.args))
+        for lit in literals
+    )
     return out, next(fresh)
 
 
@@ -203,15 +217,26 @@ def rename_apart(clause: Clause, away_from: Clause) -> tuple[Literal, ...]:
     """clause's literals with its variables shifted past those of away_from.
 
     The shift is away_from's stored variable count, so no term is scanned
-    to find it; ground literals come back as they are.
+    to find it; ground literals, and all literals of a ground clause, come
+    back as the same objects.
     """
     offset = away_from.nvars
     if not offset or not clause.nvars:
         return clause.literals
     return tuple(
-        Literal(lit.positive, lit.pred, tuple(shift_vars(a, offset) for a in lit.args))
+        lit
+        if all(a.ground for a in lit.args)
+        else Literal(lit.positive, lit.pred, tuple(shift_vars(a, offset) for a in lit.args))
         for lit in clause.literals
     )
+
+
+class ResourceLimit(Exception):
+    """A search limit was hit; reason names it ("time", "clauses", "iterations")."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 class ClauseFactory:
@@ -225,11 +250,22 @@ class ClauseFactory:
 
     Every clause ever created stays in the registry so proofs can be
     reconstructed after simplification deletes clauses from the search state.
+
+    deadline, a time.monotonic() value or None, is set by the saturation
+    loop for the length of a run.  Minting checks it before every
+    conclusion, and the rules check it inside their position loops, so one
+    inference that makes many large conclusions cannot run far past it.
     """
 
     def __init__(self) -> None:
         self._counter = itertools.count(1)
         self.registry: dict[int, Clause] = {}
+        self.deadline: Optional[float] = None
+
+    def check_time(self) -> None:
+        """Raise ResourceLimit("time") once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimit("time")
 
     @property
     def created(self) -> int:
@@ -250,6 +286,7 @@ class ClauseFactory:
         out: list[Clause] = []
         seen: set[tuple[Literal, ...]] = set()
         for literals, unifier in conclusions:
+            self.check_time()
             lits, nvars = canonical_instance(literals, unifier)
             if lits in seen:
                 continue

@@ -11,14 +11,15 @@ reserving the rewriting equality leaves the rest of the clause to be
 matched, so whichever of the two top literals is not reserved must occur,
 instantiated, in any main premise the clause simplifies.  The backward
 index stores every active clause under the key of each of its literals and
-serves both backward retrieval and subsumption queries.
+serves backward retrieval and backward subsumption.
 
 Subsumption candidates are screened before the matcher runs.  A subsumer c
 of d maps its literals one to one onto literals of d with the same polarity
 and predicate, so c has no more literals under any (polarity, predicate)
-key than d, and every function symbol of c occurs in d.  Both are read off
-the matcher's target set-up of the two clauses (matching.target_set_up),
-and a clause that fails either cannot subsume.
+key than d (the count screen), and every function symbol of c occurs in d
+(the symbol screen).  Both are read off the matcher's target set-up of the
+two clauses (matching.target_set_up), and a clause that fails either cannot
+subsume.
 
 The backward index also holds each clause under generation keys, taken
 from its selected literals only, since the generating rules use no other:
@@ -40,15 +41,44 @@ superposition(c1, c2) only when c1's (REWRITES, f) meets c2's
 (REWRITABLE, f).  Renaming apart changes no symbol, so the conditions are
 exact necessary conditions: a pair that fails them gets no conclusion from
 that call, and generation_partners leaves out only such pairs.
+
+Forward subsumption and demodulation retrieve partners by generalization,
+from a perfect discrimination tree (McCune, JAR 1992) that the backward
+index keeps next to its buckets.  A path is a tag followed by the
+pre-order symbols of a term sequence, with STAR for every variable.  The
+tree holds
+
+  - each distinct literal of every active clause, tagged (polarity,
+    predicate) and keyed on its arguments, and
+  - the left-hand side of every orientation of an active unit equality
+    that can rewrite (matching.source_set_up's equations with a verdict
+    other than EQUAL and no right-hand variable the left lacks), tagged
+    REWRITE_LHS.
+
+Retrieval follows a STAR edge by skipping the query's whole subterm at that
+point and a symbol edge only on the same symbol; a query variable follows
+only STAR edges, since the matcher treats it as a rigid constant.  A path
+that matches the query term by term, repeated variables ignored, is
+returned: every generalization of the query, and possibly more, so the
+matcher still decides.  A subsumer maps each of its literals onto a
+literal of d (an equality in either argument order), so each of its
+literal paths generalizes a literal of d; forward_subsumption_candidates
+keeps the clauses all of whose paths are hit, which implies the symbol
+screen, and applies the count screen to them.  A unit equality
+rewrites a clause only at a non-variable occurrence that an instance of one
+of its left-hand sides equals, so demodulators retrieves, at each such
+occurrence, every unit equality that can rewrite there.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from typing import NamedTuple, Optional, Sequence
 
 from .clauses import Clause, Literal, select
 from .matching import TargetSetUp, source_set_up, target_set_up
-from .terms import App, Var
+from .ordering import OrderResult
+from .terms import App, Term, Var
 
 LiteralKey = tuple
 
@@ -57,6 +87,8 @@ PRED_TAG = "p"
 RESOLVES = "r"
 REWRITES = "l"
 REWRITABLE = "s"
+REWRITE_LHS = "lhs"
+STAR = None
 
 
 def literal_key(lit: Literal) -> LiteralKey:
@@ -96,6 +128,53 @@ def _generation_keys(c: Clause) -> set[tuple]:
     return keys
 
 
+def _preorder(terms: Sequence[Term]) -> tuple[list[Optional[int]], list[int]]:
+    """The pre-order keys of a term sequence, STAR for each variable, and for
+    each position the position just past the subterm that starts there."""
+    keys: list[Optional[int]] = []
+    arities: list[int] = []
+    stack = list(reversed(terms))
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            keys.append(STAR)
+            arities.append(0)
+        else:
+            keys.append(t.sym)
+            arities.append(len(t.args))
+            stack.extend(reversed(t.args))
+    ends = [0] * len(keys)
+    for i in range(len(keys) - 1, -1, -1):
+        end = i + 1
+        for _ in range(arities[i]):
+            end = ends[end]
+        ends[i] = end
+    return keys, ends
+
+
+def _tree_paths(c: Clause) -> tuple[list[tuple], list[tuple]]:
+    """c's distinct literal paths, and the paths of the left-hand sides it
+    can rewrite with when it is a unit equality."""
+    literal_paths = list(
+        dict.fromkeys(((lit.positive, lit.pred), *_preorder(lit.args)[0]) for lit in dict.fromkeys(c.literals))
+    )
+    lhs_paths = []
+    if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
+        for o in source_set_up(c).equations[0]:
+            if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
+                lhs_paths.append((REWRITE_LHS, *_preorder((o.lhs,))[0]))
+    return literal_paths, lhs_paths
+
+
+class _Stored(NamedTuple):
+    """What the backward index filed a clause under, kept for its removal."""
+
+    literal_keys: set[LiteralKey]
+    generation_keys: set[tuple]
+    literal_paths: list[tuple]
+    lhs_paths: list[tuple]
+
+
 def _fits(small: TargetSetUp, big: TargetSetUp) -> bool:
     """small has no more literals than big under any (polarity, predicate) key."""
     table = big.table
@@ -124,16 +203,79 @@ def best_literal_keys(c: Clause) -> list[LiteralKey]:
     return [literal_key(lits[i]) for i in chosen]
 
 
+class GeneralizationTree:
+    """Perfect discrimination tree of clause ids for generalization retrieval.
+
+    A path is a tag followed by pre-order symbol keys, STAR for a variable
+    (see the module docstring).  Inner nodes are dicts from key to child;
+    the child after a path's last key is the set of ids stored under it.
+    Paths of one tag are complete term sequences over fixed arities, so no
+    path is a prefix of another.
+    """
+
+    def __init__(self) -> None:
+        self._root: dict = {}
+
+    def insert(self, path: tuple, cid: int) -> None:
+        node = self._root
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node.setdefault(path[-1], set()).add(cid)
+
+    def remove(self, path: tuple, cid: int) -> None:
+        trail = []
+        node = self._root
+        for key in path[:-1]:
+            trail.append((node, key))
+            node = node[key]
+        leaf = node[path[-1]]
+        leaf.discard(cid)
+        if not leaf:
+            del node[path[-1]]
+            while not node and trail:
+                node, key = trail.pop()
+                del node[key]
+
+    def node(self, tag) -> Optional[object]:
+        """The subtree of a tag: a dict, or the id set of a tag with no keys."""
+        return self._root.get(tag)
+
+    @staticmethod
+    def leaves(node: dict, keys: list, ends: list[int], start: int, stop: int, out: list) -> None:
+        """Append to out the id set of every path below node whose keys
+        generalize the query keys[start:stop], repeated variables ignored."""
+        stack = [(node, start)]
+        while stack:
+            node, i = stack.pop()
+            child = node.get(STAR)
+            if child is not None:
+                end = ends[i]
+                if end == stop:
+                    out.append(child)
+                else:
+                    stack.append((child, end))
+            key = keys[i]
+            if key is not STAR:
+                child = node.get(key)
+                if child is not None:
+                    if i + 1 == stop:
+                        out.append(child)
+                    else:
+                        stack.append((child, i + 1))
+
+
 class FsdIndex:
     """Forward index of potential side premises for subsumption demodulation.
 
     Holds only clauses with at least one positive equality and at least two
-    literals; demodulation tries unit equalities directly.
+    literals; demodulation retrieves unit equalities from the backward
+    index's tree.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[LiteralKey, set[int]] = {}
         self._members: dict[int, Clause] = {}
+        self._keys: dict[int, list[LiteralKey]] = {}
 
     def __len__(self) -> int:
         return len(self._members)
@@ -148,6 +290,7 @@ class FsdIndex:
         if not keys:
             return
         self._members[c.cid] = c
+        self._keys[c.cid] = keys
         for key in keys:
             self._buckets.setdefault(key, set()).add(c.cid)
 
@@ -155,7 +298,7 @@ class FsdIndex:
         if c.cid not in self._members:
             return
         del self._members[c.cid]
-        for key in best_literal_keys(c):
+        for key in self._keys.pop(c.cid):
             bucket = self._buckets.get(key)
             if bucket is not None:
                 bucket.discard(c.cid)
@@ -175,13 +318,18 @@ class BackwardIndex:
     """Index of all active clauses.
 
     Every clause is stored under the key of each of its literals, for
-    backward retrieval and subsumption, and under the generation keys of its
-    selected literals, for generating inferences.
+    backward retrieval and backward subsumption, and under the generation
+    keys of its selected literals, for generating inferences.  Its
+    distinct literals, and a unit equality's rewriting left-hand sides, go
+    into a generalization tree, for forward subsumption and demodulation.
+    The keys and paths of each clause are computed once, on insert.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
         self._members: dict[int, Clause] = {}
+        self._tree = GeneralizationTree()
+        self._stored: dict[int, _Stored] = {}
 
     def __len__(self) -> int:
         return len(self._members)
@@ -193,18 +341,24 @@ class BackwardIndex:
         if c.cid in self._members:
             return
         self._members[c.cid] = c
-        for key in _distinct_keys(c) | _generation_keys(c):
+        stored = self._stored[c.cid] = _Stored(_distinct_keys(c), _generation_keys(c), *_tree_paths(c))
+        for key in stored.literal_keys | stored.generation_keys:
             self._buckets.setdefault(key, set()).add(c.cid)
+        for path in stored.literal_paths + stored.lhs_paths:
+            self._tree.insert(path, c.cid)
 
     def remove(self, c: Clause) -> None:
         if c.cid not in self._members:
             return
         del self._members[c.cid]
-        for key in _distinct_keys(c) | _generation_keys(c):
+        stored = self._stored.pop(c.cid)
+        for key in stored.literal_keys | stored.generation_keys:
             bucket = self._buckets[key]
             bucket.discard(c.cid)
             if not bucket:
                 del self._buckets[key]
+        for path in stored.literal_paths + stored.lhs_paths:
+            self._tree.remove(path, c.cid)
 
     def _bucket(self, key: tuple) -> set[int]:
         return self._buckets.get(key, set())
@@ -226,21 +380,42 @@ class BackwardIndex:
     def forward_subsumption_candidates(self, d: Clause) -> set[Clause]:
         """Active clauses that might subsume d.
 
-        A subsumer puts every literal into d, so each of its keys occurs
-        among d's keys; the clauses sharing one key with d are screened.
+        A subsumer puts every literal into d, so each of its literal paths
+        generalizes a literal of d, an equality in either argument order;
+        the clauses whose every path is hit go through the count screen.
         """
-        ids: set[int] = set()
-        for key in _distinct_keys(d):
-            ids |= self._bucket(key)
-        ids.discard(d.cid)
+        tree = self._tree
+        # one entry per leaf, that is per path, however many queries reach it
+        hit: dict[int, set[int]] = {}
+        for lit in dict.fromkeys(d.literals):
+            node = tree.node((lit.positive, lit.pred))
+            if node is None:
+                continue
+            args = lit.args
+            if not args:
+                hit[id(node)] = node
+                continue
+            queries = [args]
+            if lit.pred is None and args[0] != args[1]:
+                queries.append((args[1], args[0]))
+            for query in queries:
+                keys, ends = _preorder(query)
+                leaves: list[set[int]] = []
+                tree.leaves(node, keys, ends, 0, len(keys), leaves)
+                for leaf in leaves:
+                    hit[id(leaf)] = leaf
+        counts: Counter = Counter()
+        for leaf in hit.values():
+            counts.update(leaf)
+        counts.pop(d.cid, None)
         target = target_set_up(d)
-        symbols = set(target.symbols)
+        members, stored = self._members, self._stored
         out: set[Clause] = set()
-        for cid in ids:
-            c = self._members[cid]
-            source = target_set_up(c)
-            if symbols.issuperset(source.symbols) and _fits(source, target):
-                out.add(c)
+        for cid, n in counts.items():
+            if n == len(stored[cid].literal_paths):
+                c = members[cid]
+                if _fits(target_set_up(c), target):
+                    out.add(c)
         return out
 
     def backward_subsumption_candidates(self, g: Clause) -> set[Clause]:
@@ -270,20 +445,39 @@ class BackwardIndex:
                 out.add(d)
         return out
 
+    def demodulators(self, g: Clause) -> set[int]:
+        """Ids of the active unit equalities that may rewrite g.
+
+        Those with a rewriting left-hand side that generalizes some
+        non-variable occurrence in g's literals; g itself is among them
+        when it is such a unit and can rewrite its own literal.
+        """
+        node = self._tree.node(REWRITE_LHS)
+        if node is None:
+            return set()
+        keys, ends = _preorder([a for lit in g.literals for a in lit.args])
+        leaves: list[set[int]] = []
+        collect = self._tree.leaves
+        star = STAR in node
+        for i, key in enumerate(keys):
+            if key is not STAR and (star or key in node):
+                collect(node, keys, ends, i, ends[i], leaves)
+        return set().union(*leaves)
+
     def generation_partners(self, g: Clause) -> tuple[set[int], set[int], set[int], set[int]]:
         """Ids of the indexed clauses a on which a generating inference with g may fire.
 
         One set per call, in this order: resolution(g, a),
         superposition(g, a), superposition(a, g), resolution(a, g).  A
-        clause left out of a set gives no conclusion in that call; g itself
-        is among them when it is indexed and can infer with itself.
+        clause left out of a set gives no conclusion in that call.  g must
+        be indexed, and is among them when it can infer with itself.
         """
         first_res: set[int] = set()
         first_sup: set[int] = set()
         second_sup: set[int] = set()
         second_res: set[int] = set()
         get = self._buckets.get
-        for key in _generation_keys(g):
+        for key in self._stored[g.cid].generation_keys:
             if key[0] == RESOLVES:
                 _, pred, positive = key
                 (first_res if positive else second_res).update(get((RESOLVES, pred, not positive), ()))

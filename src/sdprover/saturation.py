@@ -5,8 +5,16 @@ clause is forward-simplified against the active set, then used backward to
 delete or rewrite active clauses, then activated and used for generating
 inferences with itself and with the active clauses that the backward
 index retrieves as partners for each rule (index.BackwardIndex's
-generation keys).  Clause selection alternates age and weight at a 1:5
-ratio, starting with age.
+generation keys).  Forward subsumption and rewriting by unit equalities
+try only the active clauses the backward index's generalization tree
+retrieves, in ascending id order; the others cannot subsume or rewrite the
+clause, so the first that does is the one a scan of the active set finds.
+Clause selection alternates age and weight at a 1:5 ratio, starting with
+age.
+
+The time limit is a deadline on the clause factory for the length of a
+run: the loop checks it between steps, and minting and superposition check
+it inside one inference.
 
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
@@ -22,7 +30,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import calculus
-from .clauses import Clause, ClauseFactory, variant
+from .clauses import Clause, ClauseFactory, ResourceLimit, variant
 from .index import BackwardIndex, FsdIndex
 from .simplify import (
     backward_subsumption_deletions,
@@ -62,12 +70,6 @@ class SaturationResult:
     limit_reason: Optional[str] = None
     iterations: int = 0
     activated: int = 0
-
-
-class ResourceLimit(Exception):
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 class PassiveQueue:
@@ -114,12 +116,6 @@ class ProverState:
     active: dict[int, Clause] = field(default_factory=dict)
     bindex: BackwardIndex = field(default_factory=BackwardIndex)
     fsd_index: FsdIndex = field(default_factory=FsdIndex)
-    unit_eqs: dict[int, Clause] = field(default_factory=dict)
-    deadline: Optional[float] = None
-
-    def check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimit("time")
 
     def check_clauses(self) -> None:
         if self.config.clause_limit > 0 and self.factory.created > self.config.clause_limit:
@@ -129,21 +125,24 @@ class ProverState:
         self.active[g.cid] = g
         self.bindex.insert(g)
         self.fsd_index.insert(g)
-        if len(g.literals) == 1 and g.literals[0].positive and g.literals[0].is_equality:
-            self.unit_eqs[g.cid] = g
 
     def remove_active(self, c: Clause) -> None:
         self.active.pop(c.cid, None)
         self.bindex.remove(c)
         self.fsd_index.remove(c)
-        self.unit_eqs.pop(c.cid, None)
 
 
 def _demodulate_once(g: Clause, st: ProverState) -> Optional[Clause]:
-    for cid in sorted(st.unit_eqs):
+    """The first rewrite of g by an active unit equality, in ascending id order.
+
+    Only the units the backward index retrieves for g are tried; the others
+    have no left-hand side that generalizes an occurrence in g, so none of
+    them rewrites g and the first rewrite is that of the full scan.
+    """
+    for cid in sorted(st.bindex.demodulators(g)):
         if cid == g.cid:
             continue
-        res = demodulate(st.unit_eqs[cid], g, st.factory)
+        res = demodulate(st.active[cid], g, st.factory)
         if res is not None:
             return res
     return None
@@ -157,7 +156,7 @@ def forward_simplify(g: Clause, st: ProverState) -> Optional[Clause]:
     restarts the round with the new clause.  None means g was deleted.
     """
     while True:
-        st.check_time()
+        st.factory.check_time()
         if forward_subsumption_delete(g, st.bindex) is not None:
             return None
         stepped = _demodulate_once(g, st)
@@ -192,7 +191,7 @@ def _generate(g: Clause, st: ProverState) -> list[Clause]:
     out = list(calculus.unary_inferences(g, st.factory))
     first_res, first_sup, second_sup, second_res = st.bindex.generation_partners(g)
     for cid in sorted(first_res | first_sup | second_sup | second_res):
-        st.check_time()
+        st.factory.check_time()
         a = st.active[cid]
         if cid in first_res:
             out.extend(calculus.resolution(g, a, st.factory))
@@ -213,8 +212,6 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
     the same registry and proofs stay reconstructible.
     """
     st = ProverState(factory=factory, config=config)
-    if config.time_limit > 0:
-        st.deadline = time.monotonic() + config.time_limit
     result = SaturationResult(status=SatStatus.SATURATED, factory=factory)
     for c in clauses:
         if c.is_empty:
@@ -222,12 +219,14 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
             result.empty = c
             return result
         st.passive.push(c)
+    # the factory checks the deadline inside long inferences as well
+    factory.deadline = time.monotonic() + config.time_limit if config.time_limit > 0 else None
     try:
         while len(st.passive) > 0:
             result.iterations += 1
             if 0 < config.max_iterations < result.iterations:
                 raise ResourceLimit("iterations")
-            st.check_time()
+            st.factory.check_time()
             st.check_clauses()
             g = forward_simplify(st.passive.pop(), st)
             if g is None:
@@ -248,6 +247,8 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
     except ResourceLimit as limit:
         result.status = SatStatus.RESOURCE_OUT
         result.limit_reason = limit.reason
+    finally:
+        factory.deadline = None
     return result
 
 

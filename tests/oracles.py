@@ -7,6 +7,9 @@ own axiom tests cover them.  The exception is the unscreened engine scans:
 they are the engine's rewriting and superposition loops with every screen
 taken out, built from the engine's own matcher and term helpers, so that a
 screened result can be compared step for step with an unscreened one.
+So are the retrieval-free loops (all-pairs generation, the scan over unit
+equalities, every active clause as a subsumption candidate): drop-ins for
+the saturation steps whose partners the indexes retrieve.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from sdprover.clauses import Literal, eq, literal_occurrences, orientations, rep
 from sdprover.clauses import rename_apart as rename_clause_apart
 from sdprover.matching import match_solutions
 from sdprover.ordering import OrderResult, compare_literal_multisets, compare_terms
-from sdprover.simplify import RewriteStep, check_ordering_conditions
+from sdprover.simplify import RewriteStep, check_ordering_conditions, demodulate
 from sdprover.terms import App, Substitution, Term, Var, apply_term, match_pairs, term_vars, unify_pairs
 
 
@@ -343,7 +346,7 @@ def all_pairs_generate(g, st) -> list:
     """
     out = list(calculus.unary_inferences(g, st.factory))
     for cid in sorted(st.active):
-        st.check_time()
+        st.factory.check_time()
         a = st.active[cid]
         out.extend(calculus.resolution(g, a, st.factory))
         out.extend(calculus.superposition(g, a, st.factory))
@@ -351,6 +354,30 @@ def all_pairs_generate(g, st) -> list:
             out.extend(calculus.superposition(a, g, st.factory))
             out.extend(calculus.resolution(a, g, st.factory))
     return out
+
+
+def scan_demodulate_once(g, st):
+    """The demodulation step with no retrieval: every active unit equality
+    in ascending id order, the first rewrite wins.
+
+    A drop-in for saturation._demodulate_once; the indexed step must make
+    the same rewrite.
+    """
+    for cid in sorted(st.active):
+        c = st.active[cid]
+        if cid == g.cid or len(c.literals) != 1 or not (c.literals[0].positive and c.literals[0].is_equality):
+            continue
+        res = demodulate(c, g, st.factory)
+        if res is not None:
+            return res
+    return None
+
+
+def every_other_active_clause(index, d) -> set:
+    """Forward subsumption candidates with no retrieval: every clause in the
+    backward index except d.  A drop-in for
+    BackwardIndex.forward_subsumption_candidates."""
+    return {c for c in index._members.values() if c.cid != d.cid}
 
 
 # ------------------------------------------------- ground entailment

@@ -126,6 +126,19 @@ def test_superposition_into_equality_checks_both_sides():
     assert _lits_of(out) == {(neq(env.c, env.g(env.c)),)}
 
 
+def test_superposition_into_incomparable_sides_compares_the_instance():
+    factory = ClauseFactory()
+    z = Var(2)
+    c1 = factory.make([eq(env.h(env.a, x), x)])
+    # h(X, Y) and f(f(f(Y))) are incomparable, but once X is a the right
+    # side is greater, so rewriting the left side gives no conclusion
+    c2 = factory.make([eq(env.h(x, y), env.f(env.f(env.f(y))))])
+    assert superposition(c1, c2, factory) == []
+    # with another variable on the right the instance stays incomparable
+    c3 = factory.make([eq(env.h(x, y), env.f(env.f(env.f(z))))])
+    assert _lits_of(superposition(c1, c3, factory)) == {(eq(x, env.f(env.f(env.f(y)))),)}
+
+
 def test_equality_resolution():
     factory = ClauseFactory()
     c = factory.make([neq(env.f(x), env.f(env.a)), env.p(x)])
@@ -181,9 +194,15 @@ def _minted(clauses):
 
 
 def test_screened_superposition_agrees_with_the_unscreened_scan():
+    """Superposition with its screens and stored verdicts mints exactly what
+    unifying every orientation at every position and comparing every
+    instance mints: for INCOMPARABLE equations, whose instances are
+    compared, and into predicate, negative-equality and positive-equality
+    targets, whose sides are compared once per call."""
     gen = Gen(seed=89)
-    produced = 0
-    for round_no in range(300):
+    produced = {"predicate": 0, "negative equality": 0, "positive equality": 0}
+    incomparable = 0
+    for round_no in range(450):
         if round_no % 3 == 0:
             equality = eq(gen.h(Var(0), Var(1)), gen.h(Var(1), Var(0)))
         elif round_no % 3 == 1:
@@ -193,12 +212,22 @@ def test_screened_superposition_agrees_with_the_unscreened_scan():
         lits1 = (equality,) + gen.lits(gen.rng.randrange(0, 2), depth=1)
         # the partner holds an instance of one side, so unification often succeeds
         redex = apply(gen.rng.choice(equality.args), Substitution({0: gen.term(1), 1: gen.term(1)}))
-        lits2 = (gen.rng.choice([gen.p, gen.q])(gen.f(redex)),) + gen.lits(gen.rng.randrange(0, 2), depth=1)
+        target = ("predicate", "negative equality", "positive equality")[round_no // 3 % 3]
+        if target == "predicate":
+            holder = gen.rng.choice([gen.p, gen.q])(gen.f(redex))
+        else:
+            sides = [gen.f(redex), gen.term(2)]
+            gen.rng.shuffle(sides)
+            holder = (neq if target == "negative equality" else eq)(*sides)
+        lits2 = (holder,) + gen.lits(gen.rng.randrange(0, 2), depth=1)
         for first, second in ((lits1, lits2), (lits2, lits1)):
             screened, unscreened = ClauseFactory(), ClauseFactory()
             c1, c2 = screened.make(first), screened.make(second)
             d1, d2 = unscreened.make(first), unscreened.make(second)
             got = superposition(c1, c2, screened)
             assert _minted(got) == _minted(unscreened_superposition(d1, d2, unscreened)), (first, second)
-            produced += len(got)
-    assert produced > 150, produced
+            if first is lits1:
+                produced[target] += len(got)
+                incomparable += len(got) if round_no % 3 < 2 else 0
+    assert min(produced.values()) > 60, produced
+    assert incomparable > 100, incomparable

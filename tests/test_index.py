@@ -3,15 +3,19 @@
 from oracles import apply, naive_sd_applicable, naive_subsumes, rename_apart
 from randgen import Gen
 
-from sdprover import calculus
+from sdprover import calculus, simplify
 from sdprover.clauses import ClauseFactory, eq
 from sdprover.index import (
     BackwardIndex,
     FsdIndex,
+    GeneralizationTree,
+    _preorder,
+    _tree_paths,
     best_literal_keys,
     literal_key,
 )
-from sdprover.terms import Substitution, Var
+from sdprover.matching import literal_match_substs
+from sdprover.terms import EMPTY_SUBST, Substitution, Var
 
 env = Gen(seed=31)
 x, y = Var(0), Var(1)
@@ -153,6 +157,8 @@ def test_backward_index_round_trip():
         ix.remove(c)
         ix.remove(c)
     assert len(ix) == 0
+    # removal drops every bucket, stored key and tree node it made
+    assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
 
 
 def test_bsd_retrieval_never_misses_a_rewritable_main():
@@ -267,3 +273,76 @@ def test_generation_partners_cover_every_pair_with_a_conclusion():
     assert any(g.cid in ix.generation_partners(g)[1] for g in stored)
     # the filter leaves out most of the pairs
     assert retrieved < 4 * len(stored) ** 2 // 2
+
+
+def _tree_hits(tree, lit):
+    """Ids under every tree path that generalizes lit, an equality in either argument order."""
+    node = tree.node((lit.positive, lit.pred))
+    if node is None:
+        return set()
+    queries = [lit.args, lit.args[::-1]] if lit.is_equality else [lit.args]
+    leaves = []
+    for query in queries:
+        keys, ends = _preorder(query)
+        tree.leaves(node, keys, ends, 0, len(keys), leaves)
+    return set().union(*leaves)
+
+
+def test_generalization_tree_retrieves_every_matching_literal():
+    """Every stored literal that matches a query literal, under the
+    matcher's literal_match_substs, is retrieved; most others are not."""
+    gen = Gen(seed=61)
+    factory = ClauseFactory()
+    tree = GeneralizationTree()
+    stored = [factory.make([gen.literal(depth=2)]) for _ in range(200)]
+    paths = {}
+    for c in stored:
+        paths[c.cid], _ = _tree_paths(c)
+        for path in paths[c.cid]:
+            tree.insert(path, c.cid)
+    matched = retrieved = same_key = 0
+    for _ in range(200):
+        query = gen.literal(depth=3)
+        found = _tree_hits(tree, query)
+        retrieved += len(found)
+        same_key += sum(literal_key(c.literals[0]) == literal_key(query) for c in stored)
+        for c in stored:
+            if next(literal_match_substs(c.literals[0], query, EMPTY_SUBST), None) is not None:
+                assert c.cid in found, (c, query)
+                matched += 1
+    assert matched >= 300, matched
+    # the tree filters: far fewer ids come back than a key lookup gives
+    assert retrieved < same_key // 2, (retrieved, same_key)
+    for c in stored:
+        for path in paths[c.cid]:
+            tree.remove(path, c.cid)
+    assert tree._root == {}
+
+
+def test_demodulators_cover_every_rewriting_unit():
+    """Every active unit equality that rewrites a clause is among the
+    demodulators the index retrieves for it, and a unit whose left-hand
+    sides cannot rewrite is never retrieved."""
+    gen = Gen(seed=67)
+    factory = ClauseFactory()
+    ix = BackwardIndex()
+    units = [factory.make([gen.pos_eq()]) for _ in range(40)]
+    # a variable left-hand side; then units that can never rewrite: EQUAL
+    # sides, and a right-hand variable each left-hand side lacks
+    for lit in (eq(x, gen.a), eq(gen.f(x), gen.f(x)), eq(gen.f(x), gen.g(y))):
+        units.append(factory.make([lit]))
+    for c in units:
+        ix.insert(c)
+    scratch = ClauseFactory()
+    rewrites = retrieved = 0
+    for _ in range(150):
+        g = factory.make(gen.lits(gen.rng.randrange(1, 4), depth=3))
+        found = ix.demodulators(g)
+        retrieved += len(found)
+        assert units[-1].cid not in found and units[-2].cid not in found
+        for c in units:
+            if simplify.demodulate(c, g, scratch) is not None:
+                assert c.cid in found, (c, g)
+                rewrites += 1
+    assert rewrites >= 300, rewrites
+    assert retrieved < 150 * len(units) // 2, retrieved

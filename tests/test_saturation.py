@@ -4,21 +4,29 @@ import glob
 import os
 from itertools import product
 
-from oracles import all_pairs_generate, ground_entails
-from randgen import GroundGen
+from oracles import (
+    all_pairs_generate,
+    every_other_active_clause,
+    ground_entails,
+    scan_demodulate_once,
+    unscreened_superposition,
+)
+from randgen import Gen, GroundGen
 
-from sdprover import saturation
+from sdprover import calculus, saturation
 from sdprover.clauses import ClauseFactory, eq, neq, predicate
+from sdprover.index import BackwardIndex
 from sdprover.saturation import (
     PassiveQueue,
     ProverConfig,
+    ProverState,
     SatStatus,
     proof_clauses,
     saturate,
     verify_proof,
 )
 from sdprover.terms import Signature, Var
-from sdprover.tptp import emit_result, load_problem
+from sdprover.tptp import emit_result, load_problem, parse_problem
 
 X = Var(0)
 
@@ -315,3 +323,95 @@ def test_indexed_generation_matches_the_all_pairs_loop(monkeypatch):
         assert indexed == oracle, (path, fsd, bsd)
         unsat += indexed[0].startswith("% SZS status Unsatisfiable")
     assert unsat > 0
+
+
+def test_indexed_demodulation_matches_the_scan():
+    """The units the index retrieves make the rewrite the scan over every
+    active unit equality makes, for units with a variable, an EQUAL, an
+    INCOMPARABLE and a GREATER left-hand side."""
+    gen = Gen(seed=73)
+    x, y = Var(0), Var(1)
+    special = {
+        "variable": eq(x, gen.a),
+        "equal": eq(gen.f(x), gen.f(x)),
+        "incomparable": eq(gen.h(x, y), gen.h(y, x)),
+        "greater": eq(gen.f(gen.g(x)), gen.g(x)),
+        "extra variable": eq(gen.f(x), gen.g(y)),
+    }
+    rewrote = {kind: 0 for kind in special}
+    rewrites = 0
+    for round_no in range(40):
+        factory = ClauseFactory()
+        st = ProverState(factory=factory, config=ProverConfig())
+        kinds = {}
+        pool = [(kind, lit) for kind, lit in special.items() if gen.rng.random() < 0.4]
+        pool += [(None, gen.pos_eq()) for _ in range(6)]
+        gen.rng.shuffle(pool)
+        for kind, lit in pool:
+            unit = factory.make([lit])
+            kinds[unit.cid] = kind
+            st.activate(unit)
+        for _ in range(3):
+            st.activate(factory.make(gen.lits(2) + (gen.pos_eq(),)))
+        for _ in range(15):
+            g = factory.make(gen.lits(gen.rng.randrange(1, 4), depth=3))
+            got = saturation._demodulate_once(g, st)
+            want = scan_demodulate_once(g, st)
+            assert (got is None) == (want is None), (round_no, g)
+            if got is not None:
+                assert (got.literals, got.parents) == (want.literals, want.parents)
+                rewrites += 1
+                kind = kinds.get(got.parents[1])
+                if kind is not None:
+                    rewrote[kind] += 1
+    assert rewrites >= 100, rewrites
+    assert min(rewrote["variable"], rewrote["incomparable"], rewrote["greater"]) > 0, rewrote
+    assert rewrote["equal"] == rewrote["extra variable"] == 0
+
+
+GROUP_PROBLEM = """
+cnf(left_identity, axiom, mult(e, X) = X).
+cnf(left_inverse, axiom, mult(inv(X), X) = e).
+cnf(associativity, axiom, mult(mult(X, Y), Z) = mult(X, mult(Y, Z))).
+cnf(goal, negated_conjecture, inv(mult(a, b)) != mult(inv(b), inv(a))).
+"""
+
+
+def _text_search(text, fsd, bsd, clause_limit):
+    """The SZS text and every registry entry of one run on a typed-in problem."""
+    sig = Signature()
+    factory = ClauseFactory()
+    problem = parse_problem(text, sig, factory)
+    config = ProverConfig(fsd=fsd, bsd=bsd, time_limit=0, clause_limit=clause_limit)
+    result = saturate(problem.clauses, config, factory)
+    registry = [(c.cid, c.rule, c.parents, repr(c.literals), c.nvars) for c in factory.registry.values()]
+    return emit_result(result, sig), registry
+
+
+def test_retrieval_and_stored_verdicts_match_the_plain_scans(monkeypatch):
+    """Demodulation and forward subsumption through the generalization tree,
+    and superposition on stored orientation verdicts, make every corpus run
+    in every configuration, and a group theorem, clause for clause what the
+    scans over every partner with every instance compared make."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "*.p")))
+    problems = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        problems += [(text, fsd, bsd, 100) for fsd, bsd in product((True, False), repeat=2)]
+    problems.append((GROUP_PROBLEM, True, True, 20000))
+    unsat = 0
+    for problem in problems:
+        indexed = _text_search(*problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(saturation, "_demodulate_once", scan_demodulate_once)
+            patch.setattr(BackwardIndex, "forward_subsumption_candidates", every_other_active_clause)
+            patch.setattr(calculus, "superposition", unscreened_superposition)
+            oracle = _text_search(*problem)
+        assert indexed == oracle, problem
+        unsat += indexed[0].startswith("% SZS status Unsatisfiable")
+    assert unsat > 0
+    # the group theorem is proved, with demodulation and superposition steps
+    assert indexed[0].startswith("% SZS status Unsatisfiable")
+    rules = {rule for _, rule, _, _, _ in indexed[1]}
+    assert {"demodulation", "superposition"} <= rules

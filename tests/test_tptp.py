@@ -1,5 +1,7 @@
 """Parser, printer, result formatting, and command-line driver tests."""
 
+import time
+
 import pytest
 
 from sdprover.clauses import ClauseFactory, variant
@@ -311,6 +313,31 @@ def test_cli_time_limit_is_timeout(tmp_path, capsys):
     path = _write(tmp_path, "cnf(a, axiom, p(c)). cnf(b, axiom, ~p(X) | p(f(X))).")
     assert main(["--time-limit", "0.05", "--clause-limit", "0", path]) == 2
     assert capsys.readouterr().out.strip() == "% SZS status Timeout"
+
+
+def _balanced(depth: int) -> str:
+    return "Y" if depth == 0 else f"h({_balanced(depth - 1)}, {_balanced(depth - 1)})"
+
+
+def test_cli_time_limit_holds_inside_one_inference(tmp_path, capsys):
+    depth = 1500
+    problems = [
+        # superposing g(X) = f^1500(X) into itself unifies at about 1,500
+        # positions, each with a conclusion of about 3,000 nodes, all in one
+        # call: the deadline is checked once per position
+        f"cnf(a, axiom, g(X) = {'f(' * depth}X{')' * depth}).\ncnf(b, axiom, p(g(a))).",
+        # f(X) = g(Y) superposes cheaply at 300 positions of a tower, but
+        # each conclusion carries a non-ground term of 16,383 nodes that
+        # minting rebuilds: the deadline is checked once per conclusion
+        f"cnf(a, axiom, f(X) = g(Y)).\ncnf(b, axiom, p({_balanced(13)}, {'f(' * 300}Z{')' * 300})).",
+    ]
+    for text in problems:
+        path = _write(tmp_path, text)
+        start = time.monotonic()
+        code = main(["--time-limit", "1", path])
+        elapsed = time.monotonic() - start
+        assert (capsys.readouterr().out.strip(), code) == ("% SZS status Timeout", 2)
+        assert elapsed < 3.0, elapsed
 
 
 def test_cli_missing_file_exit(tmp_path, capsys):
