@@ -36,7 +36,7 @@ the rest with the rule name and parent ids.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .clauses import (
     Clause,
@@ -108,9 +108,9 @@ def _superpose_into(
     o: Orientation,
     target_lits: tuple[Literal, ...],
     target_pos: int,
-    sides: list[Optional[OrderResult]],
+    sides_verdict: Optional[OrderResult],
     raw: list,
-    check_time: Callable[[], None],
+    factory: ClauseFactory,
 ) -> None:
     target = target_lits[target_pos]
     s, t = o.lhs, o.rhs
@@ -120,15 +120,10 @@ def _superpose_into(
             continue
         if s.ground and sub_term.ground and s != sub_term:
             continue
-        sides_verdict = None
-        if target.is_equality:
-            sides_verdict = sides[target_pos]
-            if sides_verdict is None:
-                sides_verdict = sides[target_pos] = compare_terms(target.args[0], target.args[1])
-            # the other side is greater in every instance: no conclusion here
-            if sides_verdict is (OrderResult.LESS if path[0] == 0 else OrderResult.GREATER):
-                continue
-        check_time()
+        # the other side is greater in every instance: no conclusion here
+        if sides_verdict is (OrderResult.LESS if path[0] == 0 else OrderResult.GREATER):
+            continue
+        factory.check_time()
         theta = unify_pairs([(s, sub_term)])
         if theta is None:
             continue
@@ -151,16 +146,15 @@ def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause
     if not froms:
         return []
     lits2 = rename_apart(c2, c1)
-    sel2 = select(c2)
-    # per target literal, the verdict on its sides once an equality needs it
-    sides: list[Optional[OrderResult]] = [None] * len(lits2)
+    # each selected target with the verdict on its sides, None for a predicate
+    targets = [(j, compare_terms(*lits2[j].args) if lits2[j].is_equality else None) for j in select(c2)]
     raw: list = []
     for i in froms:
         eq_rest = tuple(lit for k, lit in enumerate(c1.literals) if k != i)
         # an orientation s -> t with t > s is left out: no instance of it passes
         for o in equations[i]:
-            for j in sel2:
-                _superpose_into(eq_rest, o, lits2, j, sides, raw, factory.check_time)
+            for j, sides_verdict in targets:
+                _superpose_into(eq_rest, o, lits2, j, sides_verdict, raw, factory)
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 

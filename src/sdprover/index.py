@@ -163,7 +163,9 @@ def _tree_paths(c: Clause) -> tuple[list[tuple], list[tuple]]:
         for o in source_set_up(c).equations[0]:
             if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
                 lhs_paths.append((REWRITE_LHS, *_preorder((o.lhs,))[0]))
-    return literal_paths, lhs_paths
+    # both sides of a permutative unit such as h(X,Y) = h(Y,X) give one path,
+    # and a path is removed once, so it is stored once
+    return literal_paths, list(dict.fromkeys(lhs_paths))
 
 
 class _Stored(NamedTuple):
@@ -236,12 +238,36 @@ class GeneralizationTree:
                 node, key = trail.pop()
                 del node[key]
 
-    def node(self, tag) -> Optional[object]:
-        """The subtree of a tag: a dict, or the id set of a tag with no keys."""
-        return self._root.get(tag)
+    def generalizations(self, tag, terms: Sequence[Term]) -> list[set[int]]:
+        """The id set of every path under tag whose keys generalize the term
+        sequence terms, repeated variables ignored."""
+        node = self._root.get(tag)
+        if node is None:
+            return []
+        if not terms:
+            # a tag with no keys leads straight to its id set
+            return [node]
+        keys, ends = _preorder(terms)
+        out: list[set[int]] = []
+        self._collect(node, keys, ends, 0, len(keys), out)
+        return out
+
+    def subterm_generalizations(self, tag, terms: Sequence[Term]) -> list[set[int]]:
+        """The id set of every path under tag, each a single term, that
+        generalizes some non-variable subterm of the term sequence terms."""
+        node = self._root.get(tag)
+        if node is None:
+            return []
+        keys, ends = _preorder(terms)
+        out: list[set[int]] = []
+        star = STAR in node
+        for i, key in enumerate(keys):
+            if key is not STAR and (star or key in node):
+                self._collect(node, keys, ends, i, ends[i], out)
+        return out
 
     @staticmethod
-    def leaves(node: dict, keys: list, ends: list[int], start: int, stop: int, out: list) -> None:
+    def _collect(node: dict, keys: list, ends: list[int], start: int, stop: int, out: list) -> None:
         """Append to out the id set of every path below node whose keys
         generalize the query keys[start:stop], repeated variables ignored."""
         stack = [(node, start)]
@@ -388,22 +414,12 @@ class BackwardIndex:
         # one entry per leaf, that is per path, however many queries reach it
         hit: dict[int, set[int]] = {}
         for lit in dict.fromkeys(d.literals):
-            node = tree.node((lit.positive, lit.pred))
-            if node is None:
-                continue
-            args = lit.args
-            if not args:
-                hit[id(node)] = node
-                continue
-            queries = [args]
+            tag, args = (lit.positive, lit.pred), lit.args
+            leaves = tree.generalizations(tag, args)
             if lit.pred is None and args[0] != args[1]:
-                queries.append((args[1], args[0]))
-            for query in queries:
-                keys, ends = _preorder(query)
-                leaves: list[set[int]] = []
-                tree.leaves(node, keys, ends, 0, len(keys), leaves)
-                for leaf in leaves:
-                    hit[id(leaf)] = leaf
+                leaves += tree.generalizations(tag, (args[1], args[0]))
+            for leaf in leaves:
+                hit[id(leaf)] = leaf
         counts: Counter = Counter()
         for leaf in hit.values():
             counts.update(leaf)
@@ -452,16 +468,7 @@ class BackwardIndex:
         non-variable occurrence in g's literals; g itself is among them
         when it is such a unit and can rewrite its own literal.
         """
-        node = self._tree.node(REWRITE_LHS)
-        if node is None:
-            return set()
-        keys, ends = _preorder([a for lit in g.literals for a in lit.args])
-        leaves: list[set[int]] = []
-        collect = self._tree.leaves
-        star = STAR in node
-        for i, key in enumerate(keys):
-            if key is not STAR and (star or key in node):
-                collect(node, keys, ends, i, ends[i], leaves)
+        leaves = self._tree.subterm_generalizations(REWRITE_LHS, [a for lit in g.literals for a in lit.args])
         return set().union(*leaves)
 
     def generation_partners(self, g: Clause) -> tuple[set[int], set[int], set[int], set[int]]:

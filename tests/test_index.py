@@ -9,7 +9,6 @@ from sdprover.index import (
     BackwardIndex,
     FsdIndex,
     GeneralizationTree,
-    _preorder,
     _tree_paths,
     best_literal_keys,
     literal_key,
@@ -159,6 +158,16 @@ def test_backward_index_round_trip():
     assert len(ix) == 0
     # removal drops every bucket, stored key and tree node it made
     assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
+    # a permutative unit rewrites left to right and right to left from one
+    # left-hand side path, stored once and removed once
+    h, f, a, b = env.h, env.f, env.a, env.b
+    query = factory.make([env.p(h(f(a), f(b)))])
+    for lhs, rhs in [(h(x, y), h(y, x)), (h(f(x), f(y)), h(f(y), f(x)))]:
+        unit = factory.make([eq(lhs, rhs)])
+        ix.insert(unit)
+        assert ix.demodulators(query) == {unit.cid}
+        ix.remove(unit)
+        assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
 
 
 def test_bsd_retrieval_never_misses_a_rewritable_main():
@@ -277,15 +286,8 @@ def test_generation_partners_cover_every_pair_with_a_conclusion():
 
 def _tree_hits(tree, lit):
     """Ids under every tree path that generalizes lit, an equality in either argument order."""
-    node = tree.node((lit.positive, lit.pred))
-    if node is None:
-        return set()
     queries = [lit.args, lit.args[::-1]] if lit.is_equality else [lit.args]
-    leaves = []
-    for query in queries:
-        keys, ends = _preorder(query)
-        tree.leaves(node, keys, ends, 0, len(keys), leaves)
-    return set().union(*leaves)
+    return set().union(*(leaf for query in queries for leaf in tree.generalizations((lit.positive, lit.pred), query)))
 
 
 def test_generalization_tree_retrieves_every_matching_literal():

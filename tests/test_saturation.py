@@ -16,6 +16,7 @@ from randgen import Gen, GroundGen
 from sdprover import calculus, saturation
 from sdprover.clauses import ClauseFactory, eq, neq, predicate
 from sdprover.index import BackwardIndex
+from sdprover.simplify import backward_subsumption_deletions
 from sdprover.saturation import (
     PassiveQueue,
     ProverConfig,
@@ -415,3 +416,31 @@ def test_retrieval_and_stored_verdicts_match_the_plain_scans(monkeypatch):
     assert indexed[0].startswith("% SZS status Unsatisfiable")
     rules = {rule for _, rule, _, _, _ in indexed[1]}
     assert {"demodulation", "superposition"} <= rules
+
+
+def test_a_backward_subsumed_permutative_unit_leaves_the_index(monkeypatch):
+    """h(f(X), f(Y)) = h(f(Y), f(X)) is activated first and then subsumed
+    by commutativity.  Both its left-hand sides have one tree path, and its
+    removal must leave the run to reach its verdict."""
+    deleted = []
+
+    def recording(g, bindex):
+        found = backward_subsumption_deletions(g, bindex)
+        deleted.extend(d.cid for d in found)
+        return found
+
+    monkeypatch.setattr(saturation, "backward_subsumption_deletions", recording)
+    units = "cnf(a, axiom, h(f(X), f(Y)) = h(f(Y), f(X))).\ncnf(b, axiom, h(X, Y) = h(Y, X)).\n"
+    goals = [
+        ("cnf(c, axiom, p(a)).", SatStatus.SATURATED),
+        ("cnf(c, negated_conjecture, h(a, b) != h(b, a)).", SatStatus.UNSATISFIABLE),
+    ]
+    for goal, status in goals:
+        factory = ClauseFactory()
+        problem = parse_problem(units + goal, Signature(), factory)
+        deleted.clear()
+        result = saturate(problem.clauses, _quick(), factory)
+        assert result.status is status
+        assert problem.clauses[0].cid in deleted
+        if status is SatStatus.UNSATISFIABLE:
+            assert verify_proof(result) == []
