@@ -3,8 +3,9 @@
 Every rule applies only to literals returned by select().  Ordering side
 conditions are checked after unification on the instantiated premises, and a
 check of the form "not greater" passes when the comparison is INCOMPARABLE.
-Binary rules rename the second premise apart before unifying, shifting its
-variables past the first premise's stored variable count.
+Binary rules unify against the second premise's renamed copy
+(clauses.rename_apart, made once per clause), whose negative variable ids
+are apart from every first premise, the clause itself included.
 
 Superposition reads the orientations of the first premise's equalities from
 its matcher set-up, computed once per clause object, with their verdicts.
@@ -15,10 +16,11 @@ a verdict other than INCOMPARABLE holds for every instance:
     since the ordering check would reject each of its conclusions;
   - only an INCOMPARABLE orientation has t theta and s theta compared per
     unifier (s > t and s = t pass for every instance);
-  - an equality target has its sides compared once per call, and only
-    INCOMPARABLE sides are compared per unifier.  Where the other side is
-    greater, every position in this side is skipped before unify_pairs;
-    where it is less or equal, every instance passes.
+  - an equality target has its sides compared once per clause, kept with
+    the target's occurrences, and only INCOMPARABLE sides are compared per
+    unifier.  Where the other side is greater, every position in this side
+    is skipped before unify_pairs; where it is less or equal, every
+    instance passes.
 
 A position whose top symbol differs from that of a non-variable s is
 skipped before unify_pairs, and so is a ground position other than s when
@@ -61,7 +63,7 @@ def _not_greater(a: Term, b: Term) -> bool:
 def resolution(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
     """Resolve a selected positive predicate literal of c1 against a selected
     negative one of c2."""
-    lits2 = rename_apart(c2, c1)
+    lits2 = rename_apart(c2)
     sel2 = select(c2)
     raw = []
     for i in select(c1):
@@ -103,19 +105,32 @@ def factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
     return factory.make_all(raw, "factoring", (c.cid,))
 
 
+def _superposition_targets(c2: Clause, lits2: tuple[Literal, ...]) -> tuple:
+    """(position, verdict on the sides or None, non-variable occurrences) for
+    each selected literal of lits2, c2's renamed copy; kept on c2."""
+    if c2._into is None:
+        targets = []
+        for j in select(c2):
+            lit = lits2[j]
+            targets.append((j, compare_terms(*lit.args) if lit.is_equality else None, tuple(literal_occurrences(lit))))
+        object.__setattr__(c2, "_into", tuple(targets))
+    return c2._into
+
+
 def _superpose_into(
     eq_rest: tuple[Literal, ...],
     o: Orientation,
     target_lits: tuple[Literal, ...],
-    target_pos: int,
-    sides_verdict: Optional[OrderResult],
+    into: tuple,
     raw: list,
     factory: ClauseFactory,
 ) -> None:
+    """Conclusions of o into one entry of _superposition_targets, added to raw."""
+    target_pos, sides_verdict, occurrences = into
     target = target_lits[target_pos]
     s, t = o.lhs, o.rhs
     sym = None if type(s) is Var else s.sym
-    for path, sub_term in literal_occurrences(target):
+    for path, sub_term in occurrences:
         if sym is not None and sub_term.sym != sym:
             continue
         if s.ground and sub_term.ground and s != sub_term:
@@ -145,16 +160,15 @@ def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause
     froms = [i for i in select(c1) if equations[i]]
     if not froms:
         return []
-    lits2 = rename_apart(c2, c1)
-    # each selected target with the verdict on its sides, None for a predicate
-    targets = [(j, compare_terms(*lits2[j].args) if lits2[j].is_equality else None) for j in select(c2)]
+    lits2 = rename_apart(c2)
+    targets = _superposition_targets(c2, lits2)
     raw: list = []
     for i in froms:
         eq_rest = tuple(lit for k, lit in enumerate(c1.literals) if k != i)
         # an orientation s -> t with t > s is left out: no instance of it passes
         for o in equations[i]:
-            for j, sides_verdict in targets:
-                _superpose_into(eq_rest, o, lits2, j, sides_verdict, raw, factory)
+            for into in targets:
+                _superpose_into(eq_rest, o, lits2, into, raw, factory)
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 

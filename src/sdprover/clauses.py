@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .terms import (
@@ -18,7 +19,6 @@ from .terms import (
     preorder_subterms,
     rebuild,
     replace_at,
-    shift_vars,
 )
 
 
@@ -140,8 +140,10 @@ class Clause:
 
     nvars is one past the largest variable id; ClauseFactory numbers
     variables 0, 1, ..., so it is the clause's variable count.  The slots
-    after it hold work done once per clause object: the literal selection
-    and the multi-literal matcher's set-up as source and as target.
+    after it hold work done once per clause object: the literal selection,
+    the multi-literal matcher's set-up as source and as target, the copy
+    renamed apart for generation (rename_apart) and superposition's view of
+    the clause as the premise it rewrites into.
     """
 
     literals: tuple[Literal, ...]
@@ -152,6 +154,8 @@ class Clause:
     _selected: Optional[tuple[int, ...]] = field(init=False, default=None, compare=False, repr=False)
     _match_order: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
     _match_table: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
+    _renamed: Optional[tuple[Literal, ...]] = field(init=False, default=None, compare=False, repr=False)
+    _into: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -213,22 +217,23 @@ def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tu
     return out, next(fresh)
 
 
-def rename_apart(clause: Clause, away_from: Clause) -> tuple[Literal, ...]:
-    """clause's literals with its variables shifted past those of away_from.
+def rename_apart(clause: Clause) -> tuple[Literal, ...]:
+    """clause's literals with every variable v replaced by Var(-1 - v), kept on
+    the clause.
 
-    The shift is away_from's stored variable count, so no term is scanned
-    to find it; ground literals, and all literals of a ground clause, come
-    back as the same objects.
+    The factory numbers variables from 0, so the copy shares no variable
+    with any first premise, the clause itself included.  Ground literals,
+    and the literal tuple of a ground clause, come back as the same objects.
     """
-    offset = away_from.nvars
-    if not offset or not clause.nvars:
-        return clause.literals
-    return tuple(
-        lit
-        if all(a.ground for a in lit.args)
-        else Literal(lit.positive, lit.pred, tuple(shift_vars(a, offset) for a in lit.args))
-        for lit in clause.literals
-    )
+    if clause._renamed is None:
+        renamed = tuple(
+            lit
+            if all(a.ground for a in lit.args)
+            else Literal(lit.positive, lit.pred, tuple(rebuild(a, lambda v: Var(-1 - v.vid)) for a in lit.args))
+            for lit in clause.literals
+        )
+        object.__setattr__(clause, "_renamed", clause.literals if all(map(is_, renamed, clause.literals)) else renamed)
+    return clause._renamed
 
 
 class ResourceLimit(Exception):
@@ -253,8 +258,9 @@ class ClauseFactory:
 
     deadline, a time.monotonic() value or None, is set by the saturation
     loop for the length of a run.  Minting checks it before every
-    conclusion, and the rules check it inside their position loops, so one
-    inference that makes many large conclusions cannot run far past it.
+    conclusion, the rules inside their position loops and the matcher
+    every few hundred search nodes, so no single step, however large its
+    conclusions or its search, can run far past it.
     """
 
     def __init__(self) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import ordering  # compare_terms is looked up on the module, where perfbench's tracer counts it
 from .clauses import Clause, Literal, _literal_pairings, orientations
@@ -182,14 +182,16 @@ def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) 
 
 
 def match_solutions(
-    source: Clause, target: Clause, *, reserve_equality: bool, limit: int = 0
+    source: Clause, target: Clause, *, reserve_equality: bool, limit: int = 0, check_time: Optional[Callable] = None
 ) -> Iterator[MLMatch]:
     """Enumerate matches of source into target.
 
     With reserve_equality, each solution reserves exactly one positive
     equality of the source as the rewriting equality and matches everything
     else; otherwise all source literals are matched (plain subsumption).
-    A positive limit caps the number of solutions enumerated.
+    A positive limit caps the number of solutions enumerated.  check_time
+    (the clause factory's, in a run) is called every 256 search nodes, so
+    a search that finds nothing still stops at the deadline.
 
     Source and target may share variable ids.  Target variables are rigid,
     and each solution's substitution binds source variables only, keeping
@@ -202,8 +204,13 @@ def match_solutions(
         return
     order, last_eq, _, _ = source_set_up(source)
     compatible = target_set_up(target).table
+    nodes = 0
 
     def search(k: int, subst: Substitution, used: frozenset[int], pairs, eq_pos: Optional[int]) -> Iterator[MLMatch]:
+        nonlocal nodes
+        nodes += 1
+        if nodes % 256 == 0 and check_time is not None:
+            check_time()
         if k == len(order):
             if not reserve_equality or eq_pos is not None:
                 yield MLMatch(-1 if eq_pos is None else eq_pos, subst, tuple(sorted(pairs)))
@@ -226,8 +233,8 @@ def match_solutions(
     yield from islice(solutions, limit) if limit else solutions
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
-    """True when some instance of c is a sub-multiset of d."""
+def subsumes(c: Clause, d: Clause, check_time: Optional[Callable] = None) -> bool:
+    """True when some instance of c is a sub-multiset of d; check_time as in match_solutions."""
     if len(c) > len(d):
         return False
-    return next(match_solutions(c, d, reserve_equality=False), None) is not None
+    return next(match_solutions(c, d, reserve_equality=False, check_time=check_time), None) is not None

@@ -4,7 +4,9 @@ The term ordering is a Knuth-Bendix ordering with every symbol weight 1 and
 variable weight 1.  Precedence puts higher-arity symbols first and breaks
 ties by declaration order (earlier declared symbols are greater).  Because a
 symbol's arity is visible at every application node and symbol ids grow in
-declaration order, comparisons need no signature handle.
+declaration order, comparisons need no signature handle.  A comparison is
+linear in the size of both terms (Loechner, "Things to know when
+implementing KBO", JAR 2006): variables are counted once, not per level.
 
 Literal and clause comparisons return a partial-order verdict; INCOMPARABLE
 means the order could not be certified, and every ordering side condition in
@@ -16,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .terms import Term, Var, term_vars, var_counts
+from .terms import Term, Var
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clauses import Clause, Literal
@@ -35,31 +37,48 @@ def _prec_greater(sym_a: int, arity_a: int, sym_b: int, arity_b: int) -> bool:
     return sym_a < sym_b
 
 
+def _count_vars(terms, balance: dict[int, int], step: int) -> int:
+    """Add step to balance[v] per occurrence of v in terms; returns the change
+    in the number of negative entries."""
+    change = 0
+    stack = [t for t in terms if not t.ground]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            before = balance.get(t.vid, 0)
+            balance[t.vid] = before + step
+            change += (before + step < 0) - (before < 0)
+        else:
+            stack.extend(a for a in t.args if not a.ground)
+    return change
+
+
 def _kbo_greater(s: Term, t: Term) -> bool:
-    # a loop, not recursion: with equal weights and symbols the verdict is
-    # that of the first differing arguments, so the descent is a tail call
+    # balance holds occurrences in s minus those in t, and the variable
+    # condition holds when none is negative; against a ground t it always does
+    counted = not t.ground
+    balance: dict[int, int] = {}
+    negative = _count_vars((s,), balance, 1) + _count_vars((t,), balance, -1) if counted else 0
     while True:
-        if isinstance(s, Var):
+        if type(s) is Var:
             return False
-        if isinstance(t, Var):
-            return not s.ground and t.vid in term_vars(s)
-        if not t.ground:
-            # the variable condition can only fail against a non-ground right side
-            if s.ground:
-                return False
-            sc, tc = var_counts(s), var_counts(t)
-            if any(tc[v] > sc.get(v, 0) for v in tc):
-                return False
+        if type(t) is Var or negative:
+            # s != t, so a variable t is smaller exactly when it occurs in s
+            return not negative
         if s.weight != t.weight:
             return s.weight > t.weight
         if s.sym != t.sym:
             return _prec_greater(s.sym, len(s.args), t.sym, len(t.args))
-        for sa, ta in zip(s.args, t.args):
+        for i, (sa, ta) in enumerate(zip(s.args, t.args)):
             if sa != ta:
-                s, t = sa, ta
                 break
         else:
             return False
+        # the verdict is that of the first differing arguments: the ones
+        # before them are equal and cancel, the ones after leave the balance
+        if counted:
+            negative += _count_vars(s.args[i + 1 :], balance, -1) + _count_vars(t.args[i + 1 :], balance, 1)
+        s, t = sa, ta
 
 
 def compare_terms(s: Term, t: Term) -> OrderResult:

@@ -13,8 +13,9 @@ Clause selection alternates age and weight at a 1:5 ratio, starting with
 age.
 
 The time limit is a deadline on the clause factory for the length of a
-run: the loop checks it between steps, and minting and superposition check
-it inside one inference.
+run: the loop checks it between steps, and minting, superposition and the
+multi-literal matcher behind subsumption and rewriting check it inside one
+step.
 
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
@@ -157,7 +158,7 @@ def forward_simplify(g: Clause, st: ProverState) -> Optional[Clause]:
     """
     while True:
         st.factory.check_time()
-        if forward_subsumption_delete(g, st.bindex) is not None:
+        if forward_subsumption_delete(g, st.bindex, st.factory.check_time) is not None:
             return None
         stepped = _demodulate_once(g, st)
         if stepped is None and st.config.fsd:
@@ -173,7 +174,7 @@ def backward_simplify(g: Clause, st: ProverState) -> None:
     Rewritten replacements go back to passive so they are forward-simplified
     before ever becoming active.
     """
-    for d in backward_subsumption_deletions(g, st.bindex):
+    for d in backward_subsumption_deletions(g, st.bindex, st.factory.check_time):
         st.remove_active(d)
     if st.config.bsd and any(l.positive and l.is_equality for l in g.literals):
         for old, new in backward_subsumption_demodulation(g, st.bindex, st.factory, st.config.match_limit):

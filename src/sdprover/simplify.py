@@ -43,12 +43,19 @@ scan:
   - the main premise's non-variable occurrences are listed once per call,
     not once per matcher solution, and a non-variable left-hand side is
     matched only at occurrences of its own top symbol.
+
+The redundancy check compares multisets only at an occurrence that is a
+whole side of a positive equality.  Anywhere else the rewritten literal,
+which is in the remainder, exceeds l sigma = r sigma by itself: a predicate
+literal beats any equality, and a strict superterm of t, or the second t of
+a negative equality's encoding {t, t, w, w}, dominates t and r sigma.
+There only an INCOMPARABLE orientation is compared, t against r sigma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .clauses import Clause, ClauseFactory, eq, literal_occurrences, replace_in_literal
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
@@ -99,13 +106,16 @@ def remainder_exceeds(main: Clause, lhs_image: Term, rhs_image: Term, matched_im
     return compare_literal_multisets(outside, [eq(lhs_image, rhs_image)]) is OrderResult.GREATER
 
 
-def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iterator[RewriteStep]:
+def sd_simplifications(
+    side: Clause, main: Clause, match_limit: int = 0, check_time: Optional[Callable] = None
+) -> Iterator[RewriteStep]:
     """Every subsumption demodulation step with the given side and main premise, in scan order.
 
     Side and main are matched as stored.  An orientation whose right-hand
     side has a variable that neither its left-hand side nor the matched
     literals bind is skipped: that variable would stay in the replacement,
-    and no term exceeds one holding a variable it lacks.
+    and no term exceeds one holding a variable it lacks.  check_time goes
+    to the matcher.
     """
     if len(side.literals) - 1 > len(main.literals):
         return
@@ -117,7 +127,7 @@ def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iter
         if not any(sym in symbols for sym in triggers):
             return
     occurrences: Optional[list[list[tuple[tuple[int, ...], Term]]]] = None  # per main literal
-    for m in match_solutions(side, main, reserve_equality=True, limit=match_limit):
+    for m in match_solutions(side, main, reserve_equality=True, limit=match_limit, check_time=check_time):
         bound = m.subst
         usable = [
             o
@@ -131,6 +141,7 @@ def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iter
         for lit_pos, occs in enumerate(occurrences):
             if lit_pos in m.image:
                 continue
+            positive_equality = main.literals[lit_pos].positive and main.literals[lit_pos].is_equality
             for path, t in occs:
                 for o in usable:
                     if type(o.lhs) is App and o.lhs.sym != t.sym:
@@ -139,10 +150,11 @@ def sd_simplifications(side: Clause, main: Clause, match_limit: int = 0) -> Iter
                     if sigma is None:
                         continue
                     rhs_image = apply_term(o.rhs, sigma)
-                    if o.verdict is OrderResult.GREATER:
-                        ok = remainder_exceeds(main, t, rhs_image, m.image)
+                    if positive_equality and len(path) == 1:
+                        check = remainder_exceeds if o.verdict is OrderResult.GREATER else check_ordering_conditions
+                        ok = check(main, t, rhs_image, m.image)
                     else:
-                        ok = check_ordering_conditions(main, t, rhs_image, m.image)
+                        ok = o.verdict is OrderResult.GREATER or compare_terms(t, rhs_image) is OrderResult.GREATER
                     if ok:
                         yield RewriteStep(side.cid, lit_pos, path, sigma, rhs_image)
 
@@ -157,7 +169,7 @@ def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFact
 def _rewrite_once(
     side: Clause, main: Clause, factory: ClauseFactory, rule: str, match_limit: int = 0
 ) -> Optional[Clause]:
-    step = next(sd_simplifications(side, main, match_limit), None)
+    step = next(sd_simplifications(side, main, match_limit, factory.check_time), None)
     return None if step is None else build_simplified_clause(main, step, factory, rule)
 
 
@@ -195,18 +207,22 @@ def backward_subsumption_demodulation(
     return out
 
 
-def forward_subsumption_delete(d: Clause, active: BackwardIndex) -> Optional[int]:
+def forward_subsumption_delete(
+    d: Clause, active: BackwardIndex, check_time: Optional[Callable] = None
+) -> Optional[int]:
     """Id of an active clause subsuming d, or None."""
     for c in sorted(active.forward_subsumption_candidates(d), key=lambda c: c.cid):
-        if subsumes(c, d):
+        if subsumes(c, d, check_time):
             return c.cid
     return None
 
 
-def backward_subsumption_deletions(g: Clause, active: BackwardIndex) -> list[Clause]:
+def backward_subsumption_deletions(
+    g: Clause, active: BackwardIndex, check_time: Optional[Callable] = None
+) -> list[Clause]:
     """Active clauses subsumed by g, in ascending id order."""
     out = []
     for d in sorted(active.backward_subsumption_candidates(g), key=lambda d: d.cid):
-        if subsumes(g, d):
+        if subsumes(g, d, check_time):
             out.append(d)
     return out

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 
@@ -232,9 +232,11 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
 
     The one term rebuilder: bottom-up from an explicit stack, so deep terms
     cannot exhaust the interpreter's.  leaf is called on the variable
-    occurrences in pre-order, left to right; ground subterms are shared,
-    not copied.  With again, an image other than v itself is rebuilt in
-    turn, so leaf must not lead back to a variable it replaced.
+    occurrences in pre-order, left to right; ground subterms, and every
+    application none of whose arguments changed, are shared, not copied,
+    so rebuild(t, lambda v: v) is t.  With again, an image other than v
+    itself is rebuilt in turn, so leaf must not lead back to a variable it
+    replaced.
     """
     if term.ground:
         return term
@@ -245,11 +247,12 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
     while todo:
         t = todo.pop()
         if type(t) is tuple:
-            # (symbol, arity): its arguments are the last arity results
-            sym, n = t
+            # (application,): its arguments are the last len(args) results
+            (node,) = t
+            n = len(node.args)
             args = tuple(done[-n:])
             del done[-n:]
-            done.append(App(sym, args))
+            done.append(node if all(map(is_, args, node.args)) else App(node.sym, args))
         elif type(t) is Var:
             image = leaf(t)
             if again and image is not t:
@@ -259,14 +262,9 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
         elif t.ground:
             done.append(t)
         else:
-            todo.append((t.sym, len(t.args)))
+            todo.append((t,))
             todo.extend(reversed(t.args))
     return done[0]
-
-
-def shift_vars(term: Term, offset: int) -> Term:
-    """term with every variable id raised by offset."""
-    return rebuild(term, lambda v: Var(v.vid + offset))
 
 
 def term_vars(term: Term) -> set[int]:
@@ -279,20 +277,6 @@ def term_vars(term: Term) -> set[int]:
         elif not t.ground:
             stack.extend(t.args)
     return out
-
-
-def var_counts(term: Term) -> Counter:
-    counts: Counter = Counter()
-    if term.ground:
-        return counts
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            counts[t.vid] += 1
-        elif not t.ground:
-            stack.extend(t.args)
-    return counts
 
 
 def preorder_subterms(term: Term, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -353,7 +337,9 @@ def unify_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
     """Unify a sequence of term pairs simultaneously.
 
     Uses an explicit work stack with an eager occurs check.  The result is in
-    fully applied form: no bound variable appears in any range term.
+    fully applied form: no bound variable appears in any range term.  A
+    variable is bound only to a term other than itself, so the bindings
+    are wrapped as they are, with no identity binding to drop.
     """
     bindings: dict[int, Term] = dict(base.items()) if base is not None else {}
     stack = list(pairs)
@@ -375,7 +361,7 @@ def unify_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
             if s.sym != t.sym or len(s.args) != len(t.args):
                 return None
             stack.extend(zip(s.args, t.args))
-    return Substitution({v: _deep_apply(t, bindings) for v, t in bindings.items()})
+    return Substitution._adopt({v: _deep_apply(t, bindings) for v, t in bindings.items()})
 
 
 def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:

@@ -9,19 +9,21 @@ taken out, built from the engine's own matcher and term helpers, so that a
 screened result can be compared step for step with an unscreened one.
 So are the retrieval-free loops (all-pairs generation, the scan over unit
 equalities, every active clause as a subsumption candidate): drop-ins for
-the saturation steps whose partners the indexes retrieve.
+the saturation steps whose partners the indexes retrieve.  Replaced
+versions of engine code are kept as references too: renaming apart by an
+offset per call, and KBO recounting variables at every level.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import Iterator, Optional
 
 from sdprover import calculus
 from sdprover.clauses import Literal, eq, literal_occurrences, orientations, replace_in_literal, select
-from sdprover.clauses import rename_apart as rename_clause_apart
 from sdprover.matching import match_solutions
-from sdprover.ordering import OrderResult, compare_literal_multisets, compare_terms
+from sdprover.ordering import OrderResult, _prec_greater, compare_literal_multisets, compare_terms
 from sdprover.simplify import RewriteStep, check_ordering_conditions, demodulate
 from sdprover.terms import App, Substitution, Term, Var, apply_term, match_pairs, term_vars, unify_pairs
 
@@ -69,6 +71,26 @@ def rename_apart(lits, away_from) -> tuple[Literal, ...]:
     if not used or not (clause_vars(lits) & used):
         return tuple(lits)
     return rename_literals(lits, max(used) + 1)
+
+
+def shift_vars(term: Term, offset: int) -> Term:
+    """term with every variable id raised by offset."""
+    return naive_apply(term, {v: Var(v + offset) for v in term_vars(term)})
+
+
+def offset_rename_apart(clause, away_from) -> tuple[Literal, ...]:
+    """The clause renaming generation used before it kept a renamed copy on
+    each clause: clause's variables shifted past away_from's stored count,
+    ground literals and all literals of a ground clause unchanged."""
+    offset = away_from.nvars
+    if not offset or not clause.nvars:
+        return clause.literals
+    return tuple(
+        lit
+        if all(a.ground for a in lit.args)
+        else Literal(lit.positive, lit.pred, tuple(shift_vars(a, offset) for a in lit.args))
+        for lit in clause.literals
+    )
 
 
 def apply(expr, subst: Substitution):
@@ -313,7 +335,7 @@ def unscreened_superposition(c1, c2, factory) -> list:
     def not_greater(a, b):
         return compare_terms(a, b) is not OrderResult.GREATER
 
-    lits2 = rename_clause_apart(c2, c1)
+    lits2 = offset_rename_apart(c2, c1)
     raw = []
     for i in select(c1):
         li = c1.literals[i]
@@ -335,6 +357,26 @@ def unscreened_superposition(c1, c2, factory) -> list:
                     new_target = replace_in_literal(target, path, t)
                     raw.append((eq_rest + lits2[:j] + (new_target,) + lits2[j + 1 :], theta))
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
+
+
+def offset_resolution(c1, c2, factory) -> list:
+    """Resolution of c1 with c2 renamed apart by offset_rename_apart."""
+    lits2 = offset_rename_apart(c2, c1)
+    raw = []
+    for i in select(c1):
+        li = c1.literals[i]
+        if not li.positive or li.is_equality:
+            continue
+        for j in select(c2):
+            lj = lits2[j]
+            if lj.positive or lj.is_equality or lj.pred != li.pred:
+                continue
+            sub = unify_pairs(zip(li.args, lj.args))
+            if sub is not None:
+                rest = [lit for k, lit in enumerate(c1.literals) if k != i]
+                rest += [lit for k, lit in enumerate(lits2) if k != j]
+                raw.append((tuple(rest), sub))
+    return factory.make_all(raw, "resolution", (c1.cid, c2.cid))
 
 
 def all_pairs_generate(g, st) -> list:
@@ -378,6 +420,47 @@ def every_other_active_clause(index, d) -> set:
     backward index except d.  A drop-in for
     BackwardIndex.forward_subsumption_candidates."""
     return {c for c in index._members.values() if c.cid != d.cid}
+
+
+# ---------------------------------------------------------------- ordering
+
+def var_counts(term: Term) -> Counter:
+    """Occurrences of each variable id in term."""
+    counts: Counter = Counter()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            counts[t.vid] += 1
+        else:
+            stack.extend(t.args)
+    return counts
+
+
+def recount_kbo_greater(s: Term, t: Term) -> bool:
+    """KBO's s > t as the prover decided it before the linear version: the
+    same descent, with both sides' variables recounted at every level."""
+    while True:
+        if isinstance(s, Var):
+            return False
+        if isinstance(t, Var):
+            return not s.ground and t.vid in term_vars(s)
+        if not t.ground:
+            if s.ground:
+                return False
+            sc, tc = var_counts(s), var_counts(t)
+            if any(tc[v] > sc.get(v, 0) for v in tc):
+                return False
+        if s.weight != t.weight:
+            return s.weight > t.weight
+        if s.sym != t.sym:
+            return _prec_greater(s.sym, len(s.args), t.sym, len(t.args))
+        for sa, ta in zip(s.args, t.args):
+            if sa != ta:
+                s, t = sa, ta
+                break
+        else:
+            return False
 
 
 # ------------------------------------------------- ground entailment

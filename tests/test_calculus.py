@@ -1,6 +1,6 @@
 """Generating rule tests: unit cases, selection discipline, ground soundness."""
 
-from oracles import apply, ground_entails, unscreened_superposition
+from oracles import apply, ground_entails, offset_resolution, unscreened_superposition
 from randgen import Gen, GroundGen
 
 from sdprover.calculus import (
@@ -231,3 +231,44 @@ def test_screened_superposition_agrees_with_the_unscreened_scan():
                 incomparable += len(got) if round_no % 3 < 2 else 0
     assert min(produced.values()) > 60, produced
     assert incomparable > 100, incomparable
+
+
+def _exact(clauses):
+    # argument order too: equality literals compare as unordered pairs
+    return [(c.cid, c.rule, c.parents, c.nvars, [(l.positive, l.pred, l.args) for l in c.literals]) for c in clauses]
+
+
+def test_generation_agrees_with_the_offset_renaming():
+    """Resolution and superposition with the renamed copy and target view
+    kept on each clause mint what renaming by offset per call mints: same
+    ids, rules, parents, variable counts and literals.  Every ordered pair
+    of one pool of clause objects is tried, each clause with itself too,
+    so each clause serves as first and second premise in turn."""
+    gen = Gen(seed=101)
+    pool = []
+    for k in range(40):
+        lits = gen.lits(gen.rng.randrange(0, 2), depth=1)
+        if k % 4 == 0:
+            lits = (gen.pos_eq(),) + lits
+        elif k % 4 == 1:
+            # positive and negative predicate literals, so resolution fires often
+            lits = (gen.p(gen.term(2)),)
+        elif k % 4 == 2:
+            lits = (gen.p(gen.term(2)).negated(),) + lits
+        pool.append(lits or (gen.pos_eq(),))
+    stored, offset = ClauseFactory(), ClauseFactory()
+    cs = [stored.make(lits) for lits in pool]
+    ds = [offset.make(lits) for lits in pool]
+    minted = {"resolution": 0, "superposition": 0, "self": 0}
+    for _ in range(2):
+        for c1, d1 in zip(cs, ds):
+            for c2, d2 in zip(cs, ds):
+                got = resolution(c1, c2, stored)
+                assert _exact(got) == _exact(offset_resolution(d1, d2, offset)), (c1, c2)
+                minted["resolution"] += len(got)
+                minted["self"] += len(got) if c1 is c2 else 0
+                got = superposition(c1, c2, stored)
+                assert _exact(got) == _exact(unscreened_superposition(d1, d2, offset)), (c1, c2)
+                minted["superposition"] += len(got)
+                minted["self"] += len(got) if c1 is c2 else 0
+    assert minted["resolution"] > 80 and minted["superposition"] > 600 and minted["self"] > 30, minted

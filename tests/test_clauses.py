@@ -1,7 +1,7 @@
 """Tests for literals, clauses, selection, renaming, and variants."""
 
 import pytest
-from oracles import apply, canonical_literals, clause_vars
+from oracles import apply, canonical_literals, clause_vars, shift_vars
 from randgen import Gen
 
 from sdprover.clauses import (
@@ -15,7 +15,7 @@ from sdprover.clauses import (
     variant,
 )
 from sdprover.ordering import OrderResult, compare_literals
-from sdprover.terms import SignatureError, Substitution, Var, shift_vars, unify_pairs
+from sdprover.terms import SignatureError, Substitution, Var, unify_pairs
 
 env = Gen(seed=11)
 x, y = Var(0), Var(1)
@@ -130,12 +130,22 @@ def test_rename_apart_makes_vars_disjoint():
     factory = ClauseFactory()
     for _ in range(200):
         a = factory.make(env.lits(env.rng.randrange(1, 4)))
-        b = factory.make(env.lits(env.rng.randrange(1, 4)))
-        renamed = rename_apart(a, b)
-        assert not (clause_vars(renamed) & clause_vars(b.literals))
+        renamed = rename_apart(a)
+        # factory clauses number variables from 0, so negative ids are
+        # apart from every first premise, a itself included
+        assert all(v < 0 for v in clause_vars(renamed))
+        assert clause_vars(renamed) == {-1 - v for v in clause_vars(a.literals)}
         assert variant(renamed, a.literals)
-        # the shift is b's variable count, so the ids stay dense
-        assert clause_vars(renamed) == {v + b.nvars for v in clause_vars(a.literals)}
+        # kept on the clause: a second call returns the same copy
+        assert rename_apart(a) is renamed
+        for lit, copy in zip(a.literals, renamed):
+            if all(t.ground for t in lit.args):
+                assert copy is lit
+
+
+def test_rename_apart_returns_a_ground_clause_as_it_is():
+    ground = ClauseFactory().make([env.p(env.a), eq(env.f(env.a), env.b)])
+    assert rename_apart(ground) is ground.literals
 
 
 def test_select_prefers_heaviest_negative():

@@ -424,8 +424,8 @@ def test_a_backward_subsumed_permutative_unit_leaves_the_index(monkeypatch):
     removal must leave the run to reach its verdict."""
     deleted = []
 
-    def recording(g, bindex):
-        found = backward_subsumption_deletions(g, bindex)
+    def recording(g, bindex, *rest):
+        found = backward_subsumption_deletions(g, bindex, *rest)
         deleted.extend(d.cid for d in found)
         return found
 

@@ -4,7 +4,7 @@ from oracles import apply, canonical_literals, naive_sd_results, reference_demod
 from randgen import Gen
 
 from sdprover import simplify
-from sdprover.clauses import ClauseFactory, eq, predicate
+from sdprover.clauses import ClauseFactory, eq, neq, predicate
 from sdprover.index import BackwardIndex, FsdIndex
 from sdprover.matching import source_set_up
 from sdprover.ordering import OrderResult, compare_clauses
@@ -375,3 +375,31 @@ def test_wide_side_premise_without_a_trigger_symbol_starts_no_matcher(monkeypatc
     monkeypatch.setattr(simplify, "match_solutions", lambda *args, **kwargs: calls.append(args) or matcher(*args, **kwargs))
     assert list(sd_simplifications(side, main)) == []
     assert calls == []
+
+
+def test_redundancy_check_runs_only_at_the_top_of_a_positive_equality(monkeypatch):
+    calls = []
+    for name in ("remainder_exceeds", "check_ordering_conditions"):
+        check = getattr(simplify, name)
+        monkeypatch.setattr(simplify, name, lambda *args, check=check: calls.append(args) or check(*args))
+    factory = ClauseFactory()
+    unit = factory.make([eq(f(x), b)])
+    # anywhere else the rewritten literal exceeds f(a) = b whatever the
+    # rest of the clause holds, so no multiset is compared
+    for main, rewritten in [
+        (p(f(a)), p(b)),
+        (eq(g(f(a)), c), eq(g(b), c)),
+        (neq(f(a), c), neq(b, c)),
+        (neq(g(f(a)), c), neq(g(b), c)),
+    ]:
+        out = demodulate(unit, factory.make([main]), factory)
+        assert out is not None and out.literals == (rewritten,)
+    assert calls == []
+    # f(a) = c -> b = c: the remainder {f(a) = c} does not exceed f(a) = b,
+    # since c < b, so the main premise is not redundant
+    assert demodulate(unit, factory.make([eq(f(a), c)]), factory) is None
+    assert len(calls) == 1
+    # with p(f(a)) beside it, it is
+    out = demodulate(unit, factory.make([eq(f(a), d), p(f(a))]), factory)
+    assert out is not None and out.literals == (eq(b, d), p(f(a)))
+    assert len(calls) == 2

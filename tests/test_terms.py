@@ -1,6 +1,7 @@
 """Unit tests for terms, substitutions, unification, and matching."""
 
 import pytest
+from oracles import var_counts
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,10 +14,10 @@ from sdprover.terms import (
     apply_term,
     match_pairs,
     preorder_subterms,
+    rebuild,
     replace_at,
     term_vars,
     unify_pairs,
-    var_counts,
 )
 
 sig = Signature()
@@ -164,3 +165,21 @@ def test_term_walks_run_on_deep_terms():
     # y is bound through z to the tower: the unifier holds it fully applied
     sub = unify_pairs([(h(y, z), h(f(z), tower))])
     assert sub is not None and sub.get(1) == f(tower)
+
+
+def test_rebuild_shares_every_unchanged_application():
+    t = h(f(x), g(h(y, a)))
+    assert rebuild(t, lambda v: v) is t
+    assert apply_term(t, Substitution({2: b})) is t
+    changed = apply_term(t, Substitution({1: b}))
+    assert changed == h(f(x), g(h(b, a)))
+    # only the spine above y is new
+    assert changed.args[0] is t.args[0]
+    assert changed.args[1] is not t.args[1]
+
+
+def test_unifier_holds_no_identity_binding():
+    sub = unify_pairs([(h(x, y), h(y, f(z))), (z, z)])
+    assert sub is not None
+    assert all(not (isinstance(t, Var) and t.vid == v) for v, t in sub.items())
+    assert apply_term(h(x, y), sub) == apply_term(h(y, f(z)), sub)

@@ -333,6 +333,13 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(cli, "saturate", timed_saturate)
     depth = 1500
+    # a path of ten p-edges ending in q(b) does not subsume the complete
+    # p-graph on a0..a7 plus ~q(b), but the matcher walks every path of the
+    # graph to find that out: the deadline is checked every few hundred
+    # search nodes, in forward subsumption when the path clause is active
+    # first and in backward subsumption when the graph clause is
+    chain = " | ".join(f"~p(X{i}, X{i + 1})" for i in range(10)) + " | ~q(X10)"
+    graph = " | ".join(f"~p(a{i}, a{j})" for i in range(8) for j in range(8)) + " | ~q(b)"
     problems = [
         # superposing g(X) = f^1500(X) into itself unifies at about 1,500
         # positions, each with a conclusion of about 3,000 nodes, all in one
@@ -342,6 +349,8 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path, capsys, monkeypatch
         # each conclusion carries a non-ground term of 16,383 nodes that
         # minting rebuilds: the deadline is checked once per conclusion
         f"cnf(a, axiom, f(X) = g(Y)).\ncnf(b, axiom, p({_balanced(13)}, {'f(' * 300}Z{')' * 300})).",
+        f"cnf(chain, axiom, {chain}).\ncnf(graph, axiom, {graph}).",
+        f"cnf(graph, axiom, {graph}).\ncnf(chain, axiom, {chain}).",
     ]
     for text in problems:
         path = _write(tmp_path, text)
