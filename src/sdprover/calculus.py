@@ -25,9 +25,11 @@ a verdict other than INCOMPARABLE holds for every instance:
 A position whose top symbol differs from that of a non-variable s is
 skipped before unify_pairs, and so is a ground position other than s when
 s is ground: ground terms unify only when they are equal, and the hashed
-comparison decides that without a walk.  Each position that reaches
-unification first checks the factory's deadline, so a call over a deep
-term stops near the time limit.
+comparison decides that without a walk.
+
+Every rule checks the factory's deadline before each unify_pairs call, so
+a call that unifies deep terms many times stops near the time limit even
+when no unification succeeds and nothing is minted.
 
 A rule does not instantiate its conclusions itself: it hands each one to
 the factory as its uninstantiated literals and the unifier, all conclusions
@@ -74,6 +76,7 @@ def resolution(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
             lj = lits2[j]
             if lj.positive or lj.is_equality or lj.pred != li.pred:
                 continue
+            factory.check_time()
             sub = unify_pairs(zip(li.args, lj.args))
             if sub is None:
                 continue
@@ -97,6 +100,7 @@ def factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
             lj = c.literals[j]
             if lj.is_equality or lj.positive != li.positive or lj.pred != li.pred:
                 continue
+            factory.check_time()
             sub = unify_pairs(zip(li.args, lj.args))
             if sub is None:
                 continue
@@ -179,6 +183,7 @@ def equality_resolution(c: Clause, factory: ClauseFactory) -> list[Clause]:
         li = c.literals[i]
         if li.positive or not li.is_equality:
             continue
+        factory.check_time()
         sub = unify_pairs([(li.lhs, li.rhs)])
         if sub is None:
             continue
@@ -204,6 +209,7 @@ def equality_factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
                 continue
             for s, t in orientations(li):
                 for s2, t2 in orientations(lj):
+                    factory.check_time()
                     theta = unify_pairs([(s, s2)])
                     if theta is None:
                         continue

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .terms import (
@@ -27,20 +26,23 @@ class Literal:
     """A literal: a possibly negated predicate atom or equality atom.
 
     Equality atoms (pred is None) are unordered pairs for identity purposes:
-    s = t and t = s compare equal and hash alike.  The hash is computed at
-    construction, as App's is: clauses, selection and the indexes hash
-    literals far more often than they build them.
+    s = t and t = s compare equal and hash alike.  The hash, the weight and
+    whether the literal is ground are computed at construction, as App's
+    are: clauses, selection and the indexes read them far more often than
+    they build literals.
     """
 
     positive: bool
     pred: Optional[int]
     args: tuple[Term, ...]
     weight: int = field(init=False, compare=False, repr=False)
+    ground: bool = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
     _atom: Optional[Term] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", 1 + sum(a.weight for a in self.args))
+        object.__setattr__(self, "ground", all(a.ground for a in self.args))
         if self.pred is None:
             h = hash((self.positive, hash(self.args[0]) ^ hash(self.args[1])))
         else:
@@ -138,24 +140,28 @@ class Clause:
     Clause objects compare by identity; use Counter(c.literals) or variant()
     for content comparisons.  Duplicate literals are preserved.
 
-    nvars is one past the largest variable id; ClauseFactory numbers
-    variables 0, 1, ..., so it is the clause's variable count.  The slots
-    after it hold work done once per clause object: the literal selection,
-    the multi-literal matcher's set-up as source and as target, the copy
-    renamed apart for generation (rename_apart) and superposition's view of
-    the clause as the premise it rewrites into.
+    The slots after parents hold work done once per clause object: its
+    distinct literals (distinct_literals), kept for the clause's lifetime,
+    and the search-only data, which release() drops when the clause leaves
+    the search: the literal selection, the multi-literal matcher's set-up
+    as source and as target, the copy renamed apart for generation
+    (rename_apart), superposition's view of the clause as the premise it
+    rewrites into, and the pre-order walk of each distinct literal
+    (literal_walks).  Each is recomputed on demand, so a released clause,
+    such as one a proof check replays, works as before.
     """
 
     literals: tuple[Literal, ...]
     cid: int
     rule: str = "input"
     parents: tuple[int, ...] = ()
-    nvars: int = 0
+    _distinct: Optional[tuple[Literal, ...]] = field(init=False, default=None, compare=False, repr=False)
     _selected: Optional[tuple[int, ...]] = field(init=False, default=None, compare=False, repr=False)
     _match_order: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
     _match_table: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
     _renamed: Optional[tuple[Literal, ...]] = field(init=False, default=None, compare=False, repr=False)
     _into: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
+    _walks: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -185,9 +191,9 @@ def _literal_pairings(a: Literal, b: Literal):
             yield swapped
 
 
-def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[tuple[Literal, ...], int]:
+def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[Literal, ...]:
     """literals instantiated by unifier, variables renumbered 0, 1, ... in
-    pre-order of first occurrence, and the number of variables.
+    pre-order of first occurrence.
 
     One pass over each term: a bound variable's image is rebuilt in place
     of the variable, renumbering as it goes, and reused where the variable
@@ -208,13 +214,10 @@ def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tu
             images[v.vid] = image
         return image
 
-    out = tuple(
-        lit
-        if all(a.ground for a in lit.args)
-        else Literal(lit.positive, lit.pred, tuple(rebuild(a, leaf) for a in lit.args))
+    return tuple(
+        lit if lit.ground else Literal(lit.positive, lit.pred, tuple(rebuild(a, leaf) for a in lit.args))
         for lit in literals
     )
-    return out, next(fresh)
 
 
 def rename_apart(clause: Clause) -> tuple[Literal, ...]:
@@ -226,14 +229,70 @@ def rename_apart(clause: Clause) -> tuple[Literal, ...]:
     and the literal tuple of a ground clause, come back as the same objects.
     """
     if clause._renamed is None:
-        renamed = tuple(
-            lit
-            if all(a.ground for a in lit.args)
-            else Literal(lit.positive, lit.pred, tuple(rebuild(a, lambda v: Var(-1 - v.vid)) for a in lit.args))
-            for lit in clause.literals
-        )
-        object.__setattr__(clause, "_renamed", clause.literals if all(map(is_, renamed, clause.literals)) else renamed)
+        lits = clause.literals
+        if not all(lit.ground for lit in lits):
+            lits = tuple(
+                lit
+                if lit.ground
+                else Literal(lit.positive, lit.pred, tuple(rebuild(a, lambda v: Var(-1 - v.vid)) for a in lit.args))
+                for lit in lits
+            )
+        object.__setattr__(clause, "_renamed", lits)
     return clause._renamed
+
+
+def distinct_literals(clause: Clause) -> tuple[Literal, ...]:
+    """clause's literals, each once, in order of first occurrence; kept on
+    the clause, and clause.literals itself when no literal repeats."""
+    if clause._distinct is None:
+        distinct = tuple(dict.fromkeys(clause.literals))
+        object.__setattr__(clause, "_distinct", clause.literals if len(distinct) == len(clause.literals) else distinct)
+    return clause._distinct
+
+
+def _walk(args: tuple[Term, ...]) -> tuple[tuple[Optional[int], ...], list[int]]:
+    """The pre-order keys of an argument tuple, None for each variable, and
+    for each position the position just past the subterm that starts there:
+    a term's weight is its number of nodes, so that is the start plus the
+    weight."""
+    keys: list[Optional[int]] = []
+    ends: list[int] = []
+    stack = list(reversed(args))
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            ends.append(len(keys) + 1)
+            keys.append(None)
+        else:
+            ends.append(len(keys) + t.weight)
+            keys.append(t.sym)
+            stack.extend(reversed(t.args))
+    return tuple(keys), ends
+
+
+def literal_walks(clause: Clause) -> tuple[tuple[tuple[Optional[int], ...], list[int]], ...]:
+    """The pre-order walk of each distinct literal's arguments, aligned with
+    distinct_literals(clause), computed on the first call and kept on it.
+
+    A walk is (keys, ends): keys holds the symbol of each subterm in
+    pre-order and None for each variable; ends[i] is the position just
+    past the subterm that starts at i, so ends[0] is where the second
+    argument starts.  Every term index and screen reads a literal's terms
+    from here, so each literal is walked once per clause.
+    """
+    if clause._walks is None:
+        object.__setattr__(clause, "_walks", tuple(_walk(lit.args) for lit in distinct_literals(clause)))
+    return clause._walks
+
+
+_SEARCH_ONLY = ("_selected", "_match_order", "_match_table", "_renamed", "_into", "_walks")
+
+
+def release(clause: Clause) -> None:
+    """Drop the clause's search-only data (see Clause); called when it
+    leaves the search."""
+    for slot in _SEARCH_ONLY:
+        object.__setattr__(clause, slot, None)
 
 
 class ResourceLimit(Exception):
@@ -254,12 +313,14 @@ class ClauseFactory:
     fully applied form.
 
     Every clause ever created stays in the registry so proofs can be
-    reconstructed after simplification deletes clauses from the search state.
+    reconstructed after simplification deletes clauses from the search
+    state; a clause that left the search keeps only its literals and
+    provenance (release).
 
     deadline, a time.monotonic() value or None, is set by the saturation
     loop for the length of a run.  Minting checks it before every
-    conclusion, the rules inside their position loops and the matcher
-    every few hundred search nodes, so no single step, however large its
+    conclusion, the rules before every unification and the matcher every
+    few hundred search nodes, so no single step, however large its
     conclusions or its search, can run far past it.
     """
 
@@ -293,11 +354,11 @@ class ClauseFactory:
         seen: set[tuple[Literal, ...]] = set()
         for literals, unifier in conclusions:
             self.check_time()
-            lits, nvars = canonical_instance(literals, unifier)
+            lits = canonical_instance(literals, unifier)
             if lits in seen:
                 continue
             seen.add(lits)
-            clause = Clause(lits, next(self._counter), rule, parents, nvars)
+            clause = Clause(lits, next(self._counter), rule, parents)
             self.registry[clause.cid] = clause
             out.append(clause)
         return out
@@ -331,20 +392,21 @@ def select(clause: Clause) -> tuple[int, ...]:
     maximal literals under the literal ordering.
     """
     if clause._selected is None:
-        object.__setattr__(clause, "_selected", _select(clause.literals))
+        object.__setattr__(clause, "_selected", _select(clause))
     return clause._selected
 
 
-def _select(lits: tuple[Literal, ...]) -> tuple[int, ...]:
+def _select(clause: Clause) -> tuple[int, ...]:
     from .ordering import OrderResult, compare_literals
 
+    lits = clause.literals
     negatives = [i for i, lit in enumerate(lits) if not lit.positive]
     if negatives:
         best = max(negatives, key=lambda i: (lits[i].weight, -i))
         return (best,)
     # duplicates compare EQUAL, so maximality is decided once per distinct
     # literal; likely dominators come first so non-maximal literals fail fast
-    distinct = sorted(dict.fromkeys(lits), key=lambda lit: (lit.is_equality, -lit.weight))
+    distinct = sorted(distinct_literals(clause), key=lambda lit: (lit.is_equality, -lit.weight))
     maximal = {
         lit
         for lit in distinct

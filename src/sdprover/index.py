@@ -55,6 +55,15 @@ tree holds
     other than EQUAL and no right-hand variable the left lacks), tagged
     REWRITE_LHS.
 
+Every path and every query is read off the clause's stored literal walks
+(clauses.literal_walks): each distinct literal is walked once per clause,
+on first use, and the walk serves its tree path, both argument orders of a
+forward-subsumption query (the swapped order reads the walk's second
+argument, then its first), the demodulator query, the REWRITABLE symbols
+and the matcher's target symbols.  The walk is search-only data, dropped
+with the rest when the clause leaves the search; the index keeps the keys
+it filed a clause under until the clause is removed.
+
 Retrieval follows a STAR edge by skipping the query's whole subterm at that
 point and a symbol edge only on the same symbol; a query variable follows
 only STAR edges, since the matcher treats it as a rigid constant.  A path
@@ -75,10 +84,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
-from .clauses import Clause, Literal, select
+from .clauses import Clause, Literal, distinct_literals, literal_walks, select
 from .matching import TargetSetUp, source_set_up, target_set_up
 from .ordering import OrderResult
-from .terms import App, Term, Var
+from .terms import Var
 
 LiteralKey = tuple
 
@@ -88,7 +97,7 @@ RESOLVES = "r"
 REWRITES = "l"
 REWRITABLE = "s"
 REWRITE_LHS = "lhs"
-STAR = None
+STAR = None  # the key of a variable in a literal walk
 
 
 def literal_key(lit: Literal) -> LiteralKey:
@@ -100,14 +109,14 @@ def literal_key(lit: Literal) -> LiteralKey:
 
 def _distinct_keys(c: Clause) -> set[LiteralKey]:
     # a bucket is read once however many literals share its key
-    return {literal_key(lit) for lit in c.literals}
+    return {literal_key(lit) for lit in distinct_literals(c)}
 
 
 def _generation_keys(c: Clause) -> set[tuple]:
     """The generation keys of c's selected literals (see the module docstring)."""
     equations = source_set_up(c).equations
     keys: set[tuple] = set()
-    stack = []
+    selected = set()
     for i in select(c):
         lit = c.literals[i]
         if lit.is_equality:
@@ -115,54 +124,31 @@ def _generation_keys(c: Clause) -> set[tuple]:
                 keys.add((REWRITES, None if type(o.lhs) is Var else o.lhs.sym))
         else:
             keys.add((RESOLVES, lit.pred, lit.positive))
-        stack.extend(lit.args)
+        selected.add(lit)
     symbols: set[Optional[int]] = set()
-    while stack:
-        t = stack.pop()
-        if type(t) is App:
-            symbols.add(t.sym)
-            stack.extend(t.args)
+    for lit, (lit_keys, _) in zip(distinct_literals(c), literal_walks(c)):
+        if lit in selected:
+            symbols.update(lit_keys)
+    symbols.discard(STAR)
     if symbols:
         symbols.add(None)
     keys.update((REWRITABLE, f) for f in symbols)
     return keys
 
 
-def _preorder(terms: Sequence[Term]) -> tuple[list[Optional[int]], list[int]]:
-    """The pre-order keys of a term sequence, STAR for each variable, and for
-    each position the position just past the subterm that starts there."""
-    keys: list[Optional[int]] = []
-    arities: list[int] = []
-    stack = list(reversed(terms))
-    while stack:
-        t = stack.pop()
-        if type(t) is Var:
-            keys.append(STAR)
-            arities.append(0)
-        else:
-            keys.append(t.sym)
-            arities.append(len(t.args))
-            stack.extend(reversed(t.args))
-    ends = [0] * len(keys)
-    for i in range(len(keys) - 1, -1, -1):
-        end = i + 1
-        for _ in range(arities[i]):
-            end = ends[end]
-        ends[i] = end
-    return keys, ends
-
-
 def _tree_paths(c: Clause) -> tuple[list[tuple], list[tuple]]:
     """c's distinct literal paths, and the paths of the left-hand sides it
-    can rewrite with when it is a unit equality."""
+    can rewrite with when it is a unit equality, each as (tag, keys)."""
+    walks = literal_walks(c)
     literal_paths = list(
-        dict.fromkeys(((lit.positive, lit.pred), *_preorder(lit.args)[0]) for lit in dict.fromkeys(c.literals))
+        dict.fromkeys(((lit.positive, lit.pred), keys) for lit, (keys, _) in zip(distinct_literals(c), walks))
     )
     lhs_paths = []
     if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
+        (keys, ends), lhs = walks[0], c.literals[0].lhs
         for o in source_set_up(c).equations[0]:
             if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
-                lhs_paths.append((REWRITE_LHS, *_preorder((o.lhs,))[0]))
+                lhs_paths.append((REWRITE_LHS, keys[: ends[0]] if o.lhs is lhs else keys[ends[0] :]))
     # both sides of a permutative unit such as h(X,Y) = h(Y,X) give one path,
     # and a path is removed once, so it is stored once
     return literal_paths, list(dict.fromkeys(lhs_paths))
@@ -218,58 +204,71 @@ class GeneralizationTree:
     def __init__(self) -> None:
         self._root: dict = {}
 
-    def insert(self, path: tuple, cid: int) -> None:
-        node = self._root
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node.setdefault(path[-1], set()).add(cid)
+    def insert(self, tag, keys: tuple, cid: int) -> None:
+        node, last = self._root, tag
+        for key in keys:
+            node = node.setdefault(last, {})
+            last = key
+        node.setdefault(last, set()).add(cid)
 
-    def remove(self, path: tuple, cid: int) -> None:
+    def remove(self, tag, keys: tuple, cid: int) -> None:
         trail = []
-        node = self._root
-        for key in path[:-1]:
-            trail.append((node, key))
-            node = node[key]
-        leaf = node[path[-1]]
+        node, last = self._root, tag
+        for key in keys:
+            trail.append((node, last))
+            node = node[last]
+            last = key
+        leaf = node[last]
         leaf.discard(cid)
         if not leaf:
-            del node[path[-1]]
+            del node[last]
             while not node and trail:
                 node, key = trail.pop()
                 del node[key]
 
-    def generalizations(self, tag, terms: Sequence[Term]) -> list[set[int]]:
-        """The id set of every path under tag whose keys generalize the term
-        sequence terms, repeated variables ignored."""
+    def generalizations(self, tag, walk: tuple, swapped: bool = False) -> list[set[int]]:
+        """The id set of every path under tag whose keys generalize the
+        walked argument tuple (clauses.literal_walks), repeated variables
+        ignored; with swapped, a two-argument tuple in the other order.
+
+        The swapped order reads the walk's second argument, then its first.
+        """
         node = self._root.get(tag)
         if node is None:
             return []
-        if not terms:
+        keys, ends = walk
+        if not keys:
             # a tag with no keys leads straight to its id set
             return [node]
-        keys, ends = _preorder(terms)
         out: list[set[int]] = []
-        self._collect(node, keys, ends, 0, len(keys), out)
+        if swapped:
+            middles: list[dict] = []
+            self._collect(node, keys, ends, ends[0], len(keys), middles)
+            for middle in middles:
+                self._collect(middle, keys, ends, 0, ends[0], out)
+        else:
+            self._collect(node, keys, ends, 0, len(keys), out)
         return out
 
-    def subterm_generalizations(self, tag, terms: Sequence[Term]) -> list[set[int]]:
+    def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set[int]]:
         """The id set of every path under tag, each a single term, that
-        generalizes some non-variable subterm of the term sequence terms."""
+        generalizes some non-variable subterm of the walked argument tuples."""
         node = self._root.get(tag)
         if node is None:
             return []
-        keys, ends = _preorder(terms)
         out: list[set[int]] = []
         star = STAR in node
-        for i, key in enumerate(keys):
-            if key is not STAR and (star or key in node):
-                self._collect(node, keys, ends, i, ends[i], out)
+        for keys, ends in walks:
+            for i, key in enumerate(keys):
+                if key is not STAR and (star or key in node):
+                    self._collect(node, keys, ends, i, ends[i], out)
         return out
 
     @staticmethod
-    def _collect(node: dict, keys: list, ends: list[int], start: int, stop: int, out: list) -> None:
-        """Append to out the id set of every path below node whose keys
-        generalize the query keys[start:stop], repeated variables ignored."""
+    def _collect(node: dict, keys: tuple, ends: list[int], start: int, stop: int, out: list) -> None:
+        """Append to out what every path below node leads to once its keys
+        generalize the query keys[start:stop], repeated variables ignored:
+        an id set at a path's end, an inner node before it."""
         stack = [(node, start)]
         while stack:
             node, i = stack.pop()
@@ -348,7 +347,8 @@ class BackwardIndex:
     keys of its selected literals, for generating inferences.  Its
     distinct literals, and a unit equality's rewriting left-hand sides, go
     into a generalization tree, for forward subsumption and demodulation.
-    The keys and paths of each clause are computed once, on insert.
+    The keys and paths of each clause are computed once, on insert, the
+    paths from its stored literal walks.
     """
 
     def __init__(self) -> None:
@@ -370,8 +370,8 @@ class BackwardIndex:
         stored = self._stored[c.cid] = _Stored(_distinct_keys(c), _generation_keys(c), *_tree_paths(c))
         for key in stored.literal_keys | stored.generation_keys:
             self._buckets.setdefault(key, set()).add(c.cid)
-        for path in stored.literal_paths + stored.lhs_paths:
-            self._tree.insert(path, c.cid)
+        for tag, keys in stored.literal_paths + stored.lhs_paths:
+            self._tree.insert(tag, keys, c.cid)
 
     def remove(self, c: Clause) -> None:
         if c.cid not in self._members:
@@ -383,8 +383,8 @@ class BackwardIndex:
             bucket.discard(c.cid)
             if not bucket:
                 del self._buckets[key]
-        for path in stored.literal_paths + stored.lhs_paths:
-            self._tree.remove(path, c.cid)
+        for tag, keys in stored.literal_paths + stored.lhs_paths:
+            self._tree.remove(tag, keys, c.cid)
 
     def _bucket(self, key: tuple) -> set[int]:
         return self._buckets.get(key, set())
@@ -413,11 +413,11 @@ class BackwardIndex:
         tree = self._tree
         # one entry per leaf, that is per path, however many queries reach it
         hit: dict[int, set[int]] = {}
-        for lit in dict.fromkeys(d.literals):
-            tag, args = (lit.positive, lit.pred), lit.args
-            leaves = tree.generalizations(tag, args)
-            if lit.pred is None and args[0] != args[1]:
-                leaves += tree.generalizations(tag, (args[1], args[0]))
+        for lit, walk in zip(distinct_literals(d), literal_walks(d)):
+            tag = (lit.positive, lit.pred)
+            leaves = tree.generalizations(tag, walk)
+            if lit.pred is None and lit.args[0] != lit.args[1]:
+                leaves += tree.generalizations(tag, walk, swapped=True)
             for leaf in leaves:
                 hit[id(leaf)] = leaf
         counts: Counter = Counter()
@@ -468,7 +468,7 @@ class BackwardIndex:
         non-variable occurrence in g's literals; g itself is among them
         when it is such a unit and can rewrite its own literal.
         """
-        leaves = self._tree.subterm_generalizations(REWRITE_LHS, [a for lit in g.literals for a in lit.args])
+        leaves = self._tree.subterm_generalizations(REWRITE_LHS, literal_walks(g))
         return set().union(*leaves)
 
     def generation_partners(self, g: Clause) -> tuple[set[int], set[int], set[int], set[int]]:

@@ -21,9 +21,11 @@ variable of its own.  The set-up each side needs is computed once per
 clause object and kept on it: as a source, the literal order, and each
 positive equality oriented as a rewrite rule together with the top symbols
 it can rewrite (SourceSetUp, which superposition reads too); as a target,
-the table of compatible literals and the symbols that occur (TargetSetUp).
-Subsumption demodulation screens a pair on those symbols before it starts
-the matcher.
+the table of compatible literals and the symbols that occur (TargetSetUp),
+read off the clause's stored literal walks (clauses.literal_walks), not
+off a walk of its own.  Subsumption demodulation screens a pair on those
+symbols before it starts the matcher.  Both set-ups are search-only data:
+clauses.release drops them when the clause leaves the search.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import ordering  # compare_terms is looked up on the module, where perfbench's tracer counts it
-from .clauses import Clause, Literal, _literal_pairings, orientations
+from .clauses import Clause, Literal, _literal_pairings, literal_walks, orientations
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .ordering import OrderResult
-from .terms import EMPTY_SUBST, App, Substitution, Term, Var, match_pairs, term_vars
+from .terms import EMPTY_SUBST, Substitution, Term, Var, match_pairs, term_vars
 
 
 @dataclass(frozen=True)
@@ -135,17 +137,14 @@ def _source_set_up(src: tuple[Literal, ...]) -> SourceSetUp:
     return SourceSetUp(order, last_eq, equations, None if triggers is None else tuple(sorted(triggers)))
 
 
-def _target_set_up(dst: tuple[Literal, ...]) -> TargetSetUp:
+def _target_set_up(clause: Clause) -> TargetSetUp:
     table: dict[tuple[bool, Optional[int]], list[int]] = {}
-    for j, dlit in enumerate(dst):
+    for j, dlit in enumerate(clause.literals):
         table.setdefault((dlit.positive, dlit.pred), []).append(j)
-    symbols = set()
-    stack = [a for lit in dst for a in lit.args]
-    while stack:
-        t = stack.pop()
-        if type(t) is App:
-            symbols.add(t.sym)
-            stack.extend(t.args)
+    symbols: set[Optional[int]] = set()
+    for keys, _ in literal_walks(clause):
+        symbols.update(keys)
+    symbols.discard(None)  # the key of a variable
     return TargetSetUp({key: tuple(js) for key, js in table.items()}, tuple(sorted(symbols)))
 
 
@@ -162,7 +161,7 @@ def target_set_up(clause: Clause) -> TargetSetUp:
     """The clause's set-up as a target, computed on the first call and kept on it."""
     stored = clause._match_table
     if stored is None:
-        stored = _target_set_up(clause.literals)
+        stored = _target_set_up(clause)
         object.__setattr__(clause, "_match_table", stored)
     return stored
 

@@ -13,13 +13,21 @@ Clause selection alternates age and weight at a 1:5 ratio, starting with
 age.
 
 The time limit is a deadline on the clause factory for the length of a
-run: the loop checks it between steps, and minting, superposition and the
-multi-literal matcher behind subsumption and rewriting check it inside one
-step.
+run: the loop checks it between steps, and minting, every generating rule
+(before each unification) and the multi-literal matcher behind subsumption
+and rewriting check it inside one step.
+
+A clause's search-only data (clauses.release: its selection, matcher
+set-ups, renamed copy, superposition view and literal walks) is dropped
+when the clause leaves the search: when forward subsumption deletes it,
+when a rewrite replaces it, when it leaves the active set, and, for every
+clause of the run, when saturate returns.  The registry keeps each clause
+itself.
 
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
-empty clause, and re-validated by re-running each step's rule.
+empty clause, and re-validated by re-running each step's rule, which
+recomputes whatever data the steps need.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import calculus
-from .clauses import Clause, ClauseFactory, ResourceLimit, variant
+from .clauses import Clause, ClauseFactory, ResourceLimit, release, variant
 from .index import BackwardIndex, FsdIndex
 from .simplify import (
     backward_subsumption_deletions,
@@ -131,6 +139,7 @@ class ProverState:
         self.active.pop(c.cid, None)
         self.bindex.remove(c)
         self.fsd_index.remove(c)
+        release(c)
 
 
 def _demodulate_once(g: Clause, st: ProverState) -> Optional[Clause]:
@@ -155,16 +164,19 @@ def forward_simplify(g: Clause, st: ProverState) -> Optional[Clause]:
     Each round tries subsumption deletion, then rewriting by a unit
     equality, then forward subsumption demodulation; a successful rewrite
     restarts the round with the new clause.  None means g was deleted.
+    A clause deleted or replaced here leaves the search, and is released.
     """
     while True:
         st.factory.check_time()
         if forward_subsumption_delete(g, st.bindex, st.factory.check_time) is not None:
+            release(g)
             return None
         stepped = _demodulate_once(g, st)
         if stepped is None and st.config.fsd:
             stepped = forward_subsumption_demodulation(g, st.fsd_index, st.factory, st.config.match_limit)
         if stepped is None:
             return g
+        release(g)
         g = stepped
 
 
@@ -250,6 +262,9 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
         result.limit_reason = limit.reason
     finally:
         factory.deadline = None
+        # the search is over: no clause of the run keeps its search-only data
+        for c in factory.registry.values():
+            release(c)
     return result
 
 

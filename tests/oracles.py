@@ -11,7 +11,9 @@ So are the retrieval-free loops (all-pairs generation, the scan over unit
 equalities, every active clause as a subsumption candidate): drop-ins for
 the saturation steps whose partners the indexes retrieve.  Replaced
 versions of engine code are kept as references too: renaming apart by an
-offset per call, and KBO recounting variables at every level.
+offset per call, KBO recounting variables at every level, and the term
+walks each index and screen made for itself before every clause kept one
+walk per literal.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def clause_vars(lits) -> set[int]:
     return out
 
 
+def nvars(lits) -> int:
+    """One past the largest variable id in a literal sequence, 0 when it is
+    ground: the variable count of a clause whose variables the factory
+    numbered 0, 1, ..."""
+    return max(clause_vars(lits), default=-1) + 1
+
+
 def rename_literals(lits, offset: int) -> tuple[Literal, ...]:
     """Shift every variable id by offset."""
     shift = {v: Var(v + offset) for v in clause_vars(lits)}
@@ -80,10 +89,10 @@ def shift_vars(term: Term, offset: int) -> Term:
 
 def offset_rename_apart(clause, away_from) -> tuple[Literal, ...]:
     """The clause renaming generation used before it kept a renamed copy on
-    each clause: clause's variables shifted past away_from's stored count,
+    each clause: clause's variables shifted past away_from's variable count,
     ground literals and all literals of a ground clause unchanged."""
-    offset = away_from.nvars
-    if not offset or not clause.nvars:
+    offset = nvars(away_from.literals)
+    if not offset or not nvars(clause.literals):
         return clause.literals
     return tuple(
         lit
@@ -420,6 +429,48 @@ def every_other_active_clause(index, d) -> set:
     backward index except d.  A drop-in for
     BackwardIndex.forward_subsumption_candidates."""
     return {c for c in index._members.values() if c.cid != d.cid}
+
+
+# -------------------------------------------------------------- term walks
+
+def preorder(terms) -> tuple[list, list[int]]:
+    """The pre-order keys of a term sequence, None for each variable, and for
+    each position the position just past the subterm that starts there,
+    found from the arities.  The index walked a literal's terms this way on
+    every insertion and query before each clause kept one walk per literal."""
+    keys: list = []
+    arities: list[int] = []
+    stack = list(reversed(terms))
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            keys.append(None)
+            arities.append(0)
+        else:
+            keys.append(t.sym)
+            arities.append(len(t.args))
+            stack.extend(reversed(t.args))
+    ends = [0] * len(keys)
+    for i in range(len(keys) - 1, -1, -1):
+        end = i + 1
+        for _ in range(arities[i]):
+            end = ends[end]
+        ends[i] = end
+    return keys, ends
+
+
+def subterm_symbols(lits) -> set[int]:
+    """The symbol of every non-variable subterm of the literals' arguments,
+    by a walk of their own: what generation keys and target set-ups read
+    before they read the stored walks."""
+    symbols: set[int] = set()
+    stack = [a for lit in lits for a in lit.args]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            symbols.add(t.sym)
+            stack.extend(t.args)
+    return symbols
 
 
 # ---------------------------------------------------------------- ordering

@@ -1,6 +1,6 @@
 """Generating rule tests: unit cases, selection discipline, ground soundness."""
 
-from oracles import apply, ground_entails, offset_resolution, unscreened_superposition
+from oracles import apply, ground_entails, nvars, offset_resolution, unscreened_superposition
 from randgen import Gen, GroundGen
 
 from sdprover.calculus import (
@@ -190,7 +190,7 @@ def test_ground_inferences_are_sound():
 
 
 def _minted(clauses):
-    return [(c.cid, c.rule, c.parents, c.nvars, c.literals) for c in clauses]
+    return [(c.cid, c.rule, c.parents, nvars(c.literals), c.literals) for c in clauses]
 
 
 def test_screened_superposition_agrees_with_the_unscreened_scan():
@@ -235,7 +235,7 @@ def test_screened_superposition_agrees_with_the_unscreened_scan():
 
 def _exact(clauses):
     # argument order too: equality literals compare as unordered pairs
-    return [(c.cid, c.rule, c.parents, c.nvars, [(l.positive, l.pred, l.args) for l in c.literals]) for c in clauses]
+    return [(c.cid, c.rule, c.parents, nvars(c.literals), [(l.positive, l.pred, l.args) for l in c.literals]) for c in clauses]
 
 
 def test_generation_agrees_with_the_offset_renaming():

@@ -1,19 +1,23 @@
 """Index tests: key stability, bucket choice, and retrieval completeness."""
 
-from oracles import apply, naive_sd_applicable, naive_subsumes, rename_apart
+from oracles import apply, naive_sd_applicable, naive_subsumes, preorder, rename_apart, subterm_symbols
 from randgen import Gen
 
 from sdprover import calculus, simplify
-from sdprover.clauses import ClauseFactory, eq
+from sdprover.clauses import ClauseFactory, eq, literal_walks, neq, select
 from sdprover.index import (
+    REWRITABLE,
+    REWRITE_LHS,
     BackwardIndex,
     FsdIndex,
     GeneralizationTree,
+    _generation_keys,
     _tree_paths,
     best_literal_keys,
     literal_key,
 )
-from sdprover.matching import literal_match_substs
+from sdprover.matching import literal_match_substs, source_set_up, target_set_up
+from sdprover.ordering import OrderResult
 from sdprover.terms import EMPTY_SUBST, Substitution, Var
 
 env = Gen(seed=31)
@@ -284,10 +288,13 @@ def test_generation_partners_cover_every_pair_with_a_conclusion():
     assert retrieved < 4 * len(stored) ** 2 // 2
 
 
-def _tree_hits(tree, lit):
-    """Ids under every tree path that generalizes lit, an equality in either argument order."""
-    queries = [lit.args, lit.args[::-1]] if lit.is_equality else [lit.args]
-    return set().union(*(leaf for query in queries for leaf in tree.generalizations((lit.positive, lit.pred), query)))
+def _tree_hits(tree, query):
+    """Ids under every tree path that generalizes the unit clause query's
+    literal, an equality in either argument order."""
+    (lit,) = query.literals
+    (walk,) = literal_walks(query)
+    orders = [False, True] if lit.is_equality else [False]
+    return set().union(*(leaf for swapped in orders for leaf in tree.generalizations((lit.positive, lit.pred), walk, swapped)))
 
 
 def test_generalization_tree_retrieves_every_matching_literal():
@@ -300,12 +307,12 @@ def test_generalization_tree_retrieves_every_matching_literal():
     paths = {}
     for c in stored:
         paths[c.cid], _ = _tree_paths(c)
-        for path in paths[c.cid]:
-            tree.insert(path, c.cid)
+        for tag, keys in paths[c.cid]:
+            tree.insert(tag, keys, c.cid)
     matched = retrieved = same_key = 0
     for _ in range(200):
         query = gen.literal(depth=3)
-        found = _tree_hits(tree, query)
+        found = _tree_hits(tree, factory.make([query]))
         retrieved += len(found)
         same_key += sum(literal_key(c.literals[0]) == literal_key(query) for c in stored)
         for c in stored:
@@ -316,8 +323,8 @@ def test_generalization_tree_retrieves_every_matching_literal():
     # the tree filters: far fewer ids come back than a key lookup gives
     assert retrieved < same_key // 2, (retrieved, same_key)
     for c in stored:
-        for path in paths[c.cid]:
-            tree.remove(path, c.cid)
+        for tag, keys in paths[c.cid]:
+            tree.remove(tag, keys, c.cid)
     assert tree._root == {}
 
 
@@ -348,3 +355,70 @@ def test_demodulators_cover_every_rewriting_unit():
                 rewrites += 1
     assert rewrites >= 300, rewrites
     assert retrieved < 150 * len(units) // 2, retrieved
+
+
+def _walk_clauses(factory):
+    """Seeded clauses for the walk checks: random and ground ones, unit
+    equalities, deep towers, a repeated literal, and the permutative units
+    h(X,Y) = h(Y,X) and h(f(X),f(Y)) = h(f(Y),f(X))."""
+    gen = Gen(seed=89)
+    h, f, g, a = gen.h, gen.f, gen.g, gen.a
+    out = [factory.make(gen.lits(gen.rng.randrange(1, 5), depth=3)) for _ in range(150)]
+    out += [factory.make(gen.lits(gen.rng.randrange(1, 4), ground=True)) for _ in range(30)]
+    out += [factory.make([gen.pos_eq(depth=3)]) for _ in range(60)]
+    tower, ground_tower = x, a
+    for _ in range(400):
+        tower, ground_tower = f(tower), g(ground_tower)
+    out += [
+        factory.make([eq(tower, g(x))]),
+        factory.make([eq(h(ground_tower, x), x), gen.p(tower)]),
+        factory.make([neq(ground_tower, h(tower, a)), eq(h(x, tower), ground_tower)]),
+    ]
+    repeated = gen.literal(depth=2)
+    out.append(factory.make([repeated, gen.literal(), repeated]))
+    out += [factory.make([eq(h(x, y), h(y, x))]), factory.make([eq(h(f(x), f(y)), h(f(y), f(x)))])]
+    return out
+
+
+def _ids(leaves):
+    return {id(leaf) for leaf in leaves}
+
+
+def test_stored_walks_agree_with_fresh_walks():
+    """Each clause's stored literal walks give the tree paths, generation
+    keys, target symbols and query leaves, an equality in both argument
+    orders, that walking the terms afresh gives."""
+    factory = ClauseFactory()
+    clauses = _walk_clauses(factory)
+    ix = BackwardIndex()
+    for c in clauses:
+        ix.insert(c)
+    tree = ix._tree
+    swapped_differs = subterm_hits = 0
+    for c in clauses:
+        distinct = list(dict.fromkeys(c.literals))
+        walks = literal_walks(c)
+        assert [(list(keys), ends) for keys, ends in walks] == [preorder(lit.args) for lit in distinct]
+        lhs_paths = []
+        if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
+            for o in source_set_up(c).equations[0]:
+                if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
+                    lhs_paths.append((REWRITE_LHS, tuple(preorder((o.lhs,))[0])))
+        literal_paths = [((lit.positive, lit.pred), tuple(preorder(lit.args)[0])) for lit in distinct]
+        assert _tree_paths(c) == (list(dict.fromkeys(literal_paths)), list(dict.fromkeys(lhs_paths)))
+        symbols = subterm_symbols(c.literals[i] for i in select(c))
+        assert {key[1] for key in _generation_keys(c) if key[0] == REWRITABLE} == (symbols | {None} if symbols else set())
+        assert target_set_up(c).symbols == tuple(sorted(subterm_symbols(c.literals)))
+        for lit, walk in zip(distinct, walks):
+            tag = (lit.positive, lit.pred)
+            leaves = _ids(tree.generalizations(tag, walk))
+            assert leaves == _ids(tree.generalizations(tag, preorder(lit.args)))
+            if lit.is_equality:
+                swapped = _ids(tree.generalizations(tag, walk, swapped=True))
+                assert swapped == _ids(tree.generalizations(tag, preorder(lit.args[::-1]))), lit
+                swapped_differs += swapped != leaves
+        demodulators = _ids(tree.subterm_generalizations(REWRITE_LHS, walks))
+        args = [a for lit in c.literals for a in lit.args]
+        assert demodulators == _ids(tree.subterm_generalizations(REWRITE_LHS, [preorder(args)]))
+        subterm_hits += bool(demodulators)
+    assert swapped_differs >= 150 and subterm_hits >= 150, (swapped_differs, subterm_hits)

@@ -8,6 +8,7 @@ from oracles import (
     all_pairs_generate,
     every_other_active_clause,
     ground_entails,
+    nvars,
     scan_demodulate_once,
     unscreened_superposition,
 )
@@ -305,7 +306,7 @@ def _corpus_search(path, fsd, bsd):
     problem = load_problem(path, sig, factory)
     config = ProverConfig(fsd=fsd, bsd=bsd, time_limit=0, clause_limit=100)
     result = saturate(problem.clauses, config, factory)
-    registry = [(c.cid, c.rule, c.parents, repr(c.literals), c.nvars) for c in factory.registry.values()]
+    registry = [(c.cid, c.rule, c.parents, repr(c.literals), nvars(c.literals)) for c in factory.registry.values()]
     return emit_result(result, sig), registry
 
 
@@ -385,7 +386,7 @@ def _text_search(text, fsd, bsd, clause_limit):
     problem = parse_problem(text, sig, factory)
     config = ProverConfig(fsd=fsd, bsd=bsd, time_limit=0, clause_limit=clause_limit)
     result = saturate(problem.clauses, config, factory)
-    registry = [(c.cid, c.rule, c.parents, repr(c.literals), c.nvars) for c in factory.registry.values()]
+    registry = [(c.cid, c.rule, c.parents, repr(c.literals), nvars(c.literals)) for c in factory.registry.values()]
     return emit_result(result, sig), registry
 
 
@@ -444,3 +445,59 @@ def test_a_backward_subsumed_permutative_unit_leaves_the_index(monkeypatch):
         assert problem.clauses[0].cid in deleted
         if status is SatStatus.UNSATISFIABLE:
             assert verify_proof(result) == []
+
+
+SEARCH_ONLY = ("_selected", "_match_order", "_match_table", "_renamed", "_into", "_walks")
+
+
+def _holds_search_data(c) -> bool:
+    return any(getattr(c, slot) is not None for slot in SEARCH_ONLY)
+
+
+def test_clauses_leaving_the_search_are_released(monkeypatch):
+    """A clause is released when forward simplification deletes or replaces
+    it and when it leaves the active set, backward subsumption included,
+    and no registry clause holds search-only data once saturate returns;
+    proof checking recomputes what it needs."""
+    counts = {"deleted": 0, "replaced": 0, "removed": 0, "backward subsumed": 0}
+    forward_simplify = saturation.forward_simplify
+    remove_active = ProverState.remove_active
+
+    def checked_forward_simplify(g, st):
+        out = forward_simplify(g, st)
+        if out is not g:
+            counts["deleted" if out is None else "replaced"] += 1
+            assert not _holds_search_data(g), g
+        return out
+
+    def checked_remove_active(st, c):
+        remove_active(st, c)
+        counts["removed"] += 1
+        assert not _holds_search_data(c), c
+
+    def counted_deletions(g, bindex, *rest):
+        found = backward_subsumption_deletions(g, bindex, *rest)
+        counts["backward subsumed"] += len(found)
+        return found
+
+    monkeypatch.setattr(saturation, "forward_simplify", checked_forward_simplify)
+    monkeypatch.setattr(ProverState, "remove_active", checked_remove_active)
+    monkeypatch.setattr(saturation, "backward_subsumption_deletions", counted_deletions)
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "*.p")))
+    problems = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            problems.append((handle.read(), 100))
+    problems.append((GROUP_PROBLEM, 20000))
+    statuses = set()
+    for (text, clause_limit), (fsd, bsd) in product(problems, product((True, False), repeat=2)):
+        factory = ClauseFactory()
+        problem = parse_problem(text, Signature(), factory)
+        config = ProverConfig(fsd=fsd, bsd=bsd, time_limit=0, clause_limit=clause_limit)
+        result = saturate(problem.clauses, config, factory)
+        statuses.add(result.status)
+        assert not any(_holds_search_data(c) for c in factory.registry.values())
+        if result.status is SatStatus.UNSATISFIABLE:
+            assert verify_proof(result) == []
+    assert statuses == set(SatStatus)
+    assert min(counts.values()) >= 10, counts

@@ -1,6 +1,6 @@
 """Simplification rule tests: demodulation, conditional rewriting, subsumption."""
 
-from oracles import apply, canonical_literals, naive_sd_results, reference_demodulate, unscreened_sd_steps
+from oracles import apply, canonical_literals, naive_sd_results, nvars, reference_demodulate, unscreened_sd_steps
 from randgen import Gen
 
 from sdprover import simplify
@@ -336,7 +336,7 @@ def _side_with_instance(factory, gen):
         # a second positive equality brings trigger symbols of its own
         extra = (gen.pos_eq(depth=1),) + extra
     side = factory.make((equality,) + extra)
-    sub = Substitution({v: gen.term(1) for v in range(side.nvars)})
+    sub = Substitution({v: gen.term(1) for v in range(nvars(side.literals))})
     instance = [apply(lit, sub) for lit in side.literals]
     redex = gen.rng.choice(instance[0].args)
     main_lits = instance[1:] + [gen.rng.choice([gen.p, gen.q])(gen.rng.choice([redex, gen.f(redex)]))]

@@ -1,6 +1,9 @@
 """Parser, printer, result formatting, and command-line driver tests."""
 
-import time
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -320,18 +323,48 @@ def _balanced(depth: int) -> str:
     return "Y" if depth == 0 else f"h({_balanced(depth - 1)}, {_balanced(depth - 1)})"
 
 
-def test_cli_time_limit_holds_inside_one_inference(tmp_path, capsys, monkeypatch):
-    # the deadline governs saturate only, so parsing the deep inputs is not timed
-    timed = []
+# Runs the CLI with a 1 s time limit on the problem file argv[1] and prints
+# its output, exit code and the seconds saturate took as one JSON line.
+# The deadline governs saturate only, so parsing deep inputs is not timed.
+_TIME_LIMITED_CLI = """
+import contextlib, io, json, sys, time
+from sdprover import cli
 
-    def timed_saturate(*args, **kwargs):
-        start = time.monotonic()
-        try:
-            return saturate(*args, **kwargs)
-        finally:
-            timed.append(time.monotonic() - start)
+untimed = cli.saturate
+timed = []
 
-    monkeypatch.setattr(cli, "saturate", timed_saturate)
+def timed_saturate(*args, **kwargs):
+    start = time.monotonic()
+    try:
+        return untimed(*args, **kwargs)
+    finally:
+        timed.append(time.monotonic() - start)
+
+cli.saturate = timed_saturate
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["--time-limit", "1", sys.argv[1]])
+print(json.dumps({"out": out.getvalue(), "code": code, "saturate_s": timed[0]}))
+"""
+
+
+def _assert_times_out_within_bound(path):
+    """The CLI, run on path with --time-limit 1 in a child interpreter,
+    prints Timeout and exits 2, and saturate returns within 3 s (2 s of
+    slack for a loaded machine).  A run that loses its deadline check fails
+    here when the child is killed after 60 s, instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _TIME_LIMITED_CLI, path], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    run = json.loads(child.stdout)
+    assert (run["out"].strip(), run["code"]) == ("% SZS status Timeout", 2)
+    assert run["saturate_s"] < 3.0, run["saturate_s"]
+
+
+def test_cli_time_limit_holds_inside_one_inference(tmp_path):
     depth = 1500
     # a path of ten p-edges ending in q(b) does not subsume the complete
     # p-graph on a0..a7 plus ~q(b), but the matcher walks every path of the
@@ -353,12 +386,23 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path, capsys, monkeypatch
         f"cnf(graph, axiom, {graph}).\ncnf(chain, axiom, {chain}).",
     ]
     for text in problems:
-        path = _write(tmp_path, text)
-        code = main(["--time-limit", "1", path])
-        assert (capsys.readouterr().out.strip(), code) == ("% SZS status Timeout", 2)
-        # a 1 s limit with 2 s of slack for a loaded machine
-        elapsed = timed.pop()
-        assert elapsed < 3.0, elapsed
+        _assert_times_out_within_bound(_write(tmp_path, text))
+
+
+def test_cli_time_limit_holds_while_unification_fails(tmp_path):
+    """Resolution checks the deadline before each unification, also when
+    none succeeds and nothing is minted."""
+    # the 200 literals p(b, Xi, ai) are pairwise incomparable, so all are
+    # selected, and factoring two of them fails at once on ai against aj;
+    # resolving each with ~p(c, T, Y) binds Y, then binds Xi to the tower
+    # T = f^200000(d), whose occurs check walks all of it, and then fails
+    # on b against c: 200 walks of T in one call, with no conclusion (about
+    # 6 s without the deadline check; with many more literals, selecting
+    # and factoring them would reach the deadline before resolution does)
+    wide = " | ".join(f"p(b, X{i}, a{i})" for i in range(200))
+    depth = 200_000
+    text = f"cnf(wide, axiom, {wide}).\ncnf(tower, axiom, ~p(c, {'f(' * depth}d{')' * depth}, Y)).\n"
+    _assert_times_out_within_bound(_write(tmp_path, text))
 
 
 def test_cli_missing_file_exit(tmp_path, capsys):
