@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .terms import (
     EMPTY_SUBST,
@@ -296,7 +296,7 @@ def release(clause: Clause) -> None:
 
 
 class ResourceLimit(Exception):
-    """A search limit was hit; reason names it ("time", "clauses", "iterations")."""
+    """A search limit was hit; reason names it ("time" or "clauses")."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -384,19 +384,20 @@ def replace_in_literal(lit: Literal, path: tuple[int, ...], new: Term) -> Litera
     return Literal(lit.positive, lit.pred, tuple(args))
 
 
-def select(clause: Clause) -> tuple[int, ...]:
+def select(clause: Clause, check_time: Optional[Callable] = None) -> tuple[int, ...]:
     """Positions of the selected literals, computed once per clause object.
 
     If the clause has a negative literal, select exactly one: a negative
     literal of maximal weight, leftmost on ties.  Otherwise select all
-    maximal literals under the literal ordering.
+    maximal literals under the literal ordering.  check_time (the clause
+    factory's, in a run) is called every 256 literal comparisons.
     """
     if clause._selected is None:
-        object.__setattr__(clause, "_selected", _select(clause))
+        object.__setattr__(clause, "_selected", _select(clause, check_time))
     return clause._selected
 
 
-def _select(clause: Clause) -> tuple[int, ...]:
+def _select(clause: Clause, check_time: Optional[Callable]) -> tuple[int, ...]:
     from .ordering import OrderResult, compare_literals
 
     lits = clause.literals
@@ -407,11 +408,18 @@ def _select(clause: Clause) -> tuple[int, ...]:
     # duplicates compare EQUAL, so maximality is decided once per distinct
     # literal; likely dominators come first so non-maximal literals fail fast
     distinct = sorted(distinct_literals(clause), key=lambda lit: (lit.is_equality, -lit.weight))
-    maximal = {
-        lit
-        for lit in distinct
-        if not any(other is not lit and compare_literals(other, lit) is OrderResult.GREATER for other in distinct)
-    }
+    maximal = set()
+    compared = 0
+    for lit in distinct:
+        for other in distinct:
+            if other is not lit:
+                compared += 1
+                if compared % 256 == 0 and check_time is not None:
+                    check_time()
+                if compare_literals(other, lit) is OrderResult.GREATER:
+                    break
+        else:
+            maximal.add(lit)
     return tuple(i for i, lit in enumerate(lits) if lit in maximal)
 
 

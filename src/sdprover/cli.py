@@ -1,7 +1,7 @@
 """Command-line driver: parse a problem, saturate, report SZS status.
 
 Exit codes: 0 unsatisfiable, 1 satisfiable, 2 a limit hit (SZS status
-Timeout for the time limit, ResourceOut for the clause or iteration cap),
+Timeout for the time limit, ResourceOut for the clause cap),
 3 bad input (unreadable file, parse error, arity conflict, or bad usage),
 4 any other error, reported as SZS status Error so a crash never reads as
 a verdict.

@@ -1,25 +1,38 @@
-"""Literal-keyed clause indexes for simplification and generation retrieval.
+"""Clause indexes for simplification and generation retrieval.
 
-Keys record only the top predicate symbol and polarity (equalities get a
-dedicated tag), so a literal and all of its instances share one key.  That
-makes retrieval an imperfect filter: it may return clauses the matcher later
-rejects, but it never misses a clause whose match exists.
+One perfect discrimination tree (McCune, JAR 1992) answers every literal
+retrieval.  A path is a tag followed by the pre-order symbols of a term
+sequence, STAR for every variable, read off the clause's stored literal
+walks (clauses.literal_walks).  The backward index's tree holds each
+distinct literal of every active clause, tagged (polarity, predicate), and
+the left-hand side of each orientation of an active unit equality that can
+rewrite (matching.source_set_up's equations with a verdict other than
+EQUAL and no right-hand variable the left lacks), tagged REWRITE_LHS.
+FsdIndex's own tree holds each side premise under its best literals
+(best_literals): whichever of its two top literals is not the rewriting
+equality occurs, instantiated, in any main premise the clause simplifies.
+An index keeps the paths it filed a clause under until it is removed.
 
-The forward index stores candidate side premises for subsumption
-demodulation under their best literal, second-best literal, or both:
-reserving the rewriting equality leaves the rest of the clause to be
-matched, so whichever of the two top literals is not reserved must occur,
-instantiated, in any main premise the clause simplifies.  The backward
-index stores every active clause under the key of each of its literals and
-serves backward retrieval and backward subsumption.
+Generalization retrieval follows a STAR edge by skipping the query's whole
+subterm at that point (the walk's ends say where it stops) and a symbol
+edge only on the same symbol; a query variable follows only STAR edges,
+since the matcher treats it as a rigid constant.  Instance retrieval
+follows a query symbol only along its own edge, and a query variable past
+one whole stored term, whose extent the tree reads from a symbol-to-arity
+table it learns from the walks' ends on insert (bounded by the signature).
+Both ignore repeated variables, so they return every generalization
+(instance) of the query, and possibly more: the matcher decides.  An
+equality matches in either argument order, so an equality query also runs
+on the walk of its other order: the second argument's keys, then the
+first's.  Forward subsumption, demodulation and forward subsumption
+demodulation retrieve generalizations of a clause's literals or
+subterms; backward subsumption and backward subsumption demodulation
+retrieve instances of g's literals or of c's best literals.
 
-Subsumption candidates are screened before the matcher runs.  A subsumer c
-of d maps its literals one to one onto literals of d with the same polarity
-and predicate, so c has no more literals under any (polarity, predicate)
-key than d (the count screen), and every function symbol of c occurs in d
-(the symbol screen).  Both are read off the matcher's target set-up of the
-two clauses (matching.target_set_up), and a clause that fails either cannot
-subsume.
+Subsumption candidates also pass the count screen: a subsumer maps its
+literals one to one onto literals with the same polarity and predicate, so
+it has no more literals under any (polarity, predicate) key than the
+clause it subsumes (read off matching.target_set_up).
 
 The backward index also holds each clause under generation keys, taken
 from its selected literals only, since the generating rules use no other:
@@ -35,81 +48,27 @@ from its selected literals only, since the generating rules use no other:
     any.  Superposition of c1 into c2 rewrites only there, and a
     non-variable s unifies only with a term of its own top symbol.
 
-So resolution(c1, c2) can give a conclusion only when c1's key
-(RESOLVES, p, True) meets c2's key (RESOLVES, p, False), and
-superposition(c1, c2) only when c1's (REWRITES, f) meets c2's
-(REWRITABLE, f).  Renaming apart changes no symbol, so the conditions are
-exact necessary conditions: a pair that fails them gets no conclusion from
-that call, and generation_partners leaves out only such pairs.
-
-Forward subsumption and demodulation retrieve partners by generalization,
-from a perfect discrimination tree (McCune, JAR 1992) that the backward
-index keeps next to its buckets.  A path is a tag followed by the
-pre-order symbols of a term sequence, with STAR for every variable.  The
-tree holds
-
-  - each distinct literal of every active clause, tagged (polarity,
-    predicate) and keyed on its arguments, and
-  - the left-hand side of every orientation of an active unit equality
-    that can rewrite (matching.source_set_up's equations with a verdict
-    other than EQUAL and no right-hand variable the left lacks), tagged
-    REWRITE_LHS.
-
-Every path and every query is read off the clause's stored literal walks
-(clauses.literal_walks): each distinct literal is walked once per clause,
-on first use, and the walk serves its tree path, both argument orders of a
-forward-subsumption query (the swapped order reads the walk's second
-argument, then its first), the demodulator query, the REWRITABLE symbols
-and the matcher's target symbols.  The walk is search-only data, dropped
-with the rest when the clause leaves the search; the index keeps the keys
-it filed a clause under until the clause is removed.
-
-Retrieval follows a STAR edge by skipping the query's whole subterm at that
-point and a symbol edge only on the same symbol; a query variable follows
-only STAR edges, since the matcher treats it as a rigid constant.  A path
-that matches the query term by term, repeated variables ignored, is
-returned: every generalization of the query, and possibly more, so the
-matcher still decides.  A subsumer maps each of its literals onto a
-literal of d (an equality in either argument order), so each of its
-literal paths generalizes a literal of d; forward_subsumption_candidates
-keeps the clauses all of whose paths are hit, which implies the symbol
-screen, and applies the count screen to them.  A unit equality
-rewrites a clause only at a non-variable occurrence that an instance of one
-of its left-hand sides equals, so demodulators retrieves, at each such
-occurrence, every unit equality that can rewrite there.
+So resolution(c1, c2) can give a conclusion only when c1's (RESOLVES, p,
+True) meets c2's (RESOLVES, p, False), and superposition(c1, c2) only when
+c1's (REWRITES, f) meets c2's (REWRITABLE, f).  Renaming apart changes no
+symbol, so generation_partners leaves out only pairs without a conclusion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .clauses import Clause, Literal, distinct_literals, literal_walks, select
 from .matching import TargetSetUp, source_set_up, target_set_up
 from .ordering import OrderResult
 from .terms import Var
 
-LiteralKey = tuple
-
-EQ_TAG = "e"
-PRED_TAG = "p"
 RESOLVES = "r"
 REWRITES = "l"
 REWRITABLE = "s"
 REWRITE_LHS = "lhs"
 STAR = None  # the key of a variable in a literal walk
-
-
-def literal_key(lit: Literal) -> LiteralKey:
-    """Substitution-stable fingerprint of a literal."""
-    if lit.is_equality:
-        return (EQ_TAG, lit.positive)
-    return (PRED_TAG, lit.pred, lit.positive)
-
-
-def _distinct_keys(c: Clause) -> set[LiteralKey]:
-    # a bucket is read once however many literals share its key
-    return {literal_key(lit) for lit in distinct_literals(c)}
 
 
 def _generation_keys(c: Clause) -> set[tuple]:
@@ -136,31 +95,56 @@ def _generation_keys(c: Clause) -> set[tuple]:
     return keys
 
 
-def _tree_paths(c: Clause) -> tuple[list[tuple], list[tuple]]:
+def _paths(walked: Iterable[tuple[Literal, tuple]]) -> dict[tuple, list[int]]:
+    """The tree path (tag, keys) of each walked literal, each path once,
+    mapped to the ends of its walk."""
+    return {((lit.positive, lit.pred), keys): ends for lit, (keys, ends) in walked}
+
+
+def _tree_paths(c: Clause) -> tuple[dict[tuple, list[int]], dict[tuple, list[int]]]:
     """c's distinct literal paths, and the paths of the left-hand sides it
-    can rewrite with when it is a unit equality, each as (tag, keys)."""
+    can rewrite with when it is a unit equality, each mapped to its ends."""
     walks = literal_walks(c)
-    literal_paths = list(
-        dict.fromkeys(((lit.positive, lit.pred), keys) for lit, (keys, _) in zip(distinct_literals(c), walks))
-    )
-    lhs_paths = []
+    lhs_paths = {}
     if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
         (keys, ends), lhs = walks[0], c.literals[0].lhs
+        m = ends[0]
         for o in source_set_up(c).equations[0]:
             if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
-                lhs_paths.append((REWRITE_LHS, keys[: ends[0]] if o.lhs is lhs else keys[ends[0] :]))
-    # both sides of a permutative unit such as h(X,Y) = h(Y,X) give one path,
-    # and a path is removed once, so it is stored once
-    return literal_paths, list(dict.fromkeys(lhs_paths))
+                if o.lhs is lhs:
+                    lhs_paths[REWRITE_LHS, keys[:m]] = ends[:m]
+                else:
+                    lhs_paths[REWRITE_LHS, keys[m:]] = [e - m for e in ends[m:]]
+    # both sides of a permutative unit such as h(X,Y) = h(Y,X) give one
+    # path, and a path is removed once, so it is stored once
+    return _paths(zip(distinct_literals(c), walks)), lhs_paths
+
+
+def _other_order(walk: tuple) -> tuple:
+    """The walk of an equality's arguments in the other order: the second
+    argument's keys, then the first's, with the ends shifted to match."""
+    keys, ends = walk
+    m, n = ends[0], len(keys)
+    return keys[m:] + keys[:m], [e - m for e in ends[m:]] + [e + n - m for e in ends[:m]]
+
+
+def _leaves(retrieve: Callable, lit: Literal, walk: tuple) -> list[set[int]]:
+    """The leaves that retrieve (a tree's generalizations or instances)
+    reaches from lit's walk under lit's tag, and for an equality with two
+    different sides from the walk of its other order too."""
+    tag = (lit.positive, lit.pred)
+    leaves = retrieve(tag, walk)
+    if lit.pred is None and lit.args[0] != lit.args[1]:
+        leaves += retrieve(tag, _other_order(walk))
+    return leaves
 
 
 class _Stored(NamedTuple):
     """What the backward index filed a clause under, kept for its removal."""
 
-    literal_keys: set[LiteralKey]
     generation_keys: set[tuple]
-    literal_paths: list[tuple]
-    lhs_paths: list[tuple]
+    literal_paths: dict[tuple, list[int]]
+    lhs_paths: dict[tuple, list[int]]
 
 
 def _fits(small: TargetSetUp, big: TargetSetUp) -> bool:
@@ -172,13 +156,13 @@ def _fits(small: TargetSetUp, big: TargetSetUp) -> bool:
     return True
 
 
-def best_literal_keys(c: Clause) -> list[LiteralKey]:
-    """Keys the clause is indexed under; [] when it is not indexable.
+def best_literals(c: Clause) -> list[Literal]:
+    """The literals the clause is indexed under; [] when it is not indexable.
 
-    That is the key of its heaviest literal (leftmost on ties), or of the
-    second heaviest when the heaviest is a positive equality, or of both
-    when both are.  A clause with no positive equality, or too small to
-    have both a rewriting equality and an indexed literal, is not indexable.
+    That is its heaviest literal (leftmost on ties), or the second heaviest
+    when the heaviest is a positive equality, or both when both are.  A
+    clause with no positive equality, or too small to have both a rewriting
+    equality and an indexed literal, is not indexable.
     """
     lits = c.literals
     if len(lits) < 2 or not any(l.positive and l.is_equality for l in lits):
@@ -188,25 +172,41 @@ def best_literal_keys(c: Clause) -> list[LiteralKey]:
     if lits[best].positive and lits[best].is_equality:
         second_is_eq = lits[second].positive and lits[second].is_equality
         chosen = [best, second] if second_is_eq else [second]
-    return [literal_key(lits[i]) for i in chosen]
+    return [lits[i] for i in chosen]
 
 
-class GeneralizationTree:
-    """Perfect discrimination tree of clause ids for generalization retrieval.
+def _best_walked(c: Clause) -> list[tuple[Literal, tuple]]:
+    """c's best literals, each with its walk."""
+    walks = dict(zip(distinct_literals(c), literal_walks(c)))
+    return [(lit, walks[lit]) for lit in best_literals(c)]
+
+
+class DiscriminationTree:
+    """Perfect discrimination tree of clause ids, for generalization and
+    instance retrieval.
 
     A path is a tag followed by pre-order symbol keys, STAR for a variable
     (see the module docstring).  Inner nodes are dicts from key to child;
     the child after a path's last key is the set of ids stored under it.
     Paths of one tag are complete term sequences over fixed arities, so no
-    path is a prefix of another.
+    path is a prefix of another.  _arity holds the arity of every symbol
+    ever inserted.
     """
 
     def __init__(self) -> None:
         self._root: dict = {}
+        self._arity: dict[int, int] = {}
 
-    def insert(self, tag, keys: tuple, cid: int) -> None:
+    def insert(self, tag, walk: tuple, cid: int) -> None:
+        keys, ends = walk
+        arity = self._arity
         node, last = self._root, tag
-        for key in keys:
+        for i, key in enumerate(keys):
+            if key is not STAR and key not in arity:
+                count, j = 0, i + 1
+                while j < ends[i]:
+                    count, j = count + 1, ends[j]
+                arity[key] = count
             node = node.setdefault(last, {})
             last = key
         node.setdefault(last, set()).add(cid)
@@ -226,13 +226,10 @@ class GeneralizationTree:
                 node, key = trail.pop()
                 del node[key]
 
-    def generalizations(self, tag, walk: tuple, swapped: bool = False) -> list[set[int]]:
+    def generalizations(self, tag, walk: tuple) -> list[set[int]]:
         """The id set of every path under tag whose keys generalize the
         walked argument tuple (clauses.literal_walks), repeated variables
-        ignored; with swapped, a two-argument tuple in the other order.
-
-        The swapped order reads the walk's second argument, then its first.
-        """
+        ignored."""
         node = self._root.get(tag)
         if node is None:
             return []
@@ -241,14 +238,35 @@ class GeneralizationTree:
             # a tag with no keys leads straight to its id set
             return [node]
         out: list[set[int]] = []
-        if swapped:
-            middles: list[dict] = []
-            self._collect(node, keys, ends, ends[0], len(keys), middles)
-            for middle in middles:
-                self._collect(middle, keys, ends, 0, ends[0], out)
-        else:
-            self._collect(node, keys, ends, 0, len(keys), out)
+        self._collect(node, keys, ends, 0, len(keys), out)
         return out
+
+    def instances(self, tag, walk: tuple) -> list[set[int]]:
+        """The id set of every path under tag whose keys are an instance of
+        the walked argument tuple, repeated variables ignored."""
+        node = self._root.get(tag)
+        if node is None:
+            return []
+        arity = self._arity
+        nodes = [node]
+        for key in walk[0]:
+            if key is STAR:
+                # every node one whole stored term further down
+                stack = [(node, 1) for node in nodes]
+                nodes = []
+                while stack:
+                    node, pending = stack.pop()
+                    for edge, child in node.items():
+                        left = pending - 1 if edge is STAR else pending - 1 + arity[edge]
+                        if left:
+                            stack.append((child, left))
+                        else:
+                            nodes.append(child)
+            else:
+                nodes = [child for node in nodes if (child := node.get(key)) is not None]
+            if not nodes:
+                break
+        return nodes
 
     def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set[int]]:
         """The id set of every path under tag, each a single term, that
@@ -266,9 +284,8 @@ class GeneralizationTree:
 
     @staticmethod
     def _collect(node: dict, keys: tuple, ends: list[int], start: int, stop: int, out: list) -> None:
-        """Append to out what every path below node leads to once its keys
-        generalize the query keys[start:stop], repeated variables ignored:
-        an id set at a path's end, an inner node before it."""
+        """Append to out the id set of every path below node whose keys
+        generalize the query keys[start:stop], repeated variables ignored."""
         stack = [(node, start)]
         while stack:
             node, i = stack.pop()
@@ -293,115 +310,93 @@ class FsdIndex:
     """Forward index of potential side premises for subsumption demodulation.
 
     Holds only clauses with at least one positive equality and at least two
-    literals; demodulation retrieves unit equalities from the backward
-    index's tree.
+    literals, in a tree of its own under their best literals' paths;
+    demodulation retrieves unit equalities from the backward index's tree.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[LiteralKey, set[int]] = {}
+        self._tree = DiscriminationTree()
         self._members: dict[int, Clause] = {}
-        self._keys: dict[int, list[LiteralKey]] = {}
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, c: Clause) -> bool:
-        return c.cid in self._members
+        self._paths: dict[int, dict[tuple, list[int]]] = {}
 
     def insert(self, c: Clause) -> None:
         if c.cid in self._members:
             return
-        keys = best_literal_keys(c)
-        if not keys:
+        paths = _paths(_best_walked(c))
+        if not paths:
             return
         self._members[c.cid] = c
-        self._keys[c.cid] = keys
-        for key in keys:
-            self._buckets.setdefault(key, set()).add(c.cid)
+        self._paths[c.cid] = paths
+        for (tag, keys), ends in paths.items():
+            self._tree.insert(tag, (keys, ends), c.cid)
 
     def remove(self, c: Clause) -> None:
         if c.cid not in self._members:
             return
         del self._members[c.cid]
-        for key in self._keys.pop(c.cid):
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                bucket.discard(c.cid)
-                if not bucket:
-                    del self._buckets[key]
+        for tag, keys in self._paths.pop(c.cid):
+            self._tree.remove(tag, keys, c.cid)
 
     def retrieve_fsd_candidates(self, d: Clause) -> set[Clause]:
-        """Stored clauses whose indexed literal could match a literal of d."""
-        out: set[Clause] = set()
-        for key in _distinct_keys(d):
-            for cid in self._buckets.get(key, ()):
-                out.add(self._members[cid])
-        return out
+        """Stored clauses with an indexed literal that generalizes a literal of d."""
+        ids: set[int] = set()
+        for lit, walk in zip(distinct_literals(d), literal_walks(d)):
+            ids.update(*_leaves(self._tree.generalizations, lit, walk))
+        return {self._members[cid] for cid in ids}
 
 
 class BackwardIndex:
     """Index of all active clauses.
 
-    Every clause is stored under the key of each of its literals, for
-    backward retrieval and backward subsumption, and under the generation
-    keys of its selected literals, for generating inferences.  Its
-    distinct literals, and a unit equality's rewriting left-hand sides, go
-    into a generalization tree, for forward subsumption and demodulation.
-    The keys and paths of each clause are computed once, on insert, the
-    paths from its stored literal walks.
+    Every clause's distinct literals, and a unit equality's rewriting
+    left-hand sides, go into a discrimination tree, for subsumption both
+    ways, backward subsumption demodulation and demodulation; every clause
+    is also filed under the generation keys of its selected literals, for
+    generating inferences.  The keys and paths of each clause are computed
+    once, on insert, the paths from its stored literal walks.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
         self._members: dict[int, Clause] = {}
-        self._tree = GeneralizationTree()
+        self._tree = DiscriminationTree()
         self._stored: dict[int, _Stored] = {}
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, c: Clause) -> bool:
-        return c.cid in self._members
 
     def insert(self, c: Clause) -> None:
         if c.cid in self._members:
             return
         self._members[c.cid] = c
-        stored = self._stored[c.cid] = _Stored(_distinct_keys(c), _generation_keys(c), *_tree_paths(c))
-        for key in stored.literal_keys | stored.generation_keys:
+        stored = self._stored[c.cid] = _Stored(_generation_keys(c), *_tree_paths(c))
+        for key in stored.generation_keys:
             self._buckets.setdefault(key, set()).add(c.cid)
-        for tag, keys in stored.literal_paths + stored.lhs_paths:
-            self._tree.insert(tag, keys, c.cid)
+        for (tag, keys), ends in (stored.literal_paths | stored.lhs_paths).items():
+            self._tree.insert(tag, (keys, ends), c.cid)
 
     def remove(self, c: Clause) -> None:
         if c.cid not in self._members:
             return
         del self._members[c.cid]
         stored = self._stored.pop(c.cid)
-        for key in stored.literal_keys | stored.generation_keys:
+        for key in stored.generation_keys:
             bucket = self._buckets[key]
             bucket.discard(c.cid)
             if not bucket:
                 del self._buckets[key]
-        for tag, keys in stored.literal_paths + stored.lhs_paths:
+        for tag, keys in stored.literal_paths | stored.lhs_paths:
             self._tree.remove(tag, keys, c.cid)
-
-    def _bucket(self, key: tuple) -> set[int]:
-        return self._buckets.get(key, set())
 
     def retrieve_bsd_candidates(self, c: Clause) -> set[Clause]:
         """Active clauses that side premise c might rewrite.
 
-        Queried under c's own index keys: whichever indexed literal is not
-        reserved as the rewriting equality must match into the main premise.
+        Those holding an instance of one of c's best literals: whichever
+        indexed literal is not reserved as the rewriting equality must
+        match into the main premise.
         """
-        keys = best_literal_keys(c)
-        out: set[Clause] = set()
-        for key in keys:
-            for cid in self._bucket(key):
-                if cid != c.cid:
-                    out.add(self._members[cid])
-        return out
+        ids: set[int] = set()
+        for lit, walk in _best_walked(c):
+            ids.update(*_leaves(self._tree.instances, lit, walk))
+        ids.discard(c.cid)
+        return {self._members[cid] for cid in ids}
 
     def forward_subsumption_candidates(self, d: Clause) -> set[Clause]:
         """Active clauses that might subsume d.
@@ -410,56 +405,38 @@ class BackwardIndex:
         generalizes a literal of d, an equality in either argument order;
         the clauses whose every path is hit go through the count screen.
         """
-        tree = self._tree
         # one entry per leaf, that is per path, however many queries reach it
         hit: dict[int, set[int]] = {}
         for lit, walk in zip(distinct_literals(d), literal_walks(d)):
-            tag = (lit.positive, lit.pred)
-            leaves = tree.generalizations(tag, walk)
-            if lit.pred is None and lit.args[0] != lit.args[1]:
-                leaves += tree.generalizations(tag, walk, swapped=True)
-            for leaf in leaves:
+            for leaf in _leaves(self._tree.generalizations, lit, walk):
                 hit[id(leaf)] = leaf
         counts: Counter = Counter()
         for leaf in hit.values():
             counts.update(leaf)
         counts.pop(d.cid, None)
         target = target_set_up(d)
-        members, stored = self._members, self._stored
-        out: set[Clause] = set()
-        for cid, n in counts.items():
-            if n == len(stored[cid].literal_paths):
-                c = members[cid]
-                if _fits(target_set_up(c), target):
-                    out.add(c)
-        return out
+        full = [self._members[cid] for cid, n in counts.items() if n == len(self._stored[cid].literal_paths)]
+        return {c for c in full if _fits(target_set_up(c), target)}
 
     def backward_subsumption_candidates(self, g: Clause) -> set[Clause]:
         """Active clauses that g might subsume.
 
-        Any clause subsumed by g contains an instance of every g literal,
-        so it lies in the bucket of each of g's keys; the intersection of
-        those buckets is screened.
+        Any clause subsumed by g holds an instance of every literal of g,
+        an equality in either argument order; the clauses that do go
+        through the count screen.
         """
         if not g.literals:
             return set()
         ids: Optional[set[int]] = None
-        for key in _distinct_keys(g):
-            bucket = self._bucket(key)
-            ids = set(bucket) if ids is None else ids & bucket
+        for lit, walk in zip(distinct_literals(g), literal_walks(g)):
+            found = set().union(*_leaves(self._tree.instances, lit, walk))
+            ids = found if ids is None else ids & found
             if not ids:
                 return set()
-        assert ids is not None
         ids.discard(g.cid)
         source = target_set_up(g)
-        symbols = set(source.symbols)
-        out: set[Clause] = set()
-        for cid in ids:
-            d = self._members[cid]
-            target = target_set_up(d)
-            if symbols.issubset(target.symbols) and _fits(source, target):
-                out.add(d)
-        return out
+        members = self._members
+        return {members[cid] for cid in ids if _fits(source, target_set_up(members[cid]))}
 
     def demodulators(self, g: Clause) -> set[int]:
         """Ids of the active unit equalities that may rewrite g.

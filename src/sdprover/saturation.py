@@ -6,16 +6,16 @@ delete or rewrite active clauses, then activated and used for generating
 inferences with itself and with the active clauses that the backward
 index retrieves as partners for each rule (index.BackwardIndex's
 generation keys).  Forward subsumption and rewriting by unit equalities
-try only the active clauses the backward index's generalization tree
+try only the active clauses the backward index's discrimination tree
 retrieves, in ascending id order; the others cannot subsume or rewrite the
 clause, so the first that does is the one a scan of the active set finds.
 Clause selection alternates age and weight at a 1:5 ratio, starting with
 age.
 
 The time limit is a deadline on the clause factory for the length of a
-run: the loop checks it between steps, and minting, every generating rule
-(before each unification) and the multi-literal matcher behind subsumption
-and rewriting check it inside one step.
+run: the loop checks it between steps, and literal selection, minting,
+every generating rule (before each unification) and the multi-literal
+matcher behind subsumption and rewriting check it inside one step.
 
 A clause's search-only data (clauses.release: its selection, matcher
 set-ups, renamed copy, superposition view and literal walks) is dropped
@@ -39,7 +39,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import calculus
-from .clauses import Clause, ClauseFactory, ResourceLimit, release, variant
+from .clauses import Clause, ClauseFactory, ResourceLimit, release, select, variant
 from .index import BackwardIndex, FsdIndex
 from .simplify import (
     backward_subsumption_deletions,
@@ -68,7 +68,6 @@ class ProverConfig:
     clause_limit: int = 100000
     match_limit: int = 0
     proof: bool = True
-    max_iterations: int = 0
 
 
 @dataclass
@@ -237,8 +236,6 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
     try:
         while len(st.passive) > 0:
             result.iterations += 1
-            if 0 < config.max_iterations < result.iterations:
-                raise ResourceLimit("iterations")
             st.factory.check_time()
             st.check_clauses()
             g = forward_simplify(st.passive.pop(), st)
@@ -248,6 +245,8 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
                 result.status = SatStatus.UNSATISFIABLE
                 result.empty = g
                 return result
+            # the first selection of g, which can compare many literal pairs
+            select(g, factory.check_time)
             st.activate(g)
             result.activated += 1
             backward_simplify(g, st)

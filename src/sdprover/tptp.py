@@ -328,7 +328,7 @@ def emit_result(result: SaturationResult, sig: Signature, proof: bool = True) ->
     """SZS status line, plus numbered derivation lines for refutations.
 
     A run stopped by the time limit is a Timeout; one stopped by the clause
-    or iteration cap is ResourceOut.
+    cap is ResourceOut.
     """
     status = "Timeout" if result.limit_reason == "time" else _SZS[result.status]
     lines = [f"% SZS status {status}"]

@@ -19,7 +19,7 @@ walk per literal.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import count, product
 from typing import Iterator, Optional
 
 from sdprover import calculus
@@ -140,6 +140,29 @@ def naive_match_term(pattern: Term, target: Term, bindings: dict) -> Optional[di
         if bindings is None:
             return None
     return bindings
+
+
+def naive_match_args(patterns, targets) -> bool:
+    """Whether the pattern tuple matches the target tuple one way,
+    position by position (no second order for an equality)."""
+    bindings: Optional[dict] = {}
+    for p, t in zip(patterns, targets):
+        bindings = naive_match_term(p, t, bindings)
+        if bindings is None:
+            return False
+    return True
+
+
+def linearized(terms) -> tuple:
+    """terms with each variable occurrence replaced by a variable of its own."""
+    fresh = count()
+
+    def rebuild(t: Term) -> Term:
+        if isinstance(t, Var):
+            return Var(next(fresh))
+        return App(t.sym, tuple(rebuild(a) for a in t.args))
+
+    return tuple(rebuild(t) for t in terms)
 
 
 def naive_literal_matches(pattern: Literal, target: Literal, bindings: dict) -> list[dict]:
@@ -425,13 +448,20 @@ def scan_demodulate_once(g, st):
 
 
 def every_other_active_clause(index, d) -> set:
-    """Forward subsumption candidates with no retrieval: every clause in the
-    backward index except d.  A drop-in for
-    BackwardIndex.forward_subsumption_candidates."""
+    """Simplification partners with no retrieval: every clause in the index
+    except d.  A drop-in for the subsumption and subsumption demodulation
+    retrievals of BackwardIndex and FsdIndex."""
     return {c for c in index._members.values() if c.cid != d.cid}
 
 
 # -------------------------------------------------------------- term walks
+
+def top_symbol_key(lit: Literal) -> tuple:
+    """A literal's polarity and predicate (None for an equality): the key
+    the literal indexes filed clauses under before one discrimination tree
+    answered every literal retrieval."""
+    return lit.positive, lit.pred
+
 
 def preorder(terms) -> tuple[list, list[int]]:
     """The pre-order keys of a term sequence, None for each variable, and for

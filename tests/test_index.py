@@ -1,24 +1,34 @@
-"""Index tests: key stability, bucket choice, and retrieval completeness."""
+"""Index tests: indexed literals, tree retrieval against brute force, and retrieval completeness."""
 
-from oracles import apply, naive_sd_applicable, naive_subsumes, preorder, rename_apart, subterm_symbols
+from oracles import (
+    linearized,
+    naive_match_args,
+    naive_sd_applicable,
+    naive_subsumes,
+    preorder,
+    rename_apart,
+    subterm_symbols,
+    top_symbol_key,
+)
 from randgen import Gen
 
 from sdprover import calculus, simplify
-from sdprover.clauses import ClauseFactory, eq, literal_walks, neq, select
+from sdprover.clauses import ClauseFactory, eq, literal_walks, neq, predicate, select
 from sdprover.index import (
     REWRITABLE,
     REWRITE_LHS,
     BackwardIndex,
+    DiscriminationTree,
     FsdIndex,
-    GeneralizationTree,
     _generation_keys,
+    _leaves,
+    _other_order,
     _tree_paths,
-    best_literal_keys,
-    literal_key,
+    best_literals,
 )
 from sdprover.matching import literal_match_substs, source_set_up, target_set_up
 from sdprover.ordering import OrderResult
-from sdprover.terms import EMPTY_SUBST, Substitution, Var
+from sdprover.terms import EMPTY_SUBST, Var
 
 env = Gen(seed=31)
 x, y = Var(0), Var(1)
@@ -44,45 +54,31 @@ def _applicable_pair(factory):
     return side, main
 
 
-def test_literal_key_stable_under_substitution():
-    for _ in range(300):
-        lit = env.literal()
-        subst = Substitution({vid: env.term(2, ground=True) for vid in range(3)})
-        assert literal_key(lit) == literal_key(apply(lit, subst))
-
-
-def test_literal_key_separates_polarity_and_predicate():
-    assert literal_key(env.p(x)) != literal_key(env.q(x))
-    assert literal_key(env.p(x)) != literal_key(env.p(x).negated())
-    assert literal_key(eq(x, y)) != literal_key(eq(x, y).negated())
-    assert literal_key(eq(x, env.a)) == literal_key(eq(env.b, y))
-
-
 def test_index_keys_skip_best_positive_equality():
     factory = ClauseFactory()
     c = factory.make([eq(env.f(env.g(x)), env.g(x)), env.q(x), env.r(y, y)])
     # the equality outweighs both others, so the heaviest remaining literal
-    # (the binary atom) is the lookup key
-    assert best_literal_keys(c) == [literal_key(env.r(x, y))]
+    # (the binary atom) is the indexed literal
+    assert best_literals(c) == [c.literals[2]]
 
 
 def test_index_keys_use_top_two_when_both_are_equalities():
     factory = ClauseFactory()
     c = factory.make([eq(env.f(x), x), eq(env.g(y), y)])
-    assert best_literal_keys(c) == [("e", True), ("e", True)]
+    assert best_literals(c) == list(c.literals)
 
 
 def test_index_keys_use_best_literal_when_not_an_equality():
     factory = ClauseFactory()
     c = factory.make([env.p(env.f(env.f(x))), eq(x, y)])
-    assert best_literal_keys(c) == [literal_key(env.p(x))]
+    assert best_literals(c) == [c.literals[0]]
 
 
 def test_unindexable_clauses_have_no_keys():
     factory = ClauseFactory()
-    assert best_literal_keys(factory.make([env.p(x), env.q(x)])) == []
-    assert best_literal_keys(factory.make([eq(env.f(x), x)])) == []
-    assert best_literal_keys(factory.make([])) == []
+    assert best_literals(factory.make([env.p(x), env.q(x)])) == []
+    assert best_literals(factory.make([eq(env.f(x), x)])) == []
+    assert best_literals(factory.make([])) == []
 
 
 def test_fsd_index_insert_remove_round_trip():
@@ -91,14 +87,16 @@ def test_fsd_index_insert_remove_round_trip():
     kept = []
     for c in _clauses(factory, 40, 4):
         ix.insert(c)
-        if best_literal_keys(c):
+        if best_literals(c):
             kept.append(c)
-    assert len(ix) == len({c.cid for c in kept})
+    assert len(ix._members) == len({c.cid for c in kept})
     for c in kept:
-        assert c in ix
+        assert c.cid in ix._members
         ix.remove(c)
-        assert c not in ix
-    assert len(ix) == 0
+        assert c.cid not in ix._members
+    assert len(ix._members) == 0
+    # removal drops every path and tree node it made
+    assert ix._paths == {} and ix._tree._root == {}
     probe = factory.make([env.p(env.a)])
     assert ix.retrieve_fsd_candidates(probe) == set()
 
@@ -109,10 +107,10 @@ def test_fsd_index_double_insert_and_remove_are_idempotent():
     c = factory.make([eq(env.f(x), x), env.p(x)])
     ix.insert(c)
     ix.insert(c)
-    assert len(ix) == 1
+    assert len(ix._members) == 1
     ix.remove(c)
     ix.remove(c)
-    assert len(ix) == 0
+    assert len(ix._members) == 0
 
 
 def test_fsd_retrieval_by_residual_literal():
@@ -141,7 +139,7 @@ def test_fsd_retrieval_never_misses_an_applicable_side():
         found = ix.retrieve_fsd_candidates(d)
         for c in stored:
             # unit equalities are out of scope for the index by contract
-            if best_literal_keys(c) and naive_sd_applicable(c.literals, d.literals):
+            if best_literals(c) and naive_sd_applicable(c.literals, d.literals):
                 assert c in found
                 hits += 1
     assert hits >= 15
@@ -154,12 +152,12 @@ def test_backward_index_round_trip():
     for c in stored:
         ix.insert(c)
         ix.insert(c)
-    assert len(ix) == len(stored)
-    assert all(c in ix for c in stored)
+    assert len(ix._members) == len(stored)
+    assert all(c.cid in ix._members for c in stored)
     for c in stored:
         ix.remove(c)
         ix.remove(c)
-    assert len(ix) == 0
+    assert len(ix._members) == 0
     # removal drops every bucket, stored key and tree node it made
     assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
     # a permutative unit rewrites left to right and right to left from one
@@ -196,12 +194,30 @@ def test_bsd_retrieval_never_misses_a_rewritable_main():
     assert hits >= 15
 
 
+def test_rewriting_retrieval_reads_an_indexed_equality_in_either_order():
+    """A side premise indexed under its two equalities finds, forward and
+    backward, a main premise that holds an instance of one of them with
+    its sides swapped."""
+    factory = ClauseFactory()
+    h, f, g, a, b = env.h, env.f, env.g, env.a, env.b
+    side = factory.make([eq(f(x), x), eq(h(x, a), g(x))])
+    main = factory.make([eq(g(b), h(b, a)), env.p(f(b))])
+    assert best_literals(side) == [side.literals[1], side.literals[0]]
+    assert naive_sd_applicable(side.literals, main.literals)
+    forward = FsdIndex()
+    forward.insert(side)
+    assert forward.retrieve_fsd_candidates(main) == {side}
+    backward = BackwardIndex()
+    backward.insert(main)
+    assert backward.retrieve_bsd_candidates(side) == {main}
+
+
 def _shares_a_key(c, d):
-    return any(literal_key(a) == literal_key(b) for a in c.literals for b in d.literals)
+    return any(top_symbol_key(a) == top_symbol_key(b) for a in c.literals for b in d.literals)
 
 
 def _has_every_key(c, d):
-    return all(any(literal_key(a) == literal_key(b) for b in d.literals) for a in c.literals)
+    return all(any(top_symbol_key(a) == top_symbol_key(b) for b in d.literals) for a in c.literals)
 
 
 def test_forward_subsumption_retrieval_complete():
@@ -223,7 +239,7 @@ def test_forward_subsumption_retrieval_complete():
             elif _shares_a_key(c, d) and c not in found:
                 screened += 1
     assert hits > 0
-    # the literal-count and symbol screen drops clauses the key lookup returns
+    # the tree and the count screen drop clauses a top-symbol lookup returns
     assert screened > 0
 
 
@@ -293,8 +309,7 @@ def _tree_hits(tree, query):
     literal, an equality in either argument order."""
     (lit,) = query.literals
     (walk,) = literal_walks(query)
-    orders = [False, True] if lit.is_equality else [False]
-    return set().union(*(leaf for swapped in orders for leaf in tree.generalizations((lit.positive, lit.pred), walk, swapped)))
+    return set().union(*_leaves(tree.generalizations, lit, walk))
 
 
 def test_generalization_tree_retrieves_every_matching_literal():
@@ -302,19 +317,19 @@ def test_generalization_tree_retrieves_every_matching_literal():
     matcher's literal_match_substs, is retrieved; most others are not."""
     gen = Gen(seed=61)
     factory = ClauseFactory()
-    tree = GeneralizationTree()
+    tree = DiscriminationTree()
     stored = [factory.make([gen.literal(depth=2)]) for _ in range(200)]
     paths = {}
     for c in stored:
         paths[c.cid], _ = _tree_paths(c)
-        for tag, keys in paths[c.cid]:
-            tree.insert(tag, keys, c.cid)
+        for (tag, keys), ends in paths[c.cid].items():
+            tree.insert(tag, (keys, ends), c.cid)
     matched = retrieved = same_key = 0
     for _ in range(200):
         query = gen.literal(depth=3)
         found = _tree_hits(tree, factory.make([query]))
         retrieved += len(found)
-        same_key += sum(literal_key(c.literals[0]) == literal_key(query) for c in stored)
+        same_key += sum(top_symbol_key(c.literals[0]) == top_symbol_key(query) for c in stored)
         for c in stored:
             if next(literal_match_substs(c.literals[0], query, EMPTY_SUBST), None) is not None:
                 assert c.cid in found, (c, query)
@@ -324,6 +339,77 @@ def test_generalization_tree_retrieves_every_matching_literal():
     assert retrieved < same_key // 2, (retrieved, same_key)
     for c in stored:
         for tag, keys in paths[c.cid]:
+            tree.remove(tag, keys, c.cid)
+    assert tree._root == {}
+
+
+def _instance_ids(stored, query, args):
+    """The ids of the stored unit clauses whose literal the query literal,
+    with the argument tuple args, matches one way onto in the stored
+    argument order; and the same with the query's repeated variables
+    ignored, which is what the tree retrieves."""
+    exact, linear = set(), set()
+    for c in stored:
+        (lit,) = c.literals
+        if top_symbol_key(lit) == top_symbol_key(query):
+            if naive_match_args(args, lit.args):
+                exact.add(c.cid)
+            if naive_match_args(linearized(args), lit.args):
+                linear.add(c.cid)
+    return exact, linear
+
+
+def _instance_queries(gen, tower):
+    """Seeded query literals: random ones, with repeated variables, with a
+    variable at the top, ground, propositional, and 400-deep towers."""
+    h, f = gen.h, gen.f
+    out = [gen.literal(depth=gen.rng.randrange(4)) for _ in range(150)]
+    out += [gen.literal(depth=2, ground=True) for _ in range(30)]
+    out += [gen.r(x, x), gen.r(h(x, y), x), eq(x, y), eq(x, x), eq(h(x, y), f(x)), gen.p(x), gen.r(x, gen.a)]
+    out += [gen.s(), gen.s().negated(), gen.p(tower), eq(tower, y), eq(f(x), tower), gen.r(x, tower)]
+    return out
+
+
+def test_instance_retrieval_agrees_with_brute_force():
+    """The tree's instances, for a query walk and the walk of its other
+    order, are the stored literals the query matches one way onto in that
+    argument order, repeated variables ignored; so they include every true
+    instance."""
+    gen = Gen(seed=71)
+    gen.s = predicate(gen.sig, "s", 0)
+    factory = ClauseFactory()
+    tower, ground_tower = x, gen.a
+    for _ in range(400):
+        tower, ground_tower = gen.f(tower), gen.f(ground_tower)
+    lits = [gen.literal(depth=3) for _ in range(300)]
+    lits += [gen.literal(depth=2, ground=True) for _ in range(60)]
+    lits += [gen.s(), gen.s().negated(), gen.p(ground_tower), gen.p(tower), eq(ground_tower, gen.b)]
+    lits += [eq(gen.f(gen.b), ground_tower), gen.r(gen.a, ground_tower), gen.r(x, x), eq(x, x)]
+    stored = [factory.make([lit]) for lit in lits]
+    tree = DiscriminationTree()
+    for c in stored:
+        for (tag, keys), ends in _tree_paths(c)[0].items():
+            tree.insert(tag, (keys, ends), c.cid)
+    found_total = exact_total = swapped_differs = 0
+    for query in _instance_queries(gen, tower):
+        (walk,) = literal_walks(factory.make([query]))
+        walks = [(walk, query.args)]
+        if query.is_equality:
+            walks.append((_other_order(walk), query.args[::-1]))
+        founds = []
+        for w, args in walks:
+            found = set().union(*tree.instances(top_symbol_key(query), w))
+            exact, linear = _instance_ids(stored, query, args)
+            assert found == linear, (query, args)
+            assert exact <= found
+            found_total += len(found)
+            exact_total += len(exact)
+            founds.append(found)
+        swapped_differs += founds[0] != founds[-1]
+    assert exact_total >= 300 and found_total > exact_total, (exact_total, found_total)
+    assert swapped_differs >= 15, swapped_differs
+    for c in stored:
+        for tag, keys in _tree_paths(c)[0]:
             tree.remove(tag, keys, c.cid)
     assert tree._root == {}
 
@@ -386,8 +472,9 @@ def _ids(leaves):
 
 def test_stored_walks_agree_with_fresh_walks():
     """Each clause's stored literal walks give the tree paths, generation
-    keys, target symbols and query leaves, an equality in both argument
-    orders, that walking the terms afresh gives."""
+    keys, target symbols and query leaves, both generalizations and
+    instances, an equality in both argument orders (the swapped walk), that
+    walking the terms afresh gives."""
     factory = ClauseFactory()
     clauses = _walk_clauses(factory)
     ix = BackwardIndex()
@@ -399,24 +486,33 @@ def test_stored_walks_agree_with_fresh_walks():
         distinct = list(dict.fromkeys(c.literals))
         walks = literal_walks(c)
         assert [(list(keys), ends) for keys, ends in walks] == [preorder(lit.args) for lit in distinct]
-        lhs_paths = []
+        lhs_paths = {}
         if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
             for o in source_set_up(c).equations[0]:
                 if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
-                    lhs_paths.append((REWRITE_LHS, tuple(preorder((o.lhs,))[0])))
-        literal_paths = [((lit.positive, lit.pred), tuple(preorder(lit.args)[0])) for lit in distinct]
-        assert _tree_paths(c) == (list(dict.fromkeys(literal_paths)), list(dict.fromkeys(lhs_paths)))
+                    keys, ends = preorder((o.lhs,))
+                    lhs_paths[REWRITE_LHS, tuple(keys)] = ends
+        literal_paths = {}
+        for lit in distinct:
+            keys, ends = preorder(lit.args)
+            literal_paths[(lit.positive, lit.pred), tuple(keys)] = ends
+        assert _tree_paths(c) == (literal_paths, lhs_paths)
+        assert list(_tree_paths(c)[0]) == list(literal_paths)
         symbols = subterm_symbols(c.literals[i] for i in select(c))
         assert {key[1] for key in _generation_keys(c) if key[0] == REWRITABLE} == (symbols | {None} if symbols else set())
         assert target_set_up(c).symbols == tuple(sorted(subterm_symbols(c.literals)))
         for lit, walk in zip(distinct, walks):
             tag = (lit.positive, lit.pred)
-            leaves = _ids(tree.generalizations(tag, walk))
-            assert leaves == _ids(tree.generalizations(tag, preorder(lit.args)))
-            if lit.is_equality:
-                swapped = _ids(tree.generalizations(tag, walk, swapped=True))
-                assert swapped == _ids(tree.generalizations(tag, preorder(lit.args[::-1]))), lit
-                swapped_differs += swapped != leaves
+            for retrieve in (tree.generalizations, tree.instances):
+                leaves = _ids(retrieve(tag, walk))
+                assert leaves == _ids(retrieve(tag, preorder(lit.args)))
+                if lit.is_equality:
+                    keys, ends = _other_order(walk)
+                    assert (list(keys), ends) == preorder(lit.args[::-1])
+                    swapped = _ids(retrieve(tag, (keys, ends)))
+                    assert swapped == _ids(retrieve(tag, preorder(lit.args[::-1]))), lit
+                    assert _ids(_leaves(retrieve, lit, walk)) == (leaves | swapped if lit.lhs != lit.rhs else leaves)
+                    swapped_differs += swapped != leaves
         demodulators = _ids(tree.subterm_generalizations(REWRITE_LHS, walks))
         args = [a for lit in c.literals for a in lit.args]
         assert demodulators == _ids(tree.subterm_generalizations(REWRITE_LHS, [preorder(args)]))

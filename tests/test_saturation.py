@@ -16,7 +16,7 @@ from randgen import Gen, GroundGen
 
 from sdprover import calculus, saturation
 from sdprover.clauses import ClauseFactory, eq, neq, predicate
-from sdprover.index import BackwardIndex
+from sdprover.index import BackwardIndex, FsdIndex
 from sdprover.simplify import backward_subsumption_deletions
 from sdprover.saturation import (
     PassiveQueue,
@@ -99,14 +99,6 @@ def test_duplicate_inputs_collapse():
     result = saturate(inputs, _quick(), s.factory)
     assert result.status is SatStatus.SATURATED
     assert result.activated == 1
-
-
-def test_iteration_limit():
-    s = Setup()
-    inputs = [s.clause(s.p(s.a)), s.clause(s.p(X).negated(), s.p(s.f(X)))]
-    result = saturate(inputs, _quick(max_iterations=3), s.factory)
-    assert result.status is SatStatus.RESOURCE_OUT
-    assert result.limit_reason == "iterations"
 
 
 def test_clause_limit():
@@ -325,6 +317,32 @@ def test_indexed_generation_matches_the_all_pairs_loop(monkeypatch):
         assert indexed == oracle, (path, fsd, bsd)
         unsat += indexed[0].startswith("% SZS status Unsatisfiable")
     assert unsat > 0
+
+
+def test_indexed_retrieval_matches_every_eligible_clause(monkeypatch):
+    """Subsumption and subsumption demodulation, forward and backward, try
+    only the partners the discrimination trees retrieve, so every corpus
+    run in every configuration makes the same clauses, with the same ids
+    and parents, and prints the same SZS output as trying every eligible
+    clause: every other active clause, or every indexed side premise."""
+    retrievals = [
+        (BackwardIndex, "forward_subsumption_candidates"),
+        (BackwardIndex, "backward_subsumption_candidates"),
+        (BackwardIndex, "retrieve_bsd_candidates"),
+        (FsdIndex, "retrieve_fsd_candidates"),
+    ]
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "*.p")))
+    assert len(paths) == 20
+    rules = set()
+    for path, (fsd, bsd) in product(paths, product((True, False), repeat=2)):
+        indexed = _corpus_search(path, fsd, bsd)
+        with monkeypatch.context() as patch:
+            for owner, attr in retrievals:
+                patch.setattr(owner, attr, every_other_active_clause)
+            oracle = _corpus_search(path, fsd, bsd)
+        assert indexed == oracle, (path, fsd, bsd)
+        rules.update(rule for _, rule, _, _, _ in indexed[1])
+    assert {"fsd", "bsd"} <= rules, rules
 
 
 def test_indexed_demodulation_matches_the_scan():

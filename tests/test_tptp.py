@@ -405,6 +405,19 @@ def test_cli_time_limit_holds_while_unification_fails(tmp_path):
     _assert_times_out_within_bound(_write(tmp_path, text))
 
 
+def test_cli_time_limit_holds_in_literal_selection(tmp_path):
+    """Literal selection checks the deadline every few hundred literal
+    comparisons."""
+    # the 600 literals p(b, Xi, ai) are pairwise incomparable and all
+    # positive, so selecting them compares every pair: about 360,000
+    # comparisons, 4 s without the deadline check, before the clause is
+    # activated; the tower clause is heavier, so it is selected later
+    wide = " | ".join(f"p(b, X{i}, a{i})" for i in range(600))
+    depth = 100_000
+    text = f"cnf(wide, axiom, {wide}).\ncnf(tower, axiom, ~p(c, {'f(' * depth}d{')' * depth}, Y)).\n"
+    _assert_times_out_within_bound(_write(tmp_path, text))
+
+
 def test_cli_missing_file_exit(tmp_path, capsys):
     assert main([str(tmp_path / "absent.p")]) == 3
     assert "sdprover:" in capsys.readouterr().err
