@@ -137,8 +137,9 @@ def predicate(sig: Signature, name: str, arity: int) -> PredicateSymbol:
 class Clause:
     """A multiset of literals with provenance.
 
-    Clause objects compare by identity; use Counter(c.literals) or variant()
-    for content comparisons.  Duplicate literals are preserved.
+    Clause objects compare by identity; use Counter(c.literals) or
+    matching.variant() for content comparisons.  Duplicate literals are
+    preserved.
 
     The slots after parents hold work done once per clause object: its
     distinct literals (distinct_literals), kept for the clause's lifetime,
@@ -178,17 +179,6 @@ class Clause:
         if not self.literals:
             return f"<{self.cid}: $false>"
         return f"<{self.cid}: {' | '.join(map(repr, self.literals))}>"
-
-
-def _literal_pairings(a: Literal, b: Literal):
-    """Ways to align the argument tuples of two compatible literals."""
-    if a.positive != b.positive or a.pred != b.pred or len(a.args) != len(b.args):
-        return
-    yield tuple(zip(a.args, b.args))
-    if a.pred is None:
-        swapped = tuple(zip(a.args, (b.args[1], b.args[0])))
-        if swapped != tuple(zip(a.args, b.args)):
-            yield swapped
 
 
 def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[Literal, ...]:
@@ -422,50 +412,3 @@ def _select(clause: Clause, check_time: Optional[Callable]) -> tuple[int, ...]:
             maximal.add(lit)
     return tuple(i for i, lit in enumerate(lits) if lit in maximal)
 
-
-def variant(lits_a: Sequence[Literal], lits_b: Sequence[Literal]) -> bool:
-    """True if the literal multisets are equal up to variable renaming."""
-    a, b = tuple(lits_a), tuple(lits_b)
-    if len(a) != len(b):
-        return False
-    return _variant_search(a, b, 0, set(), {}, {})
-
-
-def _rename_match(p: Term, t: Term, fwd: dict, bwd: dict) -> Optional[tuple[dict, dict]]:
-    stack = [(p, t)]
-    fwd, bwd = dict(fwd), dict(bwd)
-    while stack:
-        x, y = stack.pop()
-        if isinstance(x, Var):
-            if not isinstance(y, Var):
-                return None
-            if fwd.get(x.vid, y.vid) != y.vid or bwd.get(y.vid, x.vid) != x.vid:
-                return None
-            fwd[x.vid] = y.vid
-            bwd[y.vid] = x.vid
-        else:
-            if not isinstance(y, App) or x.sym != y.sym or len(x.args) != len(y.args):
-                return None
-            stack.extend(zip(x.args, y.args))
-    return fwd, bwd
-
-
-def _variant_search(a, b, i, used, fwd, bwd) -> bool:
-    if i == len(a):
-        return True
-    lit = a[i]
-    for j, other in enumerate(b):
-        if j in used:
-            continue
-        for pairs in _literal_pairings(lit, other):
-            maps = (fwd, bwd)
-            ok = True
-            for p, t in pairs:
-                res = _rename_match(p, t, maps[0], maps[1])
-                if res is None:
-                    ok = False
-                    break
-                maps = res
-            if ok and _variant_search(a, b, i + 1, used | {j}, maps[0], maps[1]):
-                return True
-    return False

@@ -10,6 +10,7 @@ a verdict.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -37,14 +38,30 @@ def _switch(value: str) -> bool:
     return value == "on"
 
 
+def _limit(convert: type):
+    """An argparse type for a limit: convert's value, which must be a
+    non-negative finite number (0 means no limit)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 <= value < math.inf:  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"expected a non-negative finite number, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sdprover", description="Saturation prover for first-order logic with equality.")
     parser.add_argument("path", nargs="?", default="-", help="TPTP CNF problem file, or - for stdin")
     parser.add_argument("--fsd", choices=("on", "off"), default="on", help="forward subsumption demodulation")
     parser.add_argument("--bsd", choices=("on", "off"), default="on", help="backward subsumption demodulation")
-    parser.add_argument("--time-limit", type=float, default=60.0, help="seconds before giving up (0 = none)")
-    parser.add_argument("--clause-limit", type=int, default=100000, help="clause count cap (0 = none)")
-    parser.add_argument("--match-limit", type=int, default=0, help="match enumeration cap per clause pair (0 = none)")
+    parser.add_argument("--time-limit", type=_limit(float), default=60.0, help="seconds before giving up (0 = none)")
+    parser.add_argument("--clause-limit", type=_limit(int), default=100000, help="clause count cap (0 = none)")
+    parser.add_argument(
+        "--match-limit", type=_limit(int), default=0, help="match enumeration cap per clause pair (0 = none)"
+    )
     parser.add_argument("--proof", choices=("on", "off"), default="on", help="print the derivation on refutation")
     return parser
 

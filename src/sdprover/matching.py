@@ -11,8 +11,12 @@ demodulation exactly one positive equality of the source is left out of the
 match and reserved as the rewriting equality; any positive equality may take
 that role, so the enumeration branches between "reserve this equality" and
 "match it like the rest".  Backtracking runs over source literals in order
-of decreasing weight, and enumeration is exhaustive and duplicate-free, so
-the generator resumes where the previous solution left off.
+of decreasing weight, on an explicit stack of per-level iterators rather
+than one recursive call per literal, so a clause of any width gets an
+answer; enumeration is exhaustive and duplicate-free, and the generator
+resumes where the previous solution left off.  Two clauses are variants
+exactly when they have equal length and each subsumes the other (variant),
+so the same search decides that too.
 
 Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
@@ -31,11 +35,11 @@ clauses.release drops them when the clause leaves the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import ordering  # compare_terms is looked up on the module, where perfbench's tracer counts it
-from .clauses import Clause, Literal, _literal_pairings, literal_walks, orientations
+from .clauses import Clause, Literal, literal_walks, orientations
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .ordering import OrderResult
 from .terms import EMPTY_SUBST, Substitution, Term, Var, match_pairs, term_vars
@@ -49,15 +53,13 @@ class MLMatch:
     subst: the partial substitution built from the matched literals; it
         binds source variables only and keeps X -> X bindings.
     pairs: (source position, target position) for every matched literal.
+    image: the target positions in pairs.
     """
 
     rewrite_eq_pos: int
     subst: Substitution
     pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(j for _, j in self.pairs)
+    image: frozenset[int]
 
 
 class Orientation(NamedTuple):
@@ -166,6 +168,17 @@ def target_set_up(clause: Clause) -> TargetSetUp:
     return stored
 
 
+def _literal_pairings(a: Literal, b: Literal):
+    """Ways to align the argument tuples of two compatible literals."""
+    if a.positive != b.positive or a.pred != b.pred or len(a.args) != len(b.args):
+        return
+    yield tuple(zip(a.args, b.args))
+    if a.pred is None:
+        swapped = tuple(zip(a.args, (b.args[1], b.args[0])))
+        if swapped != tuple(zip(a.args, b.args)):
+            yield swapped
+
+
 def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) -> Iterator[Substitution]:
     """All ways to match one literal onto another, extending base.
 
@@ -198,26 +211,17 @@ def match_solutions(
     """
     src = source.literals
     dst = target.literals
-    need = len(src) - (1 if reserve_equality else 0)
-    if need > len(dst):
+    if len(src) - (1 if reserve_equality else 0) > len(dst):
         return
     order, last_eq, _, _ = source_set_up(source)
     compatible = target_set_up(target).table
-    nodes = 0
 
-    def search(k: int, subst: Substitution, used: frozenset[int], pairs, eq_pos: Optional[int]) -> Iterator[MLMatch]:
-        nonlocal nodes
-        nodes += 1
-        if nodes % 256 == 0 and check_time is not None:
-            check_time()
-        if k == len(order):
-            if not reserve_equality or eq_pos is not None:
-                yield MLMatch(-1 if eq_pos is None else eq_pos, subst, tuple(sorted(pairs)))
-            return
+    def children(k: int, subst: Substitution, used: frozenset[int], pairs, eq_pos: Optional[int]):
+        # the states one level down, in enumeration order
         i = order[k]
         lit = src[i]
         if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
-            yield from search(k + 1, subst, used, pairs, i)
+            yield k + 1, subst, used, pairs, i
             # while no equality is reserved, the last positive equality in
             # the order must take that role: matching it cannot succeed
             if k == last_eq:
@@ -226,14 +230,39 @@ def match_solutions(
             if j in used:
                 continue
             for extended in literal_match_substs(lit, dst[j], subst):
-                yield from search(k + 1, extended, used | {j}, pairs + [(i, j)], eq_pos)
+                yield k + 1, extended, used | {j}, pairs + ((i, j),), eq_pos
 
-    solutions = search(0, EMPTY_SUBST, frozenset(), [], None)
-    yield from islice(solutions, limit) if limit else solutions
+    nodes = found = 0
+    stack = [iter(((0, EMPTY_SUBST, frozenset(), (), None),))]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes % 256 == 0 and check_time is not None:
+            check_time()
+        k, subst, used, pairs, eq_pos = state
+        if k < len(order):
+            stack.append(children(*state))
+        elif not reserve_equality or eq_pos is not None:
+            yield MLMatch(-1 if eq_pos is None else eq_pos, subst, tuple(sorted(pairs)), used)
+            found += 1
+            if found == limit:
+                return
 
 
 def subsumes(c: Clause, d: Clause, check_time: Optional[Callable] = None) -> bool:
     """True when some instance of c is a sub-multiset of d; check_time as in match_solutions."""
-    if len(c) > len(d):
-        return False
     return next(match_solutions(c, d, reserve_equality=False, check_time=check_time), None) is not None
+
+
+def variant(c: Clause, d: Clause) -> bool:
+    """True if the literal multisets of c and d are equal up to variable renaming.
+
+    That is mutual subsumption: each match assigns literals one to one, so
+    the lengths are equal (compared first, as a quick exit); matching never
+    lowers a weight, so each match maps variables to variables; and then
+    neither can merge two of them.
+    """
+    return len(c) == len(d) and subsumes(c, d) and subsumes(d, c)

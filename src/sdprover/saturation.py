@@ -39,8 +39,9 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import calculus
-from .clauses import Clause, ClauseFactory, ResourceLimit, release, select, variant
+from .clauses import Clause, ClauseFactory, ResourceLimit, release, select
 from .index import BackwardIndex, FsdIndex
+from .matching import variant
 from .simplify import (
     backward_subsumption_deletions,
     backward_subsumption_demodulation,
@@ -307,7 +308,7 @@ def _reproducible(node: Clause, registry: dict[int, Clause]) -> bool:
     if replay is None:
         return False
     conclusions = replay(*(registry[p] for p in node.parents), ClauseFactory(), node.rule)
-    return any(variant(c.literals, node.literals) for c in conclusions)
+    return any(variant(c, node) for c in conclusions)
 
 
 def verify_proof(result: SaturationResult) -> list[str]:

@@ -11,23 +11,34 @@ So are the retrieval-free loops (all-pairs generation, the scan over unit
 equalities, every active clause as a subsumption candidate): drop-ins for
 the saturation steps whose partners the indexes retrieve.  Replaced
 versions of engine code are kept as references too: renaming apart by an
-offset per call, KBO recounting variables at every level, and the term
-walks each index and screen made for itself before every clause kept one
-walk per literal.
+offset per call, KBO recounting variables at every level, the term walks
+each index and screen made for itself before every clause kept one walk
+per literal, the multi-literal search as a recursive generator, and the
+variant test as a direct search for the renaming.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count, product
+from itertools import count, islice, product
 from typing import Iterator, Optional
 
 from sdprover import calculus
 from sdprover.clauses import Literal, eq, literal_occurrences, orientations, replace_in_literal, select
-from sdprover.matching import match_solutions
+from sdprover.matching import _literal_pairings, literal_match_substs, match_solutions, source_set_up, target_set_up
 from sdprover.ordering import OrderResult, _prec_greater, compare_literal_multisets, compare_terms
 from sdprover.simplify import RewriteStep, check_ordering_conditions, demodulate
-from sdprover.terms import App, Substitution, Term, Var, apply_term, match_pairs, term_vars, unify_pairs
+from sdprover.terms import (
+    EMPTY_SUBST,
+    App,
+    Substitution,
+    Term,
+    Var,
+    apply_term,
+    match_pairs,
+    term_vars,
+    unify_pairs,
+)
 
 
 def multiset_greater_ref(xs, ys, cmp) -> bool:
@@ -226,6 +237,84 @@ def naive_ml_solutions(side_lits, main_lits) -> set[tuple]:
             items = tuple(sorted((v, t) for v, t in bindings.items() if Var(v) != t))
             out.add((e_pos, tuple(sorted(pairs)), items))
     return out
+
+
+
+def recursive_match_solutions(source, target, *, reserve_equality: bool, limit: int = 0) -> Iterator[tuple]:
+    """The engine's multi-literal search as it was written before it ran
+    on an explicit stack: one recursive generator call per source literal,
+    over the engine's own set-ups and literal matcher.  Yields
+    (rewrite_eq_pos, pairs, subst) in the engine's enumeration order."""
+    src = source.literals
+    dst = target.literals
+    if len(src) - (1 if reserve_equality else 0) > len(dst):
+        return
+    order, last_eq, _, _ = source_set_up(source)
+    compatible = target_set_up(target).table
+
+    def search(k: int, subst: Substitution, used: frozenset, pairs, eq_pos: Optional[int]) -> Iterator[tuple]:
+        if k == len(order):
+            if not reserve_equality or eq_pos is not None:
+                yield (-1 if eq_pos is None else eq_pos, tuple(sorted(pairs)), subst)
+            return
+        i = order[k]
+        lit = src[i]
+        if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
+            yield from search(k + 1, subst, used, pairs, i)
+            if k == last_eq:
+                return
+        for j in compatible.get((lit.positive, lit.pred), ()):
+            if j in used:
+                continue
+            for extended in literal_match_substs(lit, dst[j], subst):
+                yield from search(k + 1, extended, used | {j}, pairs + [(i, j)], eq_pos)
+
+    solutions = search(0, EMPTY_SUBST, frozenset(), [], None)
+    yield from islice(solutions, limit) if limit else solutions
+
+
+def _rename_match(p: Term, t: Term, fwd: dict, bwd: dict) -> Optional[tuple[dict, dict]]:
+    stack = [(p, t)]
+    fwd, bwd = dict(fwd), dict(bwd)
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Var):
+            if not isinstance(y, Var):
+                return None
+            if fwd.get(x.vid, y.vid) != y.vid or bwd.get(y.vid, x.vid) != x.vid:
+                return None
+            fwd[x.vid] = y.vid
+            bwd[y.vid] = x.vid
+        else:
+            if not isinstance(y, App) or x.sym != y.sym or len(x.args) != len(y.args):
+                return None
+            stack.extend(zip(x.args, y.args))
+    return fwd, bwd
+
+
+def _variant_search(a, b, i, used, fwd, bwd) -> bool:
+    if i == len(a):
+        return True
+    for j, other in enumerate(b):
+        if j in used:
+            continue
+        for pairs in _literal_pairings(a[i], other):
+            maps = (fwd, bwd)
+            for p, t in pairs:
+                maps = _rename_match(p, t, *maps)
+                if maps is None:
+                    break
+            if maps is not None and _variant_search(a, b, i + 1, used | {j}, *maps):
+                return True
+    return False
+
+
+def renaming_variant(lits_a, lits_b) -> bool:
+    """Whether two literal sequences are equal multisets up to a variable
+    bijection, found by a direct search for the renaming (the engine's
+    variant before it became mutual subsumption)."""
+    a, b = tuple(lits_a), tuple(lits_b)
+    return len(a) == len(b) and _variant_search(a, b, 0, set(), {}, {})
 
 
 # ------------------------------------------- subsumption demodulation

@@ -11,7 +11,8 @@ from sdprover.calculus import (
     superposition,
     unary_inferences,
 )
-from sdprover.clauses import ClauseFactory, eq, neq, select, variant
+from sdprover.clauses import Clause, ClauseFactory, eq, neq, select
+from sdprover.matching import variant
 from sdprover.terms import Substitution, Var
 
 env = Gen(seed=47)
@@ -55,7 +56,7 @@ def test_resolution_renames_shared_variables_apart():
     c2 = factory.make([env.p(env.f(x)).negated(), env.q(x)])
     out = resolution(c1, c2, factory)
     assert len(out) == 1
-    assert variant(out[0].literals, (env.q(x),))
+    assert variant(out[0], Clause((env.q(x),), 0))
 
 
 def test_factoring_unifies_two_selected_literals():

@@ -4,16 +4,8 @@ import pytest
 from oracles import apply, canonical_literals, clause_vars, nvars, shift_vars
 from randgen import Gen
 
-from sdprover.clauses import (
-    ClauseFactory,
-    Literal,
-    _literal_pairings,
-    eq,
-    neq,
-    rename_apart,
-    select,
-    variant,
-)
+from sdprover.clauses import Clause, ClauseFactory, Literal, eq, neq, rename_apart, select
+from sdprover.matching import _literal_pairings, variant
 from sdprover.ordering import OrderResult, compare_literals
 from sdprover.terms import SignatureError, Substitution, Var, unify_pairs
 
@@ -70,7 +62,7 @@ def test_clauses_compare_by_identity():
     c1 = factory.make([env.p(env.a)])
     c2 = factory.make([env.p(env.a)])
     assert c1 != c2
-    assert variant(c1.literals, c2.literals)
+    assert variant(c1, c2)
 
 
 def test_apply_on_literal_and_tuple():
@@ -135,7 +127,7 @@ def test_rename_apart_makes_vars_disjoint():
         # apart from every first premise, a itself included
         assert all(v < 0 for v in clause_vars(renamed))
         assert clause_vars(renamed) == {-1 - v for v in clause_vars(a.literals)}
-        assert variant(renamed, a.literals)
+        assert variant(Clause(renamed, 0), a)
         # kept on the clause: a second call returns the same copy
         assert rename_apart(a) is renamed
         for lit, copy in zip(a.literals, renamed):
@@ -193,17 +185,17 @@ def test_select_well_behaved_on_random_clauses():
 
 
 def test_variant_is_renaming_equivalence():
-    a = (env.p(x), env.q(x))
-    b = (env.p(y), env.q(y))
-    c = (env.p(x), env.q(y))
+    a = Clause((env.p(x), env.q(x)), 0)
+    b = Clause((env.p(y), env.q(y)), 1)
+    c = Clause((env.p(x), env.q(y)), 2)
     assert variant(a, b)
     assert not variant(a, c)
     # variants may list literals in any order
-    assert variant(a, tuple(reversed(b)))
+    assert variant(a, Clause(tuple(reversed(b.literals)), 3))
 
 
 def test_variant_requires_bijective_renaming():
-    a = (env.r(x, y),)
-    b = (env.r(x, x),)
+    a = Clause((env.r(x, y),), 0)
+    b = Clause((env.r(x, x),), 1)
     assert not variant(a, b)
     assert not variant(b, a)

@@ -1,12 +1,21 @@
-"""Multi-literal matcher tests: subsumption, solution enumeration, cursors."""
+"""Multi-literal matcher tests: subsumption, solution enumeration, cursors,
+variants, and clauses too wide for a recursive search."""
 
-from oracles import apply, naive_ml_solutions, naive_subsumes, rename_apart
+from oracles import (
+    apply,
+    clause_vars,
+    naive_ml_solutions,
+    naive_subsumes,
+    recursive_match_solutions,
+    rename_apart,
+    renaming_variant,
+)
 from randgen import Gen
 
-from sdprover.clauses import Clause, ClauseFactory, eq
-from sdprover.matching import match_solutions, subsumes
+from sdprover.clauses import Clause, ClauseFactory, Literal, eq, predicate
+from sdprover.matching import match_solutions, subsumes, variant
 from sdprover.simplify import sd_simplifications
-from sdprover.terms import Substitution, Var
+from sdprover.terms import Signature, Substitution, Var
 
 env = Gen(seed=23)
 x, y = Var(0), Var(1)
@@ -153,3 +162,98 @@ def test_unit_equality_source_has_single_trivial_solution():
     assert len(solutions) == 1
     assert solutions[0].pairs == ()
     assert len(solutions[0].subst) == 0
+
+
+def test_match_solutions_enumerates_in_the_recursive_order():
+    """The stack-based search yields what the recursive one did, in the same
+    order: forward and backward rewriting take the first step they find."""
+    gen = Gen(seed=97)
+    several = 0
+    for round_no in range(320):
+        side = gen.lits(gen.rng.randrange(1, 4))
+        if round_no % 2:
+            side = (gen.pos_eq(),) + side
+        if round_no % 3 == 0:
+            side += (gen.rng.choice(side),)
+        main = list(gen.lits(gen.rng.randrange(1, 5)))
+        if round_no % 4 < 2:
+            # an instance of side inside main; side and main share variable ids
+            main += apply(side, Substitution({v: gen.term(1) for v in range(gen.n_vars) if gen.rng.random() < 0.7}))
+        # every equality in both argument orders, and a repeated literal
+        main += [Literal(lit.positive, None, lit.args[::-1]) for lit in main if lit.is_equality]
+        if round_no % 5 == 0:
+            main.append(gen.rng.choice(main))
+        gen.rng.shuffle(main)
+        source, target = _clause(side), _clause(main, 1)
+        for reserve in (False, True):
+            for limit in (0, 1, 2):
+                solutions = list(match_solutions(source, target, reserve_equality=reserve, limit=limit))
+                expected = list(recursive_match_solutions(source, target, reserve_equality=reserve, limit=limit))
+                assert [(m.rewrite_eq_pos, m.pairs, m.subst) for m in solutions] == expected
+                assert all(m.image == frozenset(j for _, j in m.pairs) for m in solutions)
+                several += limit == 0 and len(solutions) > 1
+    assert several > 100
+
+
+def _near_variant(gen: Gen, lits: tuple) -> tuple:
+    """lits changed in a way that may or may not keep it a variant."""
+    out = list(lits)
+    vids = sorted(clause_vars(lits))
+    choice = gen.rng.randrange(3)
+    if choice == 0 and len(vids) > 1:
+        # merge two variables
+        out = list(apply(lits, Substitution({vids[0]: Var(vids[1])})))
+    elif choice == 1 and vids:
+        # bind a variable in one literal only
+        i = gen.rng.randrange(len(out))
+        out[i] = apply(out[i], Substitution({gen.rng.choice(vids): gen.a}))
+    else:
+        # one literal in place of another
+        out[gen.rng.randrange(len(out))] = gen.rng.choice(out)
+    return tuple(out)
+
+
+def test_variant_agrees_with_the_renaming_search():
+    gen = Gen(seed=101, n_vars=4)
+    outcomes = {True: 0, False: 0}
+    for round_no in range(300):
+        lits = gen.lits(gen.rng.randrange(1, 5))
+        if round_no % 3 == 2:
+            lits = _near_variant(gen, lits)
+        vids = sorted(clause_vars(lits))
+        # a bijection onto ids that overlap lits' own
+        renaming = Substitution({v: Var(w) for v, w in zip(vids, gen.rng.sample(range(6), len(vids)))})
+        other = [
+            Literal(lit.positive, None, lit.args[::-1]) if lit.is_equality and gen.rng.random() < 0.5 else lit
+            for lit in apply(lits, renaming)
+        ]
+        gen.rng.shuffle(other)
+        if round_no % 3 == 1:
+            other = _near_variant(gen, tuple(other))
+        a, b = _clause(lits), _clause(other, 1)
+        expected = renaming_variant(a.literals, b.literals)
+        assert variant(a, b) == expected
+        assert variant(b, a) == renaming_variant(b.literals, a.literals)
+        outcomes[expected] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 50
+    merged, apart = _clause((env.p(x), env.p(x))), _clause((env.p(x), env.p(y)), 1)
+    assert not variant(merged, apart) and not variant(apart, merged)
+    assert not renaming_variant(merged.literals, apart.literals)
+    # one subsumes the other, not the other way: literals match one to one
+    single = _clause((env.p(x),), 2)
+    assert not variant(single, merged) and not variant(merged, single)
+
+
+def test_wide_clauses_subsume_and_are_variants():
+    """1,500 literals: one level per literal on the search's own stack, far
+    past Python's recursion limit."""
+    sig = Signature()
+    p = predicate(sig, "p", 1)
+    ground = tuple(p(sig.constant(f"a{i}")) for i in range(1500))
+    c, d = _clause(ground), _clause(ground, 1)
+    assert subsumes(c, c) and subsumes(c, d)
+    assert variant(c, c) and variant(c, d)
+    nonground = _clause(p(Var(i)) for i in range(1500))
+    renamed = _clause(p(Var(1499 - i)) for i in range(1500))
+    assert variant(nonground, renamed)
+    assert subsumes(nonground, c) and not variant(nonground, c)

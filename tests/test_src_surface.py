@@ -1,8 +1,13 @@
-"""Every module-level function and class in src/sdprover serves the prover.
+"""Every module-level function and class in src/sdprover serves the prover,
+and no function of the search calls itself.
 
 A definition counts as used when some code in src/sdprover refers to it
 outside its own body, or when the package exports it in __all__.  Helpers
 that only tests call belong in the tests.
+
+Term walks and the matcher's backtracking run on explicit stacks, so a
+deep term or a wide clause cannot exhaust Python's stack.  The parser is
+not checked: parse_problem recurses once per nested include directive.
 """
 
 import ast
@@ -55,3 +60,35 @@ def unused_definitions() -> list[str]:
 
 def test_no_module_level_definition_is_test_only():
     assert unused_definitions() == []
+
+
+SEARCH_MODULES = ("terms", "clauses", "ordering", "matching", "index", "simplify", "calculus", "saturation")
+
+
+def _callee(func: ast.expr):
+    """The name a call reaches its own function by: f(...), self.f(...) or cls.f(...)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls"):
+        return func.attr
+    return None
+
+
+def self_calls() -> list[str]:
+    """module:function:line for every call of a function inside its own
+    body (nested definitions included) in the search modules."""
+    modules = _modules()
+    out = []
+    for mod in SEARCH_MODULES:
+        for fn in ast.walk(modules[mod + ".py"]):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.extend(
+                    f"{mod}:{fn.name}:{call.lineno}"
+                    for call in ast.walk(fn)
+                    if isinstance(call, ast.Call) and _callee(call.func) == fn.name
+                )
+    return out
+
+
+def test_no_search_function_calls_itself():
+    assert self_calls() == []

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from sdprover import cli
-from sdprover.clauses import ClauseFactory, variant
+from sdprover.clauses import ClauseFactory
 from sdprover.cli import main
+from sdprover.matching import variant
 from sdprover.saturation import ProverConfig, SatStatus, saturate, verify_proof
 from sdprover.terms import App, Signature, Var
 from sdprover.tptp import (
@@ -202,7 +203,7 @@ def test_format_round_trip_is_identity_up_to_renaming():
     reparsed, sig2, _ = _parse(reprinted)
     assert len(reparsed.clauses) == len(problem.clauses)
     for before, after in zip(problem.clauses, reparsed.clauses):
-        assert variant(before.literals, after.literals)
+        assert variant(before, after)
 
 
 def test_format_round_trip_on_random_clauses():
@@ -214,7 +215,7 @@ def test_format_round_trip_on_random_clauses():
         text = f"cnf(a, axiom, {format_clause(clause, env.sig)})."
         # reparse against the same signature so names resolve to the same ids
         reparsed = parse_problem(text, env.sig, ClauseFactory())
-        assert variant(clause.literals, reparsed.clauses[0].literals)
+        assert variant(clause, reparsed.clauses[0])
 
 
 def test_format_term_and_literal_shapes():
@@ -348,16 +349,20 @@ print(json.dumps({"out": out.getvalue(), "code": code, "saturate_s": timed[0]}))
 """
 
 
+def _run_child(script: str, path: str) -> subprocess.CompletedProcess:
+    """Run script in a child interpreter that imports sdprover from this
+    tree, with path as argv[1]; killed after 60 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True, env=env, timeout=60)
+
+
 def _assert_times_out_within_bound(path):
     """The CLI, run on path with --time-limit 1 in a child interpreter,
     prints Timeout and exits 2, and saturate returns within 3 s (2 s of
     slack for a loaded machine).  A run that loses its deadline check fails
     here when the child is killed after 60 s, instead of hanging the suite."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run(
-        [sys.executable, "-c", _TIME_LIMITED_CLI, path], capture_output=True, text=True, env=env, timeout=60
-    )
+    child = _run_child(_TIME_LIMITED_CLI, path)
     assert child.returncode == 0, child.stderr
     run = json.loads(child.stdout)
     assert (run["out"].strip(), run["code"]) == ("% SZS status Timeout", 2)
@@ -496,6 +501,43 @@ def test_cli_deep_term_gets_a_status_not_a_traceback(tmp_path, capsys):
         code = main(flags + [path])
         status = capsys.readouterr().out.splitlines()[0]
         assert (status, code) == ("% SZS status Unsatisfiable", 0)
+
+
+def test_cli_wide_clauses_get_a_verdict(tmp_path):
+    """Subsumption between clauses of over a thousand literals backtracks
+    one level per literal, on the matcher's own stack: the CLI, in a child
+    interpreter with Python's default recursion limit, saturates."""
+    script = "import sys\nfrom sdprover.cli import main\nraise SystemExit(main(sys.argv[1:]))"
+    wide = " | ".join(f"p(a{i})" for i in range(1200))
+    wider = " | ".join(f"p(a{i})" for i in range(1100))
+    problems = [
+        # the same clause twice: each subsumes the other
+        f"cnf(a, axiom, {wide}).\ncnf(b, axiom, {wide}).",
+        # a clause and itself plus q(b), which it subsumes
+        f"cnf(a, axiom, {wider}).\ncnf(b, axiom, {wider} | q(b)).",
+    ]
+    for text in problems:
+        child = _run_child(script, _write(tmp_path, text))
+        assert (child.stdout.splitlines()[:1], child.returncode) == (["% SZS status Satisfiable"], 1), child.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--match-limit", "-1"), ("--time-limit", "-1"), ("--time-limit", "nan"), ("--time-limit", "inf"),
+     ("--clause-limit", "-1")],
+)
+def test_cli_limit_must_be_non_negative_and_finite(tmp_path, capsys, flag, value):
+    path = _write(tmp_path, "cnf(a, axiom, p(c)).")
+    assert main([flag, value, path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: expected a non-negative finite number" in err
+
+
+def test_cli_zero_limits_mean_none(tmp_path, capsys):
+    path = _write(tmp_path, "cnf(a, axiom, p(c)). cnf(b, negated_conjecture, ~p(c)).")
+    assert main(["--time-limit", "0", "--clause-limit", "0", "--match-limit", "0", path]) == 0
+    assert capsys.readouterr().out.startswith("% SZS status Unsatisfiable")
 
 
 def test_cli_unexpected_exception_is_status_error(tmp_path, capsys, monkeypatch):
