@@ -8,10 +8,10 @@ in both forward and backward direction.
 """
 
 from .clauses import Clause, ClauseFactory, Literal, PredicateSymbol, eq, neq, predicate
-from .ordering import OrderResult, compare_clauses, compare_literals, compare_terms
+from .ordering import OrderResult, compare_literals, compare_terms
 from .saturation import ProverConfig, SatStatus, SaturationResult, proof_clauses, saturate, verify_proof
 from .terms import App, FunctionSymbol, Signature, SignatureError, Substitution, Term, Var
-from .tptp import ParseError, Problem, emit_result, format_clause, load_problem, parse_problem
+from .tptp import ParseError, Problem, emit_result, format_clause, parse_problem
 
 __all__ = [
     "App",
@@ -31,13 +31,11 @@ __all__ = [
     "Substitution",
     "Term",
     "Var",
-    "compare_clauses",
     "compare_literals",
     "compare_terms",
     "emit_result",
     "eq",
     "format_clause",
-    "load_problem",
     "neq",
     "parse_problem",
     "predicate",

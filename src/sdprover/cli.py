@@ -2,7 +2,8 @@
 
 Exit codes: 0 unsatisfiable, 1 satisfiable, 2 a limit hit (SZS status
 Timeout for the time limit, ResourceOut for the clause cap),
-3 bad input (unreadable file, parse error, arity conflict, or bad usage),
+3 bad input (unreadable file or one that is not UTF-8, parse error, arity
+conflict, or bad usage),
 4 any other error, reported as SZS status Error so a crash never reads as
 a verdict.
 """
@@ -59,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bsd", choices=("on", "off"), default="on", help="backward subsumption demodulation")
     parser.add_argument("--time-limit", type=_limit(float), default=60.0, help="seconds before giving up (0 = none)")
     parser.add_argument("--clause-limit", type=_limit(int), default=100000, help="clause count cap (0 = none)")
-    parser.add_argument(
-        "--match-limit", type=_limit(int), default=0, help="match enumeration cap per clause pair (0 = none)"
-    )
     parser.add_argument("--proof", choices=("on", "off"), default="on", help="print the derivation on refutation")
     return parser
 
@@ -94,12 +92,15 @@ def _run(argv: Optional[list[str]]) -> int:
     except (OSError, ParseError, SignatureError) as exc:
         print(f"sdprover: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        source = "stdin" if args.path == "-" else repr(args.path)
+        print(f"sdprover: cannot read {source}: {exc}", file=sys.stderr)
+        return 3
     config = ProverConfig(
         fsd=_switch(args.fsd),
         bsd=_switch(args.bsd),
         time_limit=args.time_limit,
         clause_limit=args.clause_limit,
-        match_limit=args.match_limit,
         proof=_switch(args.proof),
     )
     result = saturate(problem.clauses, config, factory)

@@ -14,9 +14,11 @@ that role, so the enumeration branches between "reserve this equality" and
 of decreasing weight, on an explicit stack of per-level iterators rather
 than one recursive call per literal, so a clause of any width gets an
 answer; enumeration is exhaustive and duplicate-free, and the generator
-resumes where the previous solution left off.  Two clauses are variants
-exactly when they have equal length and each subsumes the other (variant),
-so the same search decides that too.
+resumes where the previous solution left off.  Nothing caps the number of
+solutions: the run's deadline, checked every few hundred search nodes, is
+the one bound on a search, and it also stops one that finds nothing.  Two
+clauses are variants exactly when they have equal length and each subsumes
+the other (variant), so the same search decides that too.
 
 Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
@@ -49,16 +51,15 @@ from .terms import EMPTY_SUBST, Substitution, Term, Var, match_pairs, term_vars
 class MLMatch:
     """One match of a source clause into a target clause.
 
-    rewrite_eq_pos: source position of the reserved rewriting equality.
+    rewrite_eq_pos: source position of the reserved rewriting equality
+        (-1 without one).
     subst: the partial substitution built from the matched literals; it
         binds source variables only and keeps X -> X bindings.
-    pairs: (source position, target position) for every matched literal.
-    image: the target positions in pairs.
+    image: the target positions the matched source literals landed on.
     """
 
     rewrite_eq_pos: int
     subst: Substitution
-    pairs: tuple[tuple[int, int], ...]
     image: frozenset[int]
 
 
@@ -73,7 +74,6 @@ class Orientation(NamedTuple):
     lhs: Term
     rhs: Term
     verdict: OrderResult
-    lhs_vars: tuple[int, ...]
     extra_vars: tuple[int, ...]  # variables of rhs that lhs lacks
 
 
@@ -119,8 +119,7 @@ def _orientations(lit: Literal) -> tuple[Orientation, ...]:
     out = []
     for (lhs, rhs), verdict in zip(orientations(lit), verdicts):
         if verdict is not OrderResult.LESS:
-            lhs_vars = term_vars(lhs)
-            out.append(Orientation(lhs, rhs, verdict, tuple(lhs_vars), tuple(term_vars(rhs) - lhs_vars)))
+            out.append(Orientation(lhs, rhs, verdict, tuple(term_vars(rhs) - term_vars(lhs))))
     return tuple(out)
 
 
@@ -194,16 +193,16 @@ def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) 
 
 
 def match_solutions(
-    source: Clause, target: Clause, *, reserve_equality: bool, limit: int = 0, check_time: Optional[Callable] = None
+    source: Clause, target: Clause, *, reserve_equality: bool, check_time: Optional[Callable] = None
 ) -> Iterator[MLMatch]:
     """Enumerate matches of source into target.
 
     With reserve_equality, each solution reserves exactly one positive
     equality of the source as the rewriting equality and matches everything
     else; otherwise all source literals are matched (plain subsumption).
-    A positive limit caps the number of solutions enumerated.  check_time
-    (the clause factory's, in a run) is called every 256 search nodes, so
-    a search that finds nothing still stops at the deadline.
+    The deadline is the only bound on the search: check_time (the clause
+    factory's, in a run) is called every 256 search nodes, so a search that
+    finds nothing still stops there.
 
     Source and target may share variable ids.  Target variables are rigid,
     and each solution's substitution binds source variables only, keeping
@@ -216,12 +215,12 @@ def match_solutions(
     order, last_eq, _, _ = source_set_up(source)
     compatible = target_set_up(target).table
 
-    def children(k: int, subst: Substitution, used: frozenset[int], pairs, eq_pos: Optional[int]):
+    def children(k: int, subst: Substitution, used: frozenset[int], eq_pos: Optional[int]):
         # the states one level down, in enumeration order
         i = order[k]
         lit = src[i]
         if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
-            yield k + 1, subst, used, pairs, i
+            yield k + 1, subst, used, i
             # while no equality is reserved, the last positive equality in
             # the order must take that role: matching it cannot succeed
             if k == last_eq:
@@ -230,10 +229,10 @@ def match_solutions(
             if j in used:
                 continue
             for extended in literal_match_substs(lit, dst[j], subst):
-                yield k + 1, extended, used | {j}, pairs + ((i, j),), eq_pos
+                yield k + 1, extended, used | {j}, eq_pos
 
-    nodes = found = 0
-    stack = [iter(((0, EMPTY_SUBST, frozenset(), (), None),))]
+    nodes = 0
+    stack = [iter(((0, EMPTY_SUBST, frozenset(), None),))]
     while stack:
         state = next(stack[-1], None)
         if state is None:
@@ -242,14 +241,11 @@ def match_solutions(
         nodes += 1
         if nodes % 256 == 0 and check_time is not None:
             check_time()
-        k, subst, used, pairs, eq_pos = state
+        k, subst, used, eq_pos = state
         if k < len(order):
             stack.append(children(*state))
         elif not reserve_equality or eq_pos is not None:
-            yield MLMatch(-1 if eq_pos is None else eq_pos, subst, tuple(sorted(pairs)), used)
-            found += 1
-            if found == limit:
-                return
+            yield MLMatch(-1 if eq_pos is None else eq_pos, subst, used)
 
 
 def subsumes(c: Clause, d: Clause, check_time: Optional[Callable] = None) -> bool:

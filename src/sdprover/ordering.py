@@ -152,10 +152,3 @@ def compare_literals(a: "Literal", b: "Literal") -> OrderResult:
 
 def compare_literal_multisets(a: Sequence["Literal"], b: Sequence["Literal"]) -> OrderResult:
     return multiset_extension(tuple(a), tuple(b), compare_literals)
-
-
-def compare_clauses(c1, c2) -> OrderResult:
-    """Compare two clauses (or literal sequences) as literal multisets."""
-    lits1 = c1.literals if hasattr(c1, "literals") else tuple(c1)
-    lits2 = c2.literals if hasattr(c2, "literals") else tuple(c2)
-    return compare_literal_multisets(lits1, lits2)

@@ -67,7 +67,6 @@ class ProverConfig:
     bsd: bool = True
     time_limit: float = 60.0
     clause_limit: int = 100000
-    match_limit: int = 0
     proof: bool = True
 
 
@@ -173,7 +172,7 @@ def forward_simplify(g: Clause, st: ProverState) -> Optional[Clause]:
             return None
         stepped = _demodulate_once(g, st)
         if stepped is None and st.config.fsd:
-            stepped = forward_subsumption_demodulation(g, st.fsd_index, st.factory, st.config.match_limit)
+            stepped = forward_subsumption_demodulation(g, st.fsd_index, st.factory)
         if stepped is None:
             return g
         release(g)
@@ -189,7 +188,7 @@ def backward_simplify(g: Clause, st: ProverState) -> None:
     for d in backward_subsumption_deletions(g, st.bindex, st.factory.check_time):
         st.remove_active(d)
     if st.config.bsd and any(l.positive and l.is_equality for l in g.literals):
-        for old, new in backward_subsumption_demodulation(g, st.bindex, st.factory, st.config.match_limit):
+        for old, new in backward_subsumption_demodulation(g, st.bindex, st.factory):
             st.remove_active(old)
             st.passive.push(new)
 

@@ -106,9 +106,7 @@ def remainder_exceeds(main: Clause, lhs_image: Term, rhs_image: Term, matched_im
     return compare_literal_multisets(outside, [eq(lhs_image, rhs_image)]) is OrderResult.GREATER
 
 
-def sd_simplifications(
-    side: Clause, main: Clause, match_limit: int = 0, check_time: Optional[Callable] = None
-) -> Iterator[RewriteStep]:
+def sd_simplifications(side: Clause, main: Clause, check_time: Optional[Callable] = None) -> Iterator[RewriteStep]:
     """Every subsumption demodulation step with the given side and main premise, in scan order.
 
     Side and main are matched as stored.  An orientation whose right-hand
@@ -127,7 +125,7 @@ def sd_simplifications(
         if not any(sym in symbols for sym in triggers):
             return
     occurrences: Optional[list[list[tuple[tuple[int, ...], Term]]]] = None  # per main literal
-    for m in match_solutions(side, main, reserve_equality=True, limit=match_limit, check_time=check_time):
+    for m in match_solutions(side, main, reserve_equality=True, check_time=check_time):
         bound = m.subst
         usable = [
             o
@@ -166,10 +164,8 @@ def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFact
     return factory.make(lits, rule=rule, parents=(main.cid, step.side_cid))
 
 
-def _rewrite_once(
-    side: Clause, main: Clause, factory: ClauseFactory, rule: str, match_limit: int = 0
-) -> Optional[Clause]:
-    step = next(sd_simplifications(side, main, match_limit, factory.check_time), None)
+def _rewrite_once(side: Clause, main: Clause, factory: ClauseFactory, rule: str) -> Optional[Clause]:
+    step = next(sd_simplifications(side, main, factory.check_time), None)
     return None if step is None else build_simplified_clause(main, step, factory, rule)
 
 
@@ -182,26 +178,24 @@ def demodulate(unit: Clause, main: Clause, factory: ClauseFactory) -> Optional[C
     return _rewrite_once(unit, main, factory, "demodulation")
 
 
-def forward_subsumption_demodulation(
-    d: Clause, ix: FsdIndex, factory: ClauseFactory, match_limit: int = 0
-) -> Optional[Clause]:
+def forward_subsumption_demodulation(d: Clause, ix: FsdIndex, factory: ClauseFactory) -> Optional[Clause]:
     """Simplify d with the first applicable indexed side premise, or None."""
     for c in sorted(ix.retrieve_fsd_candidates(d), key=lambda c: c.cid):
-        out = _rewrite_once(c, d, factory, "fsd", match_limit)
+        out = _rewrite_once(c, d, factory, "fsd")
         if out is not None:
             return out
     return None
 
 
 def backward_subsumption_demodulation(
-    c: Clause, active: BackwardIndex, factory: ClauseFactory, match_limit: int = 0
+    c: Clause, active: BackwardIndex, factory: ClauseFactory
 ) -> list[tuple[Clause, Clause]]:
     """Rewrite active clauses with side premise c; (old, new) per replacement."""
     if len(c.literals) < 2:
         return []
     out: list[tuple[Clause, Clause]] = []
     for d in sorted(active.retrieve_bsd_candidates(c), key=lambda d: d.cid):
-        new = _rewrite_once(c, d, factory, "bsd", match_limit)
+        new = _rewrite_once(c, d, factory, "bsd")
         if new is not None:
             out.append((d, new))
     return out

@@ -280,7 +280,7 @@ def parse_problem(
             try:
                 with open(target, encoding="utf-8") as handle:
                     included_text = handle.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read include {item[1]!r}: {exc}", 1, 1) from exc
             included = parse_problem(
                 included_text, sig, factory, path=target, name=item[1], _visiting=visiting | {target}
@@ -288,12 +288,6 @@ def parse_problem(
             problem.clauses.extend(included.clauses)
             problem.roles.update(included.roles)
     return problem
-
-
-def load_problem(path: str, sig: Signature, factory: ClauseFactory) -> Problem:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_problem(text, sig, factory, path=path, name=os.path.basename(path))
 
 
 def format_term(t: Term, sig: Signature) -> str:

@@ -14,13 +14,16 @@ versions of engine code are kept as references too: renaming apart by an
 offset per call, KBO recounting variables at every level, the term walks
 each index and screen made for itself before every clause kept one walk
 per literal, the multi-literal search as a recursive generator, and the
-variant test as a direct search for the renaming.
+variant test as a direct search for the renaming.  Two helpers only tests
+call live here too: comparing two literal sequences as clauses, and
+reading a problem file.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from itertools import count, islice, product
+from itertools import count, product
 from typing import Iterator, Optional
 
 from sdprover import calculus
@@ -39,6 +42,7 @@ from sdprover.terms import (
     term_vars,
     unify_pairs,
 )
+from sdprover.tptp import Problem, parse_problem
 
 
 def multiset_greater_ref(xs, ys, cmp) -> bool:
@@ -55,6 +59,18 @@ def multiset_greater_ref(xs, ys, cmp) -> bool:
     if not xs:
         return False
     return all(any(cmp(x, y) is OrderResult.GREATER for x in xs) for y in ys)
+
+
+def compare_clauses(lits1, lits2) -> OrderResult:
+    """Compare two literal sequences as clauses: as literal multisets."""
+    return compare_literal_multisets(lits1, lits2)
+
+
+def load_problem(path: str, sig, factory) -> Problem:
+    """Parse the TPTP problem file at path, named after its base name."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return parse_problem(text, sig, factory, path=path, name=os.path.basename(path))
 
 
 # ---------------------------------------------------------------- renaming
@@ -219,32 +235,35 @@ def naive_subsumes(c_lits, d_lits) -> bool:
     return next(_injective_matches(src, dst, {}, ()), None) is not None
 
 
-def naive_ml_solutions(side_lits, main_lits) -> set[tuple]:
-    """All (reserved equality position, matched pairs, substitution items)
-    solutions of the demodulation matcher, as comparable tuples.
+def naive_ml_solutions(side_lits, main_lits) -> Counter:
+    """The solutions of the demodulation matcher as a multiset of
+    (reserved equality position, matched image, substitution items).
 
-    Assumes the inputs share no variables, so that no identity binding
-    arises; rename them apart first.
+    Each distinct assignment of side literals to main literals with its
+    substitution is one solution; two of them can agree on the image and
+    the substitution, and then that tuple counts twice.  Assumes the inputs
+    share no variables, so that no identity binding arises; rename them
+    apart first.
     """
     side = list(side_lits)
     main = list(main_lits)
-    out = set()
+    solutions = set()
     for e_pos, e_lit in enumerate(side):
         if not (e_lit.positive and e_lit.is_equality):
             continue
         rest = [(i, lit) for i, lit in enumerate(side) if i != e_pos]
         for bindings, pairs in _injective_matches(rest, main, {}, ()):
             items = tuple(sorted((v, t) for v, t in bindings.items() if Var(v) != t))
-            out.add((e_pos, tuple(sorted(pairs)), items))
-    return out
+            solutions.add((e_pos, tuple(sorted(pairs)), items))
+    return Counter((e_pos, frozenset(j for _, j in pairs), items) for e_pos, pairs, items in solutions)
 
 
 
-def recursive_match_solutions(source, target, *, reserve_equality: bool, limit: int = 0) -> Iterator[tuple]:
+def recursive_match_solutions(source, target, *, reserve_equality: bool) -> Iterator[tuple]:
     """The engine's multi-literal search as it was written before it ran
     on an explicit stack: one recursive generator call per source literal,
     over the engine's own set-ups and literal matcher.  Yields
-    (rewrite_eq_pos, pairs, subst) in the engine's enumeration order."""
+    (rewrite_eq_pos, image, subst) in the engine's enumeration order."""
     src = source.literals
     dst = target.literals
     if len(src) - (1 if reserve_equality else 0) > len(dst):
@@ -252,25 +271,24 @@ def recursive_match_solutions(source, target, *, reserve_equality: bool, limit: 
     order, last_eq, _, _ = source_set_up(source)
     compatible = target_set_up(target).table
 
-    def search(k: int, subst: Substitution, used: frozenset, pairs, eq_pos: Optional[int]) -> Iterator[tuple]:
+    def search(k: int, subst: Substitution, used: frozenset, eq_pos: Optional[int]) -> Iterator[tuple]:
         if k == len(order):
             if not reserve_equality or eq_pos is not None:
-                yield (-1 if eq_pos is None else eq_pos, tuple(sorted(pairs)), subst)
+                yield (-1 if eq_pos is None else eq_pos, used, subst)
             return
         i = order[k]
         lit = src[i]
         if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
-            yield from search(k + 1, subst, used, pairs, i)
+            yield from search(k + 1, subst, used, i)
             if k == last_eq:
                 return
         for j in compatible.get((lit.positive, lit.pred), ()):
             if j in used:
                 continue
             for extended in literal_match_substs(lit, dst[j], subst):
-                yield from search(k + 1, extended, used | {j}, pairs + [(i, j)], eq_pos)
+                yield from search(k + 1, extended, used | {j}, eq_pos)
 
-    solutions = search(0, EMPTY_SUBST, frozenset(), [], None)
-    yield from islice(solutions, limit) if limit else solutions
+    yield from search(0, EMPTY_SUBST, frozenset(), None)
 
 
 def _rename_match(p: Term, t: Term, fwd: dict, bwd: dict) -> Optional[tuple[dict, dict]]:
@@ -419,7 +437,7 @@ def reference_demodulate(unit_lits, main_lits) -> Optional[tuple[Literal, ...]]:
 
 # ------------------------------------------------- unscreened engine scans
 
-def unscreened_sd_steps(side, main, match_limit: int = 0) -> list:
+def unscreened_sd_steps(side, main) -> list:
     """Every subsumption demodulation step of main by side, scanned with no screen.
 
     The engine's matcher, then for every solution, every subterm of the
@@ -430,7 +448,7 @@ def unscreened_sd_steps(side, main, match_limit: int = 0) -> list:
     if len(side.literals) - 1 > len(main.literals):
         return []
     steps = []
-    for m in match_solutions(side, main, reserve_equality=True, limit=match_limit):
+    for m in match_solutions(side, main, reserve_equality=True):
         bound = m.subst
         usable = [
             (lhs, rhs)

@@ -13,13 +13,20 @@ import os
 import time
 from collections import Counter
 
-from oracles import ground_entails, naive_sd_applicable, reference_demodulate, rename_apart
+from oracles import (
+    compare_clauses,
+    ground_entails,
+    load_problem,
+    naive_sd_applicable,
+    reference_demodulate,
+    rename_apart,
+)
 from randgen import Gen, GroundGen
 
 from sdprover.clauses import Clause, ClauseFactory, eq, literal_occurrences, predicate, replace_in_literal
 from sdprover.index import BackwardIndex, FsdIndex
 from sdprover.matching import match_solutions
-from sdprover.ordering import OrderResult, compare_clauses, compare_terms
+from sdprover.ordering import OrderResult, compare_terms
 from sdprover.saturation import (
     ProverConfig,
     ProverState,
@@ -36,7 +43,6 @@ from sdprover.simplify import (
     sd_simplifications,
 )
 from sdprover.terms import Signature, Substitution, Var, apply_term, match_pairs
-from sdprover.tptp import load_problem
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 

@@ -1,6 +1,8 @@
 """Multi-literal matcher tests: subsumption, solution enumeration, cursors,
 variants, and clauses too wide for a recursive search."""
 
+from collections import Counter
+
 from oracles import (
     apply,
     clause_vars,
@@ -111,12 +113,13 @@ def test_match_solutions_exhaustive_and_duplicate_free():
         side = env.lits(env.rng.randrange(1, 4))
         main = env.lits(env.rng.randrange(1, 5))
         side = rename_apart(side, main)
-        got = [
-            (m.rewrite_eq_pos, tuple(sorted(m.pairs)), tuple(sorted(m.subst.items())))
+        # as multisets: the oracle counts each assignment of side literals
+        # once, so a solution enumerated twice shows as a count too high
+        got = Counter(
+            (m.rewrite_eq_pos, m.image, tuple(sorted(m.subst.items())))
             for m in match_solutions(_clause(side), _clause(main), reserve_equality=True)
-        ]
-        assert len(got) == len(set(got))
-        assert set(got) == naive_ml_solutions(side, main)
+        )
+        assert got == naive_ml_solutions(side, main)
         checked += 1
     assert checked == 300
 
@@ -132,15 +135,6 @@ def test_match_solutions_reserves_exactly_one_positive_equality():
 def test_match_solutions_without_equality_yields_nothing_when_reserving():
     side = _clause((env.p(x),))
     assert list(match_solutions(side, _clause((env.p(env.a),)), reserve_equality=True)) == []
-
-
-def test_match_solutions_limit():
-    side = _clause((eq(x, y), env.p(x)))
-    main = _clause((env.p(env.a), env.p(env.b), env.p(env.c)))
-    unlimited = list(match_solutions(side, main, reserve_equality=True))
-    assert len(unlimited) == 3
-    capped = list(match_solutions(side, main, reserve_equality=True, limit=2))
-    assert capped == unlimited[:2]
 
 
 def test_cursor_resumes_without_repeating():
@@ -160,7 +154,7 @@ def test_unit_equality_source_has_single_trivial_solution():
     main = _clause((env.p(env.f(env.a)),))
     solutions = list(match_solutions(side, main, reserve_equality=True))
     assert len(solutions) == 1
-    assert solutions[0].pairs == ()
+    assert solutions[0].image == frozenset()
     assert len(solutions[0].subst) == 0
 
 
@@ -186,12 +180,10 @@ def test_match_solutions_enumerates_in_the_recursive_order():
         gen.rng.shuffle(main)
         source, target = _clause(side), _clause(main, 1)
         for reserve in (False, True):
-            for limit in (0, 1, 2):
-                solutions = list(match_solutions(source, target, reserve_equality=reserve, limit=limit))
-                expected = list(recursive_match_solutions(source, target, reserve_equality=reserve, limit=limit))
-                assert [(m.rewrite_eq_pos, m.pairs, m.subst) for m in solutions] == expected
-                assert all(m.image == frozenset(j for _, j in m.pairs) for m in solutions)
-                several += limit == 0 and len(solutions) > 1
+            solutions = list(match_solutions(source, target, reserve_equality=reserve))
+            expected = list(recursive_match_solutions(source, target, reserve_equality=reserve))
+            assert [(m.rewrite_eq_pos, m.image, m.subst) for m in solutions] == expected
+            several += len(solutions) > 1
     assert several > 100
 
 

@@ -2,14 +2,13 @@
 
 import time
 
-from oracles import multiset_greater_ref, recount_kbo_greater
+from oracles import compare_clauses, multiset_greater_ref, recount_kbo_greater
 from randgen import Gen
 
 from sdprover.clauses import eq, neq
 from sdprover.ordering import (
     OrderResult,
     _kbo_greater,
-    compare_clauses,
     compare_literal_multisets,
     compare_literals,
     compare_terms,

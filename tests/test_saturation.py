@@ -8,6 +8,7 @@ from oracles import (
     all_pairs_generate,
     every_other_active_clause,
     ground_entails,
+    load_problem,
     nvars,
     scan_demodulate_once,
     unscreened_superposition,
@@ -28,7 +29,7 @@ from sdprover.saturation import (
     verify_proof,
 )
 from sdprover.terms import Signature, Var
-from sdprover.tptp import emit_result, load_problem, parse_problem
+from sdprover.tptp import emit_result, parse_problem
 
 X = Var(0)
 

@@ -378,6 +378,13 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path):
     # first and in backward subsumption when the graph clause is
     chain = " | ".join(f"~p(X{i}, X{i + 1})" for i in range(10)) + " | ~q(X10)"
     graph = " | ".join(f"~p(a{i}, a{j})" for i in range(8) for j in range(8)) + " | ~q(b)"
+    # the same walk in the rewriting matcher: with f(X0) = X0 in the path
+    # clause and r(f(a0)) in the graph clause, the path clause is a side
+    # premise that could rewrite the graph clause, in forward subsumption
+    # demodulation when the path clause is active first and in backward
+    # subsumption demodulation when the graph clause is
+    eq_chain = chain + " | f(X0) = X0"
+    eq_graph = graph + " | r(f(a0))"
     problems = [
         # superposing g(X) = f^1500(X) into itself unifies at about 1,500
         # positions, each with a conclusion of about 3,000 nodes, all in one
@@ -389,6 +396,8 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path):
         f"cnf(a, axiom, f(X) = g(Y)).\ncnf(b, axiom, p({_balanced(13)}, {'f(' * 300}Z{')' * 300})).",
         f"cnf(chain, axiom, {chain}).\ncnf(graph, axiom, {graph}).",
         f"cnf(graph, axiom, {graph}).\ncnf(chain, axiom, {chain}).",
+        f"cnf(chain, axiom, {eq_chain}).\ncnf(graph, axiom, {eq_graph}).",
+        f"cnf(graph, axiom, {eq_graph}).\ncnf(chain, axiom, {eq_chain}).",
     ]
     for text in problems:
         _assert_times_out_within_bound(_write(tmp_path, text))
@@ -426,6 +435,36 @@ def test_cli_time_limit_holds_in_literal_selection(tmp_path):
 def test_cli_missing_file_exit(tmp_path, capsys):
     assert main([str(tmp_path / "absent.p")]) == 3
     assert "sdprover:" in capsys.readouterr().err
+
+
+_NOT_UTF8 = b"cnf(a, axiom, p(\xff))."
+
+
+def test_cli_file_not_utf8_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "bad.p").write_bytes(_NOT_UTF8)
+    assert main([str(tmp_path / "bad.p")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad.p" in err and "decode" in err
+
+
+def test_cli_include_not_utf8_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "bad.p").write_bytes(_NOT_UTF8)
+    path = _write(tmp_path, "include('bad.p').\n", name="outer.p")
+    assert main([path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot read include 'bad.p'" in err and "decode" in err
+
+
+def test_cli_stdin_not_utf8_is_an_input_error(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(_NOT_UTF8), encoding="utf-8"))
+    assert main([]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot read stdin" in err and "decode" in err
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
@@ -523,8 +562,7 @@ def test_cli_wide_clauses_get_a_verdict(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--match-limit", "-1"), ("--time-limit", "-1"), ("--time-limit", "nan"), ("--time-limit", "inf"),
-     ("--clause-limit", "-1")],
+    [("--time-limit", "-1"), ("--time-limit", "nan"), ("--time-limit", "inf"), ("--clause-limit", "-1")],
 )
 def test_cli_limit_must_be_non_negative_and_finite(tmp_path, capsys, flag, value):
     path = _write(tmp_path, "cnf(a, axiom, p(c)).")
@@ -536,8 +574,17 @@ def test_cli_limit_must_be_non_negative_and_finite(tmp_path, capsys, flag, value
 
 def test_cli_zero_limits_mean_none(tmp_path, capsys):
     path = _write(tmp_path, "cnf(a, axiom, p(c)). cnf(b, negated_conjecture, ~p(c)).")
-    assert main(["--time-limit", "0", "--clause-limit", "0", "--match-limit", "0", path]) == 0
+    assert main(["--time-limit", "0", "--clause-limit", "0", path]) == 0
     assert capsys.readouterr().out.startswith("% SZS status Unsatisfiable")
+
+
+def test_cli_match_limit_is_a_usage_error(tmp_path, capsys):
+    """The matcher has no solution cap: the deadline bounds its searches."""
+    path = _write(tmp_path, "cnf(a, axiom, p(c)).")
+    assert main(["--match-limit", "0", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --match-limit" in err
 
 
 def test_cli_unexpected_exception_is_status_error(tmp_path, capsys, monkeypatch):
