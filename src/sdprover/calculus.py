@@ -25,7 +25,9 @@ a verdict other than INCOMPARABLE holds for every instance:
 A position whose top symbol differs from that of a non-variable s is
 skipped before unify_pairs, and so is a ground position other than s when
 s is ground: ground terms unify only when they are equal, and the hashed
-comparison decides that without a walk.
+comparison decides that without a walk.  Within a run equal terms are one
+object (terms.share_terms), so an equal position usually passes at the
+comparison's identity test, before hash or walk.
 
 Every rule checks the factory's deadline before each unify_pairs call, so
 a call that unifies deep terms many times stops near the time limit even

@@ -15,6 +15,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    make_app,
     preorder_subterms,
     rebuild,
     replace_at,
@@ -54,10 +55,11 @@ class Literal:
         return self.pred is None
 
     def atom(self) -> Term:
-        """The predicate atom as a term, built once per literal object."""
+        """The predicate atom as a term, built once per literal object
+        (by make_app, so shared within a run)."""
         cached = self._atom
         if cached is None:
-            cached = App(self.pred, self.args)
+            cached = make_app(self.pred, self.args)
             object.__setattr__(self, "_atom", cached)
         return cached
 

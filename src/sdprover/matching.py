@@ -215,12 +215,12 @@ def match_solutions(
     order, last_eq, _, _ = source_set_up(source)
     compatible = target_set_up(target).table
 
-    def children(k: int, subst: Substitution, used: frozenset[int], eq_pos: Optional[int]):
+    def children(k: int, subst: Substitution, eq_pos: Optional[int]):
         # the states one level down, in enumeration order
         i = order[k]
         lit = src[i]
         if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
-            yield k + 1, subst, used, i
+            yield k + 1, subst, -1, i
             # while no equality is reserved, the last positive equality in
             # the order must take that role: matching it cannot succeed
             if k == last_eq:
@@ -229,23 +229,34 @@ def match_solutions(
             if j in used:
                 continue
             for extended in literal_match_substs(lit, dst[j], subst):
-                yield k + 1, extended, used | {j}, eq_pos
+                yield k + 1, extended, j, eq_pos
 
     nodes = 0
-    stack = [iter(((0, EMPTY_SUBST, frozenset(), None),))]
+    stack = [iter(((0, EMPTY_SUBST, -1, None),))]
+    # the current path: taken[d] is the target position that the state last
+    # taken from stack[d] took (-1: none), and used holds those positions
+    taken = [-1]
+    used: set[int] = set()
     while stack:
+        # the level advances or is popped: its last state's position is free
+        used.discard(taken[-1])
         state = next(stack[-1], None)
         if state is None:
             stack.pop()
+            taken.pop()
             continue
         nodes += 1
         if nodes % 256 == 0 and check_time is not None:
             check_time()
-        k, subst, used, eq_pos = state
+        k, subst, j, eq_pos = state
+        taken[-1] = j
+        if j >= 0:
+            used.add(j)
         if k < len(order):
-            stack.append(children(*state))
+            stack.append(children(k, subst, eq_pos))
+            taken.append(-1)
         elif not reserve_equality or eq_pos is not None:
-            yield MLMatch(-1 if eq_pos is None else eq_pos, subst, used)
+            yield MLMatch(-1 if eq_pos is None else eq_pos, subst, frozenset(used))
 
 
 def subsumes(c: Clause, d: Clause, check_time: Optional[Callable] = None) -> bool:

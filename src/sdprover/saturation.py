@@ -24,6 +24,10 @@ when a rewrite replaces it, when it leaves the active set, and, for every
 clause of the run, when saturate returns.  The registry keeps each clause
 itself.
 
+The loop runs under terms.share_terms: an application built during the
+run is the run's one App equal to it, and the table goes when saturate
+returns, by whatever exit.
+
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
 empty clause, and re-validated by re-running each step's rule, which
@@ -51,6 +55,7 @@ from .simplify import (
     forward_subsumption_demodulation,
     sd_simplifications,
 )
+from .terms import share_terms
 
 
 class SatStatus(Enum):
@@ -233,37 +238,39 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
         st.passive.push(c)
     # the factory checks the deadline inside long inferences as well
     factory.deadline = time.monotonic() + config.time_limit if config.time_limit > 0 else None
-    try:
-        while len(st.passive) > 0:
-            result.iterations += 1
-            st.factory.check_time()
-            st.check_clauses()
-            g = forward_simplify(st.passive.pop(), st)
-            if g is None:
-                continue
-            if g.is_empty:
-                result.status = SatStatus.UNSATISFIABLE
-                result.empty = g
-                return result
-            # the first selection of g, which can compare many literal pairs
-            select(g, factory.check_time)
-            st.activate(g)
-            result.activated += 1
-            backward_simplify(g, st)
-            for c in _generate(g, st):
-                if c.is_empty:
+    # equal terms the run builds are one object until it ends (terms.share_terms)
+    with share_terms():
+        try:
+            while len(st.passive) > 0:
+                result.iterations += 1
+                st.factory.check_time()
+                st.check_clauses()
+                g = forward_simplify(st.passive.pop(), st)
+                if g is None:
+                    continue
+                if g.is_empty:
                     result.status = SatStatus.UNSATISFIABLE
-                    result.empty = c
+                    result.empty = g
                     return result
-                st.passive.push(c)
-    except ResourceLimit as limit:
-        result.status = SatStatus.RESOURCE_OUT
-        result.limit_reason = limit.reason
-    finally:
-        factory.deadline = None
-        # the search is over: no clause of the run keeps its search-only data
-        for c in factory.registry.values():
-            release(c)
+                # the first selection of g, which can compare many literal pairs
+                select(g, factory.check_time)
+                st.activate(g)
+                result.activated += 1
+                backward_simplify(g, st)
+                for c in _generate(g, st):
+                    if c.is_empty:
+                        result.status = SatStatus.UNSATISFIABLE
+                        result.empty = c
+                        return result
+                    st.passive.push(c)
+        except ResourceLimit as limit:
+            result.status = SatStatus.RESOURCE_OUT
+            result.limit_reason = limit.reason
+        finally:
+            factory.deadline = None
+            # the search is over: no clause of the run keeps its search-only data
+            for c in factory.registry.values():
+                release(c)
     return result
 
 

@@ -1,7 +1,19 @@
-"""First-order terms, signatures, substitutions, unification, and matching."""
+"""First-order terms, signatures, substitutions, unification, and matching.
+
+Terms are shared within a saturation run: while share_terms is in force
+(saturate holds it for the length of its loop), every application that
+make_app builds, which is every one that FunctionSymbol.__call__, rebuild,
+replace_at and Literal.atom build, is the run's one App equal to it.  The
+table is dropped when the run ends, so it holds only terms that run built
+and never outlives it.  Outside a run, and for terms built before one (the
+parser's, a test's), construction makes a new App each time.  Equality
+and hashing stay structural either way, so sharing changes which objects
+exist, never what compares equal or how sets and dicts order them.
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import is_
 from typing import Callable, Iterator, Mapping, Optional, Union
@@ -36,7 +48,10 @@ class App:
     weight, ground, and the hash are cached at construction: the term
     ordering reads them on every comparison, and recomputing them is
     quadratic on the deep towers that saturation builds.  Equality and
-    hashing are iterative so such towers cannot exhaust the stack.
+    hashing are iterative so such towers cannot exhaust the stack.  The
+    prover builds applications with make_app, which shares them within a
+    run (see the module docstring); equal shared terms compare equal at
+    the identity test.
     """
 
     sym: int
@@ -84,6 +99,38 @@ class App:
 
 Term = Union[Var, App]
 
+# the run's term table, (sym, args) -> App; None outside share_terms
+_shared: Optional[dict[tuple[int, tuple[Term, ...]], App]] = None
+
+
+def make_app(sym: int, args: tuple[Term, ...]) -> App:
+    """The application sym(args): inside share_terms the one App of the
+    run equal to it, built on first request; outside, a new App."""
+    table = _shared
+    if table is None:
+        return App(sym, args)
+    key = (sym, args)
+    app = table.get(key)
+    if app is None:
+        app = table[key] = App(sym, args)
+    return app
+
+
+@contextmanager
+def share_terms() -> Iterator[None]:
+    """Share the applications make_app builds while the block runs.
+
+    The table starts empty and is dropped when the block exits, however it
+    exits; a table already in force is put back then.
+    """
+    global _shared
+    saved = _shared
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = saved
+
 
 def render(t: Term, name: Callable[[int], str], sep: str) -> str:
     """t as text: name(sym) for each symbol, its arguments in parentheses
@@ -121,7 +168,7 @@ class FunctionSymbol:
             raise SignatureError(
                 f"symbol {self.name!r} takes {self.arity} arguments, got {len(args)}"
             )
-        return App(self.sid, tuple(args))
+        return make_app(self.sid, tuple(args))
 
 
 class Signature:
@@ -234,9 +281,10 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
     cannot exhaust the interpreter's.  leaf is called on the variable
     occurrences in pre-order, left to right; ground subterms, and every
     application none of whose arguments changed, are shared, not copied,
-    so rebuild(t, lambda v: v) is t.  With again, an image other than v
-    itself is rebuilt in turn, so leaf must not lead back to a variable it
-    replaced.
+    so rebuild(t, lambda v: v) is t.  Every other application is built by
+    make_app, so during a run an equal one built before is reused.  With
+    again, an image other than v itself is rebuilt in turn, so leaf must
+    not lead back to a variable it replaced.
     """
     if term.ground:
         return term
@@ -252,7 +300,7 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
             n = len(node.args)
             args = tuple(done[-n:])
             del done[-n:]
-            done.append(node if all(map(is_, args, node.args)) else App(node.sym, args))
+            done.append(node if all(map(is_, args, node.args)) else make_app(node.sym, args))
         elif type(t) is Var:
             image = leaf(t)
             if again and image is not t:
@@ -290,13 +338,14 @@ def preorder_subterms(term: Term, prefix: tuple[int, ...] = ()) -> Iterator[tupl
 
 
 def replace_at(term: Term, path: tuple[int, ...], new: Term) -> Term:
-    """term with the subterm at path replaced by new."""
+    """term with the subterm at path replaced by new; the applications on
+    the path are rebuilt with make_app."""
     spine = []
     for i in path:
         spine.append(term)
         term = term.args[i]
     for node, i in zip(reversed(spine), reversed(path)):
-        new = App(node.sym, node.args[:i] + (new,) + node.args[i + 1 :])
+        new = make_app(node.sym, node.args[:i] + (new,) + node.args[i + 1 :])
     return new
 
 

@@ -1,6 +1,7 @@
 """Multi-literal matcher tests: subsumption, solution enumeration, cursors,
 variants, and clauses too wide for a recursive search."""
 
+import tracemalloc
 from collections import Counter
 
 from oracles import (
@@ -249,3 +250,19 @@ def test_wide_clauses_subsume_and_are_variants():
     renamed = _clause(p(Var(1499 - i)) for i in range(1500))
     assert variant(nonground, renamed)
     assert subsumes(nonground, c) and not variant(nonground, c)
+
+
+def test_one_search_path_holds_linear_memory():
+    """A path of n levels records each level's target position once, not a
+    set of every position taken so far per level: subsumes(c, c) on a
+    1,200-literal ground clause stays far below the 34 MB of per-state sets."""
+    sig = Signature()
+    p = predicate(sig, "p", 1)
+    c = _clause(p(sig.constant(f"a{i}")) for i in range(1200))
+    tracemalloc.start()
+    try:
+        assert subsumes(c, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024, peak
