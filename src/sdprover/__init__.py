@@ -10,7 +10,7 @@ in both forward and backward direction.
 from .clauses import Clause, ClauseFactory, Literal, PredicateSymbol, eq, neq, predicate
 from .ordering import OrderResult, compare_literals, compare_terms
 from .saturation import ProverConfig, SatStatus, SaturationResult, proof_clauses, saturate, verify_proof
-from .terms import App, FunctionSymbol, Signature, SignatureError, Substitution, Term, Var
+from .terms import App, FunctionSymbol, Signature, SignatureError, Term, Var
 from .tptp import ParseError, Problem, emit_result, format_clause, parse_problem
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SaturationResult",
     "Signature",
     "SignatureError",
-    "Substitution",
     "Term",
     "Var",
     "compare_literals",

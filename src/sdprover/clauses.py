@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .terms import (
-    EMPTY_SUBST,
     App,
     Signature,
     SignatureError,
@@ -331,7 +330,7 @@ class ClauseFactory:
         return len(self.registry)
 
     def make(self, literals: Iterable[Literal], rule: str = "input", parents: tuple[int, ...] = ()) -> Clause:
-        return self.make_all([(tuple(literals), EMPTY_SUBST)], rule, parents)[0]
+        return self.make_all([(tuple(literals), {})], rule, parents)[0]
 
     def make_all(
         self, conclusions: Iterable[tuple[Sequence[Literal], Substitution]], rule: str, parents: tuple[int, ...]

@@ -44,7 +44,7 @@ from . import ordering  # compare_terms is looked up on the module, where perfbe
 from .clauses import Clause, Literal, literal_walks, orientations
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .ordering import OrderResult
-from .terms import EMPTY_SUBST, Substitution, Term, Var, match_pairs, term_vars
+from .terms import Substitution, Term, Var, match_pairs, term_vars
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def match_solutions(
                 yield k + 1, extended, j, eq_pos
 
     nodes = 0
-    stack = [iter(((0, EMPTY_SUBST, -1, None),))]
+    stack = [iter(((0, {}, -1, None),))]
     # the current path: taken[d] is the target position that the state last
     # taken from stack[d] took (-1: none), and used holds those positions
     taken = [-1]

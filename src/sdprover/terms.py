@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class SignatureError(Exception):
@@ -212,65 +212,19 @@ class Signature:
         return self.function(name, 0)()
 
 
-class Substitution:
-    """An immutable finite map from variable ids to terms.
-
-    Identity bindings are dropped on construction.  Match results are the
-    exception: match_pairs keeps X -> X, because it binds a pattern variable
-    to the target's rigid variable of the same id, and a later extension must
-    see that binding.  Application replaces all bound variables
-    simultaneously; extension returns a new value.
-    """
-
-    __slots__ = ("_map",)
-
-    def __init__(self, bindings: Optional[Mapping] = None) -> None:
-        mapping: dict[int, Term] = {}
-        for key, value in (bindings or {}).items():
-            vid = key.vid if isinstance(key, Var) else key
-            if isinstance(value, Var) and value.vid == vid:
-                continue
-            mapping[vid] = value
-        object.__setattr__(self, "_map", mapping)
-
-    @classmethod
-    def _adopt(cls, mapping: dict[int, Term]) -> "Substitution":
-        """Wrap mapping as it is, identity bindings included; the caller must not change it afterwards."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "_map", mapping)
-        return sub
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Substitution is immutable")
-
-    def get(self, vid: int) -> Optional[Term]:
-        return self._map.get(vid)
-
-    def items(self):
-        return self._map.items()
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"X{v} -> {t!r}" for v, t in sorted(self._map.items()))
-        return "{" + inner + "}"
-
-
-EMPTY_SUBST = Substitution()
+# A substitution is a plain dict from variable ids to terms.  match_pairs
+# and unify_pairs build each one, and nothing changes it afterwards.  A
+# match result keeps X -> X bindings: match_pairs binds a pattern variable
+# to the target's rigid variable of the same id, and a later extension must
+# see that binding.  A unification result is fully applied: no variable it
+# binds occurs in a term it binds to.  Application replaces all bound
+# variables simultaneously.
+Substitution = dict[int, Term]
 
 
 def apply_term(term: Term, subst: Substitution) -> Term:
     """term with its variables replaced simultaneously by their images under subst."""
-    get = subst._map.get
+    get = subst.get
     return rebuild(term, lambda v: get(v.vid, v))
 
 
@@ -374,23 +328,14 @@ def _walk(term: Term, bindings: dict[int, Term]) -> Term:
     return term
 
 
-def _deep_apply(term: Term, bindings: dict[int, Term]) -> Term:
-    """term with bound variables replaced, and their images in turn, until none is left."""
-    term = _walk(term, bindings)
-    if type(term) is Var or term.ground:
-        return term
-    return rebuild(term, lambda v: bindings.get(v.vid, v), again=True)
-
-
-def unify_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:
+def unify_pairs(pairs) -> Optional[Substitution]:
     """Unify a sequence of term pairs simultaneously.
 
     Uses an explicit work stack with an eager occurs check.  The result is in
-    fully applied form: no bound variable appears in any range term.  A
-    variable is bound only to a term other than itself, so the bindings
-    are wrapped as they are, with no identity binding to drop.
+    fully applied form: no bound variable appears in any range term, and no
+    variable is bound to itself.
     """
-    bindings: dict[int, Term] = dict(base.items()) if base is not None else {}
+    bindings: Substitution = {}
     stack = list(pairs)
     while stack:
         s, t = stack.pop()
@@ -410,7 +355,8 @@ def unify_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
             if s.sym != t.sym or len(s.args) != len(t.args):
                 return None
             stack.extend(zip(s.args, t.args))
-    return Substitution._adopt({v: _deep_apply(t, bindings) for v, t in bindings.items()})
+    # each image with bound variables replaced, and their images in turn
+    return {v: rebuild(t, lambda u: bindings.get(u.vid, u), again=True) for v, t in bindings.items()}
 
 
 def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:
@@ -422,7 +368,7 @@ def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
     target variable of its own id stays bound.  All pairs share one binding
     map, so repeated pattern variables stay consistent across the sequence.
     """
-    bindings: dict[int, Term] = dict(base._map) if base is not None else {}
+    bindings: Substitution = {} if base is None else dict(base)
     stack = list(pairs)
     while stack:
         p, t = stack.pop()
@@ -440,4 +386,4 @@ def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
             if not isinstance(t, App) or p.sym != t.sym or len(p.args) != len(t.args):
                 return None
             stack.extend(zip(p.args, t.args))
-    return Substitution._adopt(bindings)
+    return bindings

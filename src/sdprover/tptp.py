@@ -21,10 +21,15 @@ from .terms import FunctionSymbol, Signature, SignatureError, Term, Var, render
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int) -> None:
-        super().__init__(f"{message} at line {line}, column {col}")
+    """Bad input at line and col of file, an included file as its include
+    directive names it; None for the text parse_problem was given."""
+
+    def __init__(self, message: str, line: int, col: int, file: Optional[str] = None) -> None:
+        super().__init__(f"{message} at line {line}, column {col}" + (f" in {file!r}" if file else ""))
+        self.message = message
         self.line = line
         self.col = col
+        self.file = file
 
 
 @dataclass
@@ -106,11 +111,8 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(f"{message}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-    # one directive per call; returns ("cnf", name, role, literals) or ("include", path)
+    # one directive per call; returns ("cnf", name, role, literals) or
+    # ("include", path, the include token)
     def directive(self):
         tok = self.take()
         if tok.text == "cnf":
@@ -134,7 +136,7 @@ class _Parser:
                 raise ParseError("include expects a quoted path", path.line, path.col)
             self.expect(")")
             self.expect(".")
-            return ("include", path.text[1:-1])
+            return ("include", path.text[1:-1], tok)
         raise ParseError(f"expected cnf or include, found {tok.text or 'end of input'!r}", tok.line, tok.col)
 
     def formula(self) -> list[Literal]:
@@ -274,17 +276,24 @@ def parse_problem(
             problem.clauses.append(clause)
             problem.roles[clause.cid] = role
         else:
-            target = os.path.abspath(os.path.join(base, item[1]))
+            _, include, tok = item
+            shown = os.path.join(base, include)
+            target = os.path.abspath(shown)
             if target in visiting:
-                raise ParseError(f"cyclic include of {item[1]!r}", 1, 1)
+                raise ParseError(f"cyclic include of {include!r}", tok.line, tok.col)
             try:
                 with open(target, encoding="utf-8") as handle:
                     included_text = handle.read()
             except (OSError, UnicodeDecodeError) as exc:
-                raise ParseError(f"cannot read include {item[1]!r}: {exc}", 1, 1) from exc
-            included = parse_problem(
-                included_text, sig, factory, path=target, name=item[1], _visiting=visiting | {target}
-            )
+                raise ParseError(f"cannot read include {include!r}: {exc}", tok.line, tok.col) from exc
+            try:
+                included = parse_problem(
+                    included_text, sig, factory, path=shown, name=include, _visiting=visiting | {target}
+                )
+            except ParseError as exc:
+                if exc.file is not None:
+                    raise
+                raise ParseError(exc.message, exc.line, exc.col, shown) from exc
             problem.clauses.extend(included.clauses)
             problem.roles.update(included.roles)
     return problem

@@ -32,7 +32,6 @@ from sdprover.matching import _literal_pairings, literal_match_substs, match_sol
 from sdprover.ordering import OrderResult, _prec_greater, compare_literal_multisets, compare_terms
 from sdprover.simplify import RewriteStep, check_ordering_conditions, demodulate
 from sdprover.terms import (
-    EMPTY_SUBST,
     App,
     Substitution,
     Term,
@@ -131,11 +130,10 @@ def offset_rename_apart(clause, away_from) -> tuple[Literal, ...]:
 
 def apply(expr, subst: Substitution):
     """A substitution applied to a term, a literal, or a literal tuple."""
-    bindings = dict(subst.items())
     if isinstance(expr, (Var, App)):
-        return naive_apply(expr, bindings)
+        return naive_apply(expr, subst)
     if isinstance(expr, Literal):
-        return Literal(expr.positive, expr.pred, tuple(naive_apply(a, bindings) for a in expr.args))
+        return Literal(expr.positive, expr.pred, tuple(naive_apply(a, subst) for a in expr.args))
     return tuple(apply(lit, subst) for lit in expr)
 
 
@@ -288,7 +286,7 @@ def recursive_match_solutions(source, target, *, reserve_equality: bool) -> Iter
             for extended in literal_match_substs(lit, dst[j], subst):
                 yield from search(k + 1, extended, used | {j}, eq_pos)
 
-    yield from search(0, EMPTY_SUBST, frozenset(), None)
+    yield from search(0, {}, frozenset(), None)
 
 
 def _rename_match(p: Term, t: Term, fwd: dict, bwd: dict) -> Optional[tuple[dict, dict]]:

@@ -42,7 +42,7 @@ from sdprover.simplify import (
     forward_subsumption_demodulation,
     sd_simplifications,
 )
-from sdprover.terms import Signature, Substitution, Var, apply_term, match_pairs
+from sdprover.terms import Signature, Var, apply_term, match_pairs
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -176,9 +176,9 @@ def test_criterion_1_worked_examples(capsys):
     main = factory.make([w.p(w.h(w.c, w.d)), w.q(w.c)])
     first = next(match_solutions(side, main, reserve_equality=True))
     assert first.rewrite_eq_pos == 0
-    assert first.subst == Substitution({0: w.c})
+    assert first.subst == {0: w.c}
     step = next(sd_simplifications(side, main))
-    assert step.subst == Substitution({0: w.c, 1: w.d})
+    assert step.subst == {0: w.c, 1: w.d}
 
     # unit rewriting reproduces its frozen conclusions
     unit = factory.make([eq(w.f(w.f(x)), w.f(x))])
@@ -442,7 +442,7 @@ def _random_subst(env, s, t):
     for vid in term_vars(s) | term_vars(t):
         if env.rng.random() < 0.7:
             bindings[vid] = env.term(1)
-    return Substitution(bindings)
+    return bindings
 
 
 def test_criterion_6_ordering_axioms(capsys):

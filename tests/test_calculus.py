@@ -13,7 +13,7 @@ from sdprover.calculus import (
 )
 from sdprover.clauses import Clause, ClauseFactory, eq, neq, select
 from sdprover.matching import variant
-from sdprover.terms import Substitution, Var
+from sdprover.terms import Var
 
 env = Gen(seed=47)
 x, y = Var(0), Var(1)
@@ -212,7 +212,7 @@ def test_screened_superposition_agrees_with_the_unscreened_scan():
             equality = gen.pos_eq()
         lits1 = (equality,) + gen.lits(gen.rng.randrange(0, 2), depth=1)
         # the partner holds an instance of one side, so unification often succeeds
-        redex = apply(gen.rng.choice(equality.args), Substitution({0: gen.term(1), 1: gen.term(1)}))
+        redex = apply(gen.rng.choice(equality.args), {0: gen.term(1), 1: gen.term(1)})
         target = ("predicate", "negative equality", "positive equality")[round_no // 3 % 3]
         if target == "predicate":
             holder = gen.rng.choice([gen.p, gen.q])(gen.f(redex))

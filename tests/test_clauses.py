@@ -7,7 +7,7 @@ from randgen import Gen
 from sdprover.clauses import Clause, ClauseFactory, Literal, eq, neq, rename_apart, select
 from sdprover.matching import _literal_pairings, variant
 from sdprover.ordering import OrderResult, compare_literals
-from sdprover.terms import SignatureError, Substitution, Var, unify_pairs
+from sdprover.terms import SignatureError, Var, unify_pairs
 
 env = Gen(seed=11)
 x, y = Var(0), Var(1)
@@ -67,7 +67,7 @@ def test_clauses_compare_by_identity():
 
 def test_apply_on_literal_and_tuple():
     # the dispatcher is a test oracle now; other tests lean on it
-    sub = Substitution({0: env.a})
+    sub = {0: env.a}
     assert apply(env.p(x), sub) == env.p(env.a)
     assert apply((env.p(x), eq(x, env.b)), sub) == (env.p(env.a), eq(env.a, env.b))
 

@@ -28,7 +28,7 @@ from sdprover.index import (
 )
 from sdprover.matching import literal_match_substs, source_set_up, target_set_up
 from sdprover.ordering import OrderResult
-from sdprover.terms import EMPTY_SUBST, Var
+from sdprover.terms import Var
 
 env = Gen(seed=31)
 x, y = Var(0), Var(1)
@@ -331,7 +331,7 @@ def test_generalization_tree_retrieves_every_matching_literal():
         retrieved += len(found)
         same_key += sum(top_symbol_key(c.literals[0]) == top_symbol_key(query) for c in stored)
         for c in stored:
-            if next(literal_match_substs(c.literals[0], query, EMPTY_SUBST), None) is not None:
+            if next(literal_match_substs(c.literals[0], query, {}), None) is not None:
                 assert c.cid in found, (c, query)
                 matched += 1
     assert matched >= 300, matched

@@ -18,7 +18,7 @@ from randgen import Gen
 from sdprover.clauses import Clause, ClauseFactory, Literal, eq, predicate
 from sdprover.matching import match_solutions, subsumes, variant
 from sdprover.simplify import sd_simplifications
-from sdprover.terms import Signature, Substitution, Var
+from sdprover.terms import Signature, Var
 
 env = Gen(seed=23)
 x, y = Var(0), Var(1)
@@ -79,7 +79,7 @@ def test_rename_free_matching_agrees_with_renamed_inputs():
         d_lits = env.lits(env.rng.randrange(1, 4))
         if round_no % 4 < 2:
             # an instance of c inside d, over variables with c's own ids
-            inst = Substitution({v: env.term(1) for v in range(env.n_vars)})
+            inst = {v: env.term(1) for v in range(env.n_vars)}
             d_lits += apply(c.literals, inst)
         d = factory.make(d_lits)
         renamed = rename_apart(c.literals, d.literals)
@@ -173,7 +173,7 @@ def test_match_solutions_enumerates_in_the_recursive_order():
         main = list(gen.lits(gen.rng.randrange(1, 5)))
         if round_no % 4 < 2:
             # an instance of side inside main; side and main share variable ids
-            main += apply(side, Substitution({v: gen.term(1) for v in range(gen.n_vars) if gen.rng.random() < 0.7}))
+            main += apply(side, {v: gen.term(1) for v in range(gen.n_vars) if gen.rng.random() < 0.7})
         # every equality in both argument orders, and a repeated literal
         main += [Literal(lit.positive, None, lit.args[::-1]) for lit in main if lit.is_equality]
         if round_no % 5 == 0:
@@ -195,11 +195,11 @@ def _near_variant(gen: Gen, lits: tuple) -> tuple:
     choice = gen.rng.randrange(3)
     if choice == 0 and len(vids) > 1:
         # merge two variables
-        out = list(apply(lits, Substitution({vids[0]: Var(vids[1])})))
+        out = list(apply(lits, {vids[0]: Var(vids[1])}))
     elif choice == 1 and vids:
         # bind a variable in one literal only
         i = gen.rng.randrange(len(out))
-        out[i] = apply(out[i], Substitution({gen.rng.choice(vids): gen.a}))
+        out[i] = apply(out[i], {gen.rng.choice(vids): gen.a})
     else:
         # one literal in place of another
         out[gen.rng.randrange(len(out))] = gen.rng.choice(out)
@@ -215,7 +215,7 @@ def test_variant_agrees_with_the_renaming_search():
             lits = _near_variant(gen, lits)
         vids = sorted(clause_vars(lits))
         # a bijection onto ids that overlap lits' own
-        renaming = Substitution({v: Var(w) for v, w in zip(vids, gen.rng.sample(range(6), len(vids)))})
+        renaming = {v: Var(w) for v, w in zip(vids, gen.rng.sample(range(6), len(vids)))}
         other = [
             Literal(lit.positive, None, lit.args[::-1]) if lit.is_equality and gen.rng.random() < 0.5 else lit
             for lit in apply(lits, renaming)

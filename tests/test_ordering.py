@@ -95,13 +95,11 @@ def test_subterm_property_sampled():
 
 
 def test_stability_under_substitution_sampled():
-    from sdprover.terms import Substitution
-
     for _ in range(400):
         s, t = env.term(), env.term()
         if compare_terms(s, t) is not OrderResult.GREATER:
             continue
-        sub = Substitution({v: env.term(depth=1) for v in range(env.n_vars)})
+        sub = {v: env.term(depth=1) for v in range(env.n_vars)}
         assert compare_terms(apply_term(s, sub), apply_term(t, sub)) is OrderResult.GREATER
 
 

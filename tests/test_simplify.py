@@ -26,7 +26,7 @@ from sdprover.simplify import (
     forward_subsumption_demodulation,
     sd_simplifications,
 )
-from sdprover.terms import Signature, Substitution, Var
+from sdprover.terms import Signature, Var
 
 # fixed signature for the worked examples: h > f > g > a > b > c > d
 sig = Signature()
@@ -344,7 +344,7 @@ def _side_with_instance(factory, gen):
         # a second positive equality brings trigger symbols of its own
         extra = (gen.pos_eq(depth=1),) + extra
     side = factory.make((equality,) + extra)
-    sub = Substitution({v: gen.term(1) for v in range(nvars(side.literals))})
+    sub = {v: gen.term(1) for v in range(nvars(side.literals))}
     instance = [apply(lit, sub) for lit in side.literals]
     redex = gen.rng.choice(instance[0].args)
     main_lits = instance[1:] + [gen.rng.choice([gen.p, gen.q])(gen.rng.choice([redex, gen.f(redex)]))]

@@ -1,9 +1,12 @@
 """Every module-level function and class in src/sdprover serves the prover,
-and no function of the search calls itself.
+so does every method of a class the package does not export, and no
+function of the search calls itself.
 
 A definition counts as used when some code in src/sdprover refers to it
 outside its own body, or when the package exports it in __all__.  Helpers
-that only tests call belong in the tests.
+that only tests call belong in the tests.  Methods that Python or a
+library calls for the class are exempt: dunder methods, and cli._Parser's
+error, which argparse calls.
 
 Term walks and the matcher's backtracking run on explicit stacks, so a
 deep term or a wide clause cannot exhaust Python's stack.  The parser is
@@ -27,13 +30,19 @@ def _modules() -> dict[str, ast.Module]:
     return out
 
 
-def _referenced(node: ast.AST) -> set[str]:
+def _referenced(node: ast.AST, skip: ast.AST = None) -> set[str]:
+    """Names and attribute names referred to in node, outside skip."""
     names = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
+        stack.extend(ast.iter_child_nodes(sub))
     return names
 
 
@@ -60,6 +69,33 @@ def unused_definitions() -> list[str]:
 
 def test_no_module_level_definition_is_test_only():
     assert unused_definitions() == []
+
+
+CALLED_BY_A_LIBRARY = {"cli.py:_Parser.error"}
+
+
+def unused_methods() -> list[str]:
+    """module:class.method for every method of an unexported class that
+    nothing in src refers to outside the method's own body."""
+    modules = _modules()
+    unused = []
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in sdprover.__all__:
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                label = f"{mod}:{cls.name}.{fn.name}"
+                if fn.name.startswith("__") and fn.name.endswith("__") or label in CALLED_BY_A_LIBRARY:
+                    continue
+                if not any(fn.name in _referenced(other, skip=fn) for other in modules.values()):
+                    unused.append(label)
+    return unused
+
+
+def test_no_method_of_an_unexported_class_is_unused():
+    assert unused_methods() == []
 
 
 SEARCH_MODULES = ("terms", "clauses", "ordering", "matching", "index", "simplify", "calculus", "saturation")

@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdprover.terms import (
-    EMPTY_SUBST,
     Signature,
     SignatureError,
-    Substitution,
     Var,
     apply_term,
     match_pairs,
@@ -58,14 +56,9 @@ def test_wrong_argument_count_raises():
         f(a, b)
 
 
-def test_substitution_drops_identity_bindings():
-    assert Substitution({0: Var(0), 1: a}) == Substitution({1: a})
-    assert len(Substitution({0: Var(0)})) == 0
-
-
 def test_apply_term_replaces_simultaneously():
     # x -> y and y -> a must not chain into x -> a
-    sub = Substitution({0: Var(1), 1: a})
+    sub = {0: Var(1), 1: a}
     assert apply_term(h(x, y), sub) == h(y, a)
 
 
@@ -86,7 +79,7 @@ def test_unify_clash():
 
 
 def test_match_target_variables_are_rigid():
-    assert match_pairs([(f(x), f(y))]) == Substitution({0: y})
+    assert match_pairs([(f(x), f(y))]) == {0: y}
     assert match_pairs([(f(a), f(x))]) is None
 
 
@@ -96,7 +89,7 @@ def test_match_bound_variable_must_agree():
 
 
 def test_match_pairs_extends_base():
-    base = Substitution({0: a})
+    base = {0: a}
     sub = match_pairs([(h(x, y), h(a, b))], base)
     assert sub is not None
     assert sub.get(1) == b
@@ -108,6 +101,13 @@ def test_match_pairs_keeps_identity_across_pairs():
     # x matched to itself first must block a later x -> a binding
     assert match_pairs([(x, x), (x, a)]) is None
     assert match_pairs([(x, x), (y, a)]) is not None
+
+
+def test_match_pairs_identity_in_base_blocks_later_binding():
+    # a base that binds x to itself is a binding like any other
+    base = {0: x}
+    assert match_pairs([(x, a)], base) is None
+    assert base == {0: x}
 
 
 def test_var_helpers():
@@ -147,7 +147,7 @@ def test_match_agrees_with_application(s, t):
 
 @given(terms)
 def test_empty_substitution_is_identity(t):
-    assert apply_term(t, EMPTY_SUBST) == t
+    assert apply_term(t, {}) == t
 
 
 def test_term_walks_run_on_deep_terms():
@@ -155,7 +155,7 @@ def test_term_walks_run_on_deep_terms():
     tower = x
     for _ in range(depth):
         tower = f(tower)
-    ground = apply_term(tower, Substitution({0: a}))
+    ground = apply_term(tower, {0: a})
     assert ground.ground and ground.weight == depth + 1
     count, last = 0, None
     for count, last in enumerate(preorder_subterms(tower), 1):
@@ -170,8 +170,8 @@ def test_term_walks_run_on_deep_terms():
 def test_rebuild_shares_every_unchanged_application():
     t = h(f(x), g(h(y, a)))
     assert rebuild(t, lambda v: v) is t
-    assert apply_term(t, Substitution({2: b})) is t
-    changed = apply_term(t, Substitution({1: b}))
+    assert apply_term(t, {2: b}) is t
+    changed = apply_term(t, {1: b})
     assert changed == h(f(x), g(h(b, a)))
     # only the spine above y is new
     assert changed.args[0] is t.args[0]

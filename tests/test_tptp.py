@@ -185,6 +185,36 @@ def test_missing_include_is_an_error(tmp_path):
     assert "nowhere.p" in str(err.value)
 
 
+def test_include_error_is_reported_at_the_directive(tmp_path):
+    main_file = tmp_path / "main.p"
+    main_file.write_text("cnf(a, axiom, p(c)).\n\ncnf(b, axiom, q(c)).\n   include('nowhere.p').\n")
+    with pytest.raises(ParseError) as err:
+        parse_problem(main_file.read_text(), Signature(), ClauseFactory(), path=str(main_file))
+    assert (err.value.line, err.value.col, err.value.file) == (4, 4, None)
+    assert str(err.value).endswith("at line 4, column 4")
+    # a cycle closes at the directive of the file that includes back
+    (tmp_path / "first.p").write_text("include('second.p').\n")
+    (tmp_path / "second.p").write_text("cnf(a, axiom, p(c)).\n  include('first.p').\n")
+    first = str(tmp_path / "first.p")
+    with pytest.raises(ParseError) as err:
+        parse_problem("include('second.p').\n", Signature(), ClauseFactory(), path=first)
+    assert "cyclic" in str(err.value)
+    assert (err.value.line, err.value.col, err.value.file) == (2, 3, str(tmp_path / "second.p"))
+
+
+def test_parse_error_in_an_included_file_names_it(tmp_path, capsys):
+    (tmp_path / "inner.p").write_text("cnf(a, axiom, p(c)).\ncnf(b, axiom, q(#)).\n")
+    path = _write(tmp_path, "cnf(a, axiom, p(c)).\ninclude('inner.p').\n", name="main.p")
+    with pytest.raises(ParseError) as err:
+        parse_problem((tmp_path / "main.p").read_text(), Signature(), ClauseFactory(), path=path)
+    inner = str(tmp_path / "inner.p")
+    assert (err.value.line, err.value.col, err.value.file) == (2, 17, inner)
+    assert main([path]) == 3
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text == f"sdprover: unexpected character '#' at line 2, column 17 in {inner!r}\n"
+
+
 def test_format_round_trip_is_identity_up_to_renaming():
     text = """
     cnf(a, axiom, ~leq(z,I) | ~less(I,n) | f(I)=g(I)).
