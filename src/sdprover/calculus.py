@@ -26,12 +26,12 @@ A position whose top symbol differs from that of a non-variable s is
 skipped before unify_pairs, and so is a ground position other than s when
 s is ground: ground terms unify only when they are equal, and the hashed
 comparison decides that without a walk.  Within a run equal terms are one
-object (terms.share_terms), so an equal position usually passes at the
+object (terms.run_scope), so an equal position usually passes at the
 comparison's identity test, before hash or walk.
 
-Every rule checks the factory's deadline before each unify_pairs call, so
-a call that unifies deep terms many times stops near the time limit even
-when no unification succeeds and nothing is minted.
+Every unify_pairs call checks the run's deadline first, so a rule that
+unifies deep terms many times stops near the time limit even when no
+unification succeeds and nothing is minted.
 
 A rule does not instantiate its conclusions itself: it hands each one to
 the factory as its uninstantiated literals and the unifier, all conclusions
@@ -78,7 +78,6 @@ def resolution(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause]:
             lj = lits2[j]
             if lj.positive or lj.is_equality or lj.pred != li.pred:
                 continue
-            factory.check_time()
             sub = unify_pairs(zip(li.args, lj.args))
             if sub is None:
                 continue
@@ -102,7 +101,6 @@ def factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
             lj = c.literals[j]
             if lj.is_equality or lj.positive != li.positive or lj.pred != li.pred:
                 continue
-            factory.check_time()
             sub = unify_pairs(zip(li.args, lj.args))
             if sub is None:
                 continue
@@ -124,12 +122,7 @@ def _superposition_targets(c2: Clause, lits2: tuple[Literal, ...]) -> tuple:
 
 
 def _superpose_into(
-    eq_rest: tuple[Literal, ...],
-    o: Orientation,
-    target_lits: tuple[Literal, ...],
-    into: tuple,
-    raw: list,
-    factory: ClauseFactory,
+    eq_rest: tuple[Literal, ...], o: Orientation, target_lits: tuple[Literal, ...], into: tuple, raw: list
 ) -> None:
     """Conclusions of o into one entry of _superposition_targets, added to raw."""
     target_pos, sides_verdict, occurrences = into
@@ -144,7 +137,6 @@ def _superpose_into(
         # the other side is greater in every instance: no conclusion here
         if sides_verdict is (OrderResult.LESS if path[0] == 0 else OrderResult.GREATER):
             continue
-        factory.check_time()
         theta = unify_pairs([(s, sub_term)])
         if theta is None:
             continue
@@ -174,7 +166,7 @@ def superposition(c1: Clause, c2: Clause, factory: ClauseFactory) -> list[Clause
         # an orientation s -> t with t > s is left out: no instance of it passes
         for o in equations[i]:
             for into in targets:
-                _superpose_into(eq_rest, o, lits2, into, raw, factory)
+                _superpose_into(eq_rest, o, lits2, into, raw)
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 
@@ -185,7 +177,6 @@ def equality_resolution(c: Clause, factory: ClauseFactory) -> list[Clause]:
         li = c.literals[i]
         if li.positive or not li.is_equality:
             continue
-        factory.check_time()
         sub = unify_pairs([(li.lhs, li.rhs)])
         if sub is None:
             continue
@@ -211,7 +202,6 @@ def equality_factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
                 continue
             for s, t in orientations(li):
                 for s2, t2 in orientations(lj):
-                    factory.check_time()
                     theta = unify_pairs([(s, s2)])
                     if theta is None:
                         continue

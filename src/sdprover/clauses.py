@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .terms import (
     App,
@@ -14,6 +13,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    check_time,
     make_app,
     preorder_subterms,
     rebuild,
@@ -286,14 +286,6 @@ def release(clause: Clause) -> None:
         object.__setattr__(clause, slot, None)
 
 
-class ResourceLimit(Exception):
-    """A search limit was hit; reason names it ("time" or "clauses")."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 class ClauseFactory:
     """Mints normalized clauses with unique ids and keeps a registry.
 
@@ -306,24 +298,14 @@ class ClauseFactory:
     Every clause ever created stays in the registry so proofs can be
     reconstructed after simplification deletes clauses from the search
     state; a clause that left the search keeps only its literals and
-    provenance (release).
-
-    deadline, a time.monotonic() value or None, is set by the saturation
-    loop for the length of a run.  Minting checks it before every
-    conclusion, the rules before every unification and the matcher every
-    few hundred search nodes, so no single step, however large its
-    conclusions or its search, can run far past it.
+    provenance (release).  Minting checks the run's deadline
+    (terms.check_time) before every conclusion, so no single call, however
+    many or large its conclusions, runs far past it.
     """
 
     def __init__(self) -> None:
         self._counter = itertools.count(1)
         self.registry: dict[int, Clause] = {}
-        self.deadline: Optional[float] = None
-
-    def check_time(self) -> None:
-        """Raise ResourceLimit("time") once the deadline has passed."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimit("time")
 
     @property
     def created(self) -> int:
@@ -344,7 +326,7 @@ class ClauseFactory:
         out: list[Clause] = []
         seen: set[tuple[Literal, ...]] = set()
         for literals, unifier in conclusions:
-            self.check_time()
+            check_time()
             lits = canonical_instance(literals, unifier)
             if lits in seen:
                 continue
@@ -375,20 +357,20 @@ def replace_in_literal(lit: Literal, path: tuple[int, ...], new: Term) -> Litera
     return Literal(lit.positive, lit.pred, tuple(args))
 
 
-def select(clause: Clause, check_time: Optional[Callable] = None) -> tuple[int, ...]:
+def select(clause: Clause) -> tuple[int, ...]:
     """Positions of the selected literals, computed once per clause object.
 
     If the clause has a negative literal, select exactly one: a negative
     literal of maximal weight, leftmost on ties.  Otherwise select all
-    maximal literals under the literal ordering.  check_time (the clause
-    factory's, in a run) is called every 256 literal comparisons.
+    maximal literals under the literal ordering, checking the run's
+    deadline every 256 literal comparisons.
     """
     if clause._selected is None:
-        object.__setattr__(clause, "_selected", _select(clause, check_time))
+        object.__setattr__(clause, "_selected", _select(clause))
     return clause._selected
 
 
-def _select(clause: Clause, check_time: Optional[Callable]) -> tuple[int, ...]:
+def _select(clause: Clause) -> tuple[int, ...]:
     from .ordering import OrderResult, compare_literals
 
     lits = clause.literals
@@ -405,7 +387,7 @@ def _select(clause: Clause, check_time: Optional[Callable]) -> tuple[int, ...]:
         for other in distinct:
             if other is not lit:
                 compared += 1
-                if compared % 256 == 0 and check_time is not None:
+                if compared % 256 == 0:
                     check_time()
                 if compare_literals(other, lit) is OrderResult.GREATER:
                     break

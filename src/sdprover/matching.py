@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import ordering  # compare_terms is looked up on the module, where perfbench's tracer counts it
 from .clauses import Clause, Literal, literal_walks, orientations
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .ordering import OrderResult
-from .terms import Substitution, Term, Var, match_pairs, term_vars
+from .terms import Substitution, Term, Var, check_time, match_pairs, term_vars
 
 
 @dataclass(frozen=True)
@@ -192,17 +192,15 @@ def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) 
             yield sub
 
 
-def match_solutions(
-    source: Clause, target: Clause, *, reserve_equality: bool, check_time: Optional[Callable] = None
-) -> Iterator[MLMatch]:
+def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -> Iterator[MLMatch]:
     """Enumerate matches of source into target.
 
     With reserve_equality, each solution reserves exactly one positive
     equality of the source as the rewriting equality and matches everything
     else; otherwise all source literals are matched (plain subsumption).
-    The deadline is the only bound on the search: check_time (the clause
-    factory's, in a run) is called every 256 search nodes, so a search that
-    finds nothing still stops there.
+    The run's deadline is the only bound on the search: it is checked
+    every 256 search nodes, so a search that finds nothing still stops
+    there.
 
     Source and target may share variable ids.  Target variables are rigid,
     and each solution's substitution binds source variables only, keeping
@@ -246,7 +244,7 @@ def match_solutions(
             taken.pop()
             continue
         nodes += 1
-        if nodes % 256 == 0 and check_time is not None:
+        if nodes % 256 == 0:
             check_time()
         k, subst, j, eq_pos = state
         taken[-1] = j
@@ -259,9 +257,9 @@ def match_solutions(
             yield MLMatch(-1 if eq_pos is None else eq_pos, subst, frozenset(used))
 
 
-def subsumes(c: Clause, d: Clause, check_time: Optional[Callable] = None) -> bool:
-    """True when some instance of c is a sub-multiset of d; check_time as in match_solutions."""
-    return next(match_solutions(c, d, reserve_equality=False, check_time=check_time), None) is not None
+def subsumes(c: Clause, d: Clause) -> bool:
+    """True when some instance of c is a sub-multiset of d."""
+    return next(match_solutions(c, d, reserve_equality=False), None) is not None
 
 
 def variant(c: Clause, d: Clause) -> bool:

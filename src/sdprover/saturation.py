@@ -12,10 +12,12 @@ clause, so the first that does is the one a scan of the active set finds.
 Clause selection alternates age and weight at a 1:5 ratio, starting with
 age.
 
-The time limit is a deadline on the clause factory for the length of a
-run: the loop checks it between steps, and literal selection, minting,
-every generating rule (before each unification) and the multi-literal
-matcher behind subsumption and rewriting check it inside one step.
+The loop runs in one run scope (terms.run_scope), which goes when
+saturate returns, by whatever exit.  Inside it an application built
+during the run is the run's one App equal to it, and the time limit is
+the run's deadline: the loop checks it between steps, and literal
+selection, minting, unification and the multi-literal matcher behind
+subsumption and rewriting check it inside one step (terms.check_time).
 
 A clause's search-only data (clauses.release: its selection, matcher
 set-ups, renamed copy, superposition view and literal walks) is dropped
@@ -23,10 +25,6 @@ when the clause leaves the search: when forward subsumption deletes it,
 when a rewrite replaces it, when it leaves the active set, and, for every
 clause of the run, when saturate returns.  The registry keeps each clause
 itself.
-
-The loop runs under terms.share_terms: an application built during the
-run is the run's one App equal to it, and the table goes when saturate
-returns, by whatever exit.
 
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
@@ -43,7 +41,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import calculus
-from .clauses import Clause, ClauseFactory, ResourceLimit, release, select
+from .clauses import Clause, ClauseFactory, release
 from .index import BackwardIndex, FsdIndex
 from .matching import variant
 from .simplify import (
@@ -55,7 +53,7 @@ from .simplify import (
     forward_subsumption_demodulation,
     sd_simplifications,
 )
-from .terms import share_terms
+from .terms import ResourceLimit, check_time, run_scope
 
 
 class SatStatus(Enum):
@@ -154,8 +152,6 @@ def _demodulate_once(g: Clause, st: ProverState) -> Optional[Clause]:
     them rewrites g and the first rewrite is that of the full scan.
     """
     for cid in sorted(st.bindex.demodulators(g)):
-        if cid == g.cid:
-            continue
         res = demodulate(st.active[cid], g, st.factory)
         if res is not None:
             return res
@@ -171,8 +167,8 @@ def forward_simplify(g: Clause, st: ProverState) -> Optional[Clause]:
     A clause deleted or replaced here leaves the search, and is released.
     """
     while True:
-        st.factory.check_time()
-        if forward_subsumption_delete(g, st.bindex, st.factory.check_time) is not None:
+        check_time()
+        if forward_subsumption_delete(g, st.bindex) is not None:
             release(g)
             return None
         stepped = _demodulate_once(g, st)
@@ -190,7 +186,7 @@ def backward_simplify(g: Clause, st: ProverState) -> None:
     Rewritten replacements go back to passive so they are forward-simplified
     before ever becoming active.
     """
-    for d in backward_subsumption_deletions(g, st.bindex, st.factory.check_time):
+    for d in backward_subsumption_deletions(g, st.bindex):
         st.remove_active(d)
     if st.config.bsd and any(l.positive and l.is_equality for l in g.literals):
         for old, new in backward_subsumption_demodulation(g, st.bindex, st.factory):
@@ -208,7 +204,7 @@ def _generate(g: Clause, st: ProverState) -> list[Clause]:
     out = list(calculus.unary_inferences(g, st.factory))
     first_res, first_sup, second_sup, second_res = st.bindex.generation_partners(g)
     for cid in sorted(first_res | first_sup | second_sup | second_res):
-        st.factory.check_time()
+        check_time()
         a = st.active[cid]
         if cid in first_res:
             out.extend(calculus.resolution(g, a, st.factory))
@@ -236,14 +232,12 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
             result.empty = c
             return result
         st.passive.push(c)
-    # the factory checks the deadline inside long inferences as well
-    factory.deadline = time.monotonic() + config.time_limit if config.time_limit > 0 else None
-    # equal terms the run builds are one object until it ends (terms.share_terms)
-    with share_terms():
+    deadline = time.monotonic() + config.time_limit if config.time_limit > 0 else None
+    with run_scope(deadline):
         try:
             while len(st.passive) > 0:
                 result.iterations += 1
-                st.factory.check_time()
+                check_time()
                 st.check_clauses()
                 g = forward_simplify(st.passive.pop(), st)
                 if g is None:
@@ -252,8 +246,6 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
                     result.status = SatStatus.UNSATISFIABLE
                     result.empty = g
                     return result
-                # the first selection of g, which can compare many literal pairs
-                select(g, factory.check_time)
                 st.activate(g)
                 result.activated += 1
                 backward_simplify(g, st)
@@ -267,7 +259,6 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
             result.status = SatStatus.RESOURCE_OUT
             result.limit_reason = limit.reason
         finally:
-            factory.deadline = None
             # the search is over: no clause of the run keeps its search-only data
             for c in factory.registry.values():
                 release(c)

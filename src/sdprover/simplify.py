@@ -55,7 +55,7 @@ There only an INCOMPARABLE orientation is compared, t against r sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .clauses import Clause, ClauseFactory, eq, literal_occurrences, replace_in_literal
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
@@ -106,14 +106,13 @@ def remainder_exceeds(main: Clause, lhs_image: Term, rhs_image: Term, matched_im
     return compare_literal_multisets(outside, [eq(lhs_image, rhs_image)]) is OrderResult.GREATER
 
 
-def sd_simplifications(side: Clause, main: Clause, check_time: Optional[Callable] = None) -> Iterator[RewriteStep]:
+def sd_simplifications(side: Clause, main: Clause) -> Iterator[RewriteStep]:
     """Every subsumption demodulation step with the given side and main premise, in scan order.
 
     Side and main are matched as stored.  An orientation whose right-hand
     side has a variable that neither its left-hand side nor the matched
     literals bind is skipped: that variable would stay in the replacement,
-    and no term exceeds one holding a variable it lacks.  check_time goes
-    to the matcher.
+    and no term exceeds one holding a variable it lacks.
     """
     if len(side.literals) - 1 > len(main.literals):
         return
@@ -125,7 +124,7 @@ def sd_simplifications(side: Clause, main: Clause, check_time: Optional[Callable
         if not any(sym in symbols for sym in triggers):
             return
     occurrences: Optional[list[list[tuple[tuple[int, ...], Term]]]] = None  # per main literal
-    for m in match_solutions(side, main, reserve_equality=True, check_time=check_time):
+    for m in match_solutions(side, main, reserve_equality=True):
         bound = m.subst
         usable = [
             o
@@ -165,7 +164,7 @@ def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFact
 
 
 def _rewrite_once(side: Clause, main: Clause, factory: ClauseFactory, rule: str) -> Optional[Clause]:
-    step = next(sd_simplifications(side, main, factory.check_time), None)
+    step = next(sd_simplifications(side, main), None)
     return None if step is None else build_simplified_clause(main, step, factory, rule)
 
 
@@ -201,22 +200,18 @@ def backward_subsumption_demodulation(
     return out
 
 
-def forward_subsumption_delete(
-    d: Clause, active: BackwardIndex, check_time: Optional[Callable] = None
-) -> Optional[int]:
+def forward_subsumption_delete(d: Clause, active: BackwardIndex) -> Optional[int]:
     """Id of an active clause subsuming d, or None."""
     for c in sorted(active.forward_subsumption_candidates(d), key=lambda c: c.cid):
-        if subsumes(c, d, check_time):
+        if subsumes(c, d):
             return c.cid
     return None
 
 
-def backward_subsumption_deletions(
-    g: Clause, active: BackwardIndex, check_time: Optional[Callable] = None
-) -> list[Clause]:
+def backward_subsumption_deletions(g: Clause, active: BackwardIndex) -> list[Clause]:
     """Active clauses subsumed by g, in ascending id order."""
     out = []
     for d in sorted(active.backward_subsumption_candidates(g), key=lambda d: d.cid):
-        if subsumes(g, d, check_time):
+        if subsumes(g, d):
             out.append(d)
     return out

@@ -1,18 +1,26 @@
 """First-order terms, signatures, substitutions, unification, and matching.
 
-Terms are shared within a saturation run: while share_terms is in force
-(saturate holds it for the length of its loop), every application that
-make_app builds, which is every one that FunctionSymbol.__call__, rebuild,
-replace_at and Literal.atom build, is the run's one App equal to it.  The
-table is dropped when the run ends, so it holds only terms that run built
-and never outlives it.  Outside a run, and for terms built before one (the
-parser's, a test's), construction makes a new App each time.  Equality
-and hashing stay structural either way, so sharing changes which objects
-exist, never what compares equal or how sets and dicts order them.
+A saturation run holds one run scope (run_scope, entered by saturate for
+the length of its loop) that installs two things together and puts back
+whatever was in force before when it exits, however it exits:
+
+  - the run's term table: every application that make_app builds, which
+    is every one that FunctionSymbol.__call__, rebuild, replace_at and
+    Literal.atom build, is the run's one App equal to it.  The table holds
+    only terms that run built and never outlives it.  Outside a run, and
+    for terms built before one (the parser's, a test's), construction
+    makes a new App each time.  Equality and hashing stay structural
+    either way, so sharing changes which objects exist, never what
+    compares equal or how sets and dicts order them;
+  - the run's deadline: check_time raises ResourceLimit("time") once it
+    has passed, and does nothing outside a run or in a run with no time
+    limit.  Every long step calls it, so no search function takes a
+    deadline argument.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import is_
@@ -21,6 +29,14 @@ from typing import Callable, Iterator, Optional, Union
 
 class SignatureError(Exception):
     """A symbol was declared or used with conflicting arities."""
+
+
+class ResourceLimit(Exception):
+    """A search limit was hit; reason names it ("time" or "clauses")."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,12 +115,14 @@ class App:
 
 Term = Union[Var, App]
 
-# the run's term table, (sym, args) -> App; None outside share_terms
+# the run's term table, (sym, args) -> App, and its deadline, a
+# time.monotonic() value; both None outside run_scope
 _shared: Optional[dict[tuple[int, tuple[Term, ...]], App]] = None
+_deadline: Optional[float] = None
 
 
 def make_app(sym: int, args: tuple[Term, ...]) -> App:
-    """The application sym(args): inside share_terms the one App of the
+    """The application sym(args): inside run_scope the one App of the
     run equal to it, built on first request; outside, a new App."""
     table = _shared
     if table is None:
@@ -116,20 +134,25 @@ def make_app(sym: int, args: tuple[Term, ...]) -> App:
     return app
 
 
-@contextmanager
-def share_terms() -> Iterator[None]:
-    """Share the applications make_app builds while the block runs.
+def check_time() -> None:
+    """Raise ResourceLimit("time") once the run's deadline has passed."""
+    if _deadline is not None and time.monotonic() > _deadline:
+        raise ResourceLimit("time")
 
-    The table starts empty and is dropped when the block exits, however it
-    exits; a table already in force is put back then.
-    """
-    global _shared
-    saved = _shared
-    _shared = {}
+
+@contextmanager
+def run_scope(deadline: Optional[float]) -> Iterator[None]:
+    """One saturation run: while the block runs, make_app shares what it
+    builds in a table that starts empty, and check_time enforces deadline
+    (None: no time limit).  However the block exits, the table and
+    deadline in force before are put back."""
+    global _shared, _deadline
+    saved = _shared, _deadline
+    _shared, _deadline = {}, deadline
     try:
         yield
     finally:
-        _shared = saved
+        _shared, _deadline = saved
 
 
 def render(t: Term, name: Callable[[int], str], sep: str) -> str:
@@ -333,8 +356,11 @@ def unify_pairs(pairs) -> Optional[Substitution]:
 
     Uses an explicit work stack with an eager occurs check.  The result is in
     fully applied form: no bound variable appears in any range term, and no
-    variable is bound to itself.
+    variable is bound to itself.  The run's deadline is checked first, so a
+    rule that unifies deep terms many times stops near the time limit even
+    when no unification succeeds and nothing is minted.
     """
+    check_time()
     bindings: Substitution = {}
     stack = list(pairs)
     while stack:

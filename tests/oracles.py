@@ -37,6 +37,7 @@ from sdprover.terms import (
     Term,
     Var,
     apply_term,
+    check_time,
     match_pairs,
     term_vars,
     unify_pairs,
@@ -525,7 +526,7 @@ def all_pairs_generate(g, st) -> list:
     """
     out = list(calculus.unary_inferences(g, st.factory))
     for cid in sorted(st.active):
-        st.factory.check_time()
+        check_time()
         a = st.active[cid]
         out.extend(calculus.resolution(g, a, st.factory))
         out.extend(calculus.superposition(g, a, st.factory))

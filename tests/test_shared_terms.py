@@ -1,10 +1,13 @@
-"""Shared terms: inside a saturation run every application the term
-constructors build is the run's one App equal to it; outside a run each
-construction is a new object; and no table outlives saturate."""
+"""The run scope: inside a saturation run every application the term
+constructors build is the run's one App equal to it, and check_time
+enforces the run's deadline; outside a run each construction is a new
+object and check_time never raises; and neither the table nor the
+deadline outlives saturate."""
 
 import glob
 import os
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -13,7 +16,7 @@ from oracles import nvars
 from sdprover import calculus, saturation, terms
 from sdprover.clauses import ClauseFactory, Literal, predicate
 from sdprover.saturation import ProverConfig, SatStatus, saturate, verify_proof
-from sdprover.terms import App, Signature, Var, make_app, rebuild, replace_at
+from sdprover.terms import App, ResourceLimit, Signature, Var, check_time, make_app, rebuild, replace_at, run_scope
 from sdprover.tptp import emit_result, parse_problem
 
 X, Y = Var(0), Var(1)
@@ -53,6 +56,10 @@ class Setup:
 
 def _sharing_installed() -> bool:
     return terms._shared is not None
+
+
+def _deadline_installed() -> bool:
+    return terms._deadline is not None
 
 
 def _fresh_constructions(s: Setup) -> list[tuple]:
@@ -136,8 +143,9 @@ def _exits(s: Setup):
 
 
 def test_no_table_outlives_saturate(monkeypatch):
-    """Every way out of saturate leaves sharing off, and construction
-    builds new objects again."""
+    """Every way out of saturate leaves sharing off and no deadline
+    installed: construction builds new objects again, and check_time does
+    not raise, also after the run that stopped at its time limit."""
     s = Setup()
     for name, inputs, config, patches, expected in _exits(s):
         with monkeypatch.context() as patch:
@@ -154,18 +162,67 @@ def test_no_table_outlives_saturate(monkeypatch):
                 with pytest.raises(expected):
                     saturate(inputs, config, s.factory)
         assert not _sharing_installed(), name
+        assert not _deadline_installed(), name
         assert s.f(s.a) is not s.f(s.a), name
+        check_time()
 
 
 def test_a_table_in_force_before_saturate_is_put_back():
+    """An enclosing scope gets its table and its deadline back.  Its
+    deadline has passed, but the run, which has no time limit, stops at
+    its clause cap: inside saturate only the run's own deadline holds."""
     s = Setup()
-    with terms.share_terms():
+    grow = [s.clause(s.p(s.a)), s.clause(s.p(X).negated(), s.p(s.f(X)))]
+    passed = time.monotonic() - 1.0
+    with run_scope(passed):
         outer = terms._shared
         built = s.f(s.a)
-        saturate([s.clause(s.p(s.a)), s.clause(s.p(X).negated(), s.p(s.f(X)))], ProverConfig(clause_limit=30), s.factory)
+        result = saturate(grow, ProverConfig(time_limit=0, clause_limit=30), s.factory)
+        assert result.limit_reason == "clauses"
         assert terms._shared is outer
+        assert terms._deadline == passed
         assert s.f(s.a) is built
+        with pytest.raises(ResourceLimit):
+            check_time()
     assert not _sharing_installed()
+    assert not _deadline_installed()
+
+
+def test_check_time_raises_only_in_a_run_past_its_deadline():
+    check_time()
+    with run_scope(None):
+        check_time()
+    with run_scope(time.monotonic() + 60.0):
+        check_time()
+    with run_scope(time.monotonic() - 1.0):
+        with pytest.raises(ResourceLimit) as stopped:
+            check_time()
+        assert stopped.value.reason == "time"
+    check_time()
+
+
+def test_saturate_installs_its_time_limit_as_the_deadline(monkeypatch):
+    """Seen from inside the run: the deadline is the time limit from the
+    start of saturate, and a run with no time limit has none."""
+    seen = []
+    generate = saturation._generate
+
+    def wrapped(g, st):
+        seen.append(terms._deadline)
+        return generate(g, st)
+
+    monkeypatch.setattr(saturation, "_generate", wrapped)
+    for time_limit in (30.0, 0):
+        s = Setup()
+        seen.clear()
+        started = time.monotonic()
+        grow = [s.clause(s.p(s.a)), s.clause(s.p(X).negated(), s.p(s.f(X)))]
+        saturate(grow, ProverConfig(time_limit=time_limit, clause_limit=30), s.factory)
+        assert seen and len(set(seen)) == 1
+        if time_limit:
+            assert started + time_limit <= seen[0] <= time.monotonic() + time_limit
+        else:
+            assert seen[0] is None
 
 
 def _search(text, fsd, bsd, clause_limit):

@@ -128,3 +128,26 @@ def self_calls() -> list[str]:
 
 def test_no_search_function_calls_itself():
     assert self_calls() == []
+
+
+def deadline_plumbing() -> list[str]:
+    """module:line for each way the deadline reaches a step other than a
+    no-argument check_time() call: a parameter named check_time or
+    deadline (terms.run_scope's, which installs it, aside), an attribute of
+    either name, or a check_time call with arguments."""
+    names = ("check_time", "deadline")
+    out = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and f"{mod}:{node.name}" != "terms.py:run_scope":
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                out.extend(f"{mod}:{a.lineno}" for a in params if a.arg in names)
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                out.append(f"{mod}:{node.lineno}")
+            elif isinstance(node, ast.Call) and _callee(node.func) == "check_time" and (node.args or node.keywords):
+                out.append(f"{mod}:{node.lineno}")
+    return out
+
+
+def test_the_deadline_reaches_every_step_through_the_run_scope():
+    assert deadline_plumbing() == []
