@@ -117,7 +117,7 @@ def _superposition_targets(c2: Clause, lits2: tuple[Literal, ...]) -> tuple:
         for j in select(c2):
             lit = lits2[j]
             targets.append((j, compare_terms(*lit.args) if lit.is_equality else None, tuple(literal_occurrences(lit))))
-        object.__setattr__(c2, "_into", tuple(targets))
+        c2._into = tuple(targets)
     return c2._into
 
 

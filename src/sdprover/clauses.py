@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .terms import (
     App,
@@ -21,10 +20,11 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Literal:
     """A literal: a possibly negated predicate atom or equality atom.
 
+    A slotted class, immutable by convention: only __init__ assigns its
+    attributes, apart from the atom that atom() builds once and keeps.
     Equality atoms (pred is None) are unordered pairs for identity purposes:
     s = t and t = s compare equal and hash alike.  The hash, the weight and
     whether the literal is ground are computed at construction, as App's
@@ -32,22 +32,19 @@ class Literal:
     they build literals.
     """
 
-    positive: bool
-    pred: Optional[int]
-    args: tuple[Term, ...]
-    weight: int = field(init=False, compare=False, repr=False)
-    ground: bool = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
-    _atom: Optional[Term] = field(init=False, default=None, compare=False, repr=False)
+    __slots__ = ("positive", "pred", "args", "weight", "ground", "_hash", "_atom")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", 1 + sum(a.weight for a in self.args))
-        object.__setattr__(self, "ground", all(a.ground for a in self.args))
-        if self.pred is None:
-            h = hash((self.positive, hash(self.args[0]) ^ hash(self.args[1])))
+    def __init__(self, positive: bool, pred: Optional[int], args: tuple[Term, ...]) -> None:
+        self.positive = positive
+        self.pred = pred
+        self.args = args
+        self.weight = 1 + sum(a.weight for a in args)
+        self.ground = all(a.ground for a in args)
+        if pred is None:
+            self._hash = hash((positive, hash(args[0]) ^ hash(args[1])))
         else:
-            h = hash((self.positive, self.pred, self.args))
-        object.__setattr__(self, "_hash", h)
+            self._hash = hash((positive, pred, args))
+        self._atom: Optional[Term] = None
 
     @property
     def is_equality(self) -> bool:
@@ -58,8 +55,7 @@ class Literal:
         (by make_app, so shared within a run)."""
         cached = self._atom
         if cached is None:
-            cached = make_app(self.pred, self.args)
-            object.__setattr__(self, "_atom", cached)
+            cached = self._atom = make_app(self.pred, self.args)
         return cached
 
     @property
@@ -113,8 +109,7 @@ def orientations(lit: Literal) -> Iterator[tuple[Term, Term]]:
         yield rhs, lhs
 
 
-@dataclass(frozen=True, slots=True)
-class PredicateSymbol:
+class PredicateSymbol(NamedTuple):
     """Interned predicate symbol; calling it builds a positive literal."""
 
     sid: int
@@ -134,7 +129,6 @@ def predicate(sig: Signature, name: str, arity: int) -> PredicateSymbol:
     return PredicateSymbol(sid, arity, name)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Clause:
     """A multiset of literals with provenance.
 
@@ -142,7 +136,9 @@ class Clause:
     matching.variant() for content comparisons.  Duplicate literals are
     preserved.
 
-    The slots after parents hold work done once per clause object: its
+    A slotted class, immutable by convention: only __init__ assigns it,
+    except the caches in the slots after parents.  They hold work done once
+    per clause object, each set by the function that computes it: its
     distinct literals (distinct_literals), kept for the clause's lifetime,
     and the search-only data, which release() drops when the clause leaves
     the search: the literal selection, the multi-literal matcher's set-up
@@ -153,17 +149,16 @@ class Clause:
     such as one a proof check replays, works as before.
     """
 
-    literals: tuple[Literal, ...]
-    cid: int
-    rule: str = "input"
-    parents: tuple[int, ...] = ()
-    _distinct: Optional[tuple[Literal, ...]] = field(init=False, default=None, compare=False, repr=False)
-    _selected: Optional[tuple[int, ...]] = field(init=False, default=None, compare=False, repr=False)
-    _match_order: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
-    _match_table: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
-    _renamed: Optional[tuple[Literal, ...]] = field(init=False, default=None, compare=False, repr=False)
-    _into: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
-    _walks: Optional[tuple] = field(init=False, default=None, compare=False, repr=False)
+    __slots__ = ("literals", "cid", "rule", "parents", "_distinct", "_selected", "_match_order", "_match_table",
+                 "_renamed", "_into", "_walks")
+
+    def __init__(self, literals: tuple[Literal, ...], cid: int, rule: str = "input", parents: tuple[int, ...] = ()):
+        self.literals = literals
+        self.cid = cid
+        self.rule = rule
+        self.parents = parents
+        self._distinct = self._selected = self._match_order = self._match_table = None
+        self._renamed = self._into = self._walks = None
 
     @property
     def is_empty(self) -> bool:
@@ -228,7 +223,7 @@ def rename_apart(clause: Clause) -> tuple[Literal, ...]:
                 else Literal(lit.positive, lit.pred, tuple(rebuild(a, lambda v: Var(-1 - v.vid)) for a in lit.args))
                 for lit in lits
             )
-        object.__setattr__(clause, "_renamed", lits)
+        clause._renamed = lits
     return clause._renamed
 
 
@@ -237,7 +232,7 @@ def distinct_literals(clause: Clause) -> tuple[Literal, ...]:
     the clause, and clause.literals itself when no literal repeats."""
     if clause._distinct is None:
         distinct = tuple(dict.fromkeys(clause.literals))
-        object.__setattr__(clause, "_distinct", clause.literals if len(distinct) == len(clause.literals) else distinct)
+        clause._distinct = clause.literals if len(distinct) == len(clause.literals) else distinct
     return clause._distinct
 
 
@@ -272,18 +267,15 @@ def literal_walks(clause: Clause) -> tuple[tuple[tuple[Optional[int], ...], list
     from here, so each literal is walked once per clause.
     """
     if clause._walks is None:
-        object.__setattr__(clause, "_walks", tuple(_walk(lit.args) for lit in distinct_literals(clause)))
+        clause._walks = tuple(_walk(lit.args) for lit in distinct_literals(clause))
     return clause._walks
 
 
-_SEARCH_ONLY = ("_selected", "_match_order", "_match_table", "_renamed", "_into", "_walks")
-
-
 def release(clause: Clause) -> None:
-    """Drop the clause's search-only data (see Clause); called when it
-    leaves the search."""
-    for slot in _SEARCH_ONLY:
-        object.__setattr__(clause, slot, None)
+    """Drop the clause's search-only data (see Clause): its caches other
+    than the distinct literals.  Called when the clause leaves the search."""
+    clause._selected = clause._match_order = clause._match_table = None
+    clause._renamed = clause._into = clause._walks = None
 
 
 class ClauseFactory:
@@ -366,7 +358,7 @@ def select(clause: Clause) -> tuple[int, ...]:
     deadline every 256 literal comparisons.
     """
     if clause._selected is None:
-        object.__setattr__(clause, "_selected", _select(clause))
+        clause._selected = _select(clause)
     return clause._selected
 
 

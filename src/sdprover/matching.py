@@ -36,7 +36,6 @@ clauses.release drops them when the clause leaves the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
@@ -47,8 +46,7 @@ from .ordering import OrderResult
 from .terms import Substitution, Term, Var, check_time, match_pairs, term_vars
 
 
-@dataclass(frozen=True)
-class MLMatch:
+class MLMatch(NamedTuple):
     """One match of a source clause into a target clause.
 
     rewrite_eq_pos: source position of the reserved rewriting equality
@@ -153,8 +151,7 @@ def source_set_up(clause: Clause) -> SourceSetUp:
     """The clause's set-up as a source, computed on the first call and kept on it."""
     stored = clause._match_order
     if stored is None:
-        stored = _source_set_up(clause.literals)
-        object.__setattr__(clause, "_match_order", stored)
+        stored = clause._match_order = _source_set_up(clause.literals)
     return stored
 
 
@@ -162,8 +159,7 @@ def target_set_up(clause: Clause) -> TargetSetUp:
     """The clause's set-up as a target, computed on the first call and kept on it."""
     stored = clause._match_table
     if stored is None:
-        stored = _target_set_up(clause)
-        object.__setattr__(clause, "_match_table", stored)
+        stored = clause._match_table = _target_set_up(clause)
     return stored
 
 

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import calculus
 from .clauses import Clause, ClauseFactory, release
@@ -62,8 +61,7 @@ class SatStatus(Enum):
     RESOURCE_OUT = "ResourceOut"
 
 
-@dataclass(frozen=True)
-class ProverConfig:
+class ProverConfig(NamedTuple):
     """Saturation switches and limits; zero limits mean unlimited."""
 
     fsd: bool = True
@@ -73,14 +71,18 @@ class ProverConfig:
     proof: bool = True
 
 
-@dataclass
 class SaturationResult:
-    status: SatStatus
-    factory: ClauseFactory
-    empty: Optional[Clause] = None
-    limit_reason: Optional[str] = None
-    iterations: int = 0
-    activated: int = 0
+    """One saturate call's verdict; limit_reason names the limit that
+    stopped a ResourceOut run ("time" or "clauses")."""
+
+    def __init__(self, status: SatStatus, factory: ClauseFactory, empty: Optional[Clause] = None,
+                 limit_reason: Optional[str] = None, iterations: int = 0, activated: int = 0) -> None:
+        self.status = status
+        self.factory = factory
+        self.empty = empty
+        self.limit_reason = limit_reason
+        self.iterations = iterations
+        self.activated = activated
 
 
 class PassiveQueue:
@@ -119,14 +121,16 @@ class PassiveQueue:
                 return self._clauses.pop(cid)
 
 
-@dataclass
 class ProverState:
-    factory: ClauseFactory
-    config: ProverConfig
-    passive: PassiveQueue = field(default_factory=PassiveQueue)
-    active: dict[int, Clause] = field(default_factory=dict)
-    bindex: BackwardIndex = field(default_factory=BackwardIndex)
-    fsd_index: FsdIndex = field(default_factory=FsdIndex)
+    """One saturate call's passive queue, active clauses and indexes."""
+
+    def __init__(self, factory: ClauseFactory, config: ProverConfig) -> None:
+        self.factory = factory
+        self.config = config
+        self.passive = PassiveQueue()
+        self.active: dict[int, Clause] = {}
+        self.bindex = BackwardIndex()
+        self.fsd_index = FsdIndex()
 
     def check_clauses(self) -> None:
         if self.config.clause_limit > 0 and self.factory.created > self.config.clause_limit:

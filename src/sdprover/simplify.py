@@ -54,8 +54,7 @@ There only an INCOMPARABLE orientation is compared, t against r sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .clauses import Clause, ClauseFactory, eq, literal_occurrences, replace_in_literal
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
@@ -65,8 +64,7 @@ from .ordering import OrderResult, compare_literal_multisets, compare_terms
 from .terms import App, Substitution, Term, apply_term, match_pairs
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     """One validated rewrite of a main premise by a side premise equality.
 
     lit_pos/path locate the rewritten occurrence; subst is the full matching

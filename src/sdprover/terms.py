@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import is_
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 class SignatureError(Exception):
@@ -39,29 +38,36 @@ class ResourceLimit(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
 class Var:
-    """A variable, identified by a clause-local integer id."""
+    """A variable, identified by a clause-local integer id.
 
-    vid: int
+    A slotted class, immutable by convention: only __init__ assigns vid.
+    Its hash, hash((vid,)), does not depend on PYTHONHASHSEED, so neither
+    do set and dict order nor the search."""
+
+    __slots__ = ("vid",)
+
+    weight = 1
+    ground = False
+
+    def __init__(self, vid: int) -> None:
+        self.vid = vid
+
+    def __eq__(self, other) -> bool:
+        return self.vid == other.vid if type(other) is Var else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vid,))
 
     def __repr__(self) -> str:
         return f"X{self.vid}"
 
-    @property
-    def weight(self) -> int:
-        return 1
 
-    @property
-    def ground(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True, slots=True, eq=False)
 class App:
     """A function application; constants are applications with no arguments.
 
-    weight, ground, and the hash are cached at construction: the term
+    A slotted class, immutable by convention: only __init__ assigns its
+    attributes.  weight, ground, and the hash are computed there: the term
     ordering reads them on every comparison, and recomputing them is
     quadratic on the deep towers that saturation builds.  Equality and
     hashing are iterative so such towers cannot exhaust the stack.  The
@@ -70,16 +76,14 @@ class App:
     the identity test.
     """
 
-    sym: int
-    args: tuple["Term", ...] = ()
-    weight: int = field(init=False, compare=False)
-    ground: bool = field(init=False, compare=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("sym", "args", "weight", "ground", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", 1 + sum(a.weight for a in self.args))
-        object.__setattr__(self, "ground", all(a.ground for a in self.args))
-        object.__setattr__(self, "_hash", hash((self.sym, self.args)))
+    def __init__(self, sym: int, args: tuple["Term", ...] = ()) -> None:
+        self.sym = sym
+        self.args = args
+        self.weight = 1 + sum(a.weight for a in args)
+        self.ground = all(a.ground for a in args)
+        self._hash = hash((sym, args))
 
     def __hash__(self) -> int:
         return self._hash
@@ -178,8 +182,7 @@ def render(t: Term, name: Callable[[int], str], sep: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionSymbol:
+class FunctionSymbol(NamedTuple):
     """Interned function symbol; calling it builds an application."""
 
     sid: int
@@ -262,6 +265,10 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
     make_app, so during a run an equal one built before is reused.  With
     again, an image other than v itself is rebuilt in turn, so leaf must
     not lead back to a variable it replaced.
+
+    A shared subterm is walked at each occurrence, which can take time
+    exponential in the term's stored size: the run's deadline is checked
+    every 1,024 applications walked.
     """
     if term.ground:
         return term
@@ -269,6 +276,7 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
         return leaf(term)
     done: list[Term] = []
     todo: list = [term]
+    rebuilt = 0
     while todo:
         t = todo.pop()
         if type(t) is tuple:
@@ -287,6 +295,9 @@ def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Ter
         elif t.ground:
             done.append(t)
         else:
+            rebuilt += 1
+            if not rebuilt & 1023:
+                check_time()
             todo.append((t,))
             todo.extend(reversed(t.args))
     return done[0]

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .clauses import Clause, ClauseFactory, Literal, eq, neq, predicate
 from .saturation import SatStatus, SaturationResult, proof_clauses
@@ -32,14 +31,14 @@ class ParseError(Exception):
         self.file = file
 
 
-@dataclass
 class Problem:
     """Parsed clause set; roles are keyed by clause id."""
 
-    name: str
-    clauses: list[Clause] = field(default_factory=list)
-    roles: dict[int, str] = field(default_factory=dict)
-    path: Optional[str] = None
+    def __init__(self, name: str, path: Optional[str] = None) -> None:
+        self.name = name
+        self.clauses: list[Clause] = []
+        self.roles: dict[int, str] = {}
+        self.path = path
 
 
 _TOKEN_RE = re.compile(
@@ -57,8 +56,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -379,12 +379,13 @@ print(json.dumps({"out": out.getvalue(), "code": code, "saturate_s": timed[0]}))
 """
 
 
-def _run_child(script: str, path: str) -> subprocess.CompletedProcess:
+def _run_child(script: str, *args: str, **env: str) -> subprocess.CompletedProcess:
     """Run script in a child interpreter that imports sdprover from this
-    tree, with path as argv[1]; killed after 60 s."""
+    tree, with args as argv[1:] and env added to the environment; killed
+    after 60 s."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True, env=env, timeout=60)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
 def _assert_times_out_within_bound(path):
@@ -415,6 +416,8 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path):
     # subsumption demodulation when the graph clause is
     eq_chain = chain + " | f(X0) = X0"
     eq_graph = graph + " | r(f(a0))"
+    xs = ", ".join(f"X{i}" for i in range(1, 23))
+    gs = ", ".join(f"g(X{i}, X{i})" for i in range(22))
     problems = [
         # superposing g(X) = f^1500(X) into itself unifies at about 1,500
         # positions, each with a conclusion of about 3,000 nodes, all in one
@@ -428,6 +431,13 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path):
         f"cnf(graph, axiom, {graph}).\ncnf(chain, axiom, {chain}).",
         f"cnf(chain, axiom, {eq_chain}).\ncnf(graph, axiom, {eq_graph}).",
         f"cnf(graph, axiom, {eq_graph}).\ncnf(chain, axiom, {eq_chain}).",
+        # unifying X1..X22 with g(X0,X0)..g(X21,X21) binds each Xi to
+        # g(X(i-1), X(i-1)): the fully applied unifier, which equality
+        # resolution builds and the factoring conclusion is instantiated
+        # by, holds terms of 2^22 nodes as trees, and rebuilding walks them
+        # as trees (about 30 s and 20 s without the deadline check)
+        f"cnf(c, axiom, f({xs}) != f({gs})).",
+        f"cnf(c, axiom, p({xs}) | p({gs})).\ncnf(d, axiom, ~p({', '.join(['a'] * 22)})).",
     ]
     for text in problems:
         _assert_times_out_within_bound(_write(tmp_path, text))
@@ -460,6 +470,53 @@ def test_cli_time_limit_holds_in_literal_selection(tmp_path):
     depth = 100_000
     text = f"cnf(wide, axiom, {wide}).\ncnf(tower, axiom, ~p(c, {'f(' * depth}d{')' * depth}, Y)).\n"
     _assert_times_out_within_bound(_write(tmp_path, text))
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Start-up stays cheap: dataclasses, with the inspect, ast, dis and
+    tokenize modules it loads, costs more CPU than the rest of the
+    package's import."""
+    child = _run_child("import sys, sdprover.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+# Solves the problem file argv[1] in the full and the baseline
+# configuration under a clause cap, and prints for each the SZS output and
+# a digest of every registry entry, after the hashes of the first input
+# clause's literals and of their arguments.
+_SOLVE_AND_DIGEST = """
+import hashlib, sys
+from sdprover import ClauseFactory, ProverConfig, Signature, emit_result, parse_problem, saturate
+
+for on in (True, False):
+    sig, factory = Signature(), ClauseFactory()
+    with open(sys.argv[1], encoding="utf-8") as handle:
+        problem = parse_problem(handle.read(), sig, factory)
+    if on:
+        print([(hash(lit), [hash(a) for a in lit.args]) for lit in problem.clauses[0].literals])
+    result = saturate(problem.clauses, ProverConfig(fsd=on, bsd=on, time_limit=0, clause_limit=300), factory)
+    print(emit_result(result, sig))
+    digest = hashlib.sha256()
+    for cid, c in factory.registry.items():
+        digest.update(f"{cid} {c.rule} {c.parents} {c.literals}\\n".encode("utf-8"))
+    print(len(factory.registry), digest.hexdigest())
+"""
+
+
+def test_the_search_does_not_depend_on_the_hash_seed():
+    """Terms and literals hash alike, and the search makes the same clauses
+    in the same order, under two PYTHONHASHSEED values; the full
+    configuration saturates guard_eq_residual.p, the baseline reaches the
+    clause cap."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "guard_eq_residual.p")
+    outputs = []
+    for seed in ("1", "4242"):
+        child = _run_child(_SOLVE_AND_DIGEST, path, PYTHONHASHSEED=seed)
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    assert "% SZS status Satisfiable" in outputs[0] and "% SZS status ResourceOut" in outputs[0]
 
 
 def test_cli_missing_file_exit(tmp_path, capsys):
