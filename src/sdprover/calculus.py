@@ -33,9 +33,12 @@ Every unify_pairs call checks the run's deadline first, so a rule that
 unifies deep terms many times stops near the time limit even when no
 unification succeeds and nothing is minted.
 
-A rule does not instantiate its conclusions itself: it hands each one to
-the factory as its uninstantiated literals and the unifier, all conclusions
-of one call together, and the factory applies the unifier while it
+A unifier is unify_pairs's triangular bindings, and an ordering check
+reads the instances it needs from terms.instantiate, with one memo per
+unifier, so each bound variable's image is built once for all of them.  A
+rule does not instantiate its conclusions itself: it hands each one to the
+factory as its uninstantiated literals and the unifier, all conclusions of
+one call together, and the factory applies the unifier while it
 canonicalizes, drops variants of earlier conclusions of the call, and mints
 the rest with the rule name and parent ids.
 """
@@ -57,7 +60,7 @@ from .clauses import (
 )
 from .matching import Orientation, source_set_up
 from .ordering import OrderResult, compare_terms
-from .terms import Term, Var, apply_term, unify_pairs
+from .terms import Term, Var, instantiate, unify_pairs
 
 
 def _not_greater(a: Term, b: Term) -> bool:
@@ -140,11 +143,14 @@ def _superpose_into(
         theta = unify_pairs([(s, sub_term)])
         if theta is None:
             continue
-        if o.verdict is OrderResult.INCOMPARABLE and not _not_greater(apply_term(t, theta), apply_term(s, theta)):
+        images: dict[int, Term] = {}
+        if o.verdict is OrderResult.INCOMPARABLE and not _not_greater(
+            instantiate(t, theta, images), instantiate(s, theta, images)
+        ):
             continue
         if sides_verdict is OrderResult.INCOMPARABLE:
-            into_side = apply_term(target.args[path[0]], theta)
-            other_side = apply_term(target.args[1 - path[0]], theta)
+            into_side = instantiate(target.args[path[0]], theta, images)
+            other_side = instantiate(target.args[1 - path[0]], theta, images)
             if not _not_greater(other_side, into_side):
                 continue
         new_target = replace_in_literal(target, path, t)
@@ -205,9 +211,11 @@ def equality_factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
                     theta = unify_pairs([(s, s2)])
                     if theta is None:
                         continue
-                    if not _not_greater(apply_term(t, theta), apply_term(s, theta)):
+                    images: dict[int, Term] = {}
+                    t_image = instantiate(t, theta, images)
+                    if not _not_greater(t_image, instantiate(s, theta, images)):
                         continue
-                    if not _not_greater(apply_term(t2, theta), apply_term(t, theta)):
+                    if not _not_greater(instantiate(t2, theta, images), t_image):
                         continue
                     rest = tuple(
                         lit for k, lit in enumerate(c.literals) if k != i and k != j

@@ -13,9 +13,9 @@ from .terms import (
     Term,
     Var,
     check_time,
+    instantiate,
     make_app,
     preorder_subterms,
-    rebuild,
     replace_at,
 )
 
@@ -178,30 +178,25 @@ class Clause:
 
 
 def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[Literal, ...]:
-    """literals instantiated by unifier, variables renumbered 0, 1, ... in
-    pre-order of first occurrence.
+    """literals instantiated by unifier, a unify_pairs result in triangular
+    form, variables renumbered 0, 1, ... in pre-order of first occurrence.
 
-    One pass over each term: a bound variable's image is rebuilt in place
-    of the variable, renumbering as it goes, and reused where the variable
-    recurs.  unifier must be in unify_pairs's fully applied form (no
-    variable it binds occurs in a term it binds to), so an image never
-    contains a variable that needs instantiating.  A ground literal comes
-    back as the same object, so the repeated literals of a clause and of
-    its descendants share one object.
+    One instantiate pass over the literals' terms, with one memo: each
+    bound variable's image is built once, renumbering as it goes, and
+    reused wherever the variable recurs.  A ground literal comes back as
+    the same object, so the repeated literals of a clause and of its
+    descendants share one object.
     """
     images: dict[int, Term] = {}
     fresh = itertools.count()
 
-    def leaf(v: Var) -> Term:
-        image = images.get(v.vid)
-        if image is None:
-            bound = unifier.get(v.vid)
-            image = Var(next(fresh)) if bound is None else rebuild(bound, leaf)
-            images[v.vid] = image
-        return image
+    def renumber(v: Var) -> Var:
+        return Var(next(fresh))
 
     return tuple(
-        lit if lit.ground else Literal(lit.positive, lit.pred, tuple(rebuild(a, leaf) for a in lit.args))
+        lit
+        if lit.ground
+        else Literal(lit.positive, lit.pred, tuple(instantiate(a, unifier, images, renumber) for a in lit.args))
         for lit in literals
     )
 
@@ -217,10 +212,15 @@ def rename_apart(clause: Clause) -> tuple[Literal, ...]:
     if clause._renamed is None:
         lits = clause.literals
         if not all(lit.ground for lit in lits):
+            images: dict[int, Term] = {}
+
+            def negate(v: Var) -> Var:
+                return Var(-1 - v.vid)
+
             lits = tuple(
                 lit
                 if lit.ground
-                else Literal(lit.positive, lit.pred, tuple(rebuild(a, lambda v: Var(-1 - v.vid)) for a in lit.args))
+                else Literal(lit.positive, lit.pred, tuple(instantiate(a, {}, images, negate) for a in lit.args))
                 for lit in lits
             )
         clause._renamed = lits
@@ -240,10 +240,15 @@ def _walk(args: tuple[Term, ...]) -> tuple[tuple[Optional[int], ...], list[int]]
     """The pre-order keys of an argument tuple, None for each variable, and
     for each position the position just past the subterm that starts there:
     a term's weight is its number of nodes, so that is the start plus the
-    weight."""
+    weight.
+
+    The walk takes time and memory linear in the terms' weights, which can
+    be exponential in their stored size, so the run's deadline is checked
+    every 1,024 applications walked."""
     keys: list[Optional[int]] = []
     ends: list[int] = []
     stack = list(reversed(args))
+    walked = 0
     while stack:
         t = stack.pop()
         if type(t) is Var:
@@ -253,6 +258,9 @@ def _walk(args: tuple[Term, ...]) -> tuple[tuple[Optional[int], ...], list[int]]
             ends.append(len(keys) + t.weight)
             keys.append(t.sym)
             stack.extend(reversed(t.args))
+            walked += 1
+            if not walked & 1023:
+                check_time()
     return tuple(keys), ends
 
 
@@ -282,10 +290,10 @@ class ClauseFactory:
     """Mints normalized clauses with unique ids and keeps a registry.
 
     The factory is the one place that canonicalizes: each conclusion comes
-    in as its literals and the unifier of its inference, and one pass
-    instantiates the literals and numbers their variables 0, 1, ... in
-    pre-order of first occurrence.  The unifier must be in unify_pairs's
-    fully applied form.
+    in as its literals and the unifier of its inference, in unify_pairs's
+    triangular form, and one pass (canonical_instance) instantiates the
+    literals and numbers their variables 0, 1, ... in pre-order of first
+    occurrence.
 
     Every clause ever created stays in the registry so proofs can be
     reconstructed after simplification deletes clauses from the search

@@ -14,11 +14,16 @@ that role, so the enumeration branches between "reserve this equality" and
 of decreasing weight, on an explicit stack of per-level iterators rather
 than one recursive call per literal, so a clause of any width gets an
 answer; enumeration is exhaustive and duplicate-free, and the generator
-resumes where the previous solution left off.  Nothing caps the number of
-solutions: the run's deadline, checked every few hundred search nodes, is
-the one bound on a search, and it also stops one that finds nothing.  Two
-clauses are variants exactly when they have equal length and each subsumes
-the other (variant), so the same search decides that too.
+resumes where the previous solution left off.  A one-literal source, the
+side premise of unit demodulation and the unit of forward subsumption, has
+one level and nothing to backtrack over: one loop enumerates its matches
+in the same order.  A ground source literal matches exactly the target
+literals equal to it, binding nothing, so it goes only to their positions,
+read off the target's set-up.  Nothing caps the number of solutions: the
+run's deadline, checked every few hundred search nodes, is the one bound
+on a search, and it also stops one that finds nothing.  Two clauses are
+variants exactly when they have equal length and each subsumes the other
+(variant), so the same search decides that too.
 
 Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
@@ -27,11 +32,13 @@ variable of its own.  The set-up each side needs is computed once per
 clause object and kept on it: as a source, the literal order, and each
 positive equality oriented as a rewrite rule together with the top symbols
 it can rewrite (SourceSetUp, which superposition reads too); as a target,
-the table of compatible literals and the symbols that occur (TargetSetUp),
-read off the clause's stored literal walks (clauses.literal_walks), not
-off a walk of its own.  Subsumption demodulation screens a pair on those
-symbols before it starts the matcher.  Both set-ups are search-only data:
-clauses.release drops them when the clause leaves the search.
+the table of compatible literals, the symbols that occur, read off the
+clause's stored literal walks (clauses.literal_walks), not off a walk of
+its own, and the positions of each ground literal, filled when a ground
+source literal first needs them (TargetSetUp).  Subsumption demodulation
+screens a pair on those symbols before it starts the matcher.  Both
+set-ups are search-only data: clauses.release drops them when the clause
+leaves the search.
 """
 
 from __future__ import annotations
@@ -102,10 +109,14 @@ class TargetSetUp(NamedTuple):
     symbols: the symbol of every non-variable subterm of the literals'
         arguments, each once (a tuple: it is short, and kept on every
         target clause).
+    ground: target positions by ground literal, ascending, filled by
+        _ground_positions when a ground source literal first needs it:
+        most target set-ups serve only the index's count screen.
     """
 
-    table: dict[tuple[bool, Optional[int]], tuple[int, ...]]
+    table: dict[tuple[bool, Optional[int]], list[int]]
     symbols: tuple[int, ...]
+    ground: dict[Literal, list[int]]
 
 
 _FLIPPED = {OrderResult.GREATER: OrderResult.LESS, OrderResult.LESS: OrderResult.GREATER}
@@ -144,7 +155,7 @@ def _target_set_up(clause: Clause) -> TargetSetUp:
     for keys, _ in literal_walks(clause):
         symbols.update(keys)
     symbols.discard(None)  # the key of a variable
-    return TargetSetUp({key: tuple(js) for key, js in table.items()}, tuple(sorted(symbols)))
+    return TargetSetUp(table, tuple(sorted(symbols)), {})
 
 
 def source_set_up(clause: Clause) -> SourceSetUp:
@@ -161,6 +172,17 @@ def target_set_up(clause: Clause) -> TargetSetUp:
     if stored is None:
         stored = clause._match_table = _target_set_up(clause)
     return stored
+
+
+def _ground_positions(clause: Clause) -> dict[Literal, list[int]]:
+    """The clause's positions by ground literal, ascending: the ground field
+    of its target set-up, filled on the first call."""
+    ground = target_set_up(clause).ground
+    if not ground:
+        for j, lit in enumerate(clause.literals):
+            if lit.ground:
+                ground.setdefault(lit, []).append(j)
+    return ground
 
 
 def _literal_pairings(a: Literal, b: Literal):
@@ -207,7 +229,25 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     if len(src) - (1 if reserve_equality else 0) > len(dst):
         return
     order, last_eq, _, _ = source_set_up(source)
+    if reserve_equality and len(src) == 1:
+        # a unit source: its one literal is reserved if it can be, and
+        # nothing is left to match
+        if last_eq == 0:
+            yield MLMatch(0, {}, frozenset())
+        return
     compatible = target_set_up(target).table
+    ground = _ground_positions(target) if any(lit.ground for lit in src) else {}
+    if len(src) == 1:
+        # one level: no path to backtrack over and no position in use
+        lit = src[0]
+        nodes = 0
+        for j in ground.get(lit, ()) if lit.ground else compatible.get((lit.positive, lit.pred), ()):
+            for subst in literal_match_substs(lit, dst[j], {}):
+                nodes += 1
+                if nodes % 256 == 0:
+                    check_time()
+                yield MLMatch(-1, subst, frozenset((j,)))
+        return
 
     def children(k: int, subst: Substitution, eq_pos: Optional[int]):
         # the states one level down, in enumeration order
@@ -219,6 +259,12 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
             # the order must take that role: matching it cannot succeed
             if k == last_eq:
                 return
+        if lit.ground:
+            # matched exactly by an equal literal, binding nothing
+            for j in ground.get(lit, ()):
+                if j not in used:
+                    yield k + 1, subst, j, eq_pos
+            return
         for j in compatible.get((lit.positive, lit.pred), ()):
             if j in used:
                 continue

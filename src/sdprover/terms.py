@@ -5,7 +5,7 @@ the length of its loop) that installs two things together and puts back
 whatever was in force before when it exits, however it exits:
 
   - the run's term table: every application that make_app builds, which
-    is every one that FunctionSymbol.__call__, rebuild, replace_at and
+    is every one that FunctionSymbol.__call__, instantiate, replace_at and
     Literal.atom build, is the run's one App equal to it.  The table holds
     only terms that run built and never outlives it.  Outside a run, and
     for terms built before one (the parser's, a test's), construction
@@ -242,61 +242,84 @@ class Signature:
 # and unify_pairs build each one, and nothing changes it afterwards.  A
 # match result keeps X -> X bindings: match_pairs binds a pattern variable
 # to the target's rigid variable of the same id, and a later extension must
-# see that binding.  A unification result is fully applied: no variable it
-# binds occurs in a term it binds to.  Application replaces all bound
-# variables simultaneously.
+# see that binding, so apply_term replaces its bound variables
+# simultaneously, in one pass.  A unification result is in triangular
+# form: a term it binds may hold variables it binds too, but no chain of
+# bindings leads back to its own variable, so instantiate chases them.
 Substitution = dict[int, Term]
 
 
 def apply_term(term: Term, subst: Substitution) -> Term:
-    """term with its variables replaced simultaneously by their images under subst."""
+    """term with its variables replaced simultaneously by their images under
+    subst, in one pass: no image is instantiated in turn."""
     get = subst.get
-    return rebuild(term, lambda v: get(v.vid, v))
+    return instantiate(term, {}, {}, lambda v: get(v.vid, v))
 
 
-def rebuild(term: Term, leaf: Callable[[Var], Term], again: bool = False) -> Term:
-    """term with every variable occurrence v replaced by leaf(v).
+def instantiate(
+    term: Term, unifier: Substitution, images: dict[int, Term], unbound: Optional[Callable[[Var], Term]] = None
+) -> Term:
+    """term under unifier, a unify_pairs result in triangular form: each
+    bound variable is replaced by its binding, instantiated in turn.
 
-    The one term rebuilder: bottom-up from an explicit stack, so deep terms
-    cannot exhaust the interpreter's.  leaf is called on the variable
-    occurrences in pre-order, left to right; ground subterms, and every
-    application none of whose arguments changed, are shared, not copied,
-    so rebuild(t, lambda v: v) is t.  Every other application is built by
-    make_app, so during a run an equal one built before is reused.  With
-    again, an image other than v itself is rebuilt in turn, so leaf must
-    not lead back to a variable it replaced.
+    The one term rebuilder.  images memoizes the image of every variable
+    met, so one dict passed for every term instantiated under one unifier
+    builds each bound variable's image once, however often it recurs: the
+    pass costs what the triangular bindings hold, not what their fully
+    applied trees would.  A variable unifier does not bind becomes
+    unbound(v), itself by default, called once per variable in pre-order
+    of first occurrence; with an empty unifier that is a one-pass
+    substitution (apply_term, clauses.rename_apart).  A match substitution
+    is not triangular, since its X -> X bindings would loop, so apply_term
+    applies it that way.
 
-    A shared subterm is walked at each occurrence, which can take time
-    exponential in the term's stored size: the run's deadline is checked
-    every 1,024 applications walked.
+    Bottom-up from an explicit stack, so deep terms cannot exhaust the
+    interpreter's.  Ground subterms, and every application none of whose
+    arguments changed, are shared, not copied, so instantiate(t, {}, {}) is
+    t.  Every other application is built by make_app, so during a run an
+    equal one built before is reused.  A shared subterm that holds no bound
+    variable is walked at each occurrence, which can take time exponential
+    in the term's stored size: the run's deadline is checked every 1,024
+    applications walked.
     """
     if term.ground:
         return term
-    if type(term) is Var and not again:
-        return leaf(term)
     done: list[Term] = []
     todo: list = [term]
-    rebuilt = 0
+    walked = 0
     while todo:
         t = todo.pop()
-        if type(t) is tuple:
+        kind = type(t)
+        if kind is tuple:
             # (application,): its arguments are the last len(args) results
             (node,) = t
             n = len(node.args)
             args = tuple(done[-n:])
             del done[-n:]
             done.append(node if all(map(is_, args, node.args)) else make_app(node.sym, args))
-        elif type(t) is Var:
-            image = leaf(t)
-            if again and image is not t:
-                todo.append(image)
-            else:
-                done.append(image)
+        elif kind is int:
+            # the variable of this id has its image last in done
+            images[t] = done[-1]
+        elif kind is Var:
+            vid = t.vid
+            image = images.get(vid)
+            if image is None:
+                bound = unifier.get(vid)
+                if bound is None:
+                    image = t if unbound is None else unbound(t)
+                elif not bound.ground:
+                    todo.append(vid)
+                    todo.append(bound)
+                    continue
+                else:
+                    image = bound
+                images[vid] = image
+            done.append(image)
         elif t.ground:
             done.append(t)
         else:
-            rebuilt += 1
-            if not rebuilt & 1023:
+            walked += 1
+            if not walked & 1023:
                 check_time()
             todo.append((t,))
             todo.extend(reversed(t.args))
@@ -338,17 +361,18 @@ def replace_at(term: Term, path: tuple[int, ...], new: Term) -> Term:
 
 
 def _occurs(vid: int, term: Term, bindings: dict[int, Term]) -> bool:
-    # Occurs check that chases bindings already on the work map.
+    # Occurs check that chases bindings already on the work map; a ground
+    # subterm holds no variable, so it is not walked.
     stack = [term]
     while stack:
         t = stack.pop()
-        if isinstance(t, Var):
+        if type(t) is Var:
             if t.vid == vid:
                 return True
             bound = bindings.get(t.vid)
             if bound is not None:
                 stack.append(bound)
-        else:
+        elif not t.ground:
             stack.extend(t.args)
     return False
 
@@ -365,11 +389,14 @@ def _walk(term: Term, bindings: dict[int, Term]) -> Term:
 def unify_pairs(pairs) -> Optional[Substitution]:
     """Unify a sequence of term pairs simultaneously.
 
-    Uses an explicit work stack with an eager occurs check.  The result is in
-    fully applied form: no bound variable appears in any range term, and no
-    variable is bound to itself.  The run's deadline is checked first, so a
-    rule that unifies deep terms many times stops near the time limit even
-    when no unification succeeds and nothing is minted.
+    Uses an explicit work stack with an eager occurs check.  The result is
+    the solved bindings in triangular form, and builds no term: a term it
+    binds may hold variables it binds too, no chain of bindings leads back
+    to the variable it starts from, and no variable is bound to itself.
+    instantiate applies it; fully applied, it could be exponentially
+    larger.  The run's deadline is checked first, so a rule that unifies
+    deep terms many times stops near the time limit even when no
+    unification succeeds and nothing is minted.
     """
     check_time()
     bindings: Substitution = {}
@@ -392,8 +419,7 @@ def unify_pairs(pairs) -> Optional[Substitution]:
             if s.sym != t.sym or len(s.args) != len(t.args):
                 return None
             stack.extend(zip(s.args, t.args))
-    # each image with bound variables replaced, and their images in turn
-    return {v: rebuild(t, lambda u: bindings.get(u.vid, u), again=True) for v, t in bindings.items()}
+    return bindings
 
 
 def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:

@@ -38,6 +38,7 @@ from sdprover.terms import (
     Var,
     apply_term,
     check_time,
+    instantiate,
     match_pairs,
     term_vars,
     unify_pairs,
@@ -485,11 +486,11 @@ def unscreened_superposition(c1, c2, factory) -> list:
                 target = lits2[j]
                 for path, sub_term in literal_occurrences(target):
                     theta = unify_pairs([(s, sub_term)])
-                    if theta is None or not not_greater(apply_term(t, theta), apply_term(s, theta)):
+                    if theta is None or not not_greater(instantiate(t, theta, {}), instantiate(s, theta, {})):
                         continue
                     if target.is_equality:
-                        into_side = apply_term(target.args[path[0]], theta)
-                        other_side = apply_term(target.args[1 - path[0]], theta)
+                        into_side = instantiate(target.args[path[0]], theta, {})
+                        other_side = instantiate(target.args[1 - path[0]], theta, {})
                         if not not_greater(other_side, into_side):
                             continue
                     new_target = replace_in_literal(target, path, t)

@@ -1,13 +1,15 @@
 """Tests for literals, clauses, selection, renaming, and variants."""
 
+import time
+
 import pytest
 from oracles import apply, canonical_literals, clause_vars, nvars, shift_vars
 from randgen import Gen
 
-from sdprover.clauses import Clause, ClauseFactory, Literal, eq, neq, rename_apart, select
+from sdprover.clauses import Clause, ClauseFactory, Literal, eq, neq, predicate, rename_apart, select
 from sdprover.matching import _literal_pairings, variant
 from sdprover.ordering import OrderResult, compare_literals
-from sdprover.terms import SignatureError, Var, unify_pairs
+from sdprover.terms import Signature, SignatureError, Var, run_scope, unify_pairs
 
 env = Gen(seed=11)
 x, y = Var(0), Var(1)
@@ -107,7 +109,11 @@ def test_one_pass_instance_agrees_with_apply_then_canonicalize():
         if sub is None:
             continue
         (clause,) = factory.make_all([(lits, sub)], "test", ())
-        expected = canonical_literals(apply(lits, sub))
+        # the unifier is triangular: apply it until nothing changes
+        instance = apply(lits, sub)
+        while (again := apply(instance, sub)) != instance:
+            instance = again
+        expected = canonical_literals(instance)
         # compare argument tuples: equality literals compare unordered
         assert [(l.positive, l.pred, l.args) for l in clause.literals] == [
             (l.positive, l.pred, l.args) for l in expected
@@ -116,6 +122,24 @@ def test_one_pass_instance_agrees_with_apply_then_canonicalize():
         checked += 1
         nonground_images += any(not t.ground for _, t in sub.items())
     assert checked > 200 and nonground_images > 150
+
+
+def test_minting_instantiates_a_binding_chain_in_linear_time():
+    """Unifying X1..X64 with g(X0,X0)..g(X63,X63) binds each Xi to
+    g(X(i-1), X(i-1)): fully applied, the image of X64 is a tree of
+    2^65 - 1 nodes, but the triangular unifier holds 64 bindings, and
+    minting builds each variable's image once, as a shared term."""
+    sig = Signature()
+    g = sig.function("g", 2)
+    p = predicate(sig, "p", 1)
+    pairs = [(Var(i), g(Var(i - 1), Var(i - 1))) for i in range(1, 65)]
+    with run_scope(time.monotonic() + 2):
+        sub = unify_pairs(pairs)
+        assert sub is not None
+        (clause,) = ClauseFactory().make_all([((p(Var(64)),), sub)], "test", ())
+    (image,) = clause.literals[0].args
+    assert image.weight == 2**65 - 1
+    assert image.args[0] is image.args[1] and image.args[0].weight == 2**64 - 1
 
 
 def test_rename_apart_makes_vars_disjoint():

@@ -16,7 +16,7 @@ from oracles import nvars
 from sdprover import calculus, saturation, terms
 from sdprover.clauses import ClauseFactory, Literal, predicate
 from sdprover.saturation import ProverConfig, SatStatus, saturate, verify_proof
-from sdprover.terms import App, ResourceLimit, Signature, Var, check_time, make_app, rebuild, replace_at, run_scope
+from sdprover.terms import App, ResourceLimit, Signature, Var, check_time, instantiate, make_app, replace_at, run_scope
 from sdprover.tptp import emit_result, parse_problem
 
 X, Y = Var(0), Var(1)
@@ -69,7 +69,7 @@ def _fresh_constructions(s: Setup) -> list[tuple]:
     lit_args = (s.f(s.a),)
     return [
         (s.h(s.a, s.f(s.a)), s.h(s.a, s.f(s.a))),
-        (rebuild(base, leaf), rebuild(base, leaf)),
+        (instantiate(base, {}, {}, leaf), instantiate(base, {}, {}, leaf)),
         (replace_at(base, (1, 0), s.a), replace_at(base, (1, 0), s.a)),
         (Literal(True, s.p.sid, lit_args).atom(), Literal(True, s.p.sid, lit_args).atom()),
     ]

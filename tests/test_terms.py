@@ -10,9 +10,9 @@ from sdprover.terms import (
     SignatureError,
     Var,
     apply_term,
+    instantiate,
     match_pairs,
     preorder_subterms,
-    rebuild,
     replace_at,
     term_vars,
     unify_pairs,
@@ -65,7 +65,16 @@ def test_apply_term_replaces_simultaneously():
 def test_unify_binds_and_applies():
     sub = unify_pairs([(h(x, g(y)), h(f(z), g(a)))])
     assert sub is not None
-    assert apply_term(h(x, g(y)), sub) == apply_term(h(f(z), g(a)), sub)
+    assert instantiate(h(x, g(y)), sub, {}) == instantiate(h(f(z), g(a)), sub, {})
+
+
+def test_unifier_is_triangular_and_builds_no_term():
+    # x is bound to f(y) and y to a: the binding of x keeps y, as the input
+    # object, and instantiate resolves it
+    s, t = h(x, y), h(f(y), a)
+    sub = unify_pairs([(s, t)])
+    assert sub == {0: f(y), 1: a} and sub[0] is t.args[0]
+    assert instantiate(s, sub, {}) == h(f(a), a)
 
 
 def test_unify_occurs_check():
@@ -133,9 +142,14 @@ def test_weight_counts_preorder_nodes(t):
 def test_unifier_unifies_and_is_idempotent(s, t):
     sub = unify_pairs([(s, t)])
     if sub is not None:
-        left = apply_term(s, sub)
-        assert left == apply_term(t, sub)
-        assert apply_term(left, sub) == left
+        # triangular: every binding is a subterm of the input, none is built
+        inputs = {id(u) for term in (s, t) for _, u in preorder_subterms(term)}
+        assert all(id(u) in inputs for u in sub.values())
+        left = instantiate(s, sub, {})
+        assert left == instantiate(t, sub, {})
+        # the instance holds no variable the unifier binds
+        assert instantiate(left, sub, {}) == left
+        assert not term_vars(left) & set(sub)
 
 
 @given(terms, terms)
@@ -162,14 +176,14 @@ def test_term_walks_run_on_deep_terms():
         pass
     assert count == depth + 1 and last == ((0,) * depth, x)
     assert replace_at(tower, (0,) * depth, a) == ground
-    # y is bound through z to the tower: the unifier holds it fully applied
+    # y is bound through z to the tower: its resolved image is f(tower)
     sub = unify_pairs([(h(y, z), h(f(z), tower))])
-    assert sub is not None and sub.get(1) == f(tower)
+    assert sub is not None and instantiate(y, sub, {}) == f(tower)
 
 
-def test_rebuild_shares_every_unchanged_application():
+def test_instantiate_shares_every_unchanged_application():
     t = h(f(x), g(h(y, a)))
-    assert rebuild(t, lambda v: v) is t
+    assert instantiate(t, {}, {}) is t
     assert apply_term(t, {2: b}) is t
     changed = apply_term(t, {1: b})
     assert changed == h(f(x), g(h(b, a)))
@@ -182,4 +196,4 @@ def test_unifier_holds_no_identity_binding():
     sub = unify_pairs([(h(x, y), h(y, f(z))), (z, z)])
     assert sub is not None
     assert all(not (isinstance(t, Var) and t.vid == v) for v, t in sub.items())
-    assert apply_term(h(x, y), sub) == apply_term(h(y, f(z)), sub)
+    assert instantiate(h(x, y), sub, {}) == instantiate(h(y, f(z)), sub, {})

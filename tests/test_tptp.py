@@ -425,22 +425,29 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path):
         f"cnf(a, axiom, g(X) = {'f(' * depth}X{')' * depth}).\ncnf(b, axiom, p(g(a))).",
         # f(X) = g(Y) superposes cheaply at 300 positions of a tower, but
         # each conclusion carries a non-ground term of 16,383 nodes that
-        # minting rebuilds: the deadline is checked once per conclusion
+        # minting instantiates: the deadline is checked once per conclusion
         f"cnf(a, axiom, f(X) = g(Y)).\ncnf(b, axiom, p({_balanced(13)}, {'f(' * 300}Z{')' * 300})).",
         f"cnf(chain, axiom, {chain}).\ncnf(graph, axiom, {graph}).",
         f"cnf(graph, axiom, {graph}).\ncnf(chain, axiom, {chain}).",
         f"cnf(chain, axiom, {eq_chain}).\ncnf(graph, axiom, {eq_graph}).",
         f"cnf(graph, axiom, {eq_graph}).\ncnf(chain, axiom, {eq_chain}).",
         # unifying X1..X22 with g(X0,X0)..g(X21,X21) binds each Xi to
-        # g(X(i-1), X(i-1)): the fully applied unifier, which equality
-        # resolution builds and the factoring conclusion is instantiated
-        # by, holds terms of 2^22 nodes as trees, and rebuilding walks them
-        # as trees (about 30 s and 20 s without the deadline check)
-        f"cnf(c, axiom, f({xs}) != f({gs})).",
+        # g(X(i-1), X(i-1)): minting instantiates the triangular unifier
+        # as shared terms, but the conclusions q(X22) of equality
+        # resolution and p(X1,...,X22) of factoring hold terms of 2^22
+        # nodes as trees, and the literal walk after minting walks them as
+        # trees (29 s and 2.2 GB without the deadline check in the walk)
+        f"cnf(c, axiom, f({xs}) != f({gs}) | q(X22)).",
         f"cnf(c, axiom, p({xs}) | p({gs})).\ncnf(d, axiom, ~p({', '.join(['a'] * 22)})).",
     ]
     for text in problems:
         _assert_times_out_within_bound(_write(tmp_path, text))
+    # without q(X22), equality resolution derives the empty clause at once:
+    # instantiating the unifier is not needed to see that
+    child = _run_child(_TIME_LIMITED_CLI, _write(tmp_path, f"cnf(c, axiom, f({xs}) != f({gs}))."))
+    assert child.returncode == 0, child.stderr
+    run = json.loads(child.stdout)
+    assert (run["out"].splitlines()[0], run["code"]) == ("% SZS status Unsatisfiable", 0)
 
 
 def test_cli_time_limit_holds_while_unification_fails(tmp_path):
@@ -449,13 +456,14 @@ def test_cli_time_limit_holds_while_unification_fails(tmp_path):
     # the 200 literals p(b, Xi, ai) are pairwise incomparable, so all are
     # selected, and factoring two of them fails at once on ai against aj;
     # resolving each with ~p(c, T, Y) binds Y, then binds Xi to the tower
-    # T = f^200000(d), whose occurs check walks all of it, and then fails
-    # on b against c: 200 walks of T in one call, with no conclusion (about
-    # 6 s without the deadline check; with many more literals, selecting
-    # and factoring them would reach the deadline before resolution does)
+    # T = f^200000(Z), whose occurs check walks all of it (T is not
+    # ground, so the check cannot skip it), and then fails on b against c:
+    # 200 walks of T in one call, with no conclusion (about 6 s without
+    # the deadline check; with many more literals, selecting and factoring
+    # them would reach the deadline before resolution does)
     wide = " | ".join(f"p(b, X{i}, a{i})" for i in range(200))
     depth = 200_000
-    text = f"cnf(wide, axiom, {wide}).\ncnf(tower, axiom, ~p(c, {'f(' * depth}d{')' * depth}, Y)).\n"
+    text = f"cnf(wide, axiom, {wide}).\ncnf(tower, axiom, ~p(c, {'f(' * depth}Z{')' * depth}, Y)).\n"
     _assert_times_out_within_bound(_write(tmp_path, text))
 
 
