@@ -109,14 +109,14 @@ class TargetSetUp(NamedTuple):
     symbols: the symbol of every non-variable subterm of the literals'
         arguments, each once (a tuple: it is short, and kept on every
         target clause).
-    ground: target positions by ground literal, ascending, filled by
-        _ground_positions when a ground source literal first needs it:
-        most target set-ups serve only the index's count screen.
+    ground: target positions by ground literal, ascending, or None until
+        a ground source literal first needs them (_ground_positions): most
+        target set-ups serve only the index's count screen.
     """
 
     table: dict[tuple[bool, Optional[int]], list[int]]
     symbols: tuple[int, ...]
-    ground: dict[Literal, list[int]]
+    ground: Optional[dict[Literal, list[int]]]
 
 
 _FLIPPED = {OrderResult.GREATER: OrderResult.LESS, OrderResult.LESS: OrderResult.GREATER}
@@ -155,7 +155,7 @@ def _target_set_up(clause: Clause) -> TargetSetUp:
     for keys, _ in literal_walks(clause):
         symbols.update(keys)
     symbols.discard(None)  # the key of a variable
-    return TargetSetUp(table, tuple(sorted(symbols)), {})
+    return TargetSetUp(table, tuple(sorted(symbols)), None)
 
 
 def source_set_up(clause: Clause) -> SourceSetUp:
@@ -176,13 +176,16 @@ def target_set_up(clause: Clause) -> TargetSetUp:
 
 def _ground_positions(clause: Clause) -> dict[Literal, list[int]]:
     """The clause's positions by ground literal, ascending: the ground field
-    of its target set-up, filled on the first call."""
-    ground = target_set_up(clause).ground
-    if not ground:
+    of its target set-up, which the first call fills by replacing the
+    set-up kept on the clause."""
+    stored = target_set_up(clause)
+    if stored.ground is None:
+        ground: dict[Literal, list[int]] = {}
         for j, lit in enumerate(clause.literals):
             if lit.ground:
                 ground.setdefault(lit, []).append(j)
-    return ground
+        stored = clause._match_table = stored._replace(ground=ground)
+    return stored.ground
 
 
 def _literal_pairings(a: Literal, b: Literal):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .terms import Term, Var
+from .terms import Term, Var, check_time
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clauses import Clause, Literal
@@ -39,9 +39,15 @@ def _prec_greater(sym_a: int, arity_a: int, sym_b: int, arity_b: int) -> bool:
 
 def _count_vars(terms, balance: dict[int, int], step: int) -> int:
     """Add step to balance[v] per occurrence of v in terms; returns the change
-    in the number of negative entries."""
+    in the number of negative entries.
+
+    The walk visits every occurrence, so it takes time linear in the terms'
+    weights, which can be exponential in their stored size (the instance
+    of a triangular unifier shares its subterms): the run's deadline is
+    checked every 1,024 applications walked."""
     change = 0
     stack = [t for t in terms if not t.ground]
+    walked = 0
     while stack:
         t = stack.pop()
         if type(t) is Var:
@@ -49,6 +55,9 @@ def _count_vars(terms, balance: dict[int, int], step: int) -> int:
             balance[t.vid] = before + step
             change += (before + step < 0) - (before < 0)
         else:
+            walked += 1
+            if not walked & 1023:
+                check_time()
             stack.extend(a for a in t.args if not a.ground)
     return change
 

@@ -362,15 +362,19 @@ def replace_at(term: Term, path: tuple[int, ...], new: Term) -> Term:
 
 def _occurs(vid: int, term: Term, bindings: dict[int, Term]) -> bool:
     # Occurs check that chases bindings already on the work map; a ground
-    # subterm holds no variable, so it is not walked.
+    # subterm holds no variable, so it is not walked.  Each binding is
+    # chased once: a triangular chain that binds a variable to a term with
+    # two occurrences of the next one would otherwise be walked 2^n times.
     stack = [term]
+    chased: set[int] = set()
     while stack:
         t = stack.pop()
         if type(t) is Var:
             if t.vid == vid:
                 return True
             bound = bindings.get(t.vid)
-            if bound is not None:
+            if bound is not None and t.vid not in chased:
+                chased.add(t.vid)
                 stack.append(bound)
         elif not t.ground:
             stack.extend(t.args)

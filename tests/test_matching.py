@@ -286,6 +286,26 @@ def test_ground_source_literals_go_only_to_equal_targets(monkeypatch):
     ]
 
 
+class _NoRescan(tuple):
+    """A literal tuple that fails the test when it is walked."""
+
+    def __iter__(self):
+        raise AssertionError("the target's literals were scanned again")
+
+
+def test_ground_positions_are_found_once_per_target():
+    """A target with no ground literal is scanned for them once, not on
+    every match of a ground source literal into it."""
+    sig = Signature()
+    p = predicate(sig, "p", 1)
+    source = _clause((p(sig.constant("a")), p(sig.constant("b"))))
+    target = _clause((p(x), p(y)), 1)
+    assert list(match_solutions(source, target, reserve_equality=False)) == []
+    target.literals = _NoRescan(target.literals)
+    assert list(match_solutions(source, target, reserve_equality=False)) == []
+    assert not subsumes(source, target)
+
+
 def test_one_search_path_holds_linear_memory():
     """A path of n levels records each level's target position once, not a
     set of every position taken so far per level: subsumes(c, c) on a

@@ -418,6 +418,7 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path):
     eq_graph = graph + " | r(f(a0))"
     xs = ", ".join(f"X{i}" for i in range(1, 23))
     gs = ", ".join(f"g(X{i}, X{i})" for i in range(22))
+    ys = ", ".join(f"Y{i}" for i in range(1, 23))
     problems = [
         # superposing g(X) = f^1500(X) into itself unifies at about 1,500
         # positions, each with a conclusion of about 3,000 nodes, all in one
@@ -439,15 +440,29 @@ def test_cli_time_limit_holds_inside_one_inference(tmp_path):
         # trees (29 s and 2.2 GB without the deadline check in the walk)
         f"cnf(c, axiom, f({xs}) != f({gs}) | q(X22)).",
         f"cnf(c, axiom, p({xs}) | p({gs})).\ncnf(d, axiom, ~p({', '.join(['a'] * 22)})).",
+        # the same chain before anything is minted: the ordering checks of
+        # equality factoring, and of superposition with an incomparable
+        # equation whose unifier chains X1..X22 through the other clause's
+        # Y1..Y22, compare instances of 2^22 nodes as trees, and counting
+        # their variables walks them (28 s and 38 s without the deadline
+        # check in that count)
+        f"cnf(c, axiom, f({xs}) = k(X22) | f({gs}) = b).",
+        f"cnf(a, axiom, f({xs}, {gs}) = k(X22, Z)).\ncnf(b, axiom, p(f({ys}, {ys}))).",
     ]
     for text in problems:
         _assert_times_out_within_bound(_write(tmp_path, text))
     # without q(X22), equality resolution derives the empty clause at once:
-    # instantiating the unifier is not needed to see that
-    child = _run_child(_TIME_LIMITED_CLI, _write(tmp_path, f"cnf(c, axiom, f({xs}) != f({gs}))."))
-    assert child.returncode == 0, child.stderr
-    run = json.loads(child.stdout)
-    assert (run["out"].splitlines()[0], run["code"]) == ("% SZS status Unsatisfiable", 0)
+    # instantiating the unifier is not needed to see that.  Nor is walking
+    # the chain as a tree when a side binds Y after it: the occurs check of
+    # Y against k(X24) chases each binding once (2^24 walks, 7.5 s, if it
+    # chased every occurrence)
+    x24 = ", ".join(f"X{i}" for i in range(1, 25))
+    g24 = ", ".join(f"g(X{i}, X{i})" for i in range(24))
+    for text in (f"cnf(c, axiom, f({xs}) != f({gs})).", f"cnf(c, axiom, f(Y, {x24}) != f(k(X24), {g24}))."):
+        child = _run_child(_TIME_LIMITED_CLI, _write(tmp_path, text))
+        assert child.returncode == 0, child.stderr
+        run = json.loads(child.stdout)
+        assert (run["out"].splitlines()[0], run["code"]) == ("% SZS status Unsatisfiable", 0)
 
 
 def test_cli_time_limit_holds_while_unification_fails(tmp_path):
