@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .terms import (
     App,
@@ -138,15 +138,13 @@ class Clause:
 
     A slotted class, immutable by convention: only __init__ assigns it,
     except the caches in the slots after parents.  They hold work done once
-    per clause object, each set by the function that computes it: its
-    distinct literals (distinct_literals), kept for the clause's lifetime,
-    and the search-only data, which release() drops when the clause leaves
-    the search: the literal selection, the multi-literal matcher's set-up
-    as source and as target, the copy renamed apart for generation
-    (rename_apart), superposition's view of the clause as the premise it
-    rewrites into, and the pre-order walk of each distinct literal
-    (literal_walks).  Each is recomputed on demand, so a released clause,
-    such as one a proof check replays, works as before.
+    per clause object, each set by the function that computes it on first
+    use: its distinct literals (distinct_literals), the literal selection,
+    the multi-literal matcher's set-up as source and as target, the copy
+    renamed apart for generation (rename_apart), superposition's view of
+    the clause as the premise it rewrites into, and the pre-order walk of
+    each distinct literal (literal_walks).  The factory's registry keeps a
+    copy of its own (ClauseFactory), so they go with the search's object.
     """
 
     __slots__ = ("literals", "cid", "rule", "parents", "_distinct", "_selected", "_match_order", "_match_table",
@@ -177,28 +175,28 @@ class Clause:
         return f"<{self.cid}: {' | '.join(map(repr, self.literals))}>"
 
 
-def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[Literal, ...]:
-    """literals instantiated by unifier, a unify_pairs result in triangular
-    form, variables renumbered 0, 1, ... in pre-order of first occurrence.
-
-    One instantiate pass over the literals' terms, with one memo: each
-    bound variable's image is built once, renumbering as it goes, and
-    reused wherever the variable recurs.  A ground literal comes back as
+def _instantiate_literals(
+    literals: Sequence[Literal], unifier: Substitution, unbound: Callable[[Var], Term]
+) -> tuple[Literal, ...]:
+    """literals under unifier, in one instantiate pass with one memo: each
+    bound variable's image is built once, and each unbound variable becomes
+    unbound(v), called once per variable.  A ground literal comes back as
     the same object, so the repeated literals of a clause and of its
-    descendants share one object.
-    """
+    descendants share one object."""
     images: dict[int, Term] = {}
-    fresh = itertools.count()
-
-    def renumber(v: Var) -> Var:
-        return Var(next(fresh))
-
     return tuple(
         lit
         if lit.ground
-        else Literal(lit.positive, lit.pred, tuple(instantiate(a, unifier, images, renumber) for a in lit.args))
+        else Literal(lit.positive, lit.pred, tuple(instantiate(a, unifier, images, unbound) for a in lit.args))
         for lit in literals
     )
+
+
+def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[Literal, ...]:
+    """literals instantiated by unifier, a unify_pairs result in triangular
+    form, variables renumbered 0, 1, ... in pre-order of first occurrence."""
+    fresh = itertools.count()
+    return _instantiate_literals(literals, unifier, lambda v: Var(next(fresh)))
 
 
 def rename_apart(clause: Clause) -> tuple[Literal, ...]:
@@ -212,17 +210,7 @@ def rename_apart(clause: Clause) -> tuple[Literal, ...]:
     if clause._renamed is None:
         lits = clause.literals
         if not all(lit.ground for lit in lits):
-            images: dict[int, Term] = {}
-
-            def negate(v: Var) -> Var:
-                return Var(-1 - v.vid)
-
-            lits = tuple(
-                lit
-                if lit.ground
-                else Literal(lit.positive, lit.pred, tuple(instantiate(a, {}, images, negate) for a in lit.args))
-                for lit in lits
-            )
+            lits = _instantiate_literals(lits, {}, lambda v: Var(-1 - v.vid))
         clause._renamed = lits
     return clause._renamed
 
@@ -279,13 +267,6 @@ def literal_walks(clause: Clause) -> tuple[tuple[tuple[Optional[int], ...], list
     return clause._walks
 
 
-def release(clause: Clause) -> None:
-    """Drop the clause's search-only data (see Clause): its caches other
-    than the distinct literals.  Called when the clause leaves the search."""
-    clause._selected = clause._match_order = clause._match_table = None
-    clause._renamed = clause._into = clause._walks = None
-
-
 class ClauseFactory:
     """Mints normalized clauses with unique ids and keeps a registry.
 
@@ -297,10 +278,11 @@ class ClauseFactory:
 
     Every clause ever created stays in the registry so proofs can be
     reconstructed after simplification deletes clauses from the search
-    state; a clause that left the search keeps only its literals and
-    provenance (release).  Minting checks the run's deadline
-    (terms.check_time) before every conclusion, so no single call, however
-    many or large its conclusions, runs far past it.
+    state.  The registry holds a copy of its own, with the same literals
+    and provenance and no cached search data, so what the search computes
+    for a clause goes when the search drops the clause.  Minting checks the
+    run's deadline (terms.check_time) before every conclusion, so no single
+    call, however many or large its conclusions, runs far past it.
     """
 
     def __init__(self) -> None:
@@ -331,9 +313,9 @@ class ClauseFactory:
             if lits in seen:
                 continue
             seen.add(lits)
-            clause = Clause(lits, next(self._counter), rule, parents)
-            self.registry[clause.cid] = clause
-            out.append(clause)
+            cid = next(self._counter)
+            self.registry[cid] = Clause(lits, cid, rule, parents)
+            out.append(Clause(lits, cid, rule, parents))
         return out
 
 

@@ -11,7 +11,9 @@ EQUAL and no right-hand variable the left lacks), tagged REWRITE_LHS.
 FsdIndex's own tree holds each side premise under its best literals
 (best_literals): whichever of its two top literals is not the rewriting
 equality occurs, instantiated, in any main premise the clause simplifies.
-An index keeps the paths it filed a clause under until it is removed.
+The tree's leaves hold the clauses themselves, so a retrieval returns
+clauses; an index keeps the paths it filed a clause under, by clause id,
+until the clause is removed.
 
 Generalization retrieval follows a STAR edge by skipping the query's whole
 subterm at that point (the walk's ends say where it stops) and a symbol
@@ -160,14 +162,15 @@ def best_literals(c: Clause) -> list[Literal]:
     """The literals the clause is indexed under; [] when it is not indexable.
 
     That is its heaviest literal (leftmost on ties), or the second heaviest
-    when the heaviest is a positive equality, or both when both are.  A
-    clause with no positive equality, or too small to have both a rewriting
-    equality and an indexed literal, is not indexable.
+    when the heaviest is a positive equality, or both when both are: the
+    first two positions of its source set-up's order.  A clause with no
+    positive equality, or too small to have both a rewriting equality and
+    an indexed literal, is not indexable.
     """
     lits = c.literals
     if len(lits) < 2 or not any(l.positive and l.is_equality for l in lits):
         return []
-    best, second = sorted(range(len(lits)), key=lambda i: (-lits[i].weight, i))[:2]
+    best, second = source_set_up(c).order[:2]
     chosen = [best]
     if lits[best].positive and lits[best].is_equality:
         second_is_eq = lits[second].positive and lits[second].is_equality
@@ -182,12 +185,12 @@ def _best_walked(c: Clause) -> list[tuple[Literal, tuple]]:
 
 
 class DiscriminationTree:
-    """Perfect discrimination tree of clause ids, for generalization and
-    instance retrieval.
+    """Perfect discrimination tree, for generalization and instance
+    retrieval; the indexes store clauses in it.
 
     A path is a tag followed by pre-order symbol keys, STAR for a variable
     (see the module docstring).  Inner nodes are dicts from key to child;
-    the child after a path's last key is the set of ids stored under it.
+    the child after a path's last key is the set of items stored under it.
     Paths of one tag are complete term sequences over fixed arities, so no
     path is a prefix of another.  _arity holds the arity of every symbol
     ever inserted.
@@ -197,7 +200,7 @@ class DiscriminationTree:
         self._root: dict = {}
         self._arity: dict[int, int] = {}
 
-    def insert(self, tag, walk: tuple, cid: int) -> None:
+    def insert(self, tag, walk: tuple, item) -> None:
         keys, ends = walk
         arity = self._arity
         node, last = self._root, tag
@@ -209,9 +212,9 @@ class DiscriminationTree:
                 arity[key] = count
             node = node.setdefault(last, {})
             last = key
-        node.setdefault(last, set()).add(cid)
+        node.setdefault(last, set()).add(item)
 
-    def remove(self, tag, keys: tuple, cid: int) -> None:
+    def remove(self, tag, keys: tuple, item) -> None:
         trail = []
         node, last = self._root, tag
         for key in keys:
@@ -219,15 +222,15 @@ class DiscriminationTree:
             node = node[last]
             last = key
         leaf = node[last]
-        leaf.discard(cid)
+        leaf.discard(item)
         if not leaf:
             del node[last]
             while not node and trail:
                 node, key = trail.pop()
                 del node[key]
 
-    def generalizations(self, tag, walk: tuple) -> list[set[int]]:
-        """The id set of every path under tag whose keys generalize the
+    def generalizations(self, tag, walk: tuple) -> list[set]:
+        """The item set of every path under tag whose keys generalize the
         walked argument tuple (clauses.literal_walks), repeated variables
         ignored."""
         node = self._root.get(tag)
@@ -235,14 +238,14 @@ class DiscriminationTree:
             return []
         keys, ends = walk
         if not keys:
-            # a tag with no keys leads straight to its id set
+            # a tag with no keys leads straight to its item set
             return [node]
-        out: list[set[int]] = []
+        out: list[set] = []
         self._collect(node, keys, ends, 0, len(keys), out)
         return out
 
-    def instances(self, tag, walk: tuple) -> list[set[int]]:
-        """The id set of every path under tag whose keys are an instance of
+    def instances(self, tag, walk: tuple) -> list[set]:
+        """The item set of every path under tag whose keys are an instance of
         the walked argument tuple, repeated variables ignored."""
         node = self._root.get(tag)
         if node is None:
@@ -268,13 +271,13 @@ class DiscriminationTree:
                 break
         return nodes
 
-    def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set[int]]:
-        """The id set of every path under tag, each a single term, that
+    def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set]:
+        """The item set of every path under tag, each a single term, that
         generalizes some non-variable subterm of the walked argument tuples."""
         node = self._root.get(tag)
         if node is None:
             return []
-        out: list[set[int]] = []
+        out: list[set] = []
         star = STAR in node
         for keys, ends in walks:
             for i, key in enumerate(keys):
@@ -284,7 +287,7 @@ class DiscriminationTree:
 
     @staticmethod
     def _collect(node: dict, keys: tuple, ends: list[int], start: int, stop: int, out: list) -> None:
-        """Append to out the id set of every path below node whose keys
+        """Append to out the item set of every path below node whose keys
         generalize the query keys[start:stop], repeated variables ignored."""
         stack = [(node, start)]
         while stack:
@@ -316,33 +319,31 @@ class FsdIndex:
 
     def __init__(self) -> None:
         self._tree = DiscriminationTree()
-        self._members: dict[int, Clause] = {}
         self._paths: dict[int, dict[tuple, list[int]]] = {}
 
     def insert(self, c: Clause) -> None:
-        if c.cid in self._members:
+        if c.cid in self._paths:
             return
         paths = _paths(_best_walked(c))
         if not paths:
             return
-        self._members[c.cid] = c
         self._paths[c.cid] = paths
         for (tag, keys), ends in paths.items():
-            self._tree.insert(tag, (keys, ends), c.cid)
+            self._tree.insert(tag, (keys, ends), c)
 
     def remove(self, c: Clause) -> None:
-        if c.cid not in self._members:
+        paths = self._paths.pop(c.cid, None)
+        if paths is None:
             return
-        del self._members[c.cid]
-        for tag, keys in self._paths.pop(c.cid):
-            self._tree.remove(tag, keys, c.cid)
+        for tag, keys in paths:
+            self._tree.remove(tag, keys, c)
 
     def retrieve_fsd_candidates(self, d: Clause) -> set[Clause]:
         """Stored clauses with an indexed literal that generalizes a literal of d."""
-        ids: set[int] = set()
+        found: set[Clause] = set()
         for lit, walk in zip(distinct_literals(d), literal_walks(d)):
-            ids.update(*_leaves(self._tree.generalizations, lit, walk))
-        return {self._members[cid] for cid in ids}
+            found.update(*_leaves(self._tree.generalizations, lit, walk))
+        return found
 
 
 class BackwardIndex:
@@ -358,32 +359,29 @@ class BackwardIndex:
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
-        self._members: dict[int, Clause] = {}
         self._tree = DiscriminationTree()
         self._stored: dict[int, _Stored] = {}
 
     def insert(self, c: Clause) -> None:
-        if c.cid in self._members:
+        if c.cid in self._stored:
             return
-        self._members[c.cid] = c
         stored = self._stored[c.cid] = _Stored(_generation_keys(c), *_tree_paths(c))
         for key in stored.generation_keys:
             self._buckets.setdefault(key, set()).add(c.cid)
         for (tag, keys), ends in (stored.literal_paths | stored.lhs_paths).items():
-            self._tree.insert(tag, (keys, ends), c.cid)
+            self._tree.insert(tag, (keys, ends), c)
 
     def remove(self, c: Clause) -> None:
-        if c.cid not in self._members:
+        stored = self._stored.pop(c.cid, None)
+        if stored is None:
             return
-        del self._members[c.cid]
-        stored = self._stored.pop(c.cid)
         for key in stored.generation_keys:
             bucket = self._buckets[key]
             bucket.discard(c.cid)
             if not bucket:
                 del self._buckets[key]
         for tag, keys in stored.literal_paths | stored.lhs_paths:
-            self._tree.remove(tag, keys, c.cid)
+            self._tree.remove(tag, keys, c)
 
     def retrieve_bsd_candidates(self, c: Clause) -> set[Clause]:
         """Active clauses that side premise c might rewrite.
@@ -392,11 +390,11 @@ class BackwardIndex:
         indexed literal is not reserved as the rewriting equality must
         match into the main premise.
         """
-        ids: set[int] = set()
+        found: set[Clause] = set()
         for lit, walk in _best_walked(c):
-            ids.update(*_leaves(self._tree.instances, lit, walk))
-        ids.discard(c.cid)
-        return {self._members[cid] for cid in ids}
+            found.update(*_leaves(self._tree.instances, lit, walk))
+        found.discard(c)
+        return found
 
     def forward_subsumption_candidates(self, d: Clause) -> set[Clause]:
         """Active clauses that might subsume d.
@@ -406,16 +404,16 @@ class BackwardIndex:
         the clauses whose every path is hit go through the count screen.
         """
         # one entry per leaf, that is per path, however many queries reach it
-        hit: dict[int, set[int]] = {}
+        hit: dict[int, set[Clause]] = {}
         for lit, walk in zip(distinct_literals(d), literal_walks(d)):
             for leaf in _leaves(self._tree.generalizations, lit, walk):
                 hit[id(leaf)] = leaf
         counts: Counter = Counter()
         for leaf in hit.values():
             counts.update(leaf)
-        counts.pop(d.cid, None)
+        counts.pop(d, None)
         target = target_set_up(d)
-        full = [self._members[cid] for cid, n in counts.items() if n == len(self._stored[cid].literal_paths)]
+        full = [c for c, n in counts.items() if n == len(self._stored[c.cid].literal_paths)]
         return {c for c in full if _fits(target_set_up(c), target)}
 
     def backward_subsumption_candidates(self, g: Clause) -> set[Clause]:
@@ -427,19 +425,18 @@ class BackwardIndex:
         """
         if not g.literals:
             return set()
-        ids: Optional[set[int]] = None
+        found: Optional[set[Clause]] = None
         for lit, walk in zip(distinct_literals(g), literal_walks(g)):
-            found = set().union(*_leaves(self._tree.instances, lit, walk))
-            ids = found if ids is None else ids & found
-            if not ids:
+            hits = set().union(*_leaves(self._tree.instances, lit, walk))
+            found = hits if found is None else found & hits
+            if not found:
                 return set()
-        ids.discard(g.cid)
+        found.discard(g)
         source = target_set_up(g)
-        members = self._members
-        return {members[cid] for cid in ids if _fits(source, target_set_up(members[cid]))}
+        return {c for c in found if _fits(source, target_set_up(c))}
 
-    def demodulators(self, g: Clause) -> set[int]:
-        """Ids of the active unit equalities that may rewrite g.
+    def demodulators(self, g: Clause) -> set[Clause]:
+        """The active unit equalities that may rewrite g.
 
         Those with a rewriting left-hand side that generalizes some
         non-variable occurrence in g's literals; g itself is among them

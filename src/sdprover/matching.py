@@ -37,8 +37,8 @@ clause's stored literal walks (clauses.literal_walks), not off a walk of
 its own, and the positions of each ground literal, filled when a ground
 source literal first needs them (TargetSetUp).  Subsumption demodulation
 screens a pair on those symbols before it starts the matcher.  Both
-set-ups are search-only data: clauses.release drops them when the clause
-leaves the search.
+set-ups go with the search's clause object; the factory's registry keeps
+a copy without them.
 """
 
 from __future__ import annotations

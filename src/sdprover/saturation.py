@@ -19,12 +19,10 @@ the run's deadline: the loop checks it between steps, and literal
 selection, minting, unification and the multi-literal matcher behind
 subsumption and rewriting check it inside one step (terms.check_time).
 
-A clause's search-only data (clauses.release: its selection, matcher
-set-ups, renamed copy, superposition view and literal walks) is dropped
-when the clause leaves the search: when forward subsumption deletes it,
-when a rewrite replaces it, when it leaves the active set, and, for every
-clause of the run, when saturate returns.  The registry keeps each clause
-itself.
+The search holds its own clause objects, and the factory's registry a
+copy of each (clauses.ClauseFactory), so whatever the search computed for
+a clause goes with the last reference the search drops, by whichever
+exit the clause leaves it.
 
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
@@ -40,7 +38,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import calculus
-from .clauses import Clause, ClauseFactory, release
+from .clauses import Clause, ClauseFactory
 from .index import BackwardIndex, FsdIndex
 from .matching import variant
 from .simplify import (
@@ -145,7 +143,6 @@ class ProverState:
         self.active.pop(c.cid, None)
         self.bindex.remove(c)
         self.fsd_index.remove(c)
-        release(c)
 
 
 def _demodulate_once(g: Clause, st: ProverState) -> Optional[Clause]:
@@ -155,8 +152,8 @@ def _demodulate_once(g: Clause, st: ProverState) -> Optional[Clause]:
     have no left-hand side that generalizes an occurrence in g, so none of
     them rewrites g and the first rewrite is that of the full scan.
     """
-    for cid in sorted(st.bindex.demodulators(g)):
-        res = demodulate(st.active[cid], g, st.factory)
+    for unit in sorted(st.bindex.demodulators(g), key=lambda c: c.cid):
+        res = demodulate(unit, g, st.factory)
         if res is not None:
             return res
     return None
@@ -168,19 +165,16 @@ def forward_simplify(g: Clause, st: ProverState) -> Optional[Clause]:
     Each round tries subsumption deletion, then rewriting by a unit
     equality, then forward subsumption demodulation; a successful rewrite
     restarts the round with the new clause.  None means g was deleted.
-    A clause deleted or replaced here leaves the search, and is released.
     """
     while True:
         check_time()
         if forward_subsumption_delete(g, st.bindex) is not None:
-            release(g)
             return None
         stepped = _demodulate_once(g, st)
         if stepped is None and st.config.fsd:
             stepped = forward_subsumption_demodulation(g, st.fsd_index, st.factory)
         if stepped is None:
             return g
-        release(g)
         g = stepped
 
 
@@ -262,10 +256,6 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
         except ResourceLimit as limit:
             result.status = SatStatus.RESOURCE_OUT
             result.limit_reason = limit.reason
-        finally:
-            # the search is over: no clause of the run keeps its search-only data
-            for c in factory.registry.values():
-                release(c)
     return result
 
 

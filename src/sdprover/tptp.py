@@ -254,46 +254,55 @@ class _Parser:
 
 
 def parse_problem(
-    text: str,
-    sig: Signature,
-    factory: ClauseFactory,
-    path: Optional[str] = None,
-    name: str = "problem",
-    _visiting: Optional[frozenset] = None,
+    text: str, sig: Signature, factory: ClauseFactory, path: Optional[str] = None, name: str = "problem"
 ) -> Problem:
-    """Parse one file's worth of TPTP CNF text into minted input clauses."""
+    """Parse TPTP CNF text, and the files it includes, into minted input clauses.
+
+    Included files are read depth first, each at its directive, from an
+    explicit stack of open files, so an include chain of any depth keeps
+    the clauses in the order a recursive reading gives.
+    """
     problem = Problem(name=name, path=path)
-    parser = _Parser(_tokenize(text), sig, factory)
-    base = os.path.dirname(path) if path else os.getcwd()
-    visiting = _visiting or frozenset([os.path.abspath(path)] if path else [])
-    while parser.peek().kind != "eof":
-        item = parser.directive()
-        if item[0] == "cnf":
-            _, cnf_name, role, literals = item
-            clause = factory.make(literals, rule="input")
-            problem.clauses.append(clause)
-            problem.roles[clause.cid] = role
-        else:
+    top = os.path.abspath(path) if path else None
+    # the open files, innermost last: the parser, the path as its include
+    # directive names it (path for text), and its absolute path
+    stack = [(_Parser(_tokenize(text), sig, factory), path, top)]
+    visiting = {top}
+    while stack:
+        parser, shown, target = stack[-1]
+        try:
+            if parser.peek().kind == "eof":
+                stack.pop()
+                visiting.discard(target)
+                continue
+            item = parser.directive()
+            if item[0] == "cnf":
+                _, cnf_name, role, literals = item
+                clause = factory.make(literals, rule="input")
+                problem.clauses.append(clause)
+                problem.roles[clause.cid] = role
+                continue
             _, include, tok = item
-            shown = os.path.join(base, include)
-            target = os.path.abspath(shown)
-            if target in visiting:
+            inner = os.path.join(os.path.dirname(shown) if shown else os.getcwd(), include)
+            inner_target = os.path.abspath(inner)
+            if inner_target in visiting:
                 raise ParseError(f"cyclic include of {include!r}", tok.line, tok.col)
             try:
-                with open(target, encoding="utf-8") as handle:
+                with open(inner_target, encoding="utf-8") as handle:
                     included_text = handle.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read include {include!r}: {exc}", tok.line, tok.col) from exc
             try:
-                included = parse_problem(
-                    included_text, sig, factory, path=shown, name=include, _visiting=visiting | {target}
-                )
+                tokens = _tokenize(included_text)
             except ParseError as exc:
-                if exc.file is not None:
-                    raise
-                raise ParseError(exc.message, exc.line, exc.col, shown) from exc
-            problem.clauses.extend(included.clauses)
-            problem.roles.update(included.roles)
+                raise ParseError(exc.message, exc.line, exc.col, inner) from exc
+        except ParseError as exc:
+            # an error in an included file names it
+            if exc.file is not None or len(stack) == 1:
+                raise
+            raise ParseError(exc.message, exc.line, exc.col, shown) from exc
+        stack.append((_Parser(tokens, sig, factory), inner, inner_target))
+        visiting.add(inner_target)
     return problem
 
 

@@ -8,13 +8,13 @@ they are the engine's rewriting and superposition loops with every screen
 taken out, built from the engine's own matcher and term helpers, so that a
 screened result can be compared step for step with an unscreened one.
 So are the retrieval-free loops (all-pairs generation, the scan over unit
-equalities, every active clause as a subsumption candidate): drop-ins for
-the saturation steps whose partners the indexes retrieve.  Replaced
-versions of engine code are kept as references too: renaming apart by an
-offset per call, KBO recounting variables at every level, the term walks
-each index and screen made for itself before every clause kept one walk
-per literal, the multi-literal search as a recursive generator, and the
-variant test as a direct search for the renaming.  Two helpers only tests
+equalities, every clause an index holds as a subsumption candidate):
+drop-ins for the saturation steps whose partners the indexes retrieve.
+Replaced versions of engine code are kept as references too: renaming
+apart by an offset per call, KBO recounting variables at every level, the
+term walks each index and screen made for itself before every clause kept
+one walk per literal, the multi-literal search as a recursive generator,
+and the variant test as a direct search for the renaming.  Two helpers only tests
 call live here too: comparing two literal sequences as clauses, and
 reading a problem file.
 """
@@ -22,12 +22,14 @@ reading a problem file.
 from __future__ import annotations
 
 import os
+import weakref
 from collections import Counter
 from itertools import count, product
 from typing import Iterator, Optional
 
 from sdprover import calculus
 from sdprover.clauses import Literal, eq, literal_occurrences, orientations, replace_in_literal, select
+from sdprover.index import BackwardIndex, best_literals
 from sdprover.matching import _literal_pairings, literal_match_substs, match_solutions, source_set_up, target_set_up
 from sdprover.ordering import OrderResult, _prec_greater, compare_literal_multisets, compare_terms
 from sdprover.simplify import RewriteStep, check_ordering_conditions, demodulate
@@ -554,11 +556,38 @@ def scan_demodulate_once(g, st):
     return None
 
 
-def every_other_active_clause(index, d) -> set:
-    """Simplification partners with no retrieval: every clause in the index
-    except d.  A drop-in for the subsumption and subsumption demodulation
-    retrievals of BackwardIndex and FsdIndex."""
-    return {c for c in index._members.values() if c.cid != d.cid}
+def scan_retrievals(patch, retrievals) -> None:
+    """Simplification partners with no retrieval: patch each (index class,
+    method) of retrievals, with the monkeypatch context patch, to return
+    every clause the index holds except the query.  A drop-in for the
+    subsumption and subsumption demodulation retrievals of BackwardIndex
+    and FsdIndex.
+
+    The index classes' insert and remove are wrapped to record the clauses
+    each index object was given: every one inserted into a BackwardIndex,
+    and each one with best literals (the ones it can file) inserted into
+    an FsdIndex.
+    """
+    held: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # index -> cid -> clause
+    for owner in {owner for owner, _ in retrievals}:
+
+        def insert(index, c, insert=owner.insert, owner=owner):
+            insert(index, c)
+            if owner is BackwardIndex or best_literals(c):
+                held.setdefault(index, {})[c.cid] = c
+
+        def remove(index, c, remove=owner.remove):
+            remove(index, c)
+            held.get(index, {}).pop(c.cid, None)
+
+        patch.setattr(owner, "insert", insert)
+        patch.setattr(owner, "remove", remove)
+
+    def every_other_held_clause(index, d) -> set:
+        return {c for c in held.get(index, {}).values() if c.cid != d.cid}
+
+    for owner, attr in retrievals:
+        patch.setattr(owner, attr, every_other_held_clause)
 
 
 # -------------------------------------------------------------- term walks

@@ -47,7 +47,11 @@ def test_factory_mints_ascending_ids_and_registers():
     c1 = factory.make([env.p(env.a)])
     c2 = factory.make([env.q(env.b)], rule="resolution", parents=(c1.cid,))
     assert c1.cid < c2.cid
-    assert factory.registry[c2.cid] is c2
+    # the registry keeps a copy of its own: the same literals and provenance
+    entry = factory.registry[c2.cid]
+    assert entry is not c2
+    assert entry.literals is c2.literals
+    assert (entry.cid, entry.rule, entry.parents) == (c2.cid, "resolution", (c1.cid,))
     assert factory.created == 2
 
 

@@ -81,6 +81,18 @@ def test_unindexable_clauses_have_no_keys():
     assert best_literals(factory.make([])) == []
 
 
+def _tree_items(tree):
+    """Every item stored in the tree, once per path it is stored under."""
+    out, stack = [], [tree._root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, set):
+            out.extend(node)
+        else:
+            stack.extend(node.values())
+    return out
+
+
 def test_fsd_index_insert_remove_round_trip():
     factory = ClauseFactory()
     ix = FsdIndex()
@@ -89,12 +101,12 @@ def test_fsd_index_insert_remove_round_trip():
         ix.insert(c)
         if best_literals(c):
             kept.append(c)
-    assert len(ix._members) == len({c.cid for c in kept})
+    assert len(ix._paths) == len({c.cid for c in kept})
     for c in kept:
-        assert c.cid in ix._members
+        assert c.cid in ix._paths
         ix.remove(c)
-        assert c.cid not in ix._members
-    assert len(ix._members) == 0
+        assert c.cid not in ix._paths
+    assert len(ix._paths) == 0
     # removal drops every path and tree node it made
     assert ix._paths == {} and ix._tree._root == {}
     probe = factory.make([env.p(env.a)])
@@ -107,10 +119,11 @@ def test_fsd_index_double_insert_and_remove_are_idempotent():
     c = factory.make([eq(env.f(x), x), env.p(x)])
     ix.insert(c)
     ix.insert(c)
-    assert len(ix._members) == 1
+    assert len(ix._paths) == 1
+    assert _tree_items(ix._tree) == [c] * len(ix._paths[c.cid])
     ix.remove(c)
     ix.remove(c)
-    assert len(ix._members) == 0
+    assert len(ix._paths) == 0 and ix._tree._root == {}
 
 
 def test_fsd_retrieval_by_residual_literal():
@@ -152,12 +165,17 @@ def test_backward_index_round_trip():
     for c in stored:
         ix.insert(c)
         ix.insert(c)
-    assert len(ix._members) == len(stored)
-    assert all(c.cid in ix._members for c in stored)
+    assert len(ix._stored) == len(stored)
+    assert all(c.cid in ix._stored for c in stored)
+    # each clause is in the tree once under each of its paths
+    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == sorted(
+        (c for c in stored for _ in ix._stored[c.cid].literal_paths | ix._stored[c.cid].lhs_paths),
+        key=lambda c: c.cid,
+    )
     for c in stored:
         ix.remove(c)
         ix.remove(c)
-    assert len(ix._members) == 0
+    assert len(ix._stored) == 0
     # removal drops every bucket, stored key and tree node it made
     assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
     # a permutative unit rewrites left to right and right to left from one
@@ -167,7 +185,7 @@ def test_backward_index_round_trip():
     for lhs, rhs in [(h(x, y), h(y, x)), (h(f(x), f(y)), h(f(y), f(x)))]:
         unit = factory.make([eq(lhs, rhs)])
         ix.insert(unit)
-        assert ix.demodulators(query) == {unit.cid}
+        assert ix.demodulators(query) == {unit}
         ix.remove(unit)
         assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
 
@@ -434,10 +452,10 @@ def test_demodulators_cover_every_rewriting_unit():
         g = factory.make(gen.lits(gen.rng.randrange(1, 4), depth=3))
         found = ix.demodulators(g)
         retrieved += len(found)
-        assert units[-1].cid not in found and units[-2].cid not in found
+        assert units[-1] not in found and units[-2] not in found
         for c in units:
             if simplify.demodulate(c, g, scratch) is not None:
-                assert c.cid in found, (c, g)
+                assert c in found, (c, g)
                 rewrites += 1
     assert rewrites >= 300, rewrites
     assert retrieved < 150 * len(units) // 2, retrieved

@@ -1,22 +1,23 @@
 """Saturation loop tests: verdicts, limits, simplification effects, proofs."""
 
+import gc
 import glob
 import os
 from itertools import product
 
 from oracles import (
     all_pairs_generate,
-    every_other_active_clause,
     ground_entails,
     load_problem,
     nvars,
     scan_demodulate_once,
+    scan_retrievals,
     unscreened_superposition,
 )
 from randgen import Gen, GroundGen
 
 from sdprover import calculus, saturation
-from sdprover.clauses import ClauseFactory, eq, neq, predicate
+from sdprover.clauses import Clause, ClauseFactory, eq, neq, predicate
 from sdprover.index import BackwardIndex, FsdIndex
 from sdprover.simplify import backward_subsumption_deletions
 from sdprover.saturation import (
@@ -338,8 +339,7 @@ def test_indexed_retrieval_matches_every_eligible_clause(monkeypatch):
     for path, (fsd, bsd) in product(paths, product((True, False), repeat=2)):
         indexed = _corpus_search(path, fsd, bsd)
         with monkeypatch.context() as patch:
-            for owner, attr in retrievals:
-                patch.setattr(owner, attr, every_other_active_clause)
+            scan_retrievals(patch, retrievals)
             oracle = _corpus_search(path, fsd, bsd)
         assert indexed == oracle, (path, fsd, bsd)
         rules.update(rule for _, rule, _, _, _ in indexed[1])
@@ -426,7 +426,7 @@ def test_retrieval_and_stored_verdicts_match_the_plain_scans(monkeypatch):
         indexed = _text_search(*problem)
         with monkeypatch.context() as patch:
             patch.setattr(saturation, "_demodulate_once", scan_demodulate_once)
-            patch.setattr(BackwardIndex, "forward_subsumption_candidates", every_other_active_clause)
+            scan_retrievals(patch, [(BackwardIndex, "forward_subsumption_candidates")])
             patch.setattr(calculus, "superposition", unscreened_superposition)
             oracle = _text_search(*problem)
         assert indexed == oracle, problem
@@ -466,42 +466,37 @@ def test_a_backward_subsumed_permutative_unit_leaves_the_index(monkeypatch):
             assert verify_proof(result) == []
 
 
-SEARCH_ONLY = ("_selected", "_match_order", "_match_table", "_renamed", "_into", "_walks")
+CACHES = tuple(slot for slot in Clause.__slots__ if slot.startswith("_"))
 
 
 def _holds_search_data(c) -> bool:
-    return any(getattr(c, slot) is not None for slot in SEARCH_ONLY)
+    return any(getattr(c, slot) is not None for slot in CACHES)
 
 
-def test_clauses_leaving_the_search_are_released(monkeypatch):
-    """A clause is released when forward simplification deletes or replaces
-    it and when it leaves the active set, backward subsumption included,
-    and no registry clause holds search-only data once saturate returns;
-    proof checking recomputes what it needs."""
-    counts = {"deleted": 0, "replaced": 0, "removed": 0, "backward subsumed": 0}
-    forward_simplify = saturation.forward_simplify
-    remove_active = ProverState.remove_active
+def _live_clauses() -> list:
+    """Every live clause object, after a collection."""
+    gc.collect()
+    return [c for c in gc.get_objects() if type(c) is Clause]
 
-    def checked_forward_simplify(g, st):
-        out = forward_simplify(g, st)
-        if out is not g:
-            counts["deleted" if out is None else "replaced"] += 1
-            assert not _holds_search_data(g), g
-        return out
 
-    def checked_remove_active(st, c):
-        remove_active(st, c)
-        counts["removed"] += 1
-        assert not _holds_search_data(c), c
+def test_the_registry_keeps_no_search_data(monkeypatch):
+    """The registry holds a copy of each clause the search holds: mid-run
+    no registry entry of an active clause holds data the search computed,
+    while the active clause itself does, and once saturate returns no live
+    clause holds any but the caller's input clauses.  Proof checking
+    recomputes what it needs."""
+    checked = {"active": 0}
+    backward_simplify = saturation.backward_simplify
 
-    def counted_deletions(g, bindex, *rest):
-        found = backward_subsumption_deletions(g, bindex, *rest)
-        counts["backward subsumed"] += len(found)
-        return found
+    def checked_backward_simplify(g, st):
+        backward_simplify(g, st)
+        for cid, c in st.active.items():
+            entry = st.factory.registry[cid]
+            assert entry is not c and entry.literals is c.literals, c
+            assert _holds_search_data(c) and not _holds_search_data(entry), c
+            checked["active"] += 1
 
-    monkeypatch.setattr(saturation, "forward_simplify", checked_forward_simplify)
-    monkeypatch.setattr(ProverState, "remove_active", checked_remove_active)
-    monkeypatch.setattr(saturation, "backward_subsumption_deletions", counted_deletions)
+    monkeypatch.setattr(saturation, "backward_simplify", checked_backward_simplify)
     paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "*.p")))
     problems = []
     for path in paths:
@@ -510,13 +505,19 @@ def test_clauses_leaving_the_search_are_released(monkeypatch):
     problems.append((GROUP_PROBLEM, 20000))
     statuses = set()
     for (text, clause_limit), (fsd, bsd) in product(problems, product((True, False), repeat=2)):
+        # held through the run, so that no clause of the run reuses an id
+        earlier = _live_clauses()
         factory = ClauseFactory()
         problem = parse_problem(text, Signature(), factory)
         config = ProverConfig(fsd=fsd, bsd=bsd, time_limit=0, clause_limit=clause_limit)
         result = saturate(problem.clauses, config, factory)
         statuses.add(result.status)
-        assert not any(_holds_search_data(c) for c in factory.registry.values())
+        skip = {id(c) for c in earlier + problem.clauses}
+        run = [c for c in _live_clauses() if id(c) not in skip]
+        assert len(run) >= factory.created - len(problem.clauses)
+        assert [c for c in run if _holds_search_data(c)] == []
+        del earlier, run
         if result.status is SatStatus.UNSATISFIABLE:
             assert verify_proof(result) == []
     assert statuses == set(SatStatus)
-    assert min(counts.values()) >= 10, counts
+    assert checked["active"] >= 10000, checked

@@ -1,6 +1,6 @@
 """Every module-level function and class in src/sdprover serves the prover,
 so does every method of a class the package does not export, and no
-function of the search calls itself.
+function calls itself.
 
 A definition counts as used when some code in src/sdprover refers to it
 outside its own body, or when the package exports it in __all__.  Helpers
@@ -8,9 +8,9 @@ that only tests call belong in the tests.  Methods that Python or a
 library calls for the class are exempt: dunder methods, and cli._Parser's
 error, which argparse calls.
 
-Term walks and the matcher's backtracking run on explicit stacks, so a
-deep term or a wide clause cannot exhaust Python's stack.  The parser is
-not checked: parse_problem recurses once per nested include directive.
+Term walks, the matcher's backtracking and the reading of nested include
+directives run on explicit stacks, so a deep term, a wide clause or a
+long include chain cannot exhaust Python's stack.
 """
 
 import ast
@@ -98,9 +98,6 @@ def test_no_method_of_an_unexported_class_is_unused():
     assert unused_methods() == []
 
 
-SEARCH_MODULES = ("terms", "clauses", "ordering", "matching", "index", "simplify", "calculus", "saturation")
-
-
 def _callee(func: ast.expr):
     """The name a call reaches its own function by: f(...), self.f(...) or cls.f(...)."""
     if isinstance(func, ast.Name):
@@ -112,11 +109,10 @@ def _callee(func: ast.expr):
 
 def self_calls() -> list[str]:
     """module:function:line for every call of a function inside its own
-    body (nested definitions included) in the search modules."""
-    modules = _modules()
+    body (nested definitions included), in every module."""
     out = []
-    for mod in SEARCH_MODULES:
-        for fn in ast.walk(modules[mod + ".py"]):
+    for mod, tree in _modules().items():
+        for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 out.extend(
                     f"{mod}:{fn.name}:{call.lineno}"

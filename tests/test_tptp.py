@@ -202,6 +202,18 @@ def test_include_error_is_reported_at_the_directive(tmp_path):
     assert (err.value.line, err.value.col, err.value.file) == (2, 3, str(tmp_path / "second.p"))
 
 
+def test_cli_proves_through_a_deep_include_chain(tmp_path, capsys):
+    """Included files are read from a stack, not by recursion, so a chain
+    of 3,000 nested includes proves like a flat file."""
+    depth = 3000
+    for i in range(depth):
+        (tmp_path / f"f{i}.p").write_text(f"include('f{i + 1}.p').\n")
+    (tmp_path / f"f{depth}.p").write_text("cnf(a, axiom, p(c)).\ncnf(b, negated_conjecture, ~p(c)).\n")
+    assert main([str(tmp_path / "f0.p")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("% SZS status Unsatisfiable\n") and err == ""
+
+
 def test_parse_error_in_an_included_file_names_it(tmp_path, capsys):
     (tmp_path / "inner.p").write_text("cnf(a, axiom, p(c)).\ncnf(b, axiom, q(#)).\n")
     path = _write(tmp_path, "cnf(a, axiom, p(c)).\ninclude('inner.p').\n", name="main.p")
