@@ -1,18 +1,20 @@
 """Clause indexes for simplification and generation retrieval.
 
-One perfect discrimination tree (McCune, JAR 1992) answers every literal
-retrieval.  A path is a tag followed by the pre-order symbols of a term
-sequence, STAR for every variable, read off the clause's stored literal
-walks (clauses.literal_walks).  The backward index's tree holds each
-distinct literal of every active clause, tagged (polarity, predicate), and
-the left-hand side of each orientation of an active unit equality that can
-rewrite (matching.source_set_up's equations with a verdict other than
-EQUAL and no right-hand variable the left lacks), tagged REWRITE_LHS.
-FsdIndex's own tree holds each side premise under its best literals
+Two perfect discrimination trees (McCune, JAR 1992) answer every literal
+retrieval, each with one role.  A path is a tag followed by the pre-order
+symbols of a term sequence, STAR for every variable, read off the clause's
+stored literal walks (clauses.literal_walks).  The backward index's tree
+holds each distinct literal of every active clause, tagged (polarity,
+predicate), for subsumption both ways and backward subsumption
+demodulation.  The forward rewriting index's tree (FsdIndex) holds the
+side premises that may rewrite a given clause: a unit equality under the
+left-hand side of each orientation that can rewrite (matching.source_set_up's
+equations with a verdict other than EQUAL and no right-hand variable the
+left lacks), tagged REWRITE_LHS, and any other under its best literals
 (best_literals): whichever of its two top literals is not the rewriting
-equality occurs, instantiated, in any main premise the clause simplifies.
-The tree's leaves hold the clauses themselves, so a retrieval returns
-clauses; an index keeps the paths it filed a clause under, by clause id,
+equality occurs, instantiated, in any main premise it simplifies.  A
+tree's leaves hold the clauses themselves, so a retrieval returns clauses,
+and the tree keeps the paths it filed each clause under, by clause id,
 until the clause is removed.
 
 Generalization retrieval follows a STAR edge by skipping the query's whole
@@ -59,7 +61,7 @@ symbol, so generation_partners leaves out only pairs without a conclusion.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .clauses import Clause, Literal, distinct_literals, literal_walks, select
 from .matching import TargetSetUp, source_set_up, target_set_up
@@ -103,23 +105,24 @@ def _paths(walked: Iterable[tuple[Literal, tuple]]) -> dict[tuple, list[int]]:
     return {((lit.positive, lit.pred), keys): ends for lit, (keys, ends) in walked}
 
 
-def _tree_paths(c: Clause) -> tuple[dict[tuple, list[int]], dict[tuple, list[int]]]:
-    """c's distinct literal paths, and the paths of the left-hand sides it
-    can rewrite with when it is a unit equality, each mapped to its ends."""
-    walks = literal_walks(c)
-    lhs_paths = {}
-    if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
-        (keys, ends), lhs = walks[0], c.literals[0].lhs
-        m = ends[0]
-        for o in source_set_up(c).equations[0]:
-            if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
-                if o.lhs is lhs:
-                    lhs_paths[REWRITE_LHS, keys[:m]] = ends[:m]
-                else:
-                    lhs_paths[REWRITE_LHS, keys[m:]] = [e - m for e in ends[m:]]
+def _lhs_paths(c: Clause) -> dict[tuple, list[int]]:
+    """The paths of the left-hand sides the unit clause c can rewrite with,
+    each mapped to its ends; {} unless c is a positive equality."""
+    lit = c.literals[0]
+    if not (lit.positive and lit.is_equality):
+        return {}
+    keys, ends = literal_walks(c)[0]
+    m = ends[0]
     # both sides of a permutative unit such as h(X,Y) = h(Y,X) give one
     # path, and a path is removed once, so it is stored once
-    return _paths(zip(distinct_literals(c), walks)), lhs_paths
+    paths = {}
+    for o in source_set_up(c).equations[0]:
+        if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
+            if o.lhs is lit.lhs:
+                paths[REWRITE_LHS, keys[:m]] = ends[:m]
+            else:
+                paths[REWRITE_LHS, keys[m:]] = [e - m for e in ends[m:]]
+    return paths
 
 
 def _other_order(walk: tuple) -> tuple:
@@ -139,14 +142,6 @@ def _leaves(retrieve: Callable, lit: Literal, walk: tuple) -> list[set[int]]:
     if lit.pred is None and lit.args[0] != lit.args[1]:
         leaves += retrieve(tag, _other_order(walk))
     return leaves
-
-
-class _Stored(NamedTuple):
-    """What the backward index filed a clause under, kept for its removal."""
-
-    generation_keys: set[tuple]
-    literal_paths: dict[tuple, list[int]]
-    lhs_paths: dict[tuple, list[int]]
 
 
 def _fits(small: TargetSetUp, big: TargetSetUp) -> bool:
@@ -185,49 +180,61 @@ def _best_walked(c: Clause) -> list[tuple[Literal, tuple]]:
 
 
 class DiscriminationTree:
-    """Perfect discrimination tree, for generalization and instance
-    retrieval; the indexes store clauses in it.
+    """Perfect discrimination tree of clauses, for generalization and
+    instance retrieval; it keeps the paths each clause is filed under.
 
     A path is a tag followed by pre-order symbol keys, STAR for a variable
     (see the module docstring).  Inner nodes are dicts from key to child;
-    the child after a path's last key is the set of items stored under it.
-    Paths of one tag are complete term sequences over fixed arities, so no
-    path is a prefix of another.  _arity holds the arity of every symbol
-    ever inserted.
+    the child after a path's last key is the set of clauses stored under
+    it.  Paths of one tag are complete term sequences over fixed arities,
+    so no path is a prefix of another.  _arity holds the arity of every
+    symbol ever inserted, and _paths each filed clause's paths by its id.
     """
 
     def __init__(self) -> None:
         self._root: dict = {}
         self._arity: dict[int, int] = {}
+        self._paths: dict[int, tuple[tuple, ...]] = {}
 
-    def insert(self, tag, walk: tuple, item) -> None:
-        keys, ends = walk
+    def insert(self, c: Clause, paths: dict[tuple, list[int]]) -> None:
+        """File c under every path (tag, keys) of paths, which maps each to
+        its walk's ends; a filed clause, or one with no path, is left out."""
+        if not paths or c.cid in self._paths:
+            return
+        self._paths[c.cid] = tuple(paths)
         arity = self._arity
-        node, last = self._root, tag
-        for i, key in enumerate(keys):
-            if key is not STAR and key not in arity:
-                count, j = 0, i + 1
-                while j < ends[i]:
-                    count, j = count + 1, ends[j]
-                arity[key] = count
-            node = node.setdefault(last, {})
-            last = key
-        node.setdefault(last, set()).add(item)
+        for (tag, keys), ends in paths.items():
+            node, last = self._root, tag
+            for i, key in enumerate(keys):
+                if key is not STAR and key not in arity:
+                    count, j = 0, i + 1
+                    while j < ends[i]:
+                        count, j = count + 1, ends[j]
+                    arity[key] = count
+                node = node.setdefault(last, {})
+                last = key
+            node.setdefault(last, set()).add(c)
 
-    def remove(self, tag, keys: tuple, item) -> None:
-        trail = []
-        node, last = self._root, tag
-        for key in keys:
-            trail.append((node, last))
-            node = node[last]
-            last = key
-        leaf = node[last]
-        leaf.discard(item)
-        if not leaf:
-            del node[last]
-            while not node and trail:
-                node, key = trail.pop()
-                del node[key]
+    def remove(self, c: Clause) -> None:
+        """Take c off every path it is filed under, and drop the nodes left empty."""
+        for tag, keys in self._paths.pop(c.cid, ()):
+            trail = []
+            node, last = self._root, tag
+            for key in keys:
+                trail.append((node, last))
+                node = node[last]
+                last = key
+            leaf = node[last]
+            leaf.discard(c)
+            if not leaf:
+                del node[last]
+                while not node and trail:
+                    node, key = trail.pop()
+                    del node[key]
+
+    def paths(self, c: Clause) -> tuple[tuple, ...]:
+        """The paths (tag, keys) c is filed under; () when it is not filed."""
+        return self._paths.get(c.cid, ())
 
     def generalizations(self, tag, walk: tuple) -> list[set]:
         """The item set of every path under tag whose keys generalize the
@@ -310,33 +317,20 @@ class DiscriminationTree:
 
 
 class FsdIndex:
-    """Forward index of potential side premises for subsumption demodulation.
-
-    Holds only clauses with at least one positive equality and at least two
-    literals, in a tree of its own under their best literals' paths;
-    demodulation retrieves unit equalities from the backward index's tree.
+    """Forward rewriting index: the side premises that may rewrite a given
+    clause (see the module docstring).  A unit equality is filed for
+    demodulation, a clause with a positive equality and at least two
+    literals for forward subsumption demodulation, and no other clause.
     """
 
     def __init__(self) -> None:
         self._tree = DiscriminationTree()
-        self._paths: dict[int, dict[tuple, list[int]]] = {}
 
     def insert(self, c: Clause) -> None:
-        if c.cid in self._paths:
-            return
-        paths = _paths(_best_walked(c))
-        if not paths:
-            return
-        self._paths[c.cid] = paths
-        for (tag, keys), ends in paths.items():
-            self._tree.insert(tag, (keys, ends), c)
+        self._tree.insert(c, _lhs_paths(c) if len(c.literals) == 1 else _paths(_best_walked(c)))
 
     def remove(self, c: Clause) -> None:
-        paths = self._paths.pop(c.cid, None)
-        if paths is None:
-            return
-        for tag, keys in paths:
-            self._tree.remove(tag, keys, c)
+        self._tree.remove(c)
 
     def retrieve_fsd_candidates(self, d: Clause) -> set[Clause]:
         """Stored clauses with an indexed literal that generalizes a literal of d."""
@@ -345,43 +339,46 @@ class FsdIndex:
             found.update(*_leaves(self._tree.generalizations, lit, walk))
         return found
 
+    def demodulators(self, g: Clause) -> set[Clause]:
+        """The filed unit equalities that may rewrite g.
+
+        Those with a rewriting left-hand side that generalizes some
+        non-variable occurrence in g's literals; g itself is among them
+        when it is such a unit and can rewrite its own literal.
+        """
+        leaves = self._tree.subterm_generalizations(REWRITE_LHS, literal_walks(g))
+        return set().union(*leaves)
+
 
 class BackwardIndex:
     """Index of all active clauses.
 
-    Every clause's distinct literals, and a unit equality's rewriting
-    left-hand sides, go into a discrimination tree, for subsumption both
-    ways, backward subsumption demodulation and demodulation; every clause
-    is also filed under the generation keys of its selected literals, for
-    generating inferences.  The keys and paths of each clause are computed
-    once, on insert, the paths from its stored literal walks.
+    Every clause's distinct literals go into a discrimination tree, for
+    subsumption both ways and backward subsumption demodulation; every
+    clause is also filed under the generation keys of its selected
+    literals, for generating inferences.  The keys and paths of each
+    clause are computed once, on insert, the paths from its stored literal
+    walks; the tree keeps the paths, and _keys the generation keys.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
         self._tree = DiscriminationTree()
-        self._stored: dict[int, _Stored] = {}
+        self._keys: dict[int, set[tuple]] = {}
 
     def insert(self, c: Clause) -> None:
-        if c.cid in self._stored:
-            return
-        stored = self._stored[c.cid] = _Stored(_generation_keys(c), *_tree_paths(c))
-        for key in stored.generation_keys:
+        keys = self._keys[c.cid] = _generation_keys(c)
+        for key in keys:
             self._buckets.setdefault(key, set()).add(c.cid)
-        for (tag, keys), ends in (stored.literal_paths | stored.lhs_paths).items():
-            self._tree.insert(tag, (keys, ends), c)
+        self._tree.insert(c, _paths(zip(distinct_literals(c), literal_walks(c))))
 
     def remove(self, c: Clause) -> None:
-        stored = self._stored.pop(c.cid, None)
-        if stored is None:
-            return
-        for key in stored.generation_keys:
+        for key in self._keys.pop(c.cid, ()):
             bucket = self._buckets[key]
             bucket.discard(c.cid)
             if not bucket:
                 del self._buckets[key]
-        for tag, keys in stored.literal_paths | stored.lhs_paths:
-            self._tree.remove(tag, keys, c)
+        self._tree.remove(c)
 
     def retrieve_bsd_candidates(self, c: Clause) -> set[Clause]:
         """Active clauses that side premise c might rewrite.
@@ -413,7 +410,7 @@ class BackwardIndex:
             counts.update(leaf)
         counts.pop(d, None)
         target = target_set_up(d)
-        full = [c for c, n in counts.items() if n == len(self._stored[c.cid].literal_paths)]
+        full = [c for c, n in counts.items() if n == len(self._tree.paths(c))]
         return {c for c in full if _fits(target_set_up(c), target)}
 
     def backward_subsumption_candidates(self, g: Clause) -> set[Clause]:
@@ -435,16 +432,6 @@ class BackwardIndex:
         source = target_set_up(g)
         return {c for c in found if _fits(source, target_set_up(c))}
 
-    def demodulators(self, g: Clause) -> set[Clause]:
-        """The active unit equalities that may rewrite g.
-
-        Those with a rewriting left-hand side that generalizes some
-        non-variable occurrence in g's literals; g itself is among them
-        when it is such a unit and can rewrite its own literal.
-        """
-        leaves = self._tree.subterm_generalizations(REWRITE_LHS, literal_walks(g))
-        return set().union(*leaves)
-
     def generation_partners(self, g: Clause) -> tuple[set[int], set[int], set[int], set[int]]:
         """Ids of the indexed clauses a on which a generating inference with g may fire.
 
@@ -458,7 +445,7 @@ class BackwardIndex:
         second_sup: set[int] = set()
         second_res: set[int] = set()
         get = self._buckets.get
-        for key in self._stored[g.cid].generation_keys:
+        for key in self._keys[g.cid]:
             if key[0] == RESOLVES:
                 _, pred, positive = key
                 (first_res if positive else second_res).update(get((RESOLVES, pred, not positive), ()))

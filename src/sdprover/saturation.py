@@ -5,10 +5,11 @@ clause is forward-simplified against the active set, then used backward to
 delete or rewrite active clauses, then activated and used for generating
 inferences with itself and with the active clauses that the backward
 index retrieves as partners for each rule (index.BackwardIndex's
-generation keys).  Forward subsumption and rewriting by unit equalities
-try only the active clauses the backward index's discrimination tree
-retrieves, in ascending id order; the others cannot subsume or rewrite the
-clause, so the first that does is the one a scan of the active set finds.
+generation keys).  Forward subsumption tries only the active clauses the
+backward index retrieves, and rewriting only the side premises the forward
+index (index.FsdIndex) retrieves, in ascending id order; the others cannot
+subsume or rewrite the clause, so the first that does is the one a scan of
+the active set finds.  With FSD off, the forward index files units only.
 Clause selection alternates age and weight at a 1:5 ratio, starting with
 age.
 
@@ -137,7 +138,8 @@ class ProverState:
     def activate(self, g: Clause) -> None:
         self.active[g.cid] = g
         self.bindex.insert(g)
-        self.fsd_index.insert(g)
+        if self.config.fsd or len(g.literals) == 1:
+            self.fsd_index.insert(g)
 
     def remove_active(self, c: Clause) -> None:
         self.active.pop(c.cid, None)
@@ -148,11 +150,11 @@ class ProverState:
 def _demodulate_once(g: Clause, st: ProverState) -> Optional[Clause]:
     """The first rewrite of g by an active unit equality, in ascending id order.
 
-    Only the units the backward index retrieves for g are tried; the others
+    Only the units the forward index retrieves for g are tried; the others
     have no left-hand side that generalizes an occurrence in g, so none of
     them rewrites g and the first rewrite is that of the full scan.
     """
-    for unit in sorted(st.bindex.demodulators(g), key=lambda c: c.cid):
+    for unit in sorted(st.fsd_index.demodulators(g), key=lambda c: c.cid):
         res = demodulate(unit, g, st.factory)
         if res is not None:
             return res
@@ -163,8 +165,8 @@ def forward_simplify(g: Clause, st: ProverState) -> Optional[Clause]:
     """Simplify the given clause against the active set until no rule fires.
 
     Each round tries subsumption deletion, then rewriting by a unit
-    equality, then forward subsumption demodulation; a successful rewrite
-    restarts the round with the new clause.  None means g was deleted.
+    equality, then (FSD on) forward subsumption demodulation; a successful
+    rewrite restarts the round with the new clause.  None means g was deleted.
     """
     while True:
         check_time()

@@ -4,8 +4,10 @@ Accepted input: `cnf(name, role, formula).` annotated formulas with `|`
 disjunction, `~` negation, `=` and `!=` equality, `%` line comments, and
 `include('file').` directives resolved relative to the including file.
 Uppercase identifiers are clause-scoped variables; numbers are constants;
-`$false` disjuncts are dropped.  Function and predicate symbols intern in
-order of first occurrence, which fixes the ordering precedence.
+`$false` disjuncts are dropped.  A quoted name is the text between its
+quotes, and the printer quotes any name but a lower word or a number.
+Function and predicate symbols intern in order of first occurrence, which
+fixes the ordering precedence.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_PLAIN_NAME = re.compile(r"[a-z][A-Za-z0-9_]*|\d+")  # a name printed unquoted
 
 
 class _Token(NamedTuple):
@@ -109,7 +112,7 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return tok
 
-    # one directive per call; returns ("cnf", name, role, literals) or
+    # one directive per call; returns ("cnf", role, literals) or
     # ("include", path, the include token)
     def directive(self):
         tok = self.take()
@@ -126,7 +129,7 @@ class _Parser:
             literals = self.formula()
             self.expect(")")
             self.expect(".")
-            return ("cnf", name.text.strip("'"), role.text, literals)
+            return ("cnf", role.text, literals)
         if tok.text == "include":
             self.expect("(")
             path = self.take()
@@ -199,7 +202,7 @@ class _Parser:
             if tok.kind == "upper":
                 node = ("v", tok.text)
             elif tok.kind in ("lower", "quoted", "num"):
-                name = tok.text.strip("'") if tok.kind == "quoted" else tok.text
+                name = tok.text[1:-1] if tok.kind == "quoted" else tok.text
                 node = ("f", name, [], tok.line, tok.col)
                 if self.peek().text == "(":
                     self.take()
@@ -277,7 +280,7 @@ def parse_problem(
                 continue
             item = parser.directive()
             if item[0] == "cnf":
-                _, cnf_name, role, literals = item
+                _, role, literals = item
                 clause = factory.make(literals, rule="input")
                 problem.clauses.append(clause)
                 problem.roles[clause.cid] = role
@@ -306,8 +309,13 @@ def parse_problem(
     return problem
 
 
+def _quoted(name: str) -> str:
+    """name as the parser reads it back: in quotes unless a lower word or a number."""
+    return name if _PLAIN_NAME.fullmatch(name) else f"'{name}'"
+
+
 def format_term(t: Term, sig: Signature) -> str:
-    return render(t, sig.name, ",")
+    return render(t, lambda sym: _quoted(sig.name(sym)), ",")
 
 
 def format_literal(lit: Literal, sig: Signature) -> str:
@@ -315,7 +323,7 @@ def format_literal(lit: Literal, sig: Signature) -> str:
         op = "=" if lit.positive else "!="
         return f"{format_term(lit.args[0], sig)} {op} {format_term(lit.args[1], sig)}"
     sign = "" if lit.positive else "~"
-    name = sig.name(lit.pred)
+    name = _quoted(sig.name(lit.pred))
     if not lit.args:
         return sign + name
     return f"{sign}{name}({','.join(format_term(a, sig) for a in lit.args)})"

@@ -22,8 +22,9 @@ from sdprover.index import (
     FsdIndex,
     _generation_keys,
     _leaves,
+    _lhs_paths,
     _other_order,
-    _tree_paths,
+    _paths,
     best_literals,
 )
 from sdprover.matching import literal_match_substs, source_set_up, target_set_up
@@ -93,22 +94,33 @@ def _tree_items(tree):
     return out
 
 
+def _rewrites(c):
+    """Whether the forward index files c: a side premise with best literals,
+    or a unit equality with a left-hand side it can rewrite with."""
+    return bool(best_literals(c) or (len(c.literals) == 1 and _lhs_paths(c)))
+
+
 def test_fsd_index_insert_remove_round_trip():
     factory = ClauseFactory()
     ix = FsdIndex()
+    # units that can rewrite, and ones that cannot: EQUAL sides, no equality
+    f, g, h = env.f, env.g, env.h
+    units = [eq(f(g(x)), g(x)), eq(h(x, y), h(y, x)), eq(f(x), f(x)), env.p(x)]
     kept = []
-    for c in _clauses(factory, 40, 4):
+    for c in _clauses(factory, 40, 4) + [factory.make([lit]) for lit in units]:
         ix.insert(c)
-        if best_literals(c):
+        if _rewrites(c):
             kept.append(c)
-    assert len(ix._paths) == len({c.cid for c in kept})
+    assert any(len(c.literals) == 1 for c in kept) and any(len(c.literals) > 1 for c in kept)
+    assert set(ix._tree._paths) == {c.cid for c in kept}
+    # each clause is in the tree once under each of its paths
+    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [c for c in kept for _ in ix._tree.paths(c)]
     for c in kept:
-        assert c.cid in ix._paths
+        assert ix._tree.paths(c)
         ix.remove(c)
-        assert c.cid not in ix._paths
-    assert len(ix._paths) == 0
+        assert ix._tree.paths(c) == ()
     # removal drops every path and tree node it made
-    assert ix._paths == {} and ix._tree._root == {}
+    assert ix._tree._paths == {} and ix._tree._root == {}
     probe = factory.make([env.p(env.a)])
     assert ix.retrieve_fsd_candidates(probe) == set()
 
@@ -116,14 +128,16 @@ def test_fsd_index_insert_remove_round_trip():
 def test_fsd_index_double_insert_and_remove_are_idempotent():
     factory = ClauseFactory()
     ix = FsdIndex()
-    c = factory.make([eq(env.f(x), x), env.p(x)])
-    ix.insert(c)
-    ix.insert(c)
-    assert len(ix._paths) == 1
-    assert _tree_items(ix._tree) == [c] * len(ix._paths[c.cid])
-    ix.remove(c)
-    ix.remove(c)
-    assert len(ix._paths) == 0 and ix._tree._root == {}
+    side, unit = factory.make([eq(env.f(x), x), env.p(x)]), factory.make([eq(env.f(x), x)])
+    for c in (side, unit):
+        ix.insert(c)
+        ix.insert(c)
+    assert len(ix._tree._paths) == 2
+    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [side] * len(ix._tree.paths(side)) + [unit]
+    for c in (side, unit):
+        ix.remove(c)
+        ix.remove(c)
+    assert ix._tree._paths == {} and ix._tree._root == {}
 
 
 def test_fsd_retrieval_by_residual_literal():
@@ -165,29 +179,45 @@ def test_backward_index_round_trip():
     for c in stored:
         ix.insert(c)
         ix.insert(c)
-    assert len(ix._stored) == len(stored)
-    assert all(c.cid in ix._stored for c in stored)
-    # each clause is in the tree once under each of its paths
-    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == sorted(
-        (c for c in stored for _ in ix._stored[c.cid].literal_paths | ix._stored[c.cid].lhs_paths),
-        key=lambda c: c.cid,
-    )
+    assert set(ix._keys) == set(ix._tree._paths) == {c.cid for c in stored}
+    # each clause is in the tree once under each of its distinct literals
+    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [c for c in stored for _ in ix._tree.paths(c)]
+    assert all(len(ix._tree.paths(c)) == len(set(c.literals)) for c in stored)
     for c in stored:
         ix.remove(c)
         ix.remove(c)
-    assert len(ix._stored) == 0
-    # removal drops every bucket, stored key and tree node it made
-    assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
+    # removal drops every bucket, generation key, path and tree node it made
+    assert ix._buckets == {} and ix._keys == {} and ix._tree._paths == {} and ix._tree._root == {}
     # a permutative unit rewrites left to right and right to left from one
     # left-hand side path, stored once and removed once
+    fx = FsdIndex()
     h, f, a, b = env.h, env.f, env.a, env.b
     query = factory.make([env.p(h(f(a), f(b)))])
     for lhs, rhs in [(h(x, y), h(y, x)), (h(f(x), f(y)), h(f(y), f(x)))]:
         unit = factory.make([eq(lhs, rhs)])
-        ix.insert(unit)
-        assert ix.demodulators(query) == {unit}
-        ix.remove(unit)
-        assert ix._buckets == {} and ix._stored == {} and ix._tree._root == {}
+        fx.insert(unit)
+        assert fx.demodulators(query) == {unit}
+        assert len(fx._tree.paths(unit)) == 1
+        fx.remove(unit)
+        assert fx._tree._paths == {} and fx._tree._root == {}
+
+
+def test_unit_left_hand_sides_are_filed_in_the_forward_tree_only():
+    """Demodulation reads a unit's left-hand sides from the forward index;
+    the backward tree files the unit's literal alone."""
+    factory = ClauseFactory()
+    f, g, a = env.f, env.g, env.a
+    unit = factory.make([eq(f(g(x)), g(x))])
+    query = factory.make([env.p(f(g(a)))])
+    forward, backward = FsdIndex(), BackwardIndex()
+    forward.insert(unit)
+    backward.insert(unit)
+    keys = literal_walks(unit)[0][0]
+    # f(g(X)) is the one left-hand side: the first three keys
+    assert forward._tree.paths(unit) == ((REWRITE_LHS, keys[:3]),)
+    assert forward.demodulators(query) == {unit}
+    assert backward._tree.paths(unit) == (((True, None), keys),)
+    assert REWRITE_LHS not in backward._tree._root
 
 
 def test_bsd_retrieval_never_misses_a_rewritable_main():
@@ -323,11 +353,11 @@ def test_generation_partners_cover_every_pair_with_a_conclusion():
 
 
 def _tree_hits(tree, query):
-    """Ids under every tree path that generalizes the unit clause query's
-    literal, an equality in either argument order."""
+    """Ids of the clauses under every tree path that generalizes the unit
+    clause query's literal, an equality in either argument order."""
     (lit,) = query.literals
     (walk,) = literal_walks(query)
-    return set().union(*_leaves(tree.generalizations, lit, walk))
+    return {c.cid for c in set().union(*_leaves(tree.generalizations, lit, walk))}
 
 
 def test_generalization_tree_retrieves_every_matching_literal():
@@ -337,11 +367,8 @@ def test_generalization_tree_retrieves_every_matching_literal():
     factory = ClauseFactory()
     tree = DiscriminationTree()
     stored = [factory.make([gen.literal(depth=2)]) for _ in range(200)]
-    paths = {}
     for c in stored:
-        paths[c.cid], _ = _tree_paths(c)
-        for (tag, keys), ends in paths[c.cid].items():
-            tree.insert(tag, (keys, ends), c.cid)
+        tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
     matched = retrieved = same_key = 0
     for _ in range(200):
         query = gen.literal(depth=3)
@@ -356,9 +383,8 @@ def test_generalization_tree_retrieves_every_matching_literal():
     # the tree filters: far fewer ids come back than a key lookup gives
     assert retrieved < same_key // 2, (retrieved, same_key)
     for c in stored:
-        for tag, keys in paths[c.cid]:
-            tree.remove(tag, keys, c.cid)
-    assert tree._root == {}
+        tree.remove(c)
+    assert tree._paths == {} and tree._root == {}
 
 
 def _instance_ids(stored, query, args):
@@ -406,8 +432,7 @@ def test_instance_retrieval_agrees_with_brute_force():
     stored = [factory.make([lit]) for lit in lits]
     tree = DiscriminationTree()
     for c in stored:
-        for (tag, keys), ends in _tree_paths(c)[0].items():
-            tree.insert(tag, (keys, ends), c.cid)
+        tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
     found_total = exact_total = swapped_differs = 0
     for query in _instance_queries(gen, tower):
         (walk,) = literal_walks(factory.make([query]))
@@ -416,7 +441,7 @@ def test_instance_retrieval_agrees_with_brute_force():
             walks.append((_other_order(walk), query.args[::-1]))
         founds = []
         for w, args in walks:
-            found = set().union(*tree.instances(top_symbol_key(query), w))
+            found = {c.cid for c in set().union(*tree.instances(top_symbol_key(query), w))}
             exact, linear = _instance_ids(stored, query, args)
             assert found == linear, (query, args)
             assert exact <= found
@@ -427,9 +452,8 @@ def test_instance_retrieval_agrees_with_brute_force():
     assert exact_total >= 300 and found_total > exact_total, (exact_total, found_total)
     assert swapped_differs >= 15, swapped_differs
     for c in stored:
-        for tag, keys in _tree_paths(c)[0]:
-            tree.remove(tag, keys, c.cid)
-    assert tree._root == {}
+        tree.remove(c)
+    assert tree._paths == {} and tree._root == {}
 
 
 def test_demodulators_cover_every_rewriting_unit():
@@ -438,7 +462,7 @@ def test_demodulators_cover_every_rewriting_unit():
     sides cannot rewrite is never retrieved."""
     gen = Gen(seed=67)
     factory = ClauseFactory()
-    ix = BackwardIndex()
+    ix = FsdIndex()
     units = [factory.make([gen.pos_eq()]) for _ in range(40)]
     # a variable left-hand side; then units that can never rewrite: EQUAL
     # sides, and a right-hand variable each left-hand side lacks
@@ -495,9 +519,10 @@ def test_stored_walks_agree_with_fresh_walks():
     walking the terms afresh gives."""
     factory = ClauseFactory()
     clauses = _walk_clauses(factory)
-    ix = BackwardIndex()
+    ix, fx = BackwardIndex(), FsdIndex()
     for c in clauses:
         ix.insert(c)
+        fx.insert(c)
     tree = ix._tree
     swapped_differs = subterm_hits = 0
     for c in clauses:
@@ -514,8 +539,10 @@ def test_stored_walks_agree_with_fresh_walks():
         for lit in distinct:
             keys, ends = preorder(lit.args)
             literal_paths[(lit.positive, lit.pred), tuple(keys)] = ends
-        assert _tree_paths(c) == (literal_paths, lhs_paths)
-        assert list(_tree_paths(c)[0]) == list(literal_paths)
+        assert ix._tree.paths(c) == tuple(literal_paths)
+        if len(c.literals) == 1:
+            assert _lhs_paths(c) == lhs_paths
+            assert fx._tree.paths(c) == tuple(lhs_paths)
         symbols = subterm_symbols(c.literals[i] for i in select(c))
         assert {key[1] for key in _generation_keys(c) if key[0] == REWRITABLE} == (symbols | {None} if symbols else set())
         assert target_set_up(c).symbols == tuple(sorted(subterm_symbols(c.literals)))
@@ -531,8 +558,8 @@ def test_stored_walks_agree_with_fresh_walks():
                     assert swapped == _ids(retrieve(tag, preorder(lit.args[::-1]))), lit
                     assert _ids(_leaves(retrieve, lit, walk)) == (leaves | swapped if lit.lhs != lit.rhs else leaves)
                     swapped_differs += swapped != leaves
-        demodulators = _ids(tree.subterm_generalizations(REWRITE_LHS, walks))
+        demodulators = _ids(fx._tree.subterm_generalizations(REWRITE_LHS, walks))
         args = [a for lit in c.literals for a in lit.args]
-        assert demodulators == _ids(tree.subterm_generalizations(REWRITE_LHS, [preorder(args)]))
+        assert demodulators == _ids(fx._tree.subterm_generalizations(REWRITE_LHS, [preorder(args)]))
         subterm_hits += bool(demodulators)
     assert swapped_differs >= 150 and subterm_hits >= 150, (swapped_differs, subterm_hits)

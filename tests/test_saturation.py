@@ -346,6 +346,27 @@ def test_indexed_retrieval_matches_every_eligible_clause(monkeypatch):
     assert {"fsd", "bsd"} <= rules, rules
 
 
+def test_fsd_off_files_no_side_premise_in_the_forward_index():
+    """With FSD off nothing reads a non-unit side premise from the forward
+    index, so activation files none there; units are filed in both
+    configurations, since demodulation stays on."""
+    for fsd in (True, False):
+        s = Setup()
+        st = ProverState(factory=s.factory, config=_quick(fsd=fsd))
+        side = s.clause(eq(s.f(X), X), s.q(X).negated())
+        unit = s.clause(eq(s.g(X), X))
+        st.activate(side)
+        st.activate(unit)
+        main = s.clause(s.p(s.f(s.a)), s.q(s.a).negated())
+        assert st.fsd_index.retrieve_fsd_candidates(main) == ({side} if fsd else set())
+        assert bool(st.fsd_index._tree.paths(side)) is fsd
+        rewritten = saturation._demodulate_once(s.clause(s.p(s.g(s.a))), st)
+        assert rewritten.literals == (s.p(s.a),) and rewritten.parents[1] == unit.cid
+        st.remove_active(side)
+        st.remove_active(unit)
+        assert st.fsd_index._tree._root == {}
+
+
 def test_indexed_demodulation_matches_the_scan():
     """The units the index retrieves make the rewrite the scan over every
     active unit equality makes, for units with a variable, an EQUAL, an

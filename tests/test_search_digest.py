@@ -27,10 +27,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 TABLE = os.path.join(HERE, "search_digest.tsv")
 
 
-def _switch(on: bool) -> str:
-    return "on" if on else "off"
-
-
 def _rows() -> list[tuple[str, str]]:
     """(run, outcome) for every corpus problem in every configuration."""
     rows = []
@@ -42,7 +38,7 @@ def _rows() -> list[tuple[str, str]]:
             result = saturate(problem.clauses, config, factory)
             lines = "\n".join(f"{c.cid} {c.rule} {c.parents} {c.literals!r}" for c in factory.registry.values())
             digest = hashlib.sha256(lines.encode()).hexdigest()[:16]
-            run = f"{os.path.basename(path)}\tfsd={_switch(fsd)}\tbsd={_switch(bsd)}"
+            run = f"{os.path.basename(path)}\tfsd={'on' if fsd else 'off'}\tbsd={'on' if bsd else 'off'}"
             rows.append((run, f"{result.status.value}\t{result.iterations}\t{factory.created}\t{digest}"))
     return rows
 

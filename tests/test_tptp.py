@@ -11,7 +11,7 @@ from sdprover import cli
 from sdprover.clauses import ClauseFactory
 from sdprover.cli import main
 from sdprover.matching import variant
-from sdprover.saturation import ProverConfig, SatStatus, saturate, verify_proof
+from sdprover.saturation import ProverConfig, SatStatus, proof_clauses, saturate, verify_proof
 from sdprover.terms import App, Signature, Var
 from sdprover.tptp import (
     ParseError,
@@ -258,6 +258,27 @@ def test_format_round_trip_on_random_clauses():
         # reparse against the same signature so names resolve to the same ids
         reparsed = parse_problem(text, env.sig, ClauseFactory())
         assert variant(clause, reparsed.clauses[0])
+
+
+def test_quoted_names_print_quoted_and_read_back_as_the_same_literals():
+    """A name that is not a lower word or a number prints in quotes: the
+    proof of p('X') shows a constant, not a variable, an escaped quote
+    survives, and the printed clauses parse to the same literals."""
+    text = r"""
+    cnf(a, axiom, p('X') | q('a\'', 'two words', 'b')).
+    cnf(b, axiom, 'P'(c) | ~q('a\'', 'two words', b)).
+    cnf(c, negated_conjecture, ~p('X')).
+    cnf(d, negated_conjecture, ~'P'(c)).
+    """
+    result, sig = _run(text)
+    assert result.status is SatStatus.UNSATISFIABLE
+    lines = emit_result(result, sig).splitlines()[1:]
+    assert lines[0] == "1. p('X') | q('a\\'','two words',b) [input]"
+    assert lines[1] == "2. 'P'(c) | ~q('a\\'','two words',b) [input]"
+    for node, line in zip(proof_clauses(result), lines):
+        printed = line.split(" ", 1)[1].rsplit(" [", 1)[0]
+        reparsed = parse_problem(f"cnf(r, axiom, {printed}).", sig, ClauseFactory())
+        assert reparsed.clauses[0].literals == node.literals, line
 
 
 def test_format_term_and_literal_shapes():
