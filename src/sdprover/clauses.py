@@ -132,9 +132,10 @@ def predicate(sig: Signature, name: str, arity: int) -> PredicateSymbol:
 class Clause:
     """A multiset of literals with provenance.
 
-    Clause objects compare by identity; use Counter(c.literals) or
-    matching.variant() for content comparisons.  Duplicate literals are
-    preserved.
+    Clause objects compare by identity; compare contents through the
+    literals, Counter(c.literals) for multisets.  The factory mints them in
+    canonical form, so two minted variants that list their literals in the
+    same order have equal literal tuples.  Duplicate literals are preserved.
 
     A slotted class, immutable by convention: only __init__ assigns it,
     except the caches in the slots after parents.  They hold work done once

@@ -14,16 +14,13 @@ that role, so the enumeration branches between "reserve this equality" and
 of decreasing weight, on an explicit stack of per-level iterators rather
 than one recursive call per literal, so a clause of any width gets an
 answer; enumeration is exhaustive and duplicate-free, and the generator
-resumes where the previous solution left off.  A one-literal source, the
-side premise of unit demodulation and the unit of forward subsumption, has
-one level and nothing to backtrack over: one loop enumerates its matches
-in the same order.  A ground source literal matches exactly the target
-literals equal to it, binding nothing, so it goes only to their positions,
-read off the target's set-up.  Nothing caps the number of solutions: the
-run's deadline, checked every few hundred search nodes, is the one bound
-on a search, and it also stops one that finds nothing.  Two clauses are
-variants exactly when they have equal length and each subsumes the other
-(variant), so the same search decides that too.
+resumes where the previous solution left off.  That stack is the one
+search path, for a one-literal source as for any other.  A ground source
+literal matches exactly the target literals equal to it, binding nothing,
+so it goes only to their positions, read off the target's set-up.  Nothing
+caps the number of solutions: the run's deadline, checked every few
+hundred search nodes, is the one bound on a search, and it also stops one
+that finds nothing.
 
 Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
@@ -193,23 +190,20 @@ def _literal_pairings(a: Literal, b: Literal):
     if a.positive != b.positive or a.pred != b.pred or len(a.args) != len(b.args):
         return
     yield tuple(zip(a.args, b.args))
-    if a.pred is None:
-        swapped = tuple(zip(a.args, (b.args[1], b.args[0])))
-        if swapped != tuple(zip(a.args, b.args)):
-            yield swapped
+    if a.pred is None and b.args[0] != b.args[1]:
+        yield tuple(zip(a.args, (b.args[1], b.args[0])))
 
 
 def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) -> Iterator[Substitution]:
     """All ways to match one literal onto another, extending base.
 
-    Equality atoms are tried in both argument orders; orientations that
-    produce the same substitution are emitted once.
+    Equality atoms are tried in both argument orders, the swapped one only
+    when the target's sides differ.  Then no substitution comes twice: it
+    would have to send the pattern's one side to both of them.
     """
-    emitted = []
     for pairing in _literal_pairings(pattern, target):
         sub = match_pairs(pairing, base)
-        if sub is not None and sub not in emitted:
-            emitted.append(sub)
+        if sub is not None:
             yield sub
 
 
@@ -232,32 +226,16 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     if len(src) - (1 if reserve_equality else 0) > len(dst):
         return
     order, last_eq, _, _ = source_set_up(source)
-    if reserve_equality and len(src) == 1:
-        # a unit source: its one literal is reserved if it can be, and
-        # nothing is left to match
-        if last_eq == 0:
-            yield MLMatch(0, {}, frozenset())
-        return
     compatible = target_set_up(target).table
     ground = _ground_positions(target) if any(lit.ground for lit in src) else {}
-    if len(src) == 1:
-        # one level: no path to backtrack over and no position in use
-        lit = src[0]
-        nodes = 0
-        for j in ground.get(lit, ()) if lit.ground else compatible.get((lit.positive, lit.pred), ()):
-            for subst in literal_match_substs(lit, dst[j], {}):
-                nodes += 1
-                if nodes % 256 == 0:
-                    check_time()
-                yield MLMatch(-1, subst, frozenset((j,)))
-        return
 
     def children(k: int, subst: Substitution, eq_pos: Optional[int]):
-        # the states one level down, in enumeration order
+        # the states of level k, in enumeration order: (subst, the target
+        # position the state takes or -1, eq_pos)
         i = order[k]
         lit = src[i]
         if reserve_equality and eq_pos is None and lit.positive and lit.is_equality:
-            yield k + 1, subst, -1, i
+            yield subst, -1, i
             # while no equality is reserved, the last positive equality in
             # the order must take that role: matching it cannot succeed
             if k == last_eq:
@@ -266,53 +244,51 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
             # matched exactly by an equal literal, binding nothing
             for j in ground.get(lit, ()):
                 if j not in used:
-                    yield k + 1, subst, j, eq_pos
+                    yield subst, j, eq_pos
             return
         for j in compatible.get((lit.positive, lit.pred), ()):
             if j in used:
                 continue
             for extended in literal_match_substs(lit, dst[j], subst):
-                yield k + 1, extended, j, eq_pos
+                yield extended, j, eq_pos
 
     nodes = 0
-    stack = [iter(((0, {}, -1, None),))]
-    # the current path: taken[d] is the target position that the state last
-    # taken from stack[d] took (-1: none), and used holds those positions
-    taken = [-1]
+    # the current path: stack[k] enumerates the states of level k, taken[k]
+    # is the target position its current state took (-1: none), and used
+    # holds those positions; the path starts empty, with nothing bound
+    stack: list[Iterator[tuple[Substitution, int, Optional[int]]]] = []
+    taken: list[int] = []
     used: set[int] = set()
-    while stack:
-        # the level advances or is popped: its last state's position is free
-        used.discard(taken[-1])
-        state = next(stack[-1], None)
-        if state is None:
-            stack.pop()
-            taken.pop()
-            continue
-        nodes += 1
-        if nodes % 256 == 0:
-            check_time()
-        k, subst, j, eq_pos = state
-        taken[-1] = j
-        if j >= 0:
-            used.add(j)
-        if k < len(order):
-            stack.append(children(k, subst, eq_pos))
+    subst: Substitution = {}
+    eq_pos: Optional[int] = None
+    while True:
+        # a full path is a solution; a shorter one goes a level down
+        if len(stack) < len(order):
+            stack.append(children(len(stack), subst, eq_pos))
             taken.append(-1)
         elif not reserve_equality or eq_pos is not None:
             yield MLMatch(-1 if eq_pos is None else eq_pos, subst, frozenset(used))
+        # the next state comes from the deepest level that has one left; a
+        # level that advances or is popped frees its last state's position
+        while stack:
+            used.discard(taken[-1])
+            state = next(stack[-1], None)
+            if state is not None:
+                break
+            stack.pop()
+            taken.pop()
+        else:
+            return
+        nodes += 1
+        if nodes % 256 == 0:
+            check_time()
+        subst, j, eq_pos = state
+        taken[-1] = j
+        if j >= 0:
+            used.add(j)
 
 
 def subsumes(c: Clause, d: Clause) -> bool:
     """True when some instance of c is a sub-multiset of d."""
     return next(match_solutions(c, d, reserve_equality=False), None) is not None
 
-
-def variant(c: Clause, d: Clause) -> bool:
-    """True if the literal multisets of c and d are equal up to variable renaming.
-
-    That is mutual subsumption: each match assigns literals one to one, so
-    the lengths are equal (compared first, as a quick exit); matching never
-    lowers a weight, so each match maps variables to variables; and then
-    neither can merge two of them.
-    """
-    return len(c) == len(d) and subsumes(c, d) and subsumes(d, c)

@@ -28,7 +28,9 @@ exit the clause leaves it.
 Provenance lives on the clauses themselves (rule plus parent ids inside the
 factory registry), so a proof is reconstructed by walking parents from the
 empty clause, and re-validated by re-running each step's rule, which
-recomputes whatever data the steps need.
+recomputes whatever data the steps need.  The factory mints both the step
+and its replayed conclusions in canonical form, so a step is reproduced
+exactly when a replayed conclusion has the step's literals, in order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import calculus
 from .clauses import Clause, ClauseFactory
 from .index import BackwardIndex, FsdIndex
-from .matching import variant
 from .simplify import (
     backward_subsumption_deletions,
     backward_subsumption_demodulation,
@@ -99,8 +100,6 @@ class PassiveQueue:
         return len(self._clauses)
 
     def push(self, c: Clause) -> None:
-        if c.cid in self._clauses:
-            return
         self._clauses[c.cid] = c
         heapq.heappush(self._weight_heap, (c.weight, c.cid))
         heapq.heappush(self._age_heap, c.cid)
@@ -142,7 +141,7 @@ class ProverState:
             self.fsd_index.insert(g)
 
     def remove_active(self, c: Clause) -> None:
-        self.active.pop(c.cid, None)
+        del self.active[c.cid]
         self.bindex.remove(c)
         self.fsd_index.remove(c)
 
@@ -301,11 +300,15 @@ def _reproducible(node: Clause, registry: dict[int, Clause]) -> bool:
     if replay is None:
         return False
     conclusions = replay(*(registry[p] for p in node.parents), ClauseFactory(), node.rule)
-    return any(variant(c, node) for c in conclusions)
+    return any(c.literals == node.literals for c in conclusions)
 
 
 def verify_proof(result: SaturationResult) -> list[str]:
-    """Re-run every proof step; returns human-readable failures, empty if valid."""
+    """Re-run every proof step; returns human-readable failures, empty if valid.
+
+    A step passes when its rule, replayed on its parents from the registry,
+    gives a conclusion whose canonical literal tuple equals the step's.
+    """
     problems = []
     if result.status is not SatStatus.UNSATISFIABLE or result.empty is None:
         return ["result carries no proof"]

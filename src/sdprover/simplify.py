@@ -3,8 +3,9 @@
 Subsumption demodulation rewrites with a side premise that is an equality
 plus extra literals; the extra literals must match, instantiated, into the
 main premise.  Demodulation is the same rule with a unit side premise: one
-engine serves both.  The main premise L[t] | D is replaced by L[r sigma] | D
-when
+engine serves both, and a unit side's one match, with nothing to search
+for, is made here rather than in the matcher.  The main premise L[t] | D
+is replaced by L[r sigma] | D when
 
   - some solution of the multi-literal matcher covers every side literal
     except one positive equality l = r (partial substitution sigma'),
@@ -59,7 +60,7 @@ from typing import Iterator, NamedTuple, Optional
 from .clauses import Clause, ClauseFactory, eq, literal_occurrences, replace_in_literal
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .index import BackwardIndex, FsdIndex
-from .matching import match_solutions, source_set_up, subsumes, target_set_up
+from .matching import MLMatch, match_solutions, source_set_up, subsumes, target_set_up
 from .ordering import OrderResult, compare_literal_multisets, compare_terms
 from .terms import App, Substitution, Term, apply_term, match_pairs
 
@@ -110,10 +111,11 @@ def sd_simplifications(side: Clause, main: Clause) -> Iterator[RewriteStep]:
     Side and main are matched as stored.  An orientation whose right-hand
     side has a variable that neither its left-hand side nor the matched
     literals bind is skipped: that variable would stay in the replacement,
-    and no term exceeds one holding a variable it lacks.
+    and no term exceeds one holding a variable it lacks.  A unit side has
+    exactly one match, its equality reserved with nothing bound and no
+    image, so that match is made here: the matcher starts only for a side
+    of two or more literals.
     """
-    if len(side.literals) - 1 > len(main.literals):
-        return
     _, last_eq, equations, triggers = source_set_up(side)
     if last_eq < 0:
         return
@@ -121,8 +123,10 @@ def sd_simplifications(side: Clause, main: Clause) -> Iterator[RewriteStep]:
         symbols = target_set_up(main).symbols
         if not any(sym in symbols for sym in triggers):
             return
+    unit = len(side.literals) == 1
+    matches = (MLMatch(0, {}, frozenset()),) if unit else match_solutions(side, main, reserve_equality=True)
     occurrences: Optional[list[list[tuple[tuple[int, ...], Term]]]] = None  # per main literal
-    for m in match_solutions(side, main, reserve_equality=True):
+    for m in matches:
         bound = m.subst
         usable = [
             o

@@ -14,9 +14,10 @@ Replaced versions of engine code are kept as references too: renaming
 apart by an offset per call, KBO recounting variables at every level, the
 term walks each index and screen made for itself before every clause kept
 one walk per literal, the multi-literal search as a recursive generator,
-and the variant test as a direct search for the renaming.  Two helpers only tests
-call live here too: comparing two literal sequences as clauses, and
-reading a problem file.
+and the variant test as a direct search for the renaming.  Three helpers
+only tests call live here too: comparing two literal sequences as clauses,
+the variant test on the engine's matcher (variant: equal length and
+subsumption both ways), and reading a problem file.
 """
 
 from __future__ import annotations
@@ -28,9 +29,16 @@ from itertools import count, product
 from typing import Iterator, Optional
 
 from sdprover import calculus
-from sdprover.clauses import Literal, eq, literal_occurrences, orientations, replace_in_literal, select
+from sdprover.clauses import Clause, Literal, eq, literal_occurrences, orientations, replace_in_literal, select
 from sdprover.index import BackwardIndex, best_literals
-from sdprover.matching import _literal_pairings, literal_match_substs, match_solutions, source_set_up, target_set_up
+from sdprover.matching import (
+    _literal_pairings,
+    literal_match_substs,
+    match_solutions,
+    source_set_up,
+    subsumes,
+    target_set_up,
+)
 from sdprover.ordering import OrderResult, _prec_greater, compare_literal_multisets, compare_terms
 from sdprover.simplify import RewriteStep, check_ordering_conditions, demodulate
 from sdprover.terms import (
@@ -335,6 +343,18 @@ def renaming_variant(lits_a, lits_b) -> bool:
     variant before it became mutual subsumption)."""
     a, b = tuple(lits_a), tuple(lits_b)
     return len(a) == len(b) and _variant_search(a, b, 0, set(), {}, {})
+
+
+def variant(c: Clause, d: Clause) -> bool:
+    """Whether the literal multisets of two clauses are equal up to variable
+    renaming, decided by the engine's matcher as mutual subsumption.
+
+    Each match assigns literals one to one, so the lengths are equal
+    (compared first, as a quick exit); matching never lowers a weight, so
+    each match maps variables to variables; and then neither can merge two
+    of them.
+    """
+    return len(c) == len(d) and subsumes(c, d) and subsumes(d, c)
 
 
 # ------------------------------------------- subsumption demodulation

@@ -1,6 +1,6 @@
 """Generating rule tests: unit cases, selection discipline, ground soundness."""
 
-from oracles import apply, ground_entails, nvars, offset_resolution, unscreened_superposition
+from oracles import apply, ground_entails, nvars, offset_resolution, unscreened_superposition, variant
 from randgen import Gen, GroundGen
 
 from sdprover.calculus import (
@@ -12,7 +12,6 @@ from sdprover.calculus import (
     unary_inferences,
 )
 from sdprover.clauses import Clause, ClauseFactory, eq, neq, select
-from sdprover.matching import variant
 from sdprover.terms import Var
 
 env = Gen(seed=47)

@@ -3,11 +3,11 @@
 import time
 
 import pytest
-from oracles import apply, canonical_literals, clause_vars, nvars, shift_vars
+from oracles import apply, canonical_literals, clause_vars, nvars, shift_vars, variant
 from randgen import Gen
 
 from sdprover.clauses import Clause, ClauseFactory, Literal, eq, neq, predicate, rename_apart, select
-from sdprover.matching import _literal_pairings, variant
+from sdprover.matching import _literal_pairings
 from sdprover.ordering import OrderResult, compare_literals
 from sdprover.terms import Signature, SignatureError, Var, run_scope, unify_pairs
 

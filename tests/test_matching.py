@@ -13,12 +13,13 @@ from oracles import (
     recursive_match_solutions,
     rename_apart,
     renaming_variant,
+    variant,
 )
 from randgen import Gen
 
 from sdprover import matching
 from sdprover.clauses import Clause, ClauseFactory, Literal, eq, predicate
-from sdprover.matching import match_solutions, subsumes, variant
+from sdprover.matching import match_solutions, subsumes
 from sdprover.simplify import sd_simplifications
 from sdprover.terms import Signature, Var
 

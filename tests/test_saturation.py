@@ -293,6 +293,23 @@ def test_proofs_only_reference_registered_clauses():
             assert pid in s.factory.registry
 
 
+def test_verify_proof_reports_a_step_replaced_by_a_renamed_variant():
+    """The checker compares canonical literals, so a step whose registry
+    literals are a variant of the replayed conclusion's, with two variable
+    ids swapped, is not reproduced."""
+    s = Setup()
+    r = predicate(s.sig, "r", 2)
+    Y = Var(1)
+    inputs = [s.clause(r(X, Y), s.p(s.a).negated()), s.clause(s.p(s.a)), s.clause(r(s.a, s.f(s.a)).negated())]
+    result = saturate(inputs, _quick(), s.factory)
+    assert result.status is SatStatus.UNSATISFIABLE
+    assert verify_proof(result) == []
+    (node,) = [c for c in proof_clauses(result) if c.literals == (r(X, Y),)]
+    assert node.rule == "resolution"
+    node.literals = (r(Y, X),)
+    assert verify_proof(result) == [f"clause {node.cid} not reproduced by rule resolution"]
+
+
 def _corpus_search(path, fsd, bsd):
     """The SZS text and every registry entry of one corpus run."""
     sig = Signature()

@@ -384,6 +384,22 @@ def test_wide_side_premise_without_a_trigger_symbol_starts_no_matcher(monkeypatc
     assert calls == []
 
 
+def test_unit_side_premise_starts_no_matcher(monkeypatch):
+    # a unit side's one match reserves its equality and binds nothing, so
+    # rewriting makes it without a search, and the step is the same
+    factory = ClauseFactory()
+    unit = factory.make([eq(f(x), b)])
+    main = factory.make([p(f(a)), q(c)])
+    calls = []
+    matcher = simplify.match_solutions
+    monkeypatch.setattr(simplify, "match_solutions", lambda *args, **kwargs: calls.append(args) or matcher(*args, **kwargs))
+    steps = list(sd_simplifications(unit, main))
+    assert calls == []
+    assert [(step.lit_pos, step.path, step.rhs_image) for step in steps] == [(0, (0,), b)]
+    assert demodulate(unit, main, factory).literals == (p(b), q(c))
+    assert calls == []
+
+
 def test_redundancy_check_runs_only_at_the_top_of_a_positive_equality(monkeypatch):
     calls = []
     for name in ("remainder_exceeds", "check_ordering_conditions"):

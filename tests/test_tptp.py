@@ -10,7 +10,6 @@ import pytest
 from sdprover import cli
 from sdprover.clauses import ClauseFactory
 from sdprover.cli import main
-from sdprover.matching import variant
 from sdprover.saturation import ProverConfig, SatStatus, proof_clauses, saturate, verify_proof
 from sdprover.terms import App, Signature, Var
 from sdprover.tptp import (
@@ -22,6 +21,7 @@ from sdprover.tptp import (
     parse_problem,
 )
 
+from oracles import variant
 from randgen import Gen
 
 
