@@ -195,9 +195,41 @@ def _instantiate_literals(
 
 def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[Literal, ...]:
     """literals instantiated by unifier, a unify_pairs result in triangular
-    form, variables renumbered 0, 1, ... in pre-order of first occurrence."""
+    form, variables renumbered 0, 1, ... in pre-order of first occurrence.
+
+    Literals already numbered so, under an empty unifier, come back as
+    they are: the parser numbers its clauses' variables that way, and so
+    does many a rewrite, and neither pays for a rebuild."""
+    if not unifier and _numbered(literals):
+        return tuple(literals)
     fresh = itertools.count()
     return _instantiate_literals(literals, unifier, lambda v: Var(next(fresh)))
+
+
+def _numbered(literals: Sequence[Literal]) -> bool:
+    """Whether the variables of literals are 0, 1, ... in pre-order of first
+    occurrence.  A negative id, as rename_apart gives, is never numbered.
+    The walk visits a shared subterm at each occurrence, as instantiate
+    does, so it checks the run's deadline every 1,024 applications."""
+    fresh = 0  # the id the next new variable must have
+    walked = 0
+    for lit in literals:
+        if lit.ground:
+            continue
+        stack = list(reversed(lit.args))
+        while stack:
+            t = stack.pop()
+            if type(t) is Var:
+                if t.vid == fresh:
+                    fresh += 1
+                elif not 0 <= t.vid < fresh:
+                    return False
+            elif not t.ground:
+                walked += 1
+                if not walked & 1023:
+                    check_time()
+                stack.extend(reversed(t.args))
+    return True
 
 
 def rename_apart(clause: Clause) -> tuple[Literal, ...]:
@@ -275,7 +307,8 @@ class ClauseFactory:
     in as its literals and the unifier of its inference, in unify_pairs's
     triangular form, and one pass (canonical_instance) instantiates the
     literals and numbers their variables 0, 1, ... in pre-order of first
-    occurrence.
+    occurrence.  Literals already numbered so, under an empty unifier, are
+    kept as they are: the parser's and many a rewrite's.
 
     Every clause ever created stays in the registry so proofs can be
     reconstructed after simplification deletes clauses from the search

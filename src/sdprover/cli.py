@@ -1,5 +1,9 @@
 """Command-line driver: parse a problem, saturate, report SZS status.
 
+The time limit counts from reading the input: the problem is read and
+parsed under the run's deadline (terms.run_scope), minting checks it per
+input clause, and saturate gets the time that is left.
+
 Exit codes: 0 unsatisfiable, 1 satisfiable, 2 a limit hit (SZS status
 Timeout for the time limit, ResourceOut for the clause cap),
 3 bad input (unreadable file or one that is not UTF-8, parse error, arity
@@ -13,11 +17,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from typing import Optional
 
 from .clauses import ClauseFactory
-from .saturation import ProverConfig, SatStatus, saturate
-from .terms import Signature, SignatureError
+from .saturation import ProverConfig, SatStatus, SaturationResult, saturate
+from .terms import ResourceLimit, Signature, SignatureError, run_scope
 from .tptp import ParseError, emit_result, parse_problem
 
 _EXIT_CODES = {
@@ -78,6 +83,9 @@ def _run(argv: Optional[list[str]]) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
+    deadline = time.monotonic() + args.time_limit if args.time_limit > 0 else None
+    sig = Signature()
+    factory = ClauseFactory()
     try:
         if args.path == "-":
             text = sys.stdin.read()
@@ -86,9 +94,8 @@ def _run(argv: Optional[list[str]]) -> int:
             with open(args.path, encoding="utf-8") as handle:
                 text = handle.read()
             path = args.path
-        sig = Signature()
-        factory = ClauseFactory()
-        problem = parse_problem(text, sig, factory, path=path)
+        with run_scope(deadline):
+            problem = parse_problem(text, sig, factory, path=path)
     except (OSError, ParseError, SignatureError) as exc:
         print(f"sdprover: {exc}", file=sys.stderr)
         return 3
@@ -96,10 +103,19 @@ def _run(argv: Optional[list[str]]) -> int:
         source = "stdin" if args.path == "-" else repr(args.path)
         print(f"sdprover: cannot read {source}: {exc}", file=sys.stderr)
         return 3
+    except ResourceLimit:
+        problem = None
+    # saturate gets the time reading left; 0 would mean no limit, so a
+    # spent budget is a Timeout here
+    time_limit = 0.0 if deadline is None else deadline - time.monotonic()
+    if problem is None or (deadline is not None and time_limit <= 0):
+        result = SaturationResult(SatStatus.RESOURCE_OUT, factory, limit_reason="time")
+        print(emit_result(result, sig))
+        return _EXIT_CODES[result.status]
     config = ProverConfig(
         fsd=_switch(args.fsd),
         bsd=_switch(args.bsd),
-        time_limit=args.time_limit,
+        time_limit=time_limit,
         clause_limit=args.clause_limit,
         proof=_switch(args.proof),
     )

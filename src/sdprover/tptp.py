@@ -8,17 +8,22 @@ Uppercase identifiers are clause-scoped variables; numbers are constants;
 quotes, and the printer quotes any name but a lower word or a number.
 Function and predicate symbols intern in order of first occurrence, which
 fixes the ordering precedence.
+
+A file is read in one regex pass: one findall gives its tokens as plain
+strings, and the parser walks that list by index.  No token keeps a
+position: an error recounts its token's line and column from the text.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import NamedTuple, Optional
+from itertools import islice
+from typing import Optional
 
-from .clauses import Clause, ClauseFactory, Literal, eq, neq, predicate
+from .clauses import Clause, ClauseFactory, Literal
 from .saturation import SatStatus, SaturationResult, proof_clauses
-from .terms import FunctionSymbol, Signature, SignatureError, Term, Var, render
+from .terms import Signature, SignatureError, Term, Var, make_app, render
 
 
 class ParseError(Exception):
@@ -43,217 +48,212 @@ class Problem:
         self.path = path
 
 
+# one match per token: the blanks and comments before it, then the token (its
+# kind read off its first character), a stray character or the end's ""; no
+# match can fail, so the skip never backtracks and findall stays linear
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>%[^\n]*)
-      | (?P<neq>!=)
-      | (?P<dollar>\$[a-z][A-Za-z0-9_]*)
-      | (?P<lower>[a-z][A-Za-z0-9_]*)
-      | (?P<upper>[A-Z_][A-Za-z0-9_]*)
-      | (?P<num>\d+)
-      | (?P<quoted>'(?:[^'\\]|\\.)*')
-      | (?P<punct>[(),.|~=])
-    """,
+    r"""[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*
+      ( [(),.|~=] | \$?[a-z][A-Za-z0-9_]* | [A-Z_][A-Za-z0-9_]* | \d+ | '(?:[^'\\]|\\.)*' | !=
+      | . | \Z )""",
     re.VERBOSE,
 )
 _PLAIN_NAME = re.compile(r"[a-z][A-Za-z0-9_]*|\d+")  # a name printed unquoted
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+_VARIABLE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NOT_A_NAME = frozenset(("", *"(),.|~=!$"))  # first characters of the end, punctuation, != and $words
+_ONE_CHARACTER = frozenset("(),.|~=") | _LOWER | _VARIABLE  # one-character tokens, with the digits
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        assert kind is not None
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+def _tokenize(text: str) -> list[str]:
+    """text's tokens as strings, ending in one empty string; a stray
+    character raises ParseError at its line and column."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        tokens.pop()  # blanks at the end are a match of their own
+    strays = {t for t in {*tokens} if len(t) == 1 and t not in _ONE_CHARACTER and not t.isdecimal()}
+    if strays:
+        i = next(k for k, t in enumerate(tokens) if t in strays)
+        raise ParseError(f"unexpected character {tokens[i]!r}", *_position(text, tokens, i))
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser over one file's token stream."""
+def _position(text: str, tokens: list[str], i: int) -> tuple[int, int]:
+    """The line and column of tokens[i], recounted from text: the i-th match
+    of _TOKEN_RE ends with it."""
+    offset = next(islice(_TOKEN_RE.finditer(text), i, None)).end() - len(tokens[i])
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def __init__(self, tokens: list[_Token], sig: Signature, factory: ClauseFactory) -> None:
-        self.tokens = tokens
+
+def _name(tok: str) -> str:
+    return tok[1:-1] if tok[0] == "'" else tok
+
+
+class _Parser:
+    """Recursive-descent reader of one file, walking its token list
+    (_tokenize) by index: pos is the next token.  A token's line and column
+    are counted from the text only when an error names them."""
+
+    def __init__(self, text: str, sig: Signature) -> None:
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
-        self.factory = factory
+        self.functions: dict[str, tuple[int, int]] = {}  # a function symbol's token -> its id and arity
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, *_position(self.text, self.tokens, i))
 
-    def take(self) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.pos]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", self.pos)
         self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.take()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok
 
     # one directive per call; returns ("cnf", role, literals) or
-    # ("include", path, the include token)
+    # ("include", path, the index of the include token)
     def directive(self):
-        tok = self.take()
-        if tok.text == "cnf":
+        toks = self.tokens
+        at = self.pos
+        self.pos += 1
+        if toks[at] == "cnf":
             self.expect("(")
-            name = self.take()
-            if name.kind not in ("lower", "upper", "num", "quoted"):
-                raise ParseError(f"bad formula name {name.text!r}", name.line, name.col)
+            if toks[self.pos][:1] in _NOT_A_NAME:
+                raise self.error(f"bad formula name {toks[self.pos]!r}", self.pos)
+            self.pos += 1
             self.expect(",")
-            role = self.take()
-            if role.kind != "lower":
-                raise ParseError(f"bad role {role.text!r}", role.line, role.col)
+            role = toks[self.pos]
+            if role[:1] not in _LOWER:
+                raise self.error(f"bad role {role!r}", self.pos)
+            self.pos += 1
             self.expect(",")
-            literals = self.formula()
+            wrapped = toks[self.pos] == "("
+            self.pos += wrapped
+            scope: dict[str, Var] = {}
+            literals = []
+            while True:
+                lit = self.literal(scope)
+                if lit is not None:
+                    literals.append(lit)
+                if toks[self.pos] != "|":
+                    break
+                self.pos += 1
+            if wrapped:
+                self.expect(")")
             self.expect(")")
             self.expect(".")
-            return ("cnf", role.text, literals)
-        if tok.text == "include":
+            return ("cnf", role, literals)
+        if toks[at] == "include":
             self.expect("(")
-            path = self.take()
-            if path.kind != "quoted":
-                raise ParseError("include expects a quoted path", path.line, path.col)
+            path = toks[self.pos]
+            if path[:1] != "'":
+                raise self.error("include expects a quoted path", self.pos)
+            self.pos += 1
             self.expect(")")
             self.expect(".")
-            return ("include", path.text[1:-1], tok)
-        raise ParseError(f"expected cnf or include, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-    def formula(self) -> list[Literal]:
-        wrapped = self.peek().text == "("
-        if wrapped:
-            self.take()
-        literals = self.disjunction()
-        if wrapped:
-            self.expect(")")
-        return literals
-
-    def disjunction(self) -> list[Literal]:
-        scope: dict[str, Var] = {}
-        literals = []
-        while True:
-            lit = self.literal(scope)
-            if lit is not None:
-                literals.append(lit)
-            if self.peek().text != "|":
-                return literals
-            self.take()
+            return ("include", path[1:-1], at)
+        raise self.error(f"expected cnf or include, found {toks[at] or 'end of input'!r}", at)
 
     def literal(self, scope: dict[str, Var]) -> Optional[Literal]:
-        negated = False
-        if self.peek().text == "~":
-            self.take()
-            negated = True
-        tok = self.peek()
-        if tok.kind == "dollar":
-            if tok.text != "$false":
-                raise ParseError(f"unsupported construct {tok.text!r}", tok.line, tok.col)
+        toks = self.tokens
+        negated = toks[self.pos] == "~"
+        self.pos += negated
+        at = self.pos
+        if toks[at][:1] == "$":
+            if toks[at] != "$false":
+                raise self.error(f"unsupported construct {toks[at]!r}", at)
             if negated:
-                raise ParseError("cannot negate $false", tok.line, tok.col)
-            self.take()
+                raise self.error("cannot negate $false", at)
+            self.pos += 1
             return None
-        lhs_tok = self.peek()
-        lhs = self.raw_atom()
-        nxt = self.peek().text
-        if nxt in ("=", "!="):
-            self.take()
-            left = self.to_term(lhs, scope)
-            right = self.to_term(self.raw_atom(), scope)
-            if nxt == "=":
-                return eq(left, right).negated() if negated else eq(left, right)
-            if negated:
-                raise ParseError("cannot negate an inequality", lhs_tok.line, lhs_tok.col)
-            return neq(left, right)
-        if lhs[0] != "f":
-            raise ParseError("predicate expected", lhs_tok.line, lhs_tok.col)
-        _, name, args, _, _ = lhs
-        sym = self.intern_predicate(name, len(args), lhs_tok)
-        atom = sym(*[self.to_term(a, scope) for a in args])
-        return atom.negated() if negated else atom
-
-    # raw atoms defer the function/predicate decision until the context is known;
-    # both passes keep their open applications on a list, not on the call stack,
-    # so nesting depth is bounded by memory alone
-    def raw_atom(self):
-        open_apps: list = []  # ("f", name, args, line, col) still reading arguments
-        while True:
-            tok = self.take()
-            if tok.kind == "upper":
-                node = ("v", tok.text)
-            elif tok.kind in ("lower", "quoted", "num"):
-                name = tok.text[1:-1] if tok.kind == "quoted" else tok.text
-                node = ("f", name, [], tok.line, tok.col)
-                if self.peek().text == "(":
-                    self.take()
-                    open_apps.append(node)
-                    continue
-            else:
-                raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-            # node is complete: hand it to its parent, closing every
-            # application whose last argument it was
-            while open_apps:
-                open_apps[-1][2].append(node)
-                if self.peek().text == ",":
-                    self.take()
-                    break
-                self.expect(")")
-                node = open_apps.pop()
-            else:
-                return node
-
-    def to_term(self, raw, scope: dict[str, Var]) -> Term:
-        """Build a raw atom, interning symbols and numbering variables in pre-order."""
-        done: list[Term] = []
-        todo: list = [raw]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, FunctionSymbol):
-                # every argument is built: they are the last arity results
-                first = len(done) - item.arity
-                args = done[first:]
-                del done[first:]
-                done.append(item(*args))
-            elif item[0] == "v":
-                name = item[1]
-                if name not in scope:
-                    scope[name] = Var(len(scope))
-                done.append(scope[name])
-            else:
-                _, name, args, line, col = item
-                try:
-                    sym = self.sig.function(name, len(args))
-                except SignatureError as exc:
-                    raise ParseError(str(exc), line, col) from exc
-                todo.append(sym)
-                todo.extend(reversed(args))
-        return done[0]
-
-    def intern_predicate(self, name: str, arity: int, tok: _Token):
+        lhs = self.read()
+        op = toks[self.pos]
+        if op == "=" or op == "!=":
+            (left,) = self.build(lhs, scope)
+            self.pos += 1
+            (right,) = self.build(self.read(), scope)
+            if op == "!=" and negated:
+                raise self.error("cannot negate an inequality", at)
+            return Literal(op == "=" and not negated, None, (left, right))
+        arity = lhs[1][0]
+        if arity < 0:
+            raise self.error("predicate expected", at)
         try:
-            return predicate(self.sig, name, arity)
+            sid = self.sig.intern(_name(toks[at]), arity, "predicate")
         except SignatureError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+            raise self.error(str(exc), at) from exc
+        return Literal(not negated, sid, self.build(lhs, scope, 1))
+
+    def read(self) -> tuple[list[int], list[int]]:
+        """The term or atom at pos, read before it is known to be either:
+        the token index of each of its symbols and variables in pre-order,
+        and the arity of each, -1 for a variable.  Neither read nor build
+        keeps open applications on the call stack."""
+        toks = self.tokens
+        i = self.pos
+        at: list[int] = []
+        arity: list[int] = []
+        open_apps: list[int] = []  # nodes of the applications still reading arguments
+        while True:
+            first = toks[i][:1]
+            if first in _NOT_A_NAME:
+                raise self.error(f"expected a term, found {toks[i] or 'end of input'!r}", i)
+            at.append(i)
+            i += 1
+            if first not in _VARIABLE and toks[i] == "(":
+                open_apps.append(len(arity))
+                arity.append(1)
+                i += 1
+                continue
+            arity.append(-1 if first in _VARIABLE else 0)
+            # the node is complete: close every application whose last
+            # argument it was
+            while open_apps:
+                tok = toks[i]
+                i += 1
+                if tok == ",":
+                    arity[open_apps[-1]] += 1
+                    break
+                if tok != ")":
+                    raise self.error(f"expected ')', found {tok or 'end of input'!r}", i - 1)
+                open_apps.pop()
+            else:
+                self.pos = i
+                return at, arity
+
+    def build(self, read: tuple[list[int], list[int]], scope: dict[str, Var], first: int = 0) -> tuple[Term, ...]:
+        """The terms of a read() from its node first on: symbols intern and
+        variables number in pre-order, then make_app builds the
+        applications bottom-up, by symbol id."""
+        at, arity = read
+        toks = self.tokens
+        functions = self.functions
+        heads: list = []  # each node's variable or symbol id
+        for k in range(first, len(at)):
+            tok = toks[at[k]]
+            n = arity[k]
+            if n < 0:
+                var = scope.get(tok)
+                if var is None:
+                    var = scope[tok] = Var(len(scope))
+                heads.append(var)
+                continue
+            known = functions.get(tok)
+            if known is None or known[1] != n:
+                try:
+                    known = functions[tok] = (self.sig.intern(_name(tok), n), n)
+                except SignatureError as exc:
+                    raise self.error(str(exc), at[k]) from exc
+            heads.append(known[0])
+        done: list[Term] = []
+        for head, n in zip(reversed(heads), reversed(arity)):
+            if n < 0:
+                done.append(head)
+            else:
+                args = tuple(done[: -n - 1 : -1])
+                if n:
+                    del done[-n:]
+                done.append(make_app(head, args))
+        return tuple(reversed(done))
 
 
 def parse_problem(
@@ -269,12 +269,12 @@ def parse_problem(
     top = os.path.abspath(path) if path else None
     # the open files, innermost last: the parser, the path as its include
     # directive names it (path for text), and its absolute path
-    stack = [(_Parser(_tokenize(text), sig, factory), path, top)]
+    stack = [(_Parser(text, sig), path, top)]
     visiting = {top}
     while stack:
         parser, shown, target = stack[-1]
         try:
-            if parser.peek().kind == "eof":
+            if not parser.tokens[parser.pos]:
                 stack.pop()
                 visiting.discard(target)
                 continue
@@ -285,18 +285,18 @@ def parse_problem(
                 problem.clauses.append(clause)
                 problem.roles[clause.cid] = role
                 continue
-            _, include, tok = item
+            _, include, at = item
             inner = os.path.join(os.path.dirname(shown) if shown else os.getcwd(), include)
             inner_target = os.path.abspath(inner)
             if inner_target in visiting:
-                raise ParseError(f"cyclic include of {include!r}", tok.line, tok.col)
+                raise parser.error(f"cyclic include of {include!r}", at)
             try:
                 with open(inner_target, encoding="utf-8") as handle:
                     included_text = handle.read()
             except (OSError, UnicodeDecodeError) as exc:
-                raise ParseError(f"cannot read include {include!r}: {exc}", tok.line, tok.col) from exc
+                raise parser.error(f"cannot read include {include!r}: {exc}", at) from exc
             try:
-                tokens = _tokenize(included_text)
+                inner_parser = _Parser(included_text, sig)
             except ParseError as exc:
                 raise ParseError(exc.message, exc.line, exc.col, inner) from exc
         except ParseError as exc:
@@ -304,7 +304,7 @@ def parse_problem(
             if exc.file is not None or len(stack) == 1:
                 raise
             raise ParseError(exc.message, exc.line, exc.col, shown) from exc
-        stack.append((_Parser(tokens, sig, factory), inner, inner_target))
+        stack.append((inner_parser, inner, inner_target))
         visiting.add(inner_target)
     return problem
 

@@ -14,7 +14,8 @@ Replaced versions of engine code are kept as references too: renaming
 apart by an offset per call, KBO recounting variables at every level, the
 term walks each index and screen made for itself before every clause kept
 one walk per literal, the multi-literal search as a recursive generator,
-and the variant test as a direct search for the renaming.  Three helpers
+the variant test as a direct search for the renaming, and the TPTP
+tokenizer that kept a line and column on every token.  Three helpers
 only tests call live here too: comparing two literal sequences as clauses,
 the variant test on the engine's matcher (variant: equal length and
 subsumption both ways), and reading a problem file.
@@ -23,10 +24,11 @@ subsumption both ways), and reading a problem file.
 from __future__ import annotations
 
 import os
+import re
 import weakref
 from collections import Counter
 from itertools import count, product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from sdprover import calculus
 from sdprover.clauses import Clause, Literal, eq, literal_occurrences, orientations, replace_in_literal, select
@@ -53,7 +55,7 @@ from sdprover.terms import (
     term_vars,
     unify_pairs,
 )
-from sdprover.tptp import Problem, parse_problem
+from sdprover.tptp import ParseError, Problem, parse_problem
 
 
 def multiset_greater_ref(xs, ys, cmp) -> bool:
@@ -82,6 +84,56 @@ def load_problem(path: str, sig, factory) -> Problem:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     return parse_problem(text, sig, factory, path=path, name=os.path.basename(path))
+
+
+# ---------------------------------------------------------------- tokens
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<ws>[ \t\r\n]+)
+      | (?P<comment>%[^\n]*)
+      | (?P<neq>!=)
+      | (?P<dollar>\$[a-z][A-Za-z0-9_]*)
+      | (?P<lower>[a-z][A-Za-z0-9_]*)
+      | (?P<upper>[A-Z_][A-Za-z0-9_]*)
+      | (?P<num>\d+)
+      | (?P<quoted>'(?:[^'\\]|\\.)*')
+      | (?P<punct>[(),.|~=])
+    """,
+    re.VERBOSE,
+)
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """text's tokens with their kinds and positions, one match at a time,
+    ending in an "eof" token; a character no token starts with raises
+    ParseError at its line and column."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        assert kind is not None
+        chunk = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(Token(kind, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------- renaming

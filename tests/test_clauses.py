@@ -1,15 +1,29 @@
 """Tests for literals, clauses, selection, renaming, and variants."""
 
+import itertools
 import time
+from operator import is_
 
 import pytest
-from oracles import apply, canonical_literals, clause_vars, nvars, shift_vars, variant
+from oracles import apply, canonical_literals, clause_vars, nvars, rename_literals, shift_vars, variant
 from randgen import Gen
 
-from sdprover.clauses import Clause, ClauseFactory, Literal, eq, neq, predicate, rename_apart, select
+from sdprover.clauses import (
+    Clause,
+    ClauseFactory,
+    Literal,
+    _instantiate_literals,
+    canonical_instance,
+    eq,
+    neq,
+    predicate,
+    rename_apart,
+    select,
+)
 from sdprover.matching import _literal_pairings
 from sdprover.ordering import OrderResult, compare_literals
 from sdprover.terms import Signature, SignatureError, Var, run_scope, unify_pairs
+from sdprover.tptp import parse_problem
 
 env = Gen(seed=11)
 x, y = Var(0), Var(1)
@@ -95,6 +109,73 @@ def test_canonical_literals_first_occurrence_order():
     lits = (env.p(Var(5)), env.r(Var(2), Var(5)))
     renamed = ClauseFactory().make(lits).literals
     assert renamed == (env.p(Var(0)), env.r(Var(1), Var(0)))
+
+
+def _full_pass(lits, unifier):
+    """canonical_instance without its shortcut: every literal rebuilt."""
+    fresh = itertools.count()
+    return _instantiate_literals(lits, unifier, lambda v: Var(next(fresh)))
+
+
+def _same_objects(got, lits) -> bool:
+    return len(got) == len(lits) and all(map(is_, got, lits))
+
+
+def test_numbered_literals_are_minted_as_they_are():
+    """Under an empty unifier, literals whose variables are already 0, 1,
+    ... in pre-order of first occurrence are not rebuilt: the parser's
+    clauses are minted with the literal objects it made."""
+    lits = (env.r(Var(0), env.f(Var(1))), eq(env.g(Var(1)), Var(2)), env.p(env.a), env.q(Var(0)))
+    assert canonical_instance(lits, {}) is lits
+    assert _same_objects(canonical_instance(list(lits), {}), lits)
+    assert ClauseFactory().make(lits).literals is lits
+    problem = parse_problem("cnf(a, axiom, ~p(X) | q(f(Y, X)) | Z = g(Y)).", Signature(), ClauseFactory())
+    (clause,) = problem.clauses
+    assert canonical_instance(clause.literals, {}) is clause.literals
+
+
+@pytest.mark.parametrize(
+    "vids",
+    [(-1,), (-1, -1), (0, -1), (-1, 0), (0, -2, 1), (1, 0), (0, 2, 1), (0, 2), (1,), (0, 1, 3), (0, 0, 2)],
+)
+def test_misnumbered_literals_are_renumbered_as_the_full_pass_does(vids):
+    """Negative ids (renamed apart), ids out of order and gaps all go
+    through the full pass: a negative id is never one already met."""
+    lits = tuple(env.r(Var(v), env.f(Var(v))) if i % 2 else env.p(Var(v)) for i, v in enumerate(vids))
+    got = canonical_instance(lits, {})
+    assert [(l.positive, l.pred, l.args) for l in got] == [(l.positive, l.pred, l.args) for l in _full_pass(lits, {})]
+    assert [l.args for l in got] == [l.args for l in canonical_literals(lits)]
+    assert not any(map(is_, got, lits))
+
+
+def test_canonical_instance_agrees_with_the_full_pass():
+    """Random literal lists, some already numbered, some shifted to
+    negative or higher ids, under empty and non-empty unifiers: the result
+    equals the full pass, and is the literals themselves exactly when the
+    unifier is empty and they are already numbered."""
+    gen = Gen(seed=67, n_vars=4)
+    kept = rebuilt = 0
+    for _ in range(600):
+        lits = gen.lits(gen.rng.randrange(1, 4), depth=3)
+        roll = gen.rng.random()
+        if roll < 0.4:
+            lits = canonical_literals(lits)
+        elif roll < 0.6:
+            lits = rename_literals(lits, gen.rng.choice([-9, -4, 2]))
+        sub = {}
+        if gen.rng.random() < 0.3:
+            terms = [a for lit in lits for a in lit.args]
+            sub = unify_pairs([(gen.rng.choice(terms), gen.rng.choice(terms))]) or {}
+        got = canonical_instance(lits, sub)
+        expected = _full_pass(lits, sub)
+        assert [(l.positive, l.pred, l.args) for l in got] == [(l.positive, l.pred, l.args) for l in expected]
+        if all(lit.ground for lit in lits):
+            continue
+        numbered = [l.args for l in canonical_literals(lits)] == [l.args for l in lits]
+        assert _same_objects(got, lits) == (not sub and numbered)
+        kept += _same_objects(got, lits)
+        rebuilt += not _same_objects(got, lits)
+    assert kept > 150 and rebuilt > 250
 
 
 def test_one_pass_instance_agrees_with_apply_then_canonicalize():

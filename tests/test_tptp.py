@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,6 +16,8 @@ from sdprover.saturation import ProverConfig, SatStatus, proof_clauses, saturate
 from sdprover.terms import App, Signature, Var
 from sdprover.tptp import (
     ParseError,
+    _position,
+    _tokenize,
     emit_result,
     format_clause,
     format_literal,
@@ -21,7 +25,7 @@ from sdprover.tptp import (
     parse_problem,
 )
 
-from oracles import variant
+from oracles import reference_tokenize, variant
 from randgen import Gen
 
 
@@ -151,6 +155,59 @@ def test_stray_character_reports_position():
     with pytest.raises(ParseError) as err:
         _parse("cnf(a, axiom,\n p(c) # q(c)).")
     assert err.value.line == 2
+
+
+# token soup: every kind of token, blanks, comments and line ends, and the
+# pieces the pattern cannot start a token with; a lone quote may pair with
+# a later one, and a backslash escapes inside quotes only
+_SOUP = [
+    "cnf", "include", "p", "f_1", "X", "_Y2", "Abc", "42", "007", "'a b'", "'it\\'s'", "''", "'\\\\'",
+    "(", ")", ",", ".", "|", "~", "=", "!=", "$false", "$true",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "% a comment\n", "%%\n", "% at the end",
+]
+_STRAYS = ["#", "!", "$", "'", "\\", "\f", "@", "\u00e4", "$1"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tokenizer_agrees_with_the_reference(seed):
+    """The one-findall tokenizer gives the token texts of the reference,
+    which matched one token at a time and kept a line and column on each;
+    recounting a token's position from the text gives the reference's, and
+    a stray character raises the reference's ParseError."""
+    rng = random.Random(seed)
+    errors = 0
+    for _ in range(1500):
+        pieces = [rng.choice(_STRAYS if rng.random() < 0.03 else _SOUP) for _ in range(rng.randrange(30))]
+        text = "".join(pieces)
+        try:
+            expected = reference_tokenize(text)
+        except ParseError as exc:
+            errors += 1
+            with pytest.raises(ParseError) as err:
+                _tokenize(text)
+            assert (err.value.message, err.value.line, err.value.col) == (exc.message, exc.line, exc.col), text
+            continue
+        tokens = _tokenize(text)
+        assert tokens == [tok.text for tok in expected], text
+        assert [_position(text, tokens, i) for i in range(len(tokens))] == [(t.line, t.col) for t in expected], text
+    assert 300 < errors < 1200
+
+
+def test_parse_errors_report_line_and_column():
+    cases = [
+        ("cnf(a, axiom,\n p(c) # q(c)).", "unexpected character '#'", 2, 7),
+        ("cnf(a, axiom, p(c)).\r\n  cnf(b, axiom, q(c) r).", "expected ')', found 'r'", 2, 22),
+        ("% comment\ncnf(a, axiom, p(f(X, Y)) | q(f(X))).", "function symbol 'f' used with arity 1, "
+         "previously declared with arity 2", 2, 30),
+        ("cnf(a, axiom, p(c)\n\n  ", "expected ')', found 'end of input'", 3, 3),
+        ("cnf(a, axiom, p(c)). % end\n\n)", "expected cnf or include, found ')'", 3, 1),
+        ("cnf('x y', axiom, X).", "predicate expected", 1, 19),
+        ("cnf(a, axiom, ~ c != d).", "cannot negate an inequality", 1, 17),
+    ]
+    for text, message, line, col in cases:
+        with pytest.raises(ParseError) as err:
+            _parse(text)
+        assert (err.value.message, err.value.line, err.value.col) == (message, line, col), text
 
 
 def test_include_resolves_relative_to_including_file(tmp_path):
@@ -383,32 +440,40 @@ def test_cli_time_limit_is_timeout(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "% SZS status Timeout"
 
 
+def test_cli_budget_spent_reading_is_a_timeout(tmp_path, capsys, monkeypatch):
+    """Time spent reading counts: when parsing returns after the deadline,
+    the CLI reports Timeout and does not start saturate, whose time limit
+    of 0 would mean none."""
+    parse = cli.parse_problem
+
+    def slow_parse(*args, **kwargs):
+        problem = parse(*args, **kwargs)
+        time.sleep(0.1)
+        return problem
+
+    monkeypatch.setattr(cli, "parse_problem", slow_parse)
+    monkeypatch.setattr(cli, "saturate", lambda *args: pytest.fail("saturate started"))
+    path = _write(tmp_path, "cnf(a, axiom, p(c)). cnf(b, axiom, ~p(X) | p(f(X))).")
+    assert main(["--time-limit", "0.05", "--clause-limit", "0", path]) == 2
+    assert capsys.readouterr().out.strip() == "% SZS status Timeout"
+
+
 def _balanced(depth: int) -> str:
     return "Y" if depth == 0 else f"h({_balanced(depth - 1)}, {_balanced(depth - 1)})"
 
 
 # Runs the CLI with a 1 s time limit on the problem file argv[1] and prints
-# its output, exit code and the seconds saturate took as one JSON line.
-# The deadline governs saturate only, so parsing deep inputs is not timed.
+# its output, exit code and the seconds main took as one JSON line.  The
+# limit counts from reading the input, so main is what it bounds.
 _TIME_LIMITED_CLI = """
 import contextlib, io, json, sys, time
 from sdprover import cli
 
-untimed = cli.saturate
-timed = []
-
-def timed_saturate(*args, **kwargs):
-    start = time.monotonic()
-    try:
-        return untimed(*args, **kwargs)
-    finally:
-        timed.append(time.monotonic() - start)
-
-cli.saturate = timed_saturate
 out = io.StringIO()
+start = time.monotonic()
 with contextlib.redirect_stdout(out):
     code = cli.main(["--time-limit", "1", sys.argv[1]])
-print(json.dumps({"out": out.getvalue(), "code": code, "saturate_s": timed[0]}))
+print(json.dumps({"out": out.getvalue(), "code": code, "main_s": time.monotonic() - start}))
 """
 
 
@@ -423,14 +488,14 @@ def _run_child(script: str, *args: str, **env: str) -> subprocess.CompletedProce
 
 def _assert_times_out_within_bound(path):
     """The CLI, run on path with --time-limit 1 in a child interpreter,
-    prints Timeout and exits 2, and saturate returns within 3 s (2 s of
-    slack for a loaded machine).  A run that loses its deadline check fails
-    here when the child is killed after 60 s, instead of hanging the suite."""
+    prints Timeout and exits 2, and main returns within 3 s (2 s of slack
+    for a loaded machine).  A run that loses its deadline check fails here
+    when the child is killed after 60 s, instead of hanging the suite."""
     child = _run_child(_TIME_LIMITED_CLI, path)
     assert child.returncode == 0, child.stderr
     run = json.loads(child.stdout)
     assert (run["out"].strip(), run["code"]) == ("% SZS status Timeout", 2)
-    assert run["saturate_s"] < 3.0, run["saturate_s"]
+    assert run["main_s"] < 3.0, run["main_s"]
 
 
 def test_cli_time_limit_holds_inside_one_inference(tmp_path):
@@ -525,6 +590,17 @@ def test_cli_time_limit_holds_in_literal_selection(tmp_path):
     wide = " | ".join(f"p(b, X{i}, a{i})" for i in range(600))
     depth = 100_000
     text = f"cnf(wide, axiom, {wide}).\ncnf(tower, axiom, ~p(c, {'f(' * depth}d{')' * depth}, Y)).\n"
+    _assert_times_out_within_bound(_write(tmp_path, text))
+
+
+def test_cli_time_limit_holds_while_reading_the_problem(tmp_path):
+    """The time limit counts from reading the input, and minting checks
+    the deadline per input clause: a file of 20,000 clauses (1.4 MB) times
+    out within the bound, whether or not it is parsed by then."""
+    text = "".join(
+        f"cnf(c{i}, axiom, ~p{i % 7}(X, f(Y, a{i % 13})) | q(g(X), b{i % 5}) | h(X, Y) = k(Z, c)).\n"
+        for i in range(20_000)
+    )
     _assert_times_out_within_bound(_write(tmp_path, text))
 
 
