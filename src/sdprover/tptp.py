@@ -98,7 +98,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
-        self.functions: dict[str, tuple[int, int]] = {}  # a function symbol's token -> its id and arity
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, *_position(self.text, self.tokens, i))
@@ -226,7 +225,6 @@ class _Parser:
         applications bottom-up, by symbol id."""
         at, arity = read
         toks = self.tokens
-        functions = self.functions
         heads: list = []  # each node's variable or symbol id
         for k in range(first, len(at)):
             tok = toks[at[k]]
@@ -237,13 +235,10 @@ class _Parser:
                     var = scope[tok] = Var(len(scope))
                 heads.append(var)
                 continue
-            known = functions.get(tok)
-            if known is None or known[1] != n:
-                try:
-                    known = functions[tok] = (self.sig.intern(_name(tok), n), n)
-                except SignatureError as exc:
-                    raise self.error(str(exc), at[k]) from exc
-            heads.append(known[0])
+            try:
+                heads.append(self.sig.intern(_name(tok), n))
+            except SignatureError as exc:
+                raise self.error(str(exc), at[k]) from exc
         done: list[Term] = []
         for head, n in zip(reversed(heads), reversed(arity)):
             if n < 0:
