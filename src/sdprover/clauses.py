@@ -27,9 +27,9 @@ class Literal:
     attributes, apart from the atom that atom() builds once and keeps.
     Equality atoms (pred is None) are unordered pairs for identity purposes:
     s = t and t = s compare equal and hash alike.  The hash, the weight and
-    whether the literal is ground are computed at construction, as App's
-    are: clauses, selection and the indexes read them far more often than
-    they build literals.
+    whether the literal is ground are computed at construction, the last
+    two in one loop, as App's are: clauses, selection and the indexes read
+    them far more often than they build literals.
     """
 
     __slots__ = ("positive", "pred", "args", "weight", "ground", "_hash", "_atom")
@@ -38,8 +38,14 @@ class Literal:
         self.positive = positive
         self.pred = pred
         self.args = args
-        self.weight = 1 + sum(a.weight for a in args)
-        self.ground = all(a.ground for a in args)
+        weight = 1
+        ground = True
+        for a in args:
+            weight += a.weight
+            if not a.ground:
+                ground = False
+        self.weight = weight
+        self.ground = ground
         if pred is None:
             self._hash = hash((positive, hash(args[0]) ^ hash(args[1])))
         else:

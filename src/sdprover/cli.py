@@ -5,7 +5,8 @@ parsed under the run's deadline (terms.run_scope), minting checks it per
 input clause, and saturate gets the time that is left.
 
 Exit codes: 0 unsatisfiable, 1 satisfiable, 2 a limit hit (SZS status
-Timeout for the time limit, ResourceOut for the clause cap),
+Timeout for the time limit, MemoryOut for the memory limit, ResourceOut
+for the clause cap),
 3 bad input (unreadable file or one that is not UTF-8, parse error, arity
 conflict, or bad usage),
 4 any other error, reported as SZS status Error so a crash never reads as
@@ -65,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bsd", choices=("on", "off"), default="on", help="backward subsumption demodulation")
     parser.add_argument("--time-limit", type=_limit(float), default=60.0, help="seconds before giving up (0 = none)")
     parser.add_argument("--clause-limit", type=_limit(int), default=100000, help="clause count cap (0 = none)")
+    parser.add_argument("--memory-limit", type=_limit(int), default=1024, help="peak resident memory in MB (0 = none)")
     parser.add_argument("--proof", choices=("on", "off"), default="on", help="print the derivation on refutation")
     return parser
 
@@ -118,6 +120,7 @@ def _run(argv: Optional[list[str]]) -> int:
         time_limit=time_limit,
         clause_limit=args.clause_limit,
         proof=_switch(args.proof),
+        memory_limit=args.memory_limit,
     )
     result = saturate(problem.clauses, config, factory)
     print(emit_result(result, sig, proof=config.proof))

@@ -26,9 +26,10 @@ Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
 source variable that shares an id with a target variable is still a
 variable of its own.  The set-up each side needs is computed once per
-clause object and kept on it: as a source, the literal order, and each
-positive equality oriented as a rewrite rule together with the top symbols
-it can rewrite (SourceSetUp, which superposition reads too); as a target,
+clause object and kept on it: as a source, the literal order, whether a
+literal is ground, and each positive equality oriented as a rewrite rule
+together with the top symbols it can rewrite (SourceSetUp, which
+superposition reads too); as a target,
 the table of compatible literals, the symbols that occur, read off the
 clause's stored literal walks (clauses.literal_walks), not off a walk of
 its own, and the positions of each ground literal, filled when a ground
@@ -91,12 +92,15 @@ class SourceSetUp(NamedTuple):
         (verdict GREATER or INCOMPARABLE), or None when one of them is a
         variable.  A rewrite needs one of them at a non-variable position
         of the main premise.
+    ground: whether some literal is ground; the matcher then reads the
+        target's ground positions.
     """
 
     order: tuple[int, ...]
     last_eq: int
     equations: tuple[tuple[Orientation, ...], ...]
     triggers: Optional[tuple[int, ...]]
+    ground: bool
 
 
 class TargetSetUp(NamedTuple):
@@ -141,7 +145,13 @@ def _source_set_up(src: tuple[Literal, ...]) -> SourceSetUp:
             triggers = None
             break
         triggers.add(o.lhs.sym)
-    return SourceSetUp(order, last_eq, equations, None if triggers is None else tuple(sorted(triggers)))
+    return SourceSetUp(
+        order,
+        last_eq,
+        equations,
+        None if triggers is None else tuple(sorted(triggers)),
+        any(lit.ground for lit in src),
+    )
 
 
 def _target_set_up(clause: Clause) -> TargetSetUp:
@@ -225,9 +235,9 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     dst = target.literals
     if len(src) - (1 if reserve_equality else 0) > len(dst):
         return
-    order, last_eq, _, _ = source_set_up(source)
+    order, last_eq, _, _, has_ground = source_set_up(source)
     compatible = target_set_up(target).table
-    ground = _ground_positions(target) if any(lit.ground for lit in src) else {}
+    ground = _ground_positions(target) if has_ground else {}
 
     def children(k: int, subst: Substitution, eq_pos: Optional[int]):
         # the states of level k, in enumeration order: (subst, the target

@@ -36,6 +36,8 @@ exactly when a replayed conclusion has the step's literals, in order.
 from __future__ import annotations
 
 import heapq
+import resource
+import sys
 import time
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -62,18 +64,27 @@ class SatStatus(Enum):
 
 
 class ProverConfig(NamedTuple):
-    """Saturation switches and limits; zero limits mean unlimited."""
+    """Saturation switches and limits; zero limits mean unlimited.
+
+    memory_limit is in MB and bounds the process's peak resident set size
+    (ru_maxrss), which counts whatever the process held before the run.
+    """
 
     fsd: bool = True
     bsd: bool = True
     time_limit: float = 60.0
     clause_limit: int = 100000
     proof: bool = True
+    memory_limit: int = 1024
+
+
+# ru_maxrss units per MB: it is in KiB on Linux and in bytes on macOS
+_MAXRSS_PER_MB = 1024 * 1024 if sys.platform == "darwin" else 1024
 
 
 class SaturationResult:
     """One saturate call's verdict; limit_reason names the limit that
-    stopped a ResourceOut run ("time" or "clauses")."""
+    stopped a ResourceOut run ("time", "clauses" or "memory")."""
 
     def __init__(self, status: SatStatus, factory: ClauseFactory, empty: Optional[Clause] = None,
                  limit_reason: Optional[str] = None, iterations: int = 0, activated: int = 0) -> None:
@@ -130,9 +141,16 @@ class ProverState:
         self.bindex = BackwardIndex()
         self.fsd_index = FsdIndex()
 
-    def check_clauses(self) -> None:
-        if self.config.clause_limit > 0 and self.factory.created > self.config.clause_limit:
+    def check_limits(self) -> None:
+        """Raise ResourceLimit once the clause cap or the memory limit is passed."""
+        config = self.config
+        if config.clause_limit > 0 and self.factory.created > config.clause_limit:
             raise ResourceLimit("clauses")
+        if (
+            config.memory_limit > 0
+            and resource.getrusage(resource.RUSAGE_SELF).ru_maxrss > config.memory_limit * _MAXRSS_PER_MB
+        ):
+            raise ResourceLimit("memory")
 
     def activate(self, g: Clause) -> None:
         self.active[g.cid] = g
@@ -237,7 +255,7 @@ def saturate(clauses: Iterable[Clause], config: ProverConfig, factory: ClauseFac
             while len(st.passive) > 0:
                 result.iterations += 1
                 check_time()
-                st.check_clauses()
+                st.check_limits()
                 g = forward_simplify(st.passive.pop(), st)
                 if g is None:
                     continue

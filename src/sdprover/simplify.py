@@ -116,7 +116,7 @@ def sd_simplifications(side: Clause, main: Clause) -> Iterator[RewriteStep]:
     image, so that match is made here: the matcher starts only for a side
     of two or more literals.
     """
-    _, last_eq, equations, triggers = source_set_up(side)
+    _, last_eq, equations, triggers, _ = source_set_up(side)
     if last_eq < 0:
         return
     if triggers is not None:

@@ -31,7 +31,8 @@ class SignatureError(Exception):
 
 
 class ResourceLimit(Exception):
-    """A search limit was hit; reason names it ("time" or "clauses")."""
+    """A search limit was hit; reason names it ("time", "clauses" or
+    "memory")."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -41,23 +42,26 @@ class ResourceLimit(Exception):
 class Var:
     """A variable, identified by a clause-local integer id.
 
-    A slotted class, immutable by convention: only __init__ assigns vid.
-    Its hash, hash((vid,)), does not depend on PYTHONHASHSEED, so neither
-    do set and dict order nor the search."""
+    A slotted class, immutable by convention: only __init__ assigns its
+    attributes.  Its hash, hash((vid,)), is computed there and kept: every
+    App hash over it and every dict keyed by it reads the hash.  The value
+    does not depend on PYTHONHASHSEED, so neither do set and dict order
+    nor the search."""
 
-    __slots__ = ("vid",)
+    __slots__ = ("vid", "_hash")
 
     weight = 1
     ground = False
 
     def __init__(self, vid: int) -> None:
         self.vid = vid
+        self._hash = hash((vid,))
 
     def __eq__(self, other) -> bool:
         return self.vid == other.vid if type(other) is Var else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.vid,))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"X{self.vid}"
@@ -67,13 +71,14 @@ class App:
     """A function application; constants are applications with no arguments.
 
     A slotted class, immutable by convention: only __init__ assigns its
-    attributes.  weight, ground, and the hash are computed there: the term
-    ordering reads them on every comparison, and recomputing them is
-    quadratic on the deep towers that saturation builds.  Equality and
-    hashing are iterative so such towers cannot exhaust the stack.  The
-    prover builds applications with make_app, which shares them within a
-    run (see the module docstring); equal shared terms compare equal at
-    the identity test.
+    attributes.  weight, ground, and the hash are computed there, weight
+    and ground in one loop over the arguments: the term ordering reads
+    them on every comparison, and recomputing them is quadratic on the
+    deep towers that saturation builds.  Equality and hashing are
+    iterative so such towers cannot exhaust the stack.  The prover builds
+    applications with make_app, which shares them within a run (see the
+    module docstring); equal shared terms compare equal at the identity
+    test.
     """
 
     __slots__ = ("sym", "args", "weight", "ground", "_hash")
@@ -81,8 +86,14 @@ class App:
     def __init__(self, sym: int, args: tuple["Term", ...] = ()) -> None:
         self.sym = sym
         self.args = args
-        self.weight = 1 + sum(a.weight for a in args)
-        self.ground = all(a.ground for a in args)
+        weight = 1
+        ground = True
+        for a in args:
+            weight += a.weight
+            if not a.ground:
+                ground = False
+        self.weight = weight
+        self.ground = ground
         self._hash = hash((sym, args))
 
     def __hash__(self) -> int:
@@ -381,15 +392,6 @@ def _occurs(vid: int, term: Term, bindings: dict[int, Term]) -> bool:
     return False
 
 
-def _walk(term: Term, bindings: dict[int, Term]) -> Term:
-    while isinstance(term, Var):
-        bound = bindings.get(term.vid)
-        if bound is None:
-            return term
-        term = bound
-    return term
-
-
 def unify_pairs(pairs) -> Optional[Substitution]:
     """Unify a sequence of term pairs simultaneously.
 
@@ -401,27 +403,53 @@ def unify_pairs(pairs) -> Optional[Substitution]:
     larger.  The run's deadline is checked first, so a rule that unifies
     deep terms many times stops near the time limit even when no
     unification succeeds and nothing is minted.
+
+    Each side of a pair is first walked through the bindings made so far.
+    Identical sides need nothing.  Two variables of different ids are bound
+    without an occurs check (an unbound variable holds no other), and a
+    variable is bound to a ground term without one.  Two applications are
+    compared whole only when both are ground; otherwise they are split
+    into their argument pairs, which an equal pair passes without binding
+    anything.
     """
     check_time()
     bindings: Substitution = {}
+    get = bindings.get
     stack = list(pairs)
+    pop = stack.pop
     while stack:
-        s, t = stack.pop()
-        s = _walk(s, bindings)
-        t = _walk(t, bindings)
-        if s == t:
+        s, t = pop()
+        while type(s) is Var:
+            bound = get(s.vid)
+            if bound is None:
+                break
+            s = bound
+        while type(t) is Var:
+            bound = get(t.vid)
+            if bound is None:
+                break
+            t = bound
+        if s is t:
             continue
-        if isinstance(s, Var):
-            if _occurs(s.vid, t, bindings):
+        if type(s) is Var:
+            if type(t) is Var:
+                if s.vid != t.vid:
+                    bindings[s.vid] = t
+            elif t.ground or not _occurs(s.vid, t, bindings):
+                bindings[s.vid] = t
+            else:
                 return None
-            bindings[s.vid] = t
-        elif isinstance(t, Var):
-            if _occurs(t.vid, s, bindings):
+        elif type(t) is Var:
+            if s.ground or not _occurs(t.vid, s, bindings):
+                bindings[t.vid] = s
+            else:
                 return None
-            bindings[t.vid] = s
+        elif s.ground and t.ground:
+            if s != t:
+                return None
+        elif s.sym != t.sym or len(s.args) != len(t.args):
+            return None
         else:
-            if s.sym != t.sym or len(s.args) != len(t.args):
-                return None
             stack.extend(zip(s.args, t.args))
     return bindings
 
@@ -436,21 +464,23 @@ def match_pairs(pairs, base: Optional[Substitution] = None) -> Optional[Substitu
     map, so repeated pattern variables stay consistent across the sequence.
     """
     bindings: Substitution = {} if base is None else dict(base)
+    get = bindings.get
     stack = list(pairs)
+    pop = stack.pop
     while stack:
-        p, t = stack.pop()
-        if isinstance(p, Var):
-            bound = bindings.get(p.vid)
+        p, t = pop()
+        if type(p) is Var:
+            bound = get(p.vid)
             if bound is None:
                 bindings[p.vid] = t
-            elif bound != t:
+            elif bound is not t and bound != t:
                 return None
         elif p.ground:
             # a ground pattern matches exactly itself; weight screens mismatches
-            if p.weight != t.weight or p != t:
+            if p is not t and (p.weight != t.weight or p != t):
                 return None
+        elif type(t) is not App or p.sym != t.sym or len(p.args) != len(t.args):
+            return None
         else:
-            if not isinstance(t, App) or p.sym != t.sym or len(p.args) != len(t.args):
-                return None
             stack.extend(zip(p.args, t.args))
     return bindings

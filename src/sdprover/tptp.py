@@ -336,14 +336,17 @@ _SZS = {
     SatStatus.RESOURCE_OUT: "ResourceOut",
 }
 
+# the limits whose SZS status is not ResourceOut
+_LIMIT_SZS = {"time": "Timeout", "memory": "MemoryOut"}
+
 
 def emit_result(result: SaturationResult, sig: Signature, proof: bool = True) -> str:
     """SZS status line, plus numbered derivation lines for refutations.
 
-    A run stopped by the time limit is a Timeout; one stopped by the clause
-    cap is ResourceOut.
+    A run stopped by the time limit is a Timeout, one stopped by the memory
+    limit is MemoryOut, and one stopped by the clause cap is ResourceOut.
     """
-    status = "Timeout" if result.limit_reason == "time" else _SZS[result.status]
+    status = _LIMIT_SZS.get(result.limit_reason, _SZS[result.status])
     lines = [f"% SZS status {status}"]
     if proof and result.status is SatStatus.UNSATISFIABLE:
         for node in proof_clauses(result):

@@ -14,8 +14,10 @@ Replaced versions of engine code are kept as references too: renaming
 apart by an offset per call, KBO recounting variables at every level, the
 term walks each index and screen made for itself before every clause kept
 one walk per literal, the multi-literal search as a recursive generator,
-the variant test as a direct search for the renaming, and the TPTP
-tokenizer that kept a line and column on every token.  Three helpers
+the variant test as a direct search for the renaming, the TPTP
+tokenizer that kept a line and column on every token, and the unification
+and matching kernels as they were before their per-pair dispatch was
+inlined (unify_pairs_ref, match_pairs_ref).  Three helpers
 only tests call live here too: comparing two literal sequences as clauses,
 the variant test on the engine's matcher (variant: equal length and
 subsumption both ways), and reading a problem file.
@@ -330,7 +332,7 @@ def recursive_match_solutions(source, target, *, reserve_equality: bool) -> Iter
     dst = target.literals
     if len(src) - (1 if reserve_equality else 0) > len(dst):
         return
-    order, last_eq, _, _ = source_set_up(source)
+    order, last_eq, _, _, _ = source_set_up(source)
     compatible = target_set_up(target).table
 
     def search(k: int, subst: Substitution, used: frozenset, eq_pos: Optional[int]) -> Iterator[tuple]:
@@ -867,3 +869,80 @@ def ground_entails(premises: list, conclusion) -> bool:
         if all(any(_lit_true(lit, assignment) for lit in cl) for cl in premise_lits):
             return False
     return True
+
+
+def _walk_ref(term: Term, bindings: dict) -> Term:
+    while isinstance(term, Var):
+        bound = bindings.get(term.vid)
+        if bound is None:
+            return term
+        term = bound
+    return term
+
+
+def _occurs_ref(vid: int, term: Term, bindings: dict) -> bool:
+    stack = [term]
+    chased: set[int] = set()
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            if t.vid == vid:
+                return True
+            bound = bindings.get(t.vid)
+            if bound is not None and t.vid not in chased:
+                chased.add(t.vid)
+                stack.append(bound)
+        elif not t.ground:
+            stack.extend(t.args)
+    return False
+
+
+def unify_pairs_ref(pairs) -> Optional[Substitution]:
+    """terms.unify_pairs as it was before its binding walk was inlined:
+    each side walked by a helper, a structural equality test on every pair,
+    and an occurs check on every variable binding."""
+    bindings: Substitution = {}
+    stack = list(pairs)
+    while stack:
+        s, t = stack.pop()
+        s = _walk_ref(s, bindings)
+        t = _walk_ref(t, bindings)
+        if s == t:
+            continue
+        if isinstance(s, Var):
+            if _occurs_ref(s.vid, t, bindings):
+                return None
+            bindings[s.vid] = t
+        elif isinstance(t, Var):
+            if _occurs_ref(t.vid, s, bindings):
+                return None
+            bindings[t.vid] = s
+        else:
+            if s.sym != t.sym or len(s.args) != len(t.args):
+                return None
+            stack.extend(zip(s.args, t.args))
+    return bindings
+
+
+def match_pairs_ref(pairs, base: Optional[Substitution] = None) -> Optional[Substitution]:
+    """terms.match_pairs as it was before its identity tests and type
+    dispatch: isinstance tests and a structural comparison of every
+    repeated binding."""
+    bindings: Substitution = {} if base is None else dict(base)
+    stack = list(pairs)
+    while stack:
+        p, t = stack.pop()
+        if isinstance(p, Var):
+            bound = bindings.get(p.vid)
+            if bound is None:
+                bindings[p.vid] = t
+            elif bound != t:
+                return None
+        elif p.ground:
+            if p.weight != t.weight or p != t:
+                return None
+        else:
+            if not isinstance(t, App) or p.sym != t.sym or len(p.args) != len(t.args):
+                return None
+            stack.extend(zip(p.args, t.args))
+    return bindings

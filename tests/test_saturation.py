@@ -119,6 +119,18 @@ def test_time_limit():
     assert result.limit_reason == "time"
 
 
+def test_memory_limit():
+    # every interpreter's peak resident set is above 1 MB, so the limit
+    # stops the run before its first given clause
+    s = Setup()
+    inputs = [s.clause(s.p(s.a)), s.clause(s.p(X).negated(), s.p(s.f(X)))]
+    result = saturate(inputs, _quick(memory_limit=1), s.factory)
+    assert result.status is SatStatus.RESOURCE_OUT
+    assert result.limit_reason == "memory"
+    assert result.activated == 0
+    assert emit_result(result, s.sig) == "% SZS status MemoryOut"
+
+
 def _guarded_growth():
     """A clause set whose growth only conditional rewriting can stop.
 

@@ -1,19 +1,22 @@
 """Unit tests for terms, substitutions, unification, and matching."""
 
 import pytest
-from oracles import var_counts
+from oracles import match_pairs_ref, unify_pairs_ref, var_counts
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sdprover.clauses import Literal
 from sdprover.terms import (
     Signature,
     SignatureError,
     Var,
     apply_term,
     instantiate,
+    make_app,
     match_pairs,
     preorder_subterms,
     replace_at,
+    run_scope,
     term_vars,
     unify_pairs,
 )
@@ -33,6 +36,13 @@ terms = st.deferred(
         terms.map(f),
         terms.map(g),
         st.tuples(terms, terms).map(lambda pair: h(*pair)),
+    )
+)
+ground_terms = st.deferred(
+    lambda: st.one_of(
+        st.sampled_from([a, b]),
+        ground_terms.map(f),
+        st.tuples(ground_terms, ground_terms).map(lambda pair: h(*pair)),
     )
 )
 
@@ -197,3 +207,103 @@ def test_unifier_holds_no_identity_binding():
     assert sub is not None
     assert all(not (isinstance(t, Var) and t.vid == v) for v, t in sub.items())
     assert instantiate(h(x, y), sub, {}) == instantiate(h(y, f(z)), sub, {})
+
+
+def _rebuild(t):
+    """t rebuilt by make_app, with new variable objects: outside a run
+    scope a term equal to t that shares no object with it, inside one the
+    run's one application equal to it."""
+    if type(t) is Var:
+        return Var(t.vid)
+    return make_app(t.sym, tuple(_rebuild(u) for u in t.args))
+
+
+@st.composite
+def _kernel_pairs(draw):
+    """Term pairs for the unification and matching kernels.  The sides are
+    drawn from a pool of terms and their subterms, so pairs share objects;
+    a side may also be the other side itself, a copy of it made of distinct
+    objects (variables included), an instance of it, or a ground term next
+    to another ground term."""
+    pool = draw(st.lists(terms, min_size=1, max_size=3))
+    pick = st.sampled_from([u for t in pool for _, u in preorder_subterms(t)])
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["any", "same", "copy", "instance", "ground"]))
+        s = draw(pick)
+        if kind == "any":
+            t = draw(pick)
+        elif kind == "same":
+            t = s
+        elif kind == "copy":
+            t = _rebuild(s)
+        elif kind == "instance":
+            t = apply_term(s, draw(st.dictionaries(st.integers(0, 2), pick, max_size=3)))
+        else:
+            s = draw(ground_terms)
+            t = draw(st.one_of(st.just(s), st.just(_rebuild(s)), ground_terms))
+        pairs.append((s, t) if draw(st.booleans()) else (t, s))
+    return pairs
+
+
+def _same_bindings(got, want) -> bool:
+    """Both None, or the same keys in the same insertion order, each bound
+    to the identical object."""
+    if want is None or got is None:
+        return got is want
+    return list(got) == list(want) and all(got[v] is want[v] for v in want)
+
+
+@given(_kernel_pairs())
+def test_unify_pairs_agrees_with_the_reference_kernel(pairs):
+    assert _same_bindings(unify_pairs(pairs), unify_pairs_ref(pairs))
+
+
+@given(_kernel_pairs(), st.sets(st.integers(0, 2)), st.dictionaries(st.integers(3, 4), terms, max_size=2))
+def test_match_pairs_agrees_with_the_reference_kernel(pairs, identities, bound):
+    # base holds X -> X bindings, each to a variable object of its own,
+    # beside bindings of variables the pairs do not hold
+    base = {vid: Var(vid) for vid in identities}
+    base.update(bound)
+    for given_base in (None, base):
+        assert _same_bindings(match_pairs(pairs, given_base), match_pairs_ref(pairs, given_base))
+
+
+@given(_kernel_pairs())
+def test_kernels_agree_on_shared_terms(pairs):
+    # inside a run scope both sides of an equal pair are one object, and
+    # so are equal subterms across pairs
+    with run_scope(None):
+        shared = [(_rebuild(s), _rebuild(t)) for s, t in pairs]
+        assert _same_bindings(unify_pairs(shared), unify_pairs_ref(shared))
+        assert _same_bindings(match_pairs(shared), match_pairs_ref(shared))
+
+
+def _recomputed(t):
+    """(weight, ground) of t counted from scratch."""
+    nodes = [u for _, u in preorder_subterms(t)]
+    return len(nodes), not any(type(u) is Var for u in nodes)
+
+
+@given(terms)
+def test_construction_caches_agree_with_a_fresh_count(t):
+    for _, u in preorder_subterms(t):
+        assert (u.weight, u.ground) == _recomputed(u)
+        if type(u) is not Var:
+            assert u._hash == hash((u.sym, u.args))
+
+
+@given(st.booleans(), st.one_of(st.none(), st.just(7)), terms, terms)
+def test_literal_caches_agree_with_a_fresh_count(positive, pred, s, t):
+    lit = Literal(positive, pred, (s, t))
+    assert lit.weight == 1 + _recomputed(s)[0] + _recomputed(t)[0]
+    assert lit.ground == (_recomputed(s)[1] and _recomputed(t)[1])
+    if pred is None:
+        assert lit._hash == hash((positive, hash(s) ^ hash(t)))
+    else:
+        assert lit._hash == hash((positive, pred, (s, t)))
+
+
+@given(st.integers(-(2**70), 2**70))
+def test_variable_hash_is_the_hash_of_its_id_tuple(vid):
+    assert hash(Var(vid)) == hash((vid,))

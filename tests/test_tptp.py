@@ -604,6 +604,22 @@ def test_cli_time_limit_holds_while_reading_the_problem(tmp_path):
     _assert_times_out_within_bound(_write(tmp_path, text))
 
 
+def test_cli_memory_limit_is_memory_out():
+    """The baseline configuration on guard_binary.p keeps growing its
+    indexes (ROADMAP: index memory is quadratic in term depth): with a
+    64 MB memory limit the run stops as MemoryOut, exit 2, well before the
+    60 s time limit.  A child interpreter runs it, since the limit bounds
+    the process's peak resident set size and this one's is not fresh."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "guard_binary.p")
+    script = (
+        "import sys\n"
+        "from sdprover import cli\n"
+        "sys.exit(cli.main(['--fsd', 'off', '--bsd', 'off', '--clause-limit', '0', '--memory-limit', '64', sys.argv[1]]))"
+    )
+    child = _run_child(script, path)
+    assert (child.stdout.strip(), child.returncode) == ("% SZS status MemoryOut", 2), child.stderr
+
+
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     """Start-up stays cheap: dataclasses, with the inspect, ast, dis and
     tokenize modules it loads, costs more CPU than the rest of the
@@ -781,7 +797,13 @@ def test_cli_wide_clauses_get_a_verdict(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--time-limit", "-1"), ("--time-limit", "nan"), ("--time-limit", "inf"), ("--clause-limit", "-1")],
+    [
+        ("--time-limit", "-1"),
+        ("--time-limit", "nan"),
+        ("--time-limit", "inf"),
+        ("--clause-limit", "-1"),
+        ("--memory-limit", "-1"),
+    ],
 )
 def test_cli_limit_must_be_non_negative_and_finite(tmp_path, capsys, flag, value):
     path = _write(tmp_path, "cnf(a, axiom, p(c)).")
@@ -793,7 +815,7 @@ def test_cli_limit_must_be_non_negative_and_finite(tmp_path, capsys, flag, value
 
 def test_cli_zero_limits_mean_none(tmp_path, capsys):
     path = _write(tmp_path, "cnf(a, axiom, p(c)). cnf(b, negated_conjecture, ~p(c)).")
-    assert main(["--time-limit", "0", "--clause-limit", "0", path]) == 0
+    assert main(["--time-limit", "0", "--clause-limit", "0", "--memory-limit", "0", path]) == 0
     assert capsys.readouterr().out.startswith("% SZS status Unsatisfiable")
 
 
