@@ -263,16 +263,16 @@ def distinct_literals(clause: Clause) -> tuple[Literal, ...]:
     return clause._distinct
 
 
-def _walk(args: tuple[Term, ...]) -> tuple[tuple[Optional[int], ...], list[int]]:
-    """The pre-order keys of an argument tuple, None for each variable, and
-    for each position the position just past the subterm that starts there:
-    a term's weight is its number of nodes, so that is the start plus the
-    weight.
+def _walk(args: tuple[Term, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """The pre-order keys of an argument tuple, -1 - vid for each variable,
+    and for each position the position just past the subterm that starts
+    there: a term's weight is its number of nodes, so that is the start
+    plus the weight.
 
     The walk takes time and memory linear in the terms' weights, which can
     be exponential in their stored size, so the run's deadline is checked
     every 1,024 applications walked."""
-    keys: list[Optional[int]] = []
+    keys: list[int] = []
     ends: list[int] = []
     stack = list(reversed(args))
     walked = 0
@@ -280,7 +280,7 @@ def _walk(args: tuple[Term, ...]) -> tuple[tuple[Optional[int], ...], list[int]]
         t = stack.pop()
         if type(t) is Var:
             ends.append(len(keys) + 1)
-            keys.append(None)
+            keys.append(-1 - t.vid)
         else:
             ends.append(len(keys) + t.weight)
             keys.append(t.sym)
@@ -291,14 +291,15 @@ def _walk(args: tuple[Term, ...]) -> tuple[tuple[Optional[int], ...], list[int]]
     return tuple(keys), ends
 
 
-def literal_walks(clause: Clause) -> tuple[tuple[tuple[Optional[int], ...], list[int]], ...]:
+def literal_walks(clause: Clause) -> tuple[tuple[tuple[int, ...], list[int]], ...]:
     """The pre-order walk of each distinct literal's arguments, aligned with
     distinct_literals(clause), computed on the first call and kept on it.
 
     A walk is (keys, ends): keys holds the symbol of each subterm in
-    pre-order and None for each variable; ends[i] is the position just
-    past the subterm that starts at i, so ends[0] is where the second
-    argument starts.  Every term index and screen reads a literal's terms
+    pre-order and -1 - vid for each variable, so a key is negative exactly
+    at a variable, and equal keys mean the same variable; ends[i] is the
+    position just past the subterm that starts at i, so ends[0] is where
+    the second argument starts.  Every term index and screen reads a literal's terms
     from here, so each literal is walked once per clause.
     """
     if clause._walks is None:

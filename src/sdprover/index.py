@@ -3,7 +3,8 @@
 Two perfect discrimination trees (McCune, JAR 1992) answer every literal
 retrieval, each with one role.  A path is a tag followed by the pre-order
 symbols of a term sequence, STAR for every variable, read off the clause's
-stored literal walks (clauses.literal_walks).  The backward index's tree
+stored literal walks (clauses.literal_walks), and a check on the variables
+that occur more than once in it (_tree_path).  The backward index's tree
 holds each distinct literal of every active clause, tagged (polarity,
 predicate), for subsumption both ways and backward subsumption
 demodulation.  The forward rewriting index's tree (FsdIndex) holds the
@@ -20,23 +21,35 @@ until the clause is removed.
 Generalization retrieval follows a STAR edge by skipping the query's whole
 subterm at that point (the walk's ends say where it stops) and a symbol
 edge only on the same symbol; a query variable follows only STAR edges,
-since the matcher treats it as a rigid constant.  Instance retrieval
-follows a query symbol only along its own edge, and a query variable past
-one whole stored term, whose extent the tree reads from a symbol-to-arity
-table it learns from the walks' ends on insert (bounded by the signature).
-Both ignore repeated variables, so they return every generalization
-(instance) of the query, and possibly more: the matcher decides.  An
-equality matches in either argument order, so an equality query also runs
-on the walk of its other order: the second argument's keys, then the
-first's.  Forward subsumption, demodulation and forward subsumption
-demodulation retrieve generalizations of a clause's literals or
-subterms; backward subsumption and backward subsumption demodulation
-retrieve instances of g's literals or of c's best literals.
+since the matcher treats it as a rigid constant.  It checks repeated
+variables: a path in which a variable occurs twice is returned only when
+the query subterms at its occurrences are equal, a query variable being
+equal only to itself (_admit).  The check runs at the leaves that
+hold such paths, so the descent and the other leaves do not pay for it,
+and generalization retrieval returns exactly the paths that match the
+query.  Instance retrieval follows a query symbol only along its own
+edge, and a query variable past one whole stored term, whose extent the
+tree reads from a symbol-to-arity table it learns from the walks' ends on
+insert (bounded by the signature).  It ignores repeated variables, of the
+query and of the stored paths, so it returns every instance of the query,
+and possibly more.  An equality matches in either argument order, so an
+equality query also runs on the walk of its other order: the second
+argument's keys, then the first's.  Forward subsumption, demodulation and
+forward subsumption demodulation retrieve generalizations of a clause's
+literals or subterms; backward subsumption and backward subsumption
+demodulation retrieve instances of g's literals or of c's best literals.
 
 Subsumption candidates also pass the count screen: a subsumer maps its
 literals one to one onto literals with the same polarity and predicate, so
 it has no more literals under any (polarity, predicate) key than the
-clause it subsumes (read off matching.target_set_up).
+clause it subsumes (read off matching.target_set_up).  Subsumption
+demodulation candidates pass the trigger screen: a side premise rewrites
+only at an occurrence of one of its triggers (matching.source_set_up), the
+top symbols of its rewriting left-hand sides, so a pair whose main premise
+holds none of them is left out (no screen when a left-hand side is a
+variable).  Demodulators need no such screen, since their left-hand side
+generalizes a subterm of the query.  Every screen leaves out only pairs
+that cannot fire, and the matcher decides the rest.
 
 The backward index also holds each clause under generation keys, taken
 from its selected literals only, since the generating rules use no other:
@@ -72,7 +85,7 @@ RESOLVES = "r"
 REWRITES = "l"
 REWRITABLE = "s"
 REWRITE_LHS = "lhs"
-STAR = None  # the key of a variable in a literal walk
+STAR = None  # the tree key of a variable; its walk key is negative
 
 
 def _generation_keys(c: Clause) -> set[tuple]:
@@ -88,21 +101,80 @@ def _generation_keys(c: Clause) -> set[tuple]:
         else:
             keys.add((RESOLVES, lit.pred, lit.positive))
         selected.add(lit)
-    symbols: set[Optional[int]] = set()
+    symbols: set[int] = set()
     for lit, (lit_keys, _) in zip(distinct_literals(c), literal_walks(c)):
         if lit in selected:
             symbols.update(lit_keys)
-    symbols.discard(STAR)
-    if symbols:
-        symbols.add(None)
-    keys.update((REWRITABLE, f) for f in symbols)
+    rewritable = {(REWRITABLE, f) for f in symbols if f >= 0}
+    if rewritable:
+        rewritable.add((REWRITABLE, None))
+    keys.update(rewritable)
     return keys
 
 
+def _tree_path(tag, keys: tuple, ground: bool) -> tuple:
+    """The tree path (tag, keys, check) of a walked term sequence: its walk
+    keys with STAR for each variable, and the check of its repeated
+    variables, or None when no variable occurs twice.
+
+    The check holds (gap, same) for each variable occurrence up to the
+    last repeated one: gap symbol keys precede it since the previous
+    occurrence (or the start), and same is the place in the check of the
+    variable's first occurrence, or -1 at a first occurrence.  It names no
+    variable, so paths that differ only by a renaming share it.
+    """
+    if ground:
+        return tag, keys, None
+    stored = tuple([STAR if k < 0 else k for k in keys])
+    seen = [k for k in keys if k < 0]
+    if len(set(seen)) == len(seen):
+        return tag, stored, None
+    check: list[tuple[int, int]] = []
+    first: dict[int, int] = {}
+    gap = cut = 0
+    for k in keys:
+        if k >= 0:
+            gap += 1
+        elif k in first:
+            check.append((gap, first[k]))
+            cut, gap = len(check), 0
+        else:
+            first[k] = len(check)
+            check.append((gap, -1))
+            gap = 0
+    return tag, stored, tuple(check[:cut])
+
+
+def _admit(leaf: dict, keys: tuple, ends: list[int], start: int, out: list) -> None:
+    """Append to out each item set of a checked leaf (see DiscriminationTree)
+    whose check the query walk (keys, ends) passes, read from start along
+    the path: each repeated variable of the path meets equal subterms,
+    that is equal keys, so a query variable is equal only to itself."""
+    for check, items in leaf.items():
+        if check is None:
+            out.append(items)
+            continue
+        starts = []
+        q = start
+        for gap, same in check:
+            q += gap
+            if same >= 0:
+                # spans of unequal length differ without a look at their
+                # keys, so a check costs no more than the subterms it
+                # compares, which are disjoint and of one size
+                p, end = starts[same], ends[q]
+                if ends[p] - p != end - q or keys[p:ends[p]] != keys[q:end]:
+                    break
+            starts.append(q)
+            q = ends[q]
+        else:
+            out.append(items)
+
+
 def _paths(walked: Iterable[tuple[Literal, tuple]]) -> dict[tuple, list[int]]:
-    """The tree path (tag, keys) of each walked literal, each path once,
-    mapped to the ends of its walk."""
-    return {((lit.positive, lit.pred), keys): ends for lit, (keys, ends) in walked}
+    """The tree path (tag, keys, check) of each walked literal, each path
+    once, mapped to the ends of its walk."""
+    return {_tree_path((lit.positive, lit.pred), keys, lit.ground): ends for lit, (keys, ends) in walked}
 
 
 def _lhs_paths(c: Clause) -> dict[tuple, list[int]]:
@@ -119,9 +191,9 @@ def _lhs_paths(c: Clause) -> dict[tuple, list[int]]:
     for o in source_set_up(c).equations[0]:
         if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
             if o.lhs is lit.lhs:
-                paths[REWRITE_LHS, keys[:m]] = ends[:m]
+                paths[_tree_path(REWRITE_LHS, keys[:m], o.lhs.ground)] = ends[:m]
             else:
-                paths[REWRITE_LHS, keys[m:]] = [e - m for e in ends[m:]]
+                paths[_tree_path(REWRITE_LHS, keys[m:], o.lhs.ground)] = [e - m for e in ends[m:]]
     return paths
 
 
@@ -183,12 +255,18 @@ class DiscriminationTree:
     """Perfect discrimination tree of clauses, for generalization and
     instance retrieval; it keeps the paths each clause is filed under.
 
-    A path is a tag followed by pre-order symbol keys, STAR for a variable
-    (see the module docstring).  Inner nodes are dicts from key to child;
-    the child after a path's last key is the set of clauses stored under
-    it.  Paths of one tag are complete term sequences over fixed arities,
-    so no path is a prefix of another.  _arity holds the arity of every
-    symbol ever inserted, and _paths each filed clause's paths by its id.
+    A path (tag, keys, check) is a tag followed by pre-order symbol keys,
+    STAR for a variable, and the check of its repeated variables, None when
+    it has none (see _tree_path).  Inner nodes are dicts from key to child.
+    The child after a path's last key is its leaf: the set of clauses
+    stored under it when no path ending there has a check, and otherwise a
+    checked leaf, a dict from each check (None for the paths without one)
+    to the set of clauses stored under it.  Generalization retrieval
+    returns an item set of a checked leaf only when the query passes its
+    check; instance retrieval returns them all.  Paths of one tag are
+    complete term sequences over fixed arities, so no path is a prefix of
+    another.  _arity holds the arity of every symbol ever inserted, and
+    _paths each filed clause's paths by its id.
     """
 
     def __init__(self) -> None:
@@ -197,13 +275,14 @@ class DiscriminationTree:
         self._paths: dict[int, tuple[tuple, ...]] = {}
 
     def insert(self, c: Clause, paths: dict[tuple, list[int]]) -> None:
-        """File c under every path (tag, keys) of paths, which maps each to
-        its walk's ends; a filed clause, or one with no path, is left out."""
+        """File c under every path (tag, keys, check) of paths, which maps
+        each to its walk's ends; a filed clause, or one with no path, is
+        left out."""
         if not paths or c.cid in self._paths:
             return
         self._paths[c.cid] = tuple(paths)
         arity = self._arity
-        for (tag, keys), ends in paths.items():
+        for (tag, keys, check), ends in paths.items():
             node, last = self._root, tag
             for i, key in enumerate(keys):
                 if key is not STAR and key not in arity:
@@ -213,33 +292,46 @@ class DiscriminationTree:
                     arity[key] = count
                 node = node.setdefault(last, {})
                 last = key
-            node.setdefault(last, set()).add(c)
+            leaf = node.setdefault(last, set() if check is None else {})
+            if check is not None and type(leaf) is set:
+                leaf = node[last] = {None: leaf}
+            if type(leaf) is dict:
+                leaf = leaf.setdefault(check, set())
+            leaf.add(c)
 
     def remove(self, c: Clause) -> None:
-        """Take c off every path it is filed under, and drop the nodes left empty."""
-        for tag, keys in self._paths.pop(c.cid, ()):
+        """Take c off every path it is filed under, and drop the item sets
+        and nodes left empty."""
+        for tag, keys, check in self._paths.pop(c.cid, ()):
             trail = []
             node, last = self._root, tag
             for key in keys:
                 trail.append((node, last))
                 node = node[last]
                 last = key
-            leaf = node[last]
-            leaf.discard(c)
-            if not leaf:
-                del node[last]
-                while not node and trail:
-                    node, key = trail.pop()
-                    del node[key]
+            leaf = items = node[last]
+            if type(leaf) is dict:
+                items = leaf[check]
+            items.discard(c)
+            if items:
+                continue
+            if items is not leaf:
+                del leaf[check]
+                if leaf:
+                    continue
+            del node[last]
+            while not node and trail:
+                node, key = trail.pop()
+                del node[key]
 
     def paths(self, c: Clause) -> tuple[tuple, ...]:
-        """The paths (tag, keys) c is filed under; () when it is not filed."""
+        """The paths (tag, keys, check) c is filed under; () when it is not filed."""
         return self._paths.get(c.cid, ())
 
     def generalizations(self, tag, walk: tuple) -> list[set]:
-        """The item set of every path under tag whose keys generalize the
-        walked argument tuple (clauses.literal_walks), repeated variables
-        ignored."""
+        """The item set of every path under tag that generalizes the walked
+        argument tuple (clauses.literal_walks), its repeated variables
+        bound to equal subterms."""
         node = self._root.get(tag)
         if node is None:
             return []
@@ -260,7 +352,7 @@ class DiscriminationTree:
         arity = self._arity
         nodes = [node]
         for key in walk[0]:
-            if key is STAR:
+            if key < 0:
                 # every node one whole stored term further down
                 stack = [(node, 1) for node in nodes]
                 nodes = []
@@ -276,11 +368,12 @@ class DiscriminationTree:
                 nodes = [child for node in nodes if (child := node.get(key)) is not None]
             if not nodes:
                 break
-        return nodes
+        return [items for leaf in nodes for items in ((leaf,) if type(leaf) is set else leaf.values())]
 
     def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set]:
         """The item set of every path under tag, each a single term, that
-        generalizes some non-variable subterm of the walked argument tuples."""
+        generalizes some non-variable subterm of the walked argument tuples,
+        its repeated variables bound to equal subterms."""
         node = self._root.get(tag)
         if node is None:
             return []
@@ -288,14 +381,16 @@ class DiscriminationTree:
         star = STAR in node
         for keys, ends in walks:
             for i, key in enumerate(keys):
-                if key is not STAR and (star or key in node):
+                if key >= 0 and (star or key in node):
                     self._collect(node, keys, ends, i, ends[i], out)
         return out
 
     @staticmethod
     def _collect(node: dict, keys: tuple, ends: list[int], start: int, stop: int, out: list) -> None:
-        """Append to out the item set of every path below node whose keys
-        generalize the query keys[start:stop], repeated variables ignored."""
+        """Append to out the item set of every path below node that
+        generalizes the query keys[start:stop], its repeated variables bound
+        to equal subterms.  A query variable's key is negative, so it
+        follows no symbol edge."""
         stack = [(node, start)]
         while stack:
             node, i = stack.pop()
@@ -303,17 +398,21 @@ class DiscriminationTree:
             if child is not None:
                 end = ends[i]
                 if end == stop:
-                    out.append(child)
-                else:
-                    stack.append((child, end))
-            key = keys[i]
-            if key is not STAR:
-                child = node.get(key)
-                if child is not None:
-                    if i + 1 == stop:
+                    if type(child) is set:
                         out.append(child)
                     else:
-                        stack.append((child, i + 1))
+                        _admit(child, keys, ends, start, out)
+                else:
+                    stack.append((child, end))
+            child = node.get(keys[i])
+            if child is not None:
+                if i + 1 == stop:
+                    if type(child) is set:
+                        out.append(child)
+                    else:
+                        _admit(child, keys, ends, start, out)
+                else:
+                    stack.append((child, i + 1))
 
 
 class FsdIndex:
@@ -333,11 +432,16 @@ class FsdIndex:
         self._tree.remove(c)
 
     def retrieve_fsd_candidates(self, d: Clause) -> set[Clause]:
-        """Stored clauses with an indexed literal that generalizes a literal of d."""
+        """Stored clauses with an indexed literal that generalizes a literal
+        of d, and with a trigger (matching.source_set_up) among d's symbols
+        unless their triggers are None."""
         found: set[Clause] = set()
         for lit, walk in zip(distinct_literals(d), literal_walks(d)):
             found.update(*_leaves(self._tree.generalizations, lit, walk))
-        return found
+        if not found:
+            return found
+        symbols = set(target_set_up(d).symbols)
+        return {c for c in found if (t := source_set_up(c).triggers) is None or not symbols.isdisjoint(t)}
 
     def demodulators(self, g: Clause) -> set[Clause]:
         """The filed unit equalities that may rewrite g.
@@ -383,15 +487,20 @@ class BackwardIndex:
     def retrieve_bsd_candidates(self, c: Clause) -> set[Clause]:
         """Active clauses that side premise c might rewrite.
 
-        Those holding an instance of one of c's best literals: whichever
+        Those holding an instance of one of c's best literals (whichever
         indexed literal is not reserved as the rewriting equality must
-        match into the main premise.
+        match into the main premise), and one of c's triggers
+        (matching.source_set_up) among their symbols unless those are None.
         """
         found: set[Clause] = set()
         for lit, walk in _best_walked(c):
             found.update(*_leaves(self._tree.instances, lit, walk))
         found.discard(c)
-        return found
+        triggers = source_set_up(c).triggers
+        if triggers is None:
+            return found
+        wanted = set(triggers)
+        return {d for d in found if not wanted.isdisjoint(target_set_up(d).symbols)}
 
     def forward_subsumption_candidates(self, d: Clause) -> set[Clause]:
         """Active clauses that might subsume d.

@@ -41,6 +41,7 @@ a copy without them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
@@ -158,11 +159,12 @@ def _target_set_up(clause: Clause) -> TargetSetUp:
     table: dict[tuple[bool, Optional[int]], list[int]] = {}
     for j, dlit in enumerate(clause.literals):
         table.setdefault((dlit.positive, dlit.pred), []).append(j)
-    symbols: set[Optional[int]] = set()
+    symbols: set[int] = set()
     for keys, _ in literal_walks(clause):
         symbols.update(keys)
-    symbols.discard(None)  # the key of a variable
-    return TargetSetUp(table, tuple(sorted(symbols)), None)
+    ordered = sorted(symbols)
+    # a variable's key is negative, so the variables sort first
+    return TargetSetUp(table, tuple(ordered[bisect_left(ordered, 0):]), None)
 
 
 def source_set_up(clause: Clause) -> SourceSetUp:

@@ -38,9 +38,17 @@ scan:
     object (matching.source_set_up).  KBO is stable under substitution, so
     an orientation whose sides compare LESS or EQUAL never rewrites and is
     dropped, and one that compares GREATER needs no comparison per instance;
-  - the matcher does not start unless the main premise contains the top
-    symbol of some left-hand side that can rewrite (no screen when one of
-    them is a variable);
+  - the indexes retrieve a side premise for a main premise only when the
+    main premise contains the top symbol of some left-hand side of the
+    side that can rewrite (no screen when one of them is a variable):
+    demodulators by a left-hand side that generalizes a subterm
+    (index.FsdIndex.demodulators), the other side premises by their
+    trigger symbols (index.FsdIndex.retrieve_fsd_candidates and
+    index.BackwardIndex.retrieve_bsd_candidates), so the matcher starts
+    on no other pair;
+  - those retrievals check repeated variables, so a unit's left-hand side,
+    or an active clause's literal for forward subsumption, comes back
+    only when it matches the query as a term;
   - the main premise's non-variable occurrences are listed once per call,
     not once per matcher solution, and a non-variable left-hand side is
     matched only at occurrences of its own top symbol.
@@ -60,7 +68,7 @@ from typing import Iterator, NamedTuple, Optional
 from .clauses import Clause, ClauseFactory, eq, literal_occurrences, replace_in_literal
 from .clauses import rename_apart  # noqa: F401 - bound here for perfbench's tracer, which wraps it by name
 from .index import BackwardIndex, FsdIndex
-from .matching import MLMatch, match_solutions, source_set_up, subsumes, target_set_up
+from .matching import MLMatch, match_solutions, source_set_up, subsumes
 from .ordering import OrderResult, compare_literal_multisets, compare_terms
 from .terms import App, Substitution, Term, apply_term, match_pairs
 
@@ -116,13 +124,9 @@ def sd_simplifications(side: Clause, main: Clause) -> Iterator[RewriteStep]:
     image, so that match is made here: the matcher starts only for a side
     of two or more literals.
     """
-    _, last_eq, equations, triggers, _ = source_set_up(side)
+    _, last_eq, equations, _, _ = source_set_up(side)
     if last_eq < 0:
         return
-    if triggers is not None:
-        symbols = target_set_up(main).symbols
-        if not any(sym in symbols for sym in triggers):
-            return
     unit = len(side.literals) == 1
     matches = (MLMatch(0, {}, frozenset()),) if unit else match_solutions(side, main, reserve_equality=True)
     occurrences: Optional[list[list[tuple[tuple[int, ...], Term]]]] = None  # per main literal

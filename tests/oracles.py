@@ -674,8 +674,8 @@ def top_symbol_key(lit: Literal) -> tuple:
 
 
 def preorder(terms) -> tuple[list, list[int]]:
-    """The pre-order keys of a term sequence, None for each variable, and for
-    each position the position just past the subterm that starts there,
+    """The pre-order keys of a term sequence, -1 - vid for each variable, and
+    for each position the position just past the subterm that starts there,
     found from the arities.  The index walked a literal's terms this way on
     every insertion and query before each clause kept one walk per literal."""
     keys: list = []
@@ -684,7 +684,7 @@ def preorder(terms) -> tuple[list, list[int]]:
     while stack:
         t = stack.pop()
         if isinstance(t, Var):
-            keys.append(None)
+            keys.append(-1 - t.vid)
             arities.append(0)
         else:
             keys.append(t.sym)
@@ -697,6 +697,28 @@ def preorder(terms) -> tuple[list, list[int]]:
             end = ends[end]
         ends[i] = end
     return keys, ends
+
+
+def tree_path(tag, terms) -> tuple:
+    """The discrimination-tree path (tag, keys, check) of a term sequence, by
+    a walk of its own: the pre-order keys with None for each variable, and
+    the check of its repeated variables, None when none repeats.  The check
+    lists each variable occurrence up to the last repeated one as (the
+    number of symbol keys since the previous occurrence, the place in the
+    list of the variable's first occurrence or -1 at a first occurrence)."""
+    keys, _ = preorder(terms)
+    stored = tuple(None if k < 0 else k for k in keys)
+    occurrences = [(i, k) for i, k in enumerate(keys) if k < 0]
+    vids = [k for _, k in occurrences]
+    repeated = [n for n, k in enumerate(vids) if vids.index(k) < n]
+    if not repeated:
+        return tag, stored, None
+    check, after = [], 0
+    for n, (i, k) in enumerate(occurrences[: repeated[-1] + 1]):
+        first = vids.index(k)
+        check.append((i - after, first if first < n else -1))
+        after = i + 1
+    return tag, stored, tuple(check)
 
 
 def subterm_symbols(lits) -> set[int]:

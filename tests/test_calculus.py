@@ -14,6 +14,8 @@ from sdprover.calculus import (
 from sdprover.clauses import Clause, ClauseFactory, eq, neq, select
 from sdprover.terms import Var
 
+# the fixed symbols only: a test that draws random inputs makes a generator
+# of its own, so its inputs do not depend on which tests ran before it
 env = Gen(seed=47)
 x, y = Var(0), Var(1)
 

@@ -1,7 +1,11 @@
 """Index tests: indexed literals, tree retrieval against brute force, and retrieval completeness."""
 
+import time
+
 from oracles import (
+    apply,
     linearized,
+    naive_literal_matches,
     naive_match_args,
     naive_sd_applicable,
     naive_subsumes,
@@ -9,14 +13,16 @@ from oracles import (
     rename_apart,
     subterm_symbols,
     top_symbol_key,
+    tree_path,
 )
 from randgen import Gen
 
 from sdprover import calculus, simplify
-from sdprover.clauses import ClauseFactory, eq, literal_walks, neq, predicate, select
+from sdprover.clauses import ClauseFactory, Literal, eq, literal_walks, neq, predicate, select
 from sdprover.index import (
     REWRITABLE,
     REWRITE_LHS,
+    STAR,
     BackwardIndex,
     DiscriminationTree,
     FsdIndex,
@@ -29,29 +35,31 @@ from sdprover.index import (
 )
 from sdprover.matching import literal_match_substs, source_set_up, target_set_up
 from sdprover.ordering import OrderResult
-from sdprover.terms import Var
+from sdprover.terms import App, Signature, Var, preorder_subterms
 
+# the fixed symbols only: a test that draws random inputs makes a generator
+# of its own, so its inputs do not depend on which tests ran before it
 env = Gen(seed=31)
 x, y = Var(0), Var(1)
 
 
-def _clauses(factory, count, max_len):
+def _clauses(gen, factory, count, max_len):
     out = []
     for _ in range(count):
-        out.append(factory.make(env.lits(env.rng.randrange(1, max_len + 1))))
+        out.append(factory.make(gen.lits(gen.rng.randrange(1, max_len + 1))))
     return out
 
 
-def _applicable_pair(factory):
+def _applicable_pair(gen, factory):
     """A (side, main) clause pair where one rewrite step fires."""
-    t = env.term(2, ground=True)
-    u = env.term(1, ground=True)
-    if env.rng.random() < 0.5:
-        side = factory.make([eq(env.f(x), x), env.p(x)])
-        main = factory.make([env.p(t), env.q(env.f(t))])
+    t = gen.term(2, ground=True)
+    u = gen.term(1, ground=True)
+    if gen.rng.random() < 0.5:
+        side = factory.make([eq(gen.f(x), x), gen.p(x)])
+        main = factory.make([gen.p(t), gen.q(gen.f(t))])
     else:
-        side = factory.make([eq(env.h(x, y), y), env.q(x)])
-        main = factory.make([env.q(t), env.p(env.h(t, u))])
+        side = factory.make([eq(gen.h(x, y), y), gen.q(x)])
+        main = factory.make([gen.q(t), gen.p(gen.h(t, u))])
     return side, main
 
 
@@ -83,7 +91,8 @@ def test_unindexable_clauses_have_no_keys():
 
 
 def _tree_items(tree):
-    """Every item stored in the tree, once per path it is stored under."""
+    """Every item stored in the tree, once per path it is stored under; a
+    checked leaf is a dict of item sets, so it is read as a node is."""
     out, stack = [], [tree._root]
     while stack:
         node = stack.pop()
@@ -101,13 +110,14 @@ def _rewrites(c):
 
 
 def test_fsd_index_insert_remove_round_trip():
+    gen = Gen(seed=31)
     factory = ClauseFactory()
     ix = FsdIndex()
     # units that can rewrite, and ones that cannot: EQUAL sides, no equality
-    f, g, h = env.f, env.g, env.h
-    units = [eq(f(g(x)), g(x)), eq(h(x, y), h(y, x)), eq(f(x), f(x)), env.p(x)]
+    f, g, h = gen.f, gen.g, gen.h
+    units = [eq(f(g(x)), g(x)), eq(h(x, y), h(y, x)), eq(f(x), f(x)), gen.p(x)]
     kept = []
-    for c in _clauses(factory, 40, 4) + [factory.make([lit]) for lit in units]:
+    for c in _clauses(gen, factory, 40, 4) + [factory.make([lit]) for lit in units]:
         ix.insert(c)
         if _rewrites(c):
             kept.append(c)
@@ -121,7 +131,7 @@ def test_fsd_index_insert_remove_round_trip():
         assert ix._tree.paths(c) == ()
     # removal drops every path and tree node it made
     assert ix._tree._paths == {} and ix._tree._root == {}
-    probe = factory.make([env.p(env.a)])
+    probe = factory.make([gen.p(gen.a)])
     assert ix.retrieve_fsd_candidates(probe) == set()
 
 
@@ -150,17 +160,18 @@ def test_fsd_retrieval_by_residual_literal():
 
 
 def test_fsd_retrieval_never_misses_an_applicable_side():
+    gen = Gen(seed=31)
     factory = ClauseFactory()
     ix = FsdIndex()
-    stored = _clauses(factory, 25, 3)
+    stored = _clauses(gen, factory, 25, 3)
     mains = []
     for _ in range(15):
-        side, main = _applicable_pair(factory)
+        side, main = _applicable_pair(gen, factory)
         stored.append(side)
         mains.append(main)
     for c in stored:
         ix.insert(c)
-    queries = mains + [factory.make(env.lits(env.rng.randrange(1, 4))) for _ in range(40)]
+    queries = mains + [factory.make(gen.lits(gen.rng.randrange(1, 4))) for _ in range(40)]
     hits = 0
     for d in queries:
         found = ix.retrieve_fsd_candidates(d)
@@ -173,9 +184,10 @@ def test_fsd_retrieval_never_misses_an_applicable_side():
 
 
 def test_backward_index_round_trip():
+    gen = Gen(seed=31)
     factory = ClauseFactory()
     ix = BackwardIndex()
-    stored = _clauses(factory, 30, 4)
+    stored = _clauses(gen, factory, 30, 4)
     for c in stored:
         ix.insert(c)
         ix.insert(c)
@@ -191,8 +203,8 @@ def test_backward_index_round_trip():
     # a permutative unit rewrites left to right and right to left from one
     # left-hand side path, stored once and removed once
     fx = FsdIndex()
-    h, f, a, b = env.h, env.f, env.a, env.b
-    query = factory.make([env.p(h(f(a), f(b)))])
+    h, f, a, b = gen.h, gen.f, gen.a, gen.b
+    query = factory.make([gen.p(h(f(a), f(b)))])
     for lhs, rhs in [(h(x, y), h(y, x)), (h(f(x), f(y)), h(f(y), f(x)))]:
         unit = factory.make([eq(lhs, rhs)])
         fx.insert(unit)
@@ -212,26 +224,29 @@ def test_unit_left_hand_sides_are_filed_in_the_forward_tree_only():
     forward, backward = FsdIndex(), BackwardIndex()
     forward.insert(unit)
     backward.insert(unit)
-    keys = literal_walks(unit)[0][0]
-    # f(g(X)) is the one left-hand side: the first three keys
-    assert forward._tree.paths(unit) == ((REWRITE_LHS, keys[:3]),)
+    # f(g(X)) is the one left-hand side, and X occurs once in it; in the
+    # literal's path f(g(X)) = g(X), X occurs after two symbols, and again
+    # after one more, so the check is ((2, -1), (1, 0))
+    assert forward._tree.paths(unit) == ((REWRITE_LHS, (f.sid, g.sid, STAR), None),)
     assert forward.demodulators(query) == {unit}
-    assert backward._tree.paths(unit) == (((True, None), keys),)
+    lit_keys = (f.sid, g.sid, STAR, g.sid, STAR)
+    assert backward._tree.paths(unit) == (((True, None), lit_keys, ((2, -1), (1, 0))),)
     assert REWRITE_LHS not in backward._tree._root
 
 
 def test_bsd_retrieval_never_misses_a_rewritable_main():
+    gen = Gen(seed=31)
     factory = ClauseFactory()
     ix = BackwardIndex()
-    active = _clauses(factory, 25, 3)
+    active = _clauses(gen, factory, 25, 3)
     sides = []
     for _ in range(15):
-        side, main = _applicable_pair(factory)
+        side, main = _applicable_pair(gen, factory)
         active.append(main)
         sides.append(side)
     for d in active:
         ix.insert(d)
-    queries = sides + [factory.make(env.lits(env.rng.randrange(2, 4))) for _ in range(25)]
+    queries = sides + [factory.make(gen.lits(gen.rng.randrange(2, 4))) for _ in range(25)]
     hits = 0
     for c in queries:
         found = ix.retrieve_bsd_candidates(c)
@@ -269,15 +284,16 @@ def _has_every_key(c, d):
 
 
 def test_forward_subsumption_retrieval_complete():
+    gen = Gen(seed=31)
     factory = ClauseFactory()
     ix = BackwardIndex()
-    active = _clauses(factory, 25, 3)
+    active = _clauses(gen, factory, 25, 3)
     for c in active:
         ix.insert(c)
     hits = 0
     screened = 0
     for _ in range(40):
-        d = factory.make(env.lits(env.rng.randrange(1, 4)))
+        d = factory.make(gen.lits(gen.rng.randrange(1, 4)))
         found = ix.forward_subsumption_candidates(d)
         for c in active:
             src = rename_apart(c.literals, d.literals)
@@ -292,15 +308,16 @@ def test_forward_subsumption_retrieval_complete():
 
 
 def test_backward_subsumption_retrieval_complete():
+    gen = Gen(seed=31)
     factory = ClauseFactory()
     ix = BackwardIndex()
-    active = _clauses(factory, 25, 3)
+    active = _clauses(gen, factory, 25, 3)
     for d in active:
         ix.insert(d)
     hits = 0
     screened = 0
     for _ in range(40):
-        g = factory.make(env.lits(env.rng.randrange(1, 3)))
+        g = factory.make(gen.lits(gen.rng.randrange(1, 3)))
         found = ix.backward_subsumption_candidates(g)
         for d in active:
             src = rename_apart(g.literals, d.literals)
@@ -533,12 +550,10 @@ def test_stored_walks_agree_with_fresh_walks():
         if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
             for o in source_set_up(c).equations[0]:
                 if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
-                    keys, ends = preorder((o.lhs,))
-                    lhs_paths[REWRITE_LHS, tuple(keys)] = ends
+                    lhs_paths[tree_path(REWRITE_LHS, (o.lhs,))] = preorder((o.lhs,))[1]
         literal_paths = {}
         for lit in distinct:
-            keys, ends = preorder(lit.args)
-            literal_paths[(lit.positive, lit.pred), tuple(keys)] = ends
+            literal_paths[tree_path((lit.positive, lit.pred), lit.args)] = preorder(lit.args)[1]
         assert ix._tree.paths(c) == tuple(literal_paths)
         if len(c.literals) == 1:
             assert _lhs_paths(c) == lhs_paths
@@ -563,3 +578,169 @@ def test_stored_walks_agree_with_fresh_walks():
         assert demodulators == _ids(fx._tree.subterm_generalizations(REWRITE_LHS, [preorder(args)]))
         subterm_hits += bool(demodulators)
     assert swapped_differs >= 150 and subterm_hits >= 150, (swapped_differs, subterm_hits)
+
+
+def _linear(lit):
+    """lit with each variable occurrence replaced by a variable of its own."""
+    return Literal(lit.positive, lit.pred, linearized(lit.args))
+
+
+def _repeating_literals(gen, count, depth):
+    """count seeded literals over two variables, so most non-ground ones
+    repeat a variable, plus fixed ones that repeat it across an equality's
+    sides or inside one argument."""
+    h, f, g, a, b = gen.h, gen.f, gen.g, gen.a, gen.b
+    out = [gen.literal(depth=depth) for _ in range(count)]
+    out += [eq(f(x), x), eq(h(g(x), x), a), eq(h(x, y), h(y, x)), eq(h(x, x), f(y)), neq(g(x), x)]
+    out += [gen.r(x, x), gen.r(h(x, f(x)), y), gen.r(h(x, y), h(y, x)), gen.p(h(f(x), f(x))), gen.r(x, y)]
+    out += [gen.r(h(a, b), b), eq(f(a), b), gen.p(h(g(b), g(b)))]
+    return out
+
+
+def test_generalizations_check_repeated_variables():
+    """The tree's generalizations of a query literal, in both argument
+    orders of an equality, are exactly the stored literals that match it:
+    every match comes back, and no literal whose repeated variables would
+    bind unequal subterms does."""
+    gen = Gen(seed=43, n_vars=2)
+    factory = ClauseFactory()
+    stored = [factory.make([lit]) for lit in _repeating_literals(gen, 250, 2)]
+    tree = DiscriminationTree()
+    for c in stored:
+        tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
+    assert any(check is not None for c in stored for _, _, check in tree.paths(c))
+    queries = [gen.literal(depth=3) for _ in range(150)] + [gen.literal(depth=3, ground=True) for _ in range(150)]
+    # instances of stored literals, so that many queries have matches
+    for c in stored[::3]:
+        (lit,) = c.literals
+        queries.append(apply(lit, {0: gen.term(1), 1: gen.term(1)}))
+    matched = pruned = 0
+    for query in queries:
+        found = _tree_hits(tree, factory.make([query]))
+        exact = {c.cid for c in stored if naive_literal_matches(c.literals[0], query, {})}
+        linear = {c.cid for c in stored if naive_literal_matches(_linear(c.literals[0]), query, {})}
+        assert found == exact, query
+        matched += len(exact)
+        pruned += len(linear - exact)
+    assert matched >= 1000 and pruned >= 200, (matched, pruned)
+    for c in stored:
+        tree.remove(c)
+    assert tree._paths == {} and tree._root == {}
+
+
+def test_demodulators_check_repeated_variables():
+    """The filed unit equalities the forward index returns for a clause are
+    exactly those with a rewriting left-hand side that matches one of the
+    clause's non-variable subterms."""
+    gen = Gen(seed=47, n_vars=2)
+    factory = ClauseFactory()
+    h, f, g, a = gen.h, gen.f, gen.g, gen.a
+    lits = [gen.pos_eq() for _ in range(60)]
+    lits += [eq(h(g(x), x), a), eq(h(x, x), x), eq(f(h(x, x)), g(x)), eq(h(x, f(x)), f(x)), eq(h(x, y), h(y, x))]
+    units = [factory.make([lit]) for lit in lits]
+    ix = FsdIndex()
+    for c in units:
+        ix.insert(c)
+    lhs = {}
+    for c in units:
+        orientations = source_set_up(c).equations[0]
+        lhs[c.cid] = [o.lhs for o in orientations if o.verdict is not OrderResult.EQUAL and not o.extra_vars]
+    assert any(ix._tree.paths(c) and ix._tree.paths(c)[0][2] is not None for c in units)
+    rewriting = pruned = 0
+    for k in range(200):
+        g_lits = gen.lits(gen.rng.randrange(1, 4), depth=3, ground=k % 2 == 0)
+        subterms = [t for lit in g_lits for arg in lit.args for _, t in preorder_subterms(arg) if isinstance(t, App)]
+        query = factory.make(g_lits)
+        found = {c.cid for c in ix.demodulators(query)}
+        exact = {
+            cid for cid, sides in lhs.items() if any(naive_match_args((s,), (t,)) for s in sides for t in subterms)
+        }
+        linear = {
+            cid
+            for cid, sides in lhs.items()
+            if any(naive_match_args(linearized((s,)), (t,)) for s in sides for t in subterms)
+        }
+        assert found == exact, g_lits
+        rewriting += len(exact)
+        pruned += len(linear - exact)
+    assert rewriting >= 2000 and pruned >= 250, (rewriting, pruned)
+    for c in units:
+        ix.remove(c)
+    assert ix._tree._paths == {} and ix._tree._root == {}
+
+
+def test_forward_subsumption_candidates_check_repeated_variables():
+    """Every active clause that subsumes a query is a candidate, and every
+    candidate's literals each match some literal of the query: none comes
+    back whose repeated variables would bind unequal subterms."""
+    gen = Gen(seed=53, n_vars=2)
+    factory = ClauseFactory()
+    lits = _repeating_literals(gen, 120, 2)
+    active = [factory.make(lits[i : i + 1 + i % 2]) for i in range(0, len(lits), 2)]
+    ix = BackwardIndex()
+    for c in active:
+        ix.insert(c)
+    queries = [factory.make(gen.lits(gen.rng.randrange(1, 4), ground=k % 2 == 0)) for k in range(120)]
+    for c in active[::2]:
+        inst = {0: gen.term(1, ground=True), 1: gen.term(1)}
+        extra = gen.lits(gen.rng.randrange(0, 2), ground=True)
+        queries.append(factory.make(tuple(apply(lit, inst) for lit in c.literals) + extra))
+    hits = pruned = 0
+    for d in queries:
+        found = ix.forward_subsumption_candidates(d)
+        for c in active:
+            if naive_subsumes(rename_apart(c.literals, d.literals), d.literals):
+                assert c in found, (c, d)
+                hits += 1
+            literalwise = all(any(naive_literal_matches(l, m, {}) for m in d.literals) for l in c.literals)
+            if c in found:
+                assert literalwise, (c, d)
+            elif all(any(naive_literal_matches(_linear(l), m, {}) for m in d.literals) for l in c.literals):
+                pruned += 1
+    assert hits >= 120 and pruned >= 50, (hits, pruned)
+    for c in active:
+        ix.remove(c)
+    assert ix._tree._paths == {} and ix._tree._root == {}
+
+
+def test_linear_and_checked_paths_share_a_leaf():
+    """r(X, Y), r(X, X) and r(Y, Y) end at one leaf: the linear path
+    generalizes every r-literal, the two checked ones (one check) only those
+    with equal arguments, and removal in any order leaves no node behind."""
+    gen = Gen(seed=59)
+    r, a, b = gen.r, gen.a, gen.b
+    factory = ClauseFactory()
+    pair, same, renamed = (factory.make([lit]) for lit in (r(x, y), r(x, x), r(y, y)))
+    tree = DiscriminationTree()
+    for order in ((pair, same, renamed), (same, pair, renamed), (renamed, same, pair)):
+        for c in order:
+            tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
+        assert tree.paths(same) == tree.paths(renamed) == (((True, r.sid), (STAR, STAR), ((0, -1), (0, 0))),)
+        every = {pair, same, renamed}
+        for query, want in ((r(a, b), {pair}), (r(a, a), every), (r(x, y), {pair}), (r(y, y), every)):
+            assert _tree_hits(tree, factory.make([query])) == {c.cid for c in want}, query
+        for c in order:
+            tree.remove(c)
+        assert tree._paths == {} and tree._root == {}
+
+
+def test_repeated_variable_checks_are_linear_in_the_query():
+    """A check compares the keys of two spans only when their lengths
+    agree, so on the chain h(...h(h(b, b), b)..., b) of depth 40,000 the
+    left-hand side h(X, X), reached at every level, costs no more than the
+    walk; slicing every span took 1.8 s at depth 20,000, and four times
+    that at twice the depth."""
+    ts = Signature()
+    h, a, b = ts.function("h", 2), ts.constant("a"), ts.constant("b")
+    p = predicate(ts, "p", 1)
+    factory = ClauseFactory()
+    unit = factory.make([eq(h(x, x), a)])
+    ix = FsdIndex()
+    ix.insert(unit)
+    t = b
+    for _ in range(40000):
+        t = h(t, b)
+    g = factory.make([p(t)])
+    start = time.process_time()
+    assert ix.demodulators(g) == {unit}
+    assert time.process_time() - start < 1.0

@@ -23,6 +23,8 @@ from sdprover.matching import match_solutions, subsumes
 from sdprover.simplify import sd_simplifications
 from sdprover.terms import Signature, Var
 
+# the fixed symbols only: a test that draws random inputs makes a generator
+# of its own, so its inputs do not depend on which tests ran before it
 env = Gen(seed=23)
 x, y = Var(0), Var(1)
 
@@ -74,15 +76,16 @@ def test_subsumption_without_renaming_keeps_shared_ids_apart():
 
 
 def test_rename_free_matching_agrees_with_renamed_inputs():
+    gen = Gen(seed=23)
     factory = ClauseFactory()
     subsumed = rewritten = 0
     for round_no in range(400):
-        lits = env.lits(env.rng.randrange(1, 4))
-        c = factory.make((env.pos_eq(),) + lits if round_no % 2 else lits)
-        d_lits = env.lits(env.rng.randrange(1, 4))
+        lits = gen.lits(gen.rng.randrange(1, 4))
+        c = factory.make((gen.pos_eq(),) + lits if round_no % 2 else lits)
+        d_lits = gen.lits(gen.rng.randrange(1, 4))
         if round_no % 4 < 2:
             # an instance of c inside d, over variables with c's own ids
-            inst = {v: env.term(1) for v in range(env.n_vars)}
+            inst = {v: gen.term(1) for v in range(gen.n_vars)}
             d_lits += apply(c.literals, inst)
         d = factory.make(d_lits)
         renamed = rename_apart(c.literals, d.literals)
@@ -101,10 +104,11 @@ def test_rename_free_matching_agrees_with_renamed_inputs():
 
 
 def test_subsumes_matches_oracle():
+    gen = Gen(seed=23)
     agreements = 0
     for _ in range(400):
-        c = env.lits(env.rng.randrange(1, 4))
-        d = env.lits(env.rng.randrange(1, 5))
+        c = gen.lits(gen.rng.randrange(1, 4))
+        d = gen.lits(gen.rng.randrange(1, 5))
         c = rename_apart(c, d)
         assert subsumes(_clause(c), _clause(d)) == naive_subsumes(c, d)
         agreements += 1
@@ -112,10 +116,11 @@ def test_subsumes_matches_oracle():
 
 
 def test_match_solutions_exhaustive_and_duplicate_free():
+    gen = Gen(seed=23)
     checked = 0
     for _ in range(300):
-        side = env.lits(env.rng.randrange(1, 4))
-        main = env.lits(env.rng.randrange(1, 5))
+        side = gen.lits(gen.rng.randrange(1, 4))
+        main = gen.lits(gen.rng.randrange(1, 5))
         side = rename_apart(side, main)
         # as multisets: the oracle counts each assignment of side literals
         # once, so a solution enumerated twice shows as a count too high

@@ -43,6 +43,8 @@ r = predicate(sig, "r", 1)
 
 x, y, z = Var(0), Var(1), Var(2)
 
+# the fixed symbols only: a test that draws random inputs makes a generator
+# of its own, so its inputs do not depend on which tests ran before it
 env = Gen(seed=61)
 
 
@@ -191,16 +193,17 @@ def test_duplicate_equality_instance_cancels_not_blocks():
 
 
 def test_rewrites_match_exhaustive_reference():
+    gen = Gen(seed=61)
     checked = 0
     factory = ClauseFactory()
     for round_no in range(120):
         if round_no % 3 == 0:
-            t = env.term(2, ground=True)
-            side = factory.make([eq(env.f(Var(0)), Var(0)), env.p(Var(0))])
-            main = factory.make([env.p(t), env.q(env.f(t))])
+            t = gen.term(2, ground=True)
+            side = factory.make([eq(gen.f(Var(0)), Var(0)), gen.p(Var(0))])
+            main = factory.make([gen.p(t), gen.q(gen.f(t))])
         else:
-            side = factory.make(env.lits(env.rng.randrange(1, 4)))
-            main = factory.make(env.lits(env.rng.randrange(1, 5)))
+            side = factory.make(gen.lits(gen.rng.randrange(1, 4)))
+            main = factory.make(gen.lits(gen.rng.randrange(1, 5)))
         got = set()
         for step in sd_simplifications(side, main):
             built = build_simplified_clause(main, step, factory, rule="fsd")
@@ -211,16 +214,17 @@ def test_rewrites_match_exhaustive_reference():
 
 
 def test_every_replacement_is_strictly_smaller():
+    gen = Gen(seed=61)
     factory = ClauseFactory()
     seen = 0
     for round_no in range(120):
         if round_no % 3 == 0:
-            t = env.term(2, ground=True)
-            side = factory.make([eq(env.h(Var(0), Var(1)), Var(1)), env.q(Var(0))])
-            main = factory.make([env.q(t), env.p(env.h(t, env.a))])
+            t = gen.term(2, ground=True)
+            side = factory.make([eq(gen.h(Var(0), Var(1)), Var(1)), gen.q(Var(0))])
+            main = factory.make([gen.q(t), gen.p(gen.h(t, gen.a))])
         else:
-            side = factory.make(env.lits(env.rng.randrange(1, 4)))
-            main = factory.make(env.lits(env.rng.randrange(1, 5)))
+            side = factory.make(gen.lits(gen.rng.randrange(1, 4)))
+            main = factory.make(gen.lits(gen.rng.randrange(1, 5)))
         for step in sd_simplifications(side, main):
             built = build_simplified_clause(main, step, factory, rule="fsd")
             assert compare_clauses(main.literals, built.literals) is OrderResult.GREATER
@@ -229,16 +233,17 @@ def test_every_replacement_is_strictly_smaller():
 
 
 def test_unit_side_rewrites_agree_with_demodulation():
+    gen = Gen(seed=61)
     factory = ClauseFactory()
     agreed = 0
     for round_no in range(150):
         if round_no % 3 == 0:
-            t = env.term(2, ground=True)
-            unit = factory.make([eq(env.f(Var(0)), Var(0))])
-            main = factory.make([env.q(env.f(t)), env.p(t)])
+            t = gen.term(2, ground=True)
+            unit = factory.make([eq(gen.f(Var(0)), Var(0))])
+            main = factory.make([gen.q(gen.f(t)), gen.p(t)])
         else:
-            unit = factory.make([env.pos_eq()])
-            main = factory.make(env.lits(env.rng.randrange(1, 4)))
+            unit = factory.make([gen.pos_eq()])
+            main = factory.make(gen.lits(gen.rng.randrange(1, 4)))
         reference = reference_demodulate(unit.literals, main.literals)
         demod = demodulate(unit, main, factory)
         if reference is None:
@@ -371,17 +376,31 @@ def test_screened_rewriting_agrees_with_the_unscreened_scan():
 
 def test_wide_side_premise_without_a_trigger_symbol_starts_no_matcher(monkeypatch):
     # six p-literals into ten leave 151,200 assignments, and none of them
-    # can rewrite: the main premise has no g and no h
+    # can rewrite: the main premise has no g and no h.  The indexes leave
+    # the pair out, forward and backward, so neither rule starts the matcher
     ws = Signature()
     wg, wh, wp = ws.function("g", 1), ws.function("h", 1), predicate(ws, "p", 1)
     factory = ClauseFactory()
     side = factory.make([wp(Var(i)) for i in range(6)] + [eq(wg(Var(6)), wh(Var(6)))])
-    main = factory.make([wp(ws.constant(f"a{i}")) for i in range(10)])
+    consts = [ws.constant(f"a{i}") for i in range(10)]
+    main = factory.make([wp(k) for k in consts])
     calls = []
     matcher = simplify.match_solutions
     monkeypatch.setattr(simplify, "match_solutions", lambda *args, **kwargs: calls.append(args) or matcher(*args, **kwargs))
-    assert list(sd_simplifications(side, main)) == []
+    forward, backward = FsdIndex(), BackwardIndex()
+    forward.insert(side)
+    backward.insert(main)
+    assert forward.retrieve_fsd_candidates(main) == set()
+    assert forward_subsumption_demodulation(main, forward, factory) is None
+    assert backward.retrieve_bsd_candidates(side) == set()
+    assert backward_subsumption_demodulation(side, backward, factory) == []
     assert calls == []
+    # the side's indexed literal p(X) generalizes every literal of main:
+    # only the trigger g kept it out, and a main premise with a g gets it
+    with_g = factory.make([wp(k) for k in consts] + [wp(wg(consts[0]))])
+    assert forward.retrieve_fsd_candidates(with_g) == {side}
+    backward.insert(with_g)
+    assert backward.retrieve_bsd_candidates(side) == {with_g}
 
 
 def test_unit_side_premise_starts_no_matcher(monkeypatch):
