@@ -14,9 +14,9 @@ equations with a verdict other than EQUAL and no right-hand variable the
 left lacks), tagged REWRITE_LHS, and any other under its best literals
 (best_literals): whichever of its two top literals is not the rewriting
 equality occurs, instantiated, in any main premise it simplifies.  A
-tree's leaves hold the clauses themselves, so a retrieval returns clauses,
-and the tree keeps the paths it filed each clause under, by clause id,
-until the clause is removed.
+path's check is its last edge, and every leaf is the set of clauses filed
+under its path, so a retrieval returns clauses; the tree keeps the paths
+it filed each clause under, by clause id, until the clause is removed.
 
 Generalization retrieval follows a STAR edge by skipping the query's whole
 subterm at that point (the walk's ends say where it stops) and a symbol
@@ -24,20 +24,21 @@ edge only on the same symbol; a query variable follows only STAR edges,
 since the matcher treats it as a rigid constant.  It checks repeated
 variables: a path in which a variable occurs twice is returned only when
 the query subterms at its occurrences are equal, a query variable being
-equal only to itself (_admit).  The check runs at the leaves that
-hold such paths, so the descent and the other leaves do not pay for it,
-and generalization retrieval returns exactly the paths that match the
-query.  Instance retrieval follows a query symbol only along its own
-edge, and a query variable past one whole stored term, whose extent the
-tree reads from a symbol-to-arity table it learns from the walks' ends on
-insert (bounded by the signature).  It ignores repeated variables, of the
-query and of the stored paths, so it returns every instance of the query,
-and possibly more.  An equality matches in either argument order, so an
-equality query also runs on the walk of its other order: the second
-argument's keys, then the first's.  Forward subsumption, demodulation and
-forward subsumption demodulation retrieve generalizations of a clause's
-literals or subterms; backward subsumption and backward subsumption
-demodulation retrieve instances of g's literals or of c's best literals.
+equal only to itself (_admit).  The check is tested on the check edges at
+the end of a walk, so the descent does not pay for it, a path without one
+passes at once, and generalization retrieval returns exactly the paths
+that match the query.  Instance retrieval follows a query symbol only along
+its own edge, and a query variable past one whole stored term, whose
+extent the tree reads from a symbol-to-arity table it learns from the
+walks' ends on insert (bounded by the signature).  It ignores repeated
+variables, of the query and of the stored paths, so it returns every
+instance of the query, and possibly more.  An equality matches in either
+argument order, so an equality query also runs on the walk of its other
+order: the second argument's keys, then the first's.  Forward subsumption,
+demodulation and forward subsumption demodulation retrieve generalizations
+of a clause's literals or subterms; backward subsumption and backward
+subsumption demodulation retrieve instances of g's literals or of c's best
+literals.
 
 Subsumption candidates also pass the count screen: a subsumer maps its
 literals one to one onto literals with the same polarity and predicate, so
@@ -145,12 +146,13 @@ def _tree_path(tag, keys: tuple, ground: bool) -> tuple:
     return tag, stored, tuple(check[:cut])
 
 
-def _admit(leaf: dict, keys: tuple, ends: list[int], start: int, out: list) -> None:
-    """Append to out each item set of a checked leaf (see DiscriminationTree)
-    whose check the query walk (keys, ends) passes, read from start along
-    the path: each repeated variable of the path meets equal subterms,
-    that is equal keys, so a query variable is equal only to itself."""
-    for check, items in leaf.items():
+def _admit(node: dict, keys: tuple, ends: list[int], start: int, out: list) -> None:
+    """Append to out each item set below the end node of a walk (see
+    DiscriminationTree) whose check edge the query walk (keys, ends)
+    passes, read from start along the path: each repeated variable of the
+    path meets equal subterms, that is equal keys, so a query variable is
+    equal only to itself; the edge None passes every walk."""
+    for check, items in node.items():
         if check is None:
             out.append(items)
             continue
@@ -247,8 +249,11 @@ def best_literals(c: Clause) -> list[Literal]:
 
 def _best_walked(c: Clause) -> list[tuple[Literal, tuple]]:
     """c's best literals, each with its walk."""
+    best = best_literals(c)
+    if not best:
+        return []
     walks = dict(zip(distinct_literals(c), literal_walks(c)))
-    return [(lit, walks[lit]) for lit in best_literals(c)]
+    return [(lit, walks[lit]) for lit in best]
 
 
 class DiscriminationTree:
@@ -257,16 +262,16 @@ class DiscriminationTree:
 
     A path (tag, keys, check) is a tag followed by pre-order symbol keys,
     STAR for a variable, and the check of its repeated variables, None when
-    it has none (see _tree_path).  Inner nodes are dicts from key to child.
-    The child after a path's last key is its leaf: the set of clauses
-    stored under it when no path ending there has a check, and otherwise a
-    checked leaf, a dict from each check (None for the paths without one)
-    to the set of clauses stored under it.  Generalization retrieval
-    returns an item set of a checked leaf only when the query passes its
-    check; instance retrieval returns them all.  Paths of one tag are
-    complete term sequences over fixed arities, so no path is a prefix of
-    another.  _arity holds the arity of every symbol ever inserted, and
-    _paths each filed clause's paths by its id.
+    it has none (see _tree_path); the tree descends its edges in that order.
+    Inner nodes are dicts from edge to child, and every leaf is the set of
+    clauses filed under its path.  The node after a path's last key is the
+    end node of its walk, and maps checks to leaves: generalization
+    retrieval returns a leaf only when the query passes its check, and
+    instance retrieval returns them all.  Paths of one tag are complete
+    term sequences over fixed arities, so no path is a prefix of another,
+    and an end node holds check edges only.  _arity holds the arity of
+    every symbol ever inserted, and _paths each filed clause's paths by
+    its id.
     """
 
     def __init__(self) -> None:
@@ -283,43 +288,26 @@ class DiscriminationTree:
         self._paths[c.cid] = tuple(paths)
         arity = self._arity
         for (tag, keys, check), ends in paths.items():
-            node, last = self._root, tag
+            node = self._root.setdefault(tag, {})
             for i, key in enumerate(keys):
                 if key is not STAR and key not in arity:
                     count, j = 0, i + 1
                     while j < ends[i]:
                         count, j = count + 1, ends[j]
                     arity[key] = count
-                node = node.setdefault(last, {})
-                last = key
-            leaf = node.setdefault(last, set() if check is None else {})
-            if check is not None and type(leaf) is set:
-                leaf = node[last] = {None: leaf}
-            if type(leaf) is dict:
-                leaf = leaf.setdefault(check, set())
-            leaf.add(c)
+                node = node.setdefault(key, {})
+            node.setdefault(check, set()).add(c)
 
     def remove(self, c: Clause) -> None:
         """Take c off every path it is filed under, and drop the item sets
         and nodes left empty."""
         for tag, keys, check in self._paths.pop(c.cid, ()):
             trail = []
-            node, last = self._root, tag
-            for key in keys:
-                trail.append((node, last))
-                node = node[last]
-                last = key
-            leaf = items = node[last]
-            if type(leaf) is dict:
-                items = leaf[check]
-            items.discard(c)
-            if items:
-                continue
-            if items is not leaf:
-                del leaf[check]
-                if leaf:
-                    continue
-            del node[last]
+            node = self._root
+            for key in (tag, *keys, check):
+                trail.append((node, key))
+                node = node[key]
+            node.discard(c)
             while not node and trail:
                 node, key = trail.pop()
                 del node[key]
@@ -337,8 +325,8 @@ class DiscriminationTree:
             return []
         keys, ends = walk
         if not keys:
-            # a tag with no keys leads straight to its item set
-            return [node]
+            # a tag with no keys leads straight to its check edges
+            return list(node.values())
         out: list[set] = []
         self._collect(node, keys, ends, 0, len(keys), out)
         return out
@@ -368,7 +356,7 @@ class DiscriminationTree:
                 nodes = [child for node in nodes if (child := node.get(key)) is not None]
             if not nodes:
                 break
-        return [items for leaf in nodes for items in ((leaf,) if type(leaf) is set else leaf.values())]
+        return [items for node in nodes for items in node.values()]
 
     def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set]:
         """The item set of every path under tag, each a single term, that
@@ -398,19 +386,13 @@ class DiscriminationTree:
             if child is not None:
                 end = ends[i]
                 if end == stop:
-                    if type(child) is set:
-                        out.append(child)
-                    else:
-                        _admit(child, keys, ends, start, out)
+                    _admit(child, keys, ends, start, out)
                 else:
                     stack.append((child, end))
             child = node.get(keys[i])
             if child is not None:
                 if i + 1 == stop:
-                    if type(child) is set:
-                        out.append(child)
-                    else:
-                        _admit(child, keys, ends, start, out)
+                    _admit(child, keys, ends, start, out)
                 else:
                     stack.append((child, i + 1))
 
@@ -496,6 +478,8 @@ class BackwardIndex:
         for lit, walk in _best_walked(c):
             found.update(*_leaves(self._tree.instances, lit, walk))
         found.discard(c)
+        if not found:
+            return found
         triggers = source_set_up(c).triggers
         if triggers is None:
             return found

@@ -197,24 +197,21 @@ def _ground_positions(clause: Clause) -> dict[Literal, list[int]]:
     return stored.ground
 
 
-def _literal_pairings(a: Literal, b: Literal):
-    """Ways to align the argument tuples of two compatible literals."""
-    if a.positive != b.positive or a.pred != b.pred or len(a.args) != len(b.args):
-        return
-    yield tuple(zip(a.args, b.args))
-    if a.pred is None and b.args[0] != b.args[1]:
-        yield tuple(zip(a.args, (b.args[1], b.args[0])))
-
-
 def literal_match_substs(pattern: Literal, target: Literal, base: Substitution) -> Iterator[Substitution]:
     """All ways to match one literal onto another, extending base.
 
+    The two literals must have the same polarity and predicate, which is
+    not tested here: the matcher passes only targets from the table of
+    its target set-up under the pattern's (polarity, predicate) key.
     Equality atoms are tried in both argument orders, the swapped one only
     when the target's sides differ.  Then no substitution comes twice: it
     would have to send the pattern's one side to both of them.
     """
-    for pairing in _literal_pairings(pattern, target):
-        sub = match_pairs(pairing, base)
+    sub = match_pairs(zip(pattern.args, target.args), base)
+    if sub is not None:
+        yield sub
+    if pattern.pred is None and target.args[0] != target.args[1]:
+        sub = match_pairs(((pattern.args[0], target.args[1]), (pattern.args[1], target.args[0])), base)
         if sub is not None:
             yield sub
 

@@ -205,7 +205,7 @@ def backward_simplify(g: Clause, st: ProverState) -> None:
     """
     for d in backward_subsumption_deletions(g, st.bindex):
         st.remove_active(d)
-    if st.config.bsd and any(l.positive and l.is_equality for l in g.literals):
+    if st.config.bsd:
         for old, new in backward_subsumption_demodulation(g, st.bindex, st.factory):
             st.remove_active(old)
             st.passive.push(new)

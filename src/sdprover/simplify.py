@@ -89,19 +89,6 @@ class RewriteStep(NamedTuple):
     rhs_image: Term
 
 
-def check_ordering_conditions(
-    main: Clause, lhs_image: Term, rhs_image: Term, matched_image: frozenset[int]
-) -> bool:
-    """Orientation and redundancy checks for one candidate rewrite.
-
-    The instantiated equality must be oriented left to right, and the main
-    literals outside the matched image must exceed it as a multiset.
-    """
-    return compare_terms(lhs_image, rhs_image) is OrderResult.GREATER and remainder_exceeds(
-        main, lhs_image, rhs_image, matched_image
-    )
-
-
 def remainder_exceeds(main: Clause, lhs_image: Term, rhs_image: Term, matched_image: frozenset[int]) -> bool:
     """The redundancy check alone: the main literals outside the matched image
     exceed the instantiated equality as a multiset.
@@ -153,13 +140,11 @@ def sd_simplifications(side: Clause, main: Clause) -> Iterator[RewriteStep]:
                     if sigma is None:
                         continue
                     rhs_image = apply_term(o.rhs, sigma)
-                    if positive_equality and len(path) == 1:
-                        check = remainder_exceeds if o.verdict is OrderResult.GREATER else check_ordering_conditions
-                        ok = check(main, t, rhs_image, m.image)
-                    else:
-                        ok = o.verdict is OrderResult.GREATER or compare_terms(t, rhs_image) is OrderResult.GREATER
-                    if ok:
-                        yield RewriteStep(side.cid, lit_pos, path, sigma, rhs_image)
+                    if o.verdict is not OrderResult.GREATER and compare_terms(t, rhs_image) is not OrderResult.GREATER:
+                        continue
+                    if positive_equality and len(path) == 1 and not remainder_exceeds(main, t, rhs_image, m.image):
+                        continue
+                    yield RewriteStep(side.cid, lit_pos, path, sigma, rhs_image)
 
 
 def build_simplified_clause(main: Clause, step: RewriteStep, factory: ClauseFactory, rule: str) -> Clause:

@@ -17,10 +17,13 @@ one walk per literal, the multi-literal search as a recursive generator,
 the variant test as a direct search for the renaming, the TPTP
 tokenizer that kept a line and column on every token, and the unification
 and matching kernels as they were before their per-pair dispatch was
-inlined (unify_pairs_ref, match_pairs_ref).  Three helpers
-only tests call live here too: comparing two literal sequences as clauses,
-the variant test on the engine's matcher (variant: equal length and
-subsumption both ways), and reading a problem file.
+inlined (unify_pairs_ref, match_pairs_ref).  Five helpers only tests
+call live here too: comparing two literal sequences as clauses, the
+variant test on the engine's matcher (variant: equal length and
+subsumption both ways), reading a problem file, the argument pairings of
+two literals (literal_pairings), and both ordering conditions of one
+rewrite as a single test (check_ordering_conditions), the reference for
+the rewriter's orientation and redundancy checks.
 """
 
 from __future__ import annotations
@@ -35,16 +38,9 @@ from typing import Iterator, NamedTuple, Optional
 from sdprover import calculus
 from sdprover.clauses import Clause, Literal, eq, literal_occurrences, orientations, replace_in_literal, select
 from sdprover.index import BackwardIndex, best_literals
-from sdprover.matching import (
-    _literal_pairings,
-    literal_match_substs,
-    match_solutions,
-    source_set_up,
-    subsumes,
-    target_set_up,
-)
+from sdprover.matching import literal_match_substs, match_solutions, source_set_up, subsumes, target_set_up
 from sdprover.ordering import OrderResult, _prec_greater, compare_literal_multisets, compare_terms
-from sdprover.simplify import RewriteStep, check_ordering_conditions, demodulate
+from sdprover.simplify import RewriteStep, demodulate, remainder_exceeds
 from sdprover.terms import (
     App,
     Substitution,
@@ -355,6 +351,17 @@ def recursive_match_solutions(source, target, *, reserve_equality: bool) -> Iter
     yield from search(0, {}, frozenset(), None)
 
 
+def literal_pairings(a: Literal, b: Literal):
+    """Ways to align the argument tuples of two literals: none unless they
+    have the same polarity, predicate and arity, the stored order, and the
+    swapped order for an equality whose target b has two different sides."""
+    if a.positive != b.positive or a.pred != b.pred or len(a.args) != len(b.args):
+        return
+    yield tuple(zip(a.args, b.args))
+    if a.pred is None and b.args[0] != b.args[1]:
+        yield tuple(zip(a.args, (b.args[1], b.args[0])))
+
+
 def _rename_match(p: Term, t: Term, fwd: dict, bwd: dict) -> Optional[tuple[dict, dict]]:
     stack = [(p, t)]
     fwd, bwd = dict(fwd), dict(bwd)
@@ -380,7 +387,7 @@ def _variant_search(a, b, i, used, fwd, bwd) -> bool:
     for j, other in enumerate(b):
         if j in used:
             continue
-        for pairs in _literal_pairings(a[i], other):
+        for pairs in literal_pairings(a[i], other):
             maps = (fwd, bwd)
             for p, t in pairs:
                 maps = _rename_match(p, t, *maps)
@@ -512,6 +519,19 @@ def reference_demodulate(unit_lits, main_lits) -> Optional[tuple[Literal, ...]]:
 
 
 # ------------------------------------------------- unscreened engine scans
+
+def check_ordering_conditions(
+    main: Clause, lhs_image: Term, rhs_image: Term, matched_image: frozenset[int]
+) -> bool:
+    """Orientation and redundancy checks for one candidate rewrite.
+
+    The instantiated equality must be oriented left to right, and the main
+    literals outside the matched image must exceed it as a multiset.
+    """
+    return compare_terms(lhs_image, rhs_image) is OrderResult.GREATER and remainder_exceeds(
+        main, lhs_image, rhs_image, matched_image
+    )
+
 
 def unscreened_sd_steps(side, main) -> list:
     """Every subsumption demodulation step of main by side, scanned with no screen.

@@ -14,6 +14,7 @@ import time
 from collections import Counter
 
 from oracles import (
+    check_ordering_conditions,
     compare_clauses,
     ground_entails,
     load_problem,
@@ -36,7 +37,6 @@ from sdprover.saturation import (
 )
 from sdprover.simplify import (
     build_simplified_clause,
-    check_ordering_conditions,
     demodulate,
     forward_subsumption_delete,
     forward_subsumption_demodulation,

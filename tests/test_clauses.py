@@ -5,7 +5,16 @@ import time
 from operator import is_
 
 import pytest
-from oracles import apply, canonical_literals, clause_vars, nvars, rename_literals, shift_vars, variant
+from oracles import (
+    apply,
+    canonical_literals,
+    clause_vars,
+    literal_pairings,
+    nvars,
+    rename_literals,
+    shift_vars,
+    variant,
+)
 from randgen import Gen
 
 from sdprover.clauses import (
@@ -20,7 +29,6 @@ from sdprover.clauses import (
     rename_apart,
     select,
 )
-from sdprover.matching import _literal_pairings
 from sdprover.ordering import OrderResult, compare_literals
 from sdprover.terms import Signature, SignatureError, Var, run_scope, unify_pairs
 from sdprover.tptp import parse_problem
@@ -96,15 +104,11 @@ def test_apply_on_literal_and_tuple():
 
 def test_unify_literals_with_equality_orientation():
     # only the swapped orientation unifies here
-    stored, swapped = _literal_pairings(eq(env.f(x), env.a), eq(env.a, env.f(env.b)))
+    stored, swapped = literal_pairings(eq(env.f(x), env.a), eq(env.a, env.f(env.b)))
     assert unify_pairs(stored) is None
     sub = unify_pairs(swapped)
     assert sub is not None
     assert apply(eq(env.f(x), env.a), sub) == eq(env.a, env.f(env.b))
-
-
-def test_unify_respects_polarity():
-    assert list(_literal_pairings(env.p(x), env.p(env.a).negated())) == []
 
 
 def test_canonical_literals_first_occurrence_order():

@@ -1,5 +1,6 @@
 """Index tests: indexed literals, tree retrieval against brute force, and retrieval completeness."""
 
+import itertools
 import time
 
 from oracles import (
@@ -90,17 +91,21 @@ def test_unindexable_clauses_have_no_keys():
     assert best_literals(factory.make([])) == []
 
 
-def _tree_items(tree):
-    """Every item stored in the tree, once per path it is stored under; a
-    checked leaf is a dict of item sets, so it is read as a node is."""
-    out, stack = [], [tree._root]
+def _edges_to_sets(tree):
+    """Each set in the tree, keyed by the edges that lead to it from the root."""
+    out, stack = {}, [((), tree._root)]
     while stack:
-        node = stack.pop()
+        edges, node = stack.pop()
         if isinstance(node, set):
-            out.extend(node)
+            out[edges] = node
         else:
-            stack.extend(node.values())
+            stack.extend((edges + (edge,), child) for edge, child in node.items())
     return out
+
+
+def _tree_items(tree):
+    """Every item stored in the tree, once per path it is stored under."""
+    return [c for items in _edges_to_sets(tree).values() for c in items]
 
 
 def _rewrites(c):
@@ -393,7 +398,11 @@ def test_generalization_tree_retrieves_every_matching_literal():
         retrieved += len(found)
         same_key += sum(top_symbol_key(c.literals[0]) == top_symbol_key(query) for c in stored)
         for c in stored:
-            if next(literal_match_substs(c.literals[0], query, {}), None) is not None:
+            lit = c.literals[0]
+            # the matcher pairs only literals of one polarity and predicate
+            if (lit.positive, lit.pred) != (query.positive, query.pred):
+                continue
+            if next(literal_match_substs(lit, query, {}), None) is not None:
                 assert c.cid in found, (c, query)
                 matched += 1
     assert matched >= 300, matched
@@ -704,7 +713,7 @@ def test_forward_subsumption_candidates_check_repeated_variables():
 
 
 def test_linear_and_checked_paths_share_a_leaf():
-    """r(X, Y), r(X, X) and r(Y, Y) end at one leaf: the linear path
+    """r(X, Y), r(X, X) and r(Y, Y) end at one node: the linear path
     generalizes every r-literal, the two checked ones (one check) only those
     with equal arguments, and removal in any order leaves no node behind."""
     gen = Gen(seed=59)
@@ -722,6 +731,39 @@ def test_linear_and_checked_paths_share_a_leaf():
         for c in order:
             tree.remove(c)
         assert tree._paths == {} and tree._root == {}
+
+
+def test_every_leaf_is_a_set_after_its_check_edge():
+    """Every set in the tree is reached as root, tag, keys, check, with the
+    check edge None on a path without repeated variables, and no other node
+    is a set, whatever order the clauses come and go in."""
+    sig = env.sig
+    r, h, a = env.r, env.h, env.a
+    s = predicate(sig, "s", 0)
+    factory = ClauseFactory()
+    lits = [r(x, y), r(x, x), r(y, y), s()]
+    filed = [(c, _paths(zip(c.literals, literal_walks(c)))) for c in (factory.make([lit]) for lit in lits)]
+    unit = factory.make([eq(h(x, x), a)])
+    filed.append((unit, _lhs_paths(unit)))
+    tree = DiscriminationTree()
+
+    def expected(present):
+        out = {}
+        for c, paths in present:
+            for tag, keys, check in paths:
+                out.setdefault((tag, *keys, check), set()).add(c)
+        return out
+
+    # r(X, X) and r(Y, Y) share a check; h(X, X) has another
+    assert {path[2] for _, paths in filed for path in paths} == {None, ((0, -1), (0, 0)), ((1, -1), (0, 0))}
+    for order in itertools.permutations(filed):
+        for k, (c, paths) in enumerate(order):
+            tree.insert(c, paths)
+            assert _edges_to_sets(tree) == expected(order[: k + 1])
+        for k, (c, _) in enumerate(order):
+            tree.remove(c)
+            assert _edges_to_sets(tree) == expected(order[k + 1 :])
+        assert tree._root == {} and tree._paths == {}
 
 
 def test_repeated_variable_checks_are_linear_in_the_query():

@@ -52,6 +52,13 @@ def test_subsumption_needs_distinct_targets():
     assert subsumes(_clause((env.p(x), env.p(y))), _clause((env.p(env.a), env.p(env.b))))
 
 
+def test_subsumption_respects_polarity():
+    # the matcher pairs a literal only with target literals of its own
+    # polarity and predicate, read off the target's set-up
+    assert not subsumes(_clause((env.p(x),)), _clause((env.p(env.a).negated(),)))
+    assert subsumes(_clause((env.p(x).negated(),)), _clause((env.p(env.a).negated(),)))
+
+
 def test_subsumption_tries_equality_orientations():
     assert subsumes(_clause((eq(x, env.a),)), _clause((eq(env.a, env.b),)))
 
