@@ -15,6 +15,7 @@ from .terms import (
     check_time,
     instantiate,
     make_app,
+    make_var,
     preorder_subterms,
     replace_at,
 )
@@ -201,7 +202,8 @@ def _instantiate_literals(
 
 def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tuple[Literal, ...]:
     """literals instantiated by unifier, a unify_pairs result in triangular
-    form, variables renumbered 0, 1, ... in pre-order of first occurrence.
+    form, variables renumbered 0, 1, ... in pre-order of first occurrence
+    (by make_var, so shared within a run).
 
     Literals already numbered so, under an empty unifier, come back as
     they are: the parser numbers its clauses' variables that way, and so
@@ -209,7 +211,7 @@ def canonical_instance(literals: Sequence[Literal], unifier: Substitution) -> tu
     if not unifier and _numbered(literals):
         return tuple(literals)
     fresh = itertools.count()
-    return _instantiate_literals(literals, unifier, lambda v: Var(next(fresh)))
+    return _instantiate_literals(literals, unifier, lambda v: make_var(next(fresh)))
 
 
 def _numbered(literals: Sequence[Literal]) -> bool:
@@ -239,8 +241,8 @@ def _numbered(literals: Sequence[Literal]) -> bool:
 
 
 def rename_apart(clause: Clause) -> tuple[Literal, ...]:
-    """clause's literals with every variable v replaced by Var(-1 - v), kept on
-    the clause.
+    """clause's literals with every variable v replaced by the variable of id
+    -1 - v (made by make_var, so shared within a run), kept on the clause.
 
     The factory numbers variables from 0, so the copy shares no variable
     with any first premise, the clause itself included.  Ground literals,
@@ -249,7 +251,7 @@ def rename_apart(clause: Clause) -> tuple[Literal, ...]:
     if clause._renamed is None:
         lits = clause.literals
         if not all(lit.ground for lit in lits):
-            lits = _instantiate_literals(lits, {}, lambda v: Var(-1 - v.vid))
+            lits = _instantiate_literals(lits, {}, lambda v: make_var(-1 - v.vid))
         clause._renamed = lits
     return clause._renamed
 

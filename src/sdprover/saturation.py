@@ -5,11 +5,15 @@ clause is forward-simplified against the active set, then used backward to
 delete or rewrite active clauses, then activated and used for generating
 inferences with itself and with the active clauses that the backward
 index retrieves as partners for each rule (index.BackwardIndex's
-generation keys).  Forward subsumption tries only the active clauses the
-backward index retrieves, and rewriting only the side premises the forward
-index (index.FsdIndex) retrieves, in ascending id order; the others cannot
-subsume or rewrite the clause, so the first that does is the one a scan of
-the active set finds.  With FSD off, the forward index files units only.
+generation keys).  Forward subsumption first asks the backward index for
+an active copy of the given clause, one with its literal tuple, which
+subsumes it; without one it tries only the active clauses the backward
+index retrieves.  Either way the clause is deleted exactly when some
+active clause subsumes it, and the loop reads no more than that.
+Rewriting tries only the side premises the forward index (index.FsdIndex)
+retrieves, in ascending id order; the others cannot rewrite the clause, so
+the first that does is the one a scan of the active set finds.  With FSD
+off, the forward index files units only.
 Clause selection alternates age and weight at a 1:5 ratio, starting with
 age.
 

@@ -192,7 +192,16 @@ def backward_subsumption_demodulation(
 
 
 def forward_subsumption_delete(d: Clause, active: BackwardIndex) -> Optional[int]:
-    """Id of an active clause subsuming d, or None."""
+    """Id of some active clause subsuming d, not necessarily the lowest, or None.
+
+    An active copy of d, a clause with d's literal tuple, is returned
+    before any retrieval or matcher call (BackwardIndex.copy_of).
+    Otherwise the retrieved candidates are tried in ascending id order and
+    the first that subsumes d is returned.
+    """
+    copy = active.copy_of(d)
+    if copy is not None:
+        return copy.cid
     for c in sorted(active.forward_subsumption_candidates(d), key=lambda c: c.cid):
         if subsumes(c, d):
             return c.cid

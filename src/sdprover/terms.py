@@ -6,12 +6,16 @@ whatever was in force before when it exits, however it exits:
 
   - the run's term table: every application that make_app builds, which
     is every one that FunctionSymbol.__call__, instantiate, replace_at and
-    Literal.atom build, is the run's one App equal to it.  The table holds
-    only terms that run built and never outlives it.  Outside a run, and
-    for terms built before one (the parser's, a test's), construction
-    makes a new App each time.  Equality and hashing stay structural
-    either way, so sharing changes which objects exist, never what
-    compares equal or how sets and dicts order them;
+    Literal.atom build, is the run's one App equal to it, and every
+    variable that make_var makes, which is every one that minting
+    (clauses.canonical_instance) and renaming apart (clauses.rename_apart)
+    make, is the run's one Var of its id.  So the keys make_app looks up
+    compare at the identity test, variables too.  The table holds only
+    terms that run built and never outlives it.  Outside a run, and for
+    terms built before one (the parser's, a test's), construction makes a
+    new object each time.  Equality and hashing stay structural either
+    way, so sharing changes which objects exist, never what compares equal
+    or how sets and dicts order them;
   - the run's deadline: check_time raises ResourceLimit("time") once it
     has passed, and does nothing outside a run or in a run with no time
     limit.  Every long step calls it, so no search function takes a
@@ -46,7 +50,9 @@ class Var:
     attributes.  Its hash, hash((vid,)), is computed there and kept: every
     App hash over it and every dict keyed by it reads the hash.  The value
     does not depend on PYTHONHASHSEED, so neither do set and dict order
-    nor the search."""
+    nor the search.  Within a run the prover makes variables with
+    make_var, which shares them: one Var per id (see the module
+    docstring)."""
 
     __slots__ = ("vid", "_hash")
 
@@ -130,9 +136,9 @@ class App:
 
 Term = Union[Var, App]
 
-# the run's term table, (sym, args) -> App, and its deadline, a
-# time.monotonic() value; both None outside run_scope
-_shared: Optional[dict[tuple[int, tuple[Term, ...]], App]] = None
+# the run's term table, (sym, args) -> App and vid -> Var, and its
+# deadline, a time.monotonic() value; both None outside run_scope
+_shared: Optional[dict[Union[tuple[int, tuple[Term, ...]], int], Term]] = None
 _deadline: Optional[float] = None
 
 
@@ -149,6 +155,18 @@ def make_app(sym: int, args: tuple[Term, ...]) -> App:
     return app
 
 
+def make_var(vid: int) -> Var:
+    """The variable of id vid: inside run_scope the one Var of the run
+    with that id, made on first request; outside, a new Var."""
+    table = _shared
+    if table is None:
+        return Var(vid)
+    var = table.get(vid)
+    if var is None:
+        var = table[vid] = Var(vid)
+    return var
+
+
 def check_time() -> None:
     """Raise ResourceLimit("time") once the run's deadline has passed."""
     if _deadline is not None and time.monotonic() > _deadline:
@@ -157,10 +175,11 @@ def check_time() -> None:
 
 @contextmanager
 def run_scope(deadline: Optional[float]) -> Iterator[None]:
-    """One saturation run: while the block runs, make_app shares what it
-    builds in a table that starts empty, and check_time enforces deadline
-    (None: no time limit).  However the block exits, the table and
-    deadline in force before are put back."""
+    """One saturation run: while the block runs, make_app and make_var
+    share the applications and variables they make in a table that starts
+    empty, and check_time enforces deadline (None: no time limit).
+    However the block exits, the table and deadline in force before are
+    put back."""
     global _shared, _deadline
     saved = _shared, _deadline
     _shared, _deadline = {}, deadline

@@ -1,7 +1,8 @@
 """The run scope: inside a saturation run every application the term
-constructors build is the run's one App equal to it, and check_time
-enforces the run's deadline; outside a run each construction is a new
-object and check_time never raises; and neither the table nor the
+constructors build is the run's one App equal to it, every variable that
+minting and renaming apart make is the run's one Var of its id, and
+check_time enforces the run's deadline; outside a run each construction is
+a new object and check_time never raises; and neither the table nor the
 deadline outlives saturate."""
 
 import glob
@@ -14,7 +15,7 @@ import pytest
 from oracles import nvars
 
 from sdprover import calculus, saturation, terms
-from sdprover.clauses import ClauseFactory, Literal, predicate
+from sdprover.clauses import ClauseFactory, Literal, predicate, rename_apart
 from sdprover.saturation import ProverConfig, SatStatus, saturate, verify_proof
 from sdprover.terms import App, ResourceLimit, Signature, Var, check_time, instantiate, make_app, replace_at, run_scope
 from sdprover.tptp import emit_result, parse_problem
@@ -122,6 +123,63 @@ def test_equal_constructions_inside_a_run_are_one_object(monkeypatch):
         if id(t) not in from_input:
             assert first.setdefault(t, t) is t, t
     assert len(first) > 10
+
+
+def _variables(lits) -> list[Var]:
+    """The variable objects of lits, at every occurrence."""
+    out = []
+    stack = [arg for lit in lits for arg in lit.args]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            out.append(t)
+        else:
+            stack.extend(t.args)
+    return out
+
+
+def _made_variables(s: Setup) -> list[Var]:
+    """The variables of two minted clauses, renumbered since their input
+    is not numbered in pre-order, and of those clauses renamed apart."""
+    minted = [s.clause(s.p(s.h(Y, X))), s.clause(s.p(s.f(Y)), s.p(X).negated())]
+    return [v for c in minted for lits in (c.literals, rename_apart(c)) for v in _variables(lits)]
+
+
+def _one_per_id(variables: list[Var]) -> bool:
+    first: dict[int, Var] = {}
+    return all(first.setdefault(v.vid, v) is v for v in variables)
+
+
+def test_minted_and_renamed_variables_are_one_object_per_id_in_a_run():
+    """Inside a run, minting and renaming apart take every variable from
+    the run's table, so all the variables of one id across clauses are one
+    object; outside a run each clause gets variables of its own."""
+    s = Setup()
+    outside = _made_variables(s)
+    assert {v.vid for v in outside} == {0, 1, -1, -2}
+    assert not _one_per_id(outside)
+    with run_scope(None):
+        inside = _made_variables(s)
+        assert _one_per_id(inside)
+        assert all(terms._shared[v.vid] is v for v in inside)
+    assert not _sharing_installed()
+    assert not _one_per_id(inside + _made_variables(s))
+
+
+def test_an_inner_run_gives_back_the_outer_variables_however_it_exits():
+    s = Setup()
+    with run_scope(None):
+        outer = terms._shared
+        before = _made_variables(s)
+        with pytest.raises(RuntimeError):
+            with run_scope(None):
+                inner = _made_variables(s)
+                raise RuntimeError("step failed")
+        assert terms._shared is outer
+        after = _made_variables(s)
+        assert _one_per_id(before + after)
+        assert not _one_per_id(inner + after)
+    assert not _sharing_installed()
 
 
 def _rule_raises(*args):

@@ -15,8 +15,9 @@ from randgen import Gen
 from sdprover import simplify
 from sdprover.clauses import ClauseFactory, eq, neq, predicate
 from sdprover.index import BackwardIndex, FsdIndex
-from sdprover.matching import source_set_up
+from sdprover.matching import source_set_up, subsumes
 from sdprover.ordering import OrderResult
+from sdprover.saturation import ProverConfig, ProverState, backward_simplify
 from sdprover.simplify import (
     backward_subsumption_deletions,
     backward_subsumption_demodulation,
@@ -330,6 +331,116 @@ def test_subsumption_respects_multiset_discipline():
     single = factory.make([p(c)])
     # two source literals cannot collapse onto one target literal
     assert forward_subsumption_delete(single, active) is None
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_an_active_copy_is_deleted_before_any_retrieval(monkeypatch):
+    """A given clause with an active clause's literal tuple is deleted by
+    the copy screen alone: no retrieval and no matcher call."""
+    factory = ClauseFactory()
+    active = BackwardIndex()
+    active.insert(factory.make([r(a)]))
+    kept = factory.make([p(x), q(f(x)), r(y)])
+    active.insert(kept)
+    monkeypatch.setattr(BackwardIndex, "forward_subsumption_candidates", _no_call)
+    monkeypatch.setattr(simplify, "subsumes", _no_call)
+    assert forward_subsumption_delete(factory.make(kept.literals), active) == kept.cid
+
+
+def _screen_only(monkeypatch):
+    """Forward subsumption with the retrieval emptied: only the copy
+    screen can delete."""
+    monkeypatch.setattr(BackwardIndex, "forward_subsumption_candidates", lambda self, d: set())
+
+
+def test_a_removed_clause_leaves_the_copy_screen(monkeypatch):
+    """However a clause leaves the active set (backward subsumption, a BSD
+    replacement), a copy of it is not deleted by the screen."""
+    factory = ClauseFactory()
+    st = ProverState(factory, ProverConfig())
+    wide = factory.make([p(f(c)), q(d)])
+    main = factory.make([p(f(g(c))), q(c), q(d), r(f(g(d)))])
+    st.activate(wide)
+    st.activate(main)
+    copies = [factory.make(wide.literals), factory.make(main.literals)]
+    assert [forward_subsumption_delete(copy, st.bindex) for copy in copies] == [wide.cid, main.cid]
+    subsumer = factory.make([p(f(c))])
+    st.activate(subsumer)
+    backward_simplify(subsumer, st)
+    assert wide.cid not in st.active and main.cid in st.active
+    side = factory.make([eq(f(g(x)), g(x)), q(x), r(y)])
+    st.activate(side)
+    backward_simplify(side, st)
+    assert main.cid not in st.active and len(st.passive) == 1
+    _screen_only(monkeypatch)
+    assert [forward_subsumption_delete(copy, st.bindex) for copy in copies] == [None, None]
+
+
+def test_two_active_copies_removing_one_keeps_the_other(monkeypatch):
+    factory = ClauseFactory()
+    active = BackwardIndex()
+    first = factory.make([p(x), q(f(x))])
+    second = factory.make(first.literals)
+    active.insert(first)
+    active.insert(second)
+    # an indexed clause is not its own copy
+    assert forward_subsumption_delete(first, active) == second.cid
+    _screen_only(monkeypatch)
+    given = factory.make(first.literals)
+    active.remove(second)
+    assert forward_subsumption_delete(given, active) == first.cid
+    active.remove(second)
+    assert forward_subsumption_delete(given, active) == first.cid
+    active.remove(first)
+    assert forward_subsumption_delete(given, active) is None
+
+
+def test_the_copy_screen_compares_whole_literal_tuples(monkeypatch):
+    """Clauses are filed for the screen by length and first and last
+    literal; one that differs only in between is not a copy."""
+    factory = ClauseFactory()
+    active = BackwardIndex()
+    active.insert(factory.make([p(a), q(x), r(b)]))
+    _screen_only(monkeypatch)
+    assert forward_subsumption_delete(factory.make([p(a), q(f(x)), r(b)]), active) is None
+
+
+def test_forward_subsumption_delete_agrees_with_a_scan_of_the_active_set():
+    """Differential: forward subsumption deletes d exactly when some active
+    clause subsumes it, and the id it returns is such a clause's, while
+    clauses come and go and many a given clause is a copy of an active or
+    a removed one."""
+    gen = Gen(seed=97)
+    factory = ClauseFactory()
+    index = BackwardIndex()
+    active: dict = {}
+    removed = []
+    deleted = copies = 0
+    for _ in range(300):
+        roll = gen.rng.random()
+        if roll < 0.35 and active:
+            d = factory.make(gen.rng.choice(list(active.values())).literals)
+            copies += 1
+        elif roll < 0.45 and removed:
+            d = factory.make(gen.rng.choice(removed).literals)
+        else:
+            d = factory.make(gen.lits(gen.rng.randrange(1, 4), depth=1))
+        found = forward_subsumption_delete(d, index)
+        subsumers = {cid for cid, c in active.items() if subsumes(c, d)}
+        assert (found is None) == (not subsumers), d
+        assert found is None or found in subsumers
+        deleted += found is not None
+        if gen.rng.random() < 0.6:
+            index.insert(d)
+            active[d.cid] = d
+        if active and gen.rng.random() < 0.3:
+            gone = active.pop(gen.rng.choice(sorted(active)))
+            index.remove(gone)
+            removed.append(gone)
+    assert copies > 50 and deleted > copies
 
 
 def _side_with_instance(factory, gen):

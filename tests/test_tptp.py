@@ -595,11 +595,14 @@ def test_cli_time_limit_holds_in_literal_selection(tmp_path):
 
 def test_cli_time_limit_holds_while_reading_the_problem(tmp_path):
     """The time limit counts from reading the input, and minting checks
-    the deadline per input clause: a file of 20,000 clauses (1.4 MB) times
-    out within the bound, whether or not it is parsed by then."""
+    the deadline per input clause: a file of 100,000 clauses (7.6 MB) times
+    out within the bound.  Read whole, without those checks, it takes
+    longer than the bound (4.5 s on a 2-core host with CPython 3.11).  The
+    clauses are pairwise distinct (a{i}), so none is deleted as a copy of
+    an active one and the run cannot saturate within the limit."""
     text = "".join(
-        f"cnf(c{i}, axiom, ~p{i % 7}(X, f(Y, a{i % 13})) | q(g(X), b{i % 5}) | h(X, Y) = k(Z, c)).\n"
-        for i in range(20_000)
+        f"cnf(c{i}, axiom, ~p{i % 7}(X, f(Y, a{i})) | q(g(X), b{i % 5}) | h(X, Y) = k(Z, c)).\n"
+        for i in range(100_000)
     )
     _assert_times_out_within_bound(_write(tmp_path, text))
 
