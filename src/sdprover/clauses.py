@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .ordering import OrderResult, compare_literals
 from .terms import (
     App,
     Signature,
@@ -396,8 +397,6 @@ def select(clause: Clause) -> tuple[int, ...]:
 
 
 def _select(clause: Clause) -> tuple[int, ...]:
-    from .ordering import OrderResult, compare_literals
-
     lits = clause.literals
     negatives = [i for i, lit in enumerate(lits) if not lit.positive]
     if negatives:

@@ -2,43 +2,42 @@
 
 Two perfect discrimination trees (McCune, JAR 1992) answer every literal
 retrieval, each with one role.  A path is a tag followed by the pre-order
-symbols of a term sequence, STAR for every variable, read off the clause's
-stored literal walks (clauses.literal_walks), and a check on the variables
-that occur more than once in it (_tree_path).  The backward index's tree
-holds each distinct literal of every active clause, tagged (polarity,
-predicate), for subsumption both ways and backward subsumption
-demodulation.  The forward rewriting index's tree (FsdIndex) holds the
-side premises that may rewrite a given clause: a unit equality under the
-left-hand side of each orientation that can rewrite (matching.source_set_up's
-equations with a verdict other than EQUAL and no right-hand variable the
-left lacks), tagged REWRITE_LHS, and any other under its best literals
-(best_literals): whichever of its two top literals is not the rewriting
-equality occurs, instantiated, in any main premise it simplifies.  A
-path's check is its last edge, and every leaf is the set of clauses filed
-under its path, so a retrieval returns clauses; the tree keeps the paths
-it filed each clause under, by clause id, until the clause is removed.
+symbols of a term sequence, read off the clause's stored literal walks
+(clauses.literal_walks), with its variables numbered by first occurrence:
+STAR at a variable's first occurrence and a repeat edge naming the variable
+at each later one (_tree_path).  The backward index's tree holds each
+distinct literal of every active clause, tagged (polarity, predicate), for
+subsumption both ways and backward subsumption demodulation.  The forward
+rewriting index's tree (FsdIndex) holds the side premises that may rewrite
+a given clause: a unit equality under the left-hand side of each
+orientation that can rewrite (matching.source_set_up's equations with a
+verdict other than EQUAL and no right-hand variable the left lacks), tagged
+REWRITE_LHS, and any other under its best literals (best_literals):
+whichever of its two top literals is not the rewriting equality occurs,
+instantiated, in any main premise it simplifies.  Every leaf is the set of
+clauses filed under its path, so a retrieval returns clauses; the tree
+keeps the paths it filed each clause under, by clause id, until the clause
+is removed.
 
 Generalization retrieval follows a STAR edge by skipping the query's whole
-subterm at that point (the walk's ends say where it stops) and a symbol
-edge only on the same symbol; a query variable follows only STAR edges,
-since the matcher treats it as a rigid constant.  It checks repeated
-variables: a path in which a variable occurs twice is returned only when
-the query subterms at its occurrences are equal, a query variable being
-equal only to itself (_admit).  The check is tested on the check edges at
-the end of a walk, so the descent does not pay for it, a path without one
-passes at once, and generalization retrieval returns exactly the paths
-that match the query.  Instance retrieval follows a query symbol only along
-its own edge, and a query variable past one whole stored term, whose
-extent the tree reads from a symbol-to-arity table it learns from the
-walks' ends on insert (bounded by the signature).  It ignores repeated
-variables, of the query and of the stored paths, so it returns every
-instance of the query, and possibly more.  An equality matches in either
-argument order, so an equality query also runs on the walk of its other
-order: the second argument's keys, then the first's.  Forward subsumption,
-demodulation and forward subsumption demodulation retrieve generalizations
-of a clause's literals or subterms; backward subsumption and backward
-subsumption demodulation retrieve instances of g's literals or of c's best
-literals.
+subterm at that point (the walk's ends say where it stops), which binds the
+variable to it; a repeat edge only when the query subterm there equals the
+one its variable is bound to, a query variable being equal only to itself;
+and a symbol edge only on the same symbol.  A query variable follows no
+symbol edge, since the matcher treats it as a rigid constant.  So
+generalization retrieval returns exactly the paths that match the query.
+Instance retrieval follows a query symbol only along its own edge, and a
+query variable past one whole stored term, whose extent the tree reads from
+a symbol-to-arity table it learns from the walks' ends on insert (bounded
+by the signature).  It ignores repeated variables, of the query and of the
+stored paths, whose repeat edges it takes as it takes STAR, so it returns
+every instance of the query, and possibly more.  An equality matches in
+either argument order, so an equality query also runs on the walk of its
+other order: the second argument's keys, then the first's.  Forward
+subsumption, demodulation and forward subsumption demodulation retrieve
+generalizations of a clause's literals or subterms; backward subsumption
+and backward subsumption demodulation retrieve instances of g's literals or
+of c's best literals.
 
 Subsumption candidates also pass the count screen: a subsumer maps its
 literals one to one onto literals with the same polarity and predicate, so
@@ -86,7 +85,8 @@ RESOLVES = "r"
 REWRITES = "l"
 REWRITABLE = "s"
 REWRITE_LHS = "lhs"
-STAR = None  # the tree key of a variable; its walk key is negative
+STAR = None  # the tree key of a variable's first occurrence; its walk key is negative
+REPEAT = "="  # a node's entry for its repeat edges, a dict from variable number to child
 
 
 def _generation_keys(c: Clause) -> set[tuple]:
@@ -114,68 +114,30 @@ def _generation_keys(c: Clause) -> set[tuple]:
 
 
 def _tree_path(tag, keys: tuple, ground: bool) -> tuple:
-    """The tree path (tag, keys, check) of a walked term sequence: its walk
-    keys with STAR for each variable, and the check of its repeated
-    variables, or None when no variable occurs twice.
-
-    The check holds (gap, same) for each variable occurrence up to the
-    last repeated one: gap symbol keys precede it since the previous
-    occurrence (or the start), and same is the place in the check of the
-    variable's first occurrence, or -1 at a first occurrence.  It names no
-    variable, so paths that differ only by a renaming share it.
+    """The tree path (tag, keys) of a walked term sequence: its walk keys
+    with its variables numbered 0, 1, ... by first occurrence, each first
+    occurrence STAR and each later occurrence of the n-th variable ~n (that
+    is -1 - n), the key of its repeat edge.  It names no variable of the
+    walk, so paths that differ only by a renaming are equal.
     """
     if ground:
-        return tag, keys, None
-    stored = tuple([STAR if k < 0 else k for k in keys])
-    seen = [k for k in keys if k < 0]
-    if len(set(seen)) == len(seen):
-        return tag, stored, None
-    check: list[tuple[int, int]] = []
-    first: dict[int, int] = {}
-    gap = cut = 0
+        return tag, keys
+    number: dict[int, int] = {}
+    path = []
     for k in keys:
         if k >= 0:
-            gap += 1
-        elif k in first:
-            check.append((gap, first[k]))
-            cut, gap = len(check), 0
+            path.append(k)
+        elif k in number:
+            path.append(~number[k])
         else:
-            first[k] = len(check)
-            check.append((gap, -1))
-            gap = 0
-    return tag, stored, tuple(check[:cut])
-
-
-def _admit(node: dict, keys: tuple, ends: list[int], start: int, out: list) -> None:
-    """Append to out each item set below the end node of a walk (see
-    DiscriminationTree) whose check edge the query walk (keys, ends)
-    passes, read from start along the path: each repeated variable of the
-    path meets equal subterms, that is equal keys, so a query variable is
-    equal only to itself; the edge None passes every walk."""
-    for check, items in node.items():
-        if check is None:
-            out.append(items)
-            continue
-        starts = []
-        q = start
-        for gap, same in check:
-            q += gap
-            if same >= 0:
-                # spans of unequal length differ without a look at their
-                # keys, so a check costs no more than the subterms it
-                # compares, which are disjoint and of one size
-                p, end = starts[same], ends[q]
-                if ends[p] - p != end - q or keys[p:ends[p]] != keys[q:end]:
-                    break
-            starts.append(q)
-            q = ends[q]
-        else:
-            out.append(items)
+            number[k] = len(number)
+            path.append(STAR)
+    return tag, tuple(path)
 
 
 def _paths(walked: Iterable[tuple[Literal, tuple]]) -> dict[tuple, list[int]]:
-    """The tree path (tag, keys, check) of each walked literal, each path
-    once, mapped to the ends of its walk."""
+    """The tree path (tag, keys) of each walked literal, each path once,
+    mapped to the ends of its walk."""
     return {_tree_path((lit.positive, lit.pred), keys, lit.ground): ends for lit, (keys, ends) in walked}
 
 
@@ -260,18 +222,17 @@ class DiscriminationTree:
     """Perfect discrimination tree of clauses, for generalization and
     instance retrieval; it keeps the paths each clause is filed under.
 
-    A path (tag, keys, check) is a tag followed by pre-order symbol keys,
-    STAR for a variable, and the check of its repeated variables, None when
-    it has none (see _tree_path); the tree descends its edges in that order.
-    Inner nodes are dicts from edge to child, and every leaf is the set of
-    clauses filed under its path.  The node after a path's last key is the
-    end node of its walk, and maps checks to leaves: generalization
-    retrieval returns a leaf only when the query passes its check, and
-    instance retrieval returns them all.  Paths of one tag are complete
-    term sequences over fixed arities, so no path is a prefix of another,
-    and an end node holds check edges only.  _arity holds the arity of
-    every symbol ever inserted, and _paths each filed clause's paths by
-    its id.
+    A path (tag, keys) is a tag followed by pre-order symbol keys, STAR at
+    a variable's first occurrence and ~n at each later occurrence of the
+    n-th variable (see _tree_path); the tree descends its edges in that
+    order.  Inner nodes are dicts from edge to child, with a node's repeat
+    edges under its one REPEAT entry, a dict from n to child, so a descent
+    looks them up at once and a query variable's negative key meets none.
+    Every leaf is the set of clauses filed under its path, the node after
+    its last key, or root[tag] itself for a tag with no keys.  Paths of one
+    tag are complete term sequences over fixed arities, so no path is a
+    prefix of another.  _arity holds the arity of every symbol ever
+    inserted, and _paths each filed clause's paths by its id.
     """
 
     def __init__(self) -> None:
@@ -280,40 +241,54 @@ class DiscriminationTree:
         self._paths: dict[int, tuple[tuple, ...]] = {}
 
     def insert(self, c: Clause, paths: dict[tuple, list[int]]) -> None:
-        """File c under every path (tag, keys, check) of paths, which maps
-        each to its walk's ends; a filed clause, or one with no path, is
-        left out."""
+        """File c under every path (tag, keys) of paths, which maps each to
+        its walk's ends; a filed clause, or one with no path, is left out."""
         if not paths or c.cid in self._paths:
             return
         self._paths[c.cid] = tuple(paths)
         arity = self._arity
-        for (tag, keys, check), ends in paths.items():
-            node = self._root.setdefault(tag, {})
+        for (tag, keys), ends in paths.items():
+            # node[edge] is the slot the next node or the leaf goes in
+            node, edge = self._root, tag
             for i, key in enumerate(keys):
-                if key is not STAR and key not in arity:
-                    count, j = 0, i + 1
-                    while j < ends[i]:
-                        count, j = count + 1, ends[j]
-                    arity[key] = count
-                node = node.setdefault(key, {})
-            node.setdefault(check, set()).add(c)
+                node = node.setdefault(edge, {})
+                if key is STAR:
+                    edge = key
+                elif key < 0:
+                    node, edge = node.setdefault(REPEAT, {}), ~key
+                else:
+                    if key not in arity:
+                        count, j = 0, i + 1
+                        while j < ends[i]:
+                            count, j = count + 1, ends[j]
+                        arity[key] = count
+                    edge = key
+            node.setdefault(edge, set()).add(c)
 
     def remove(self, c: Clause) -> None:
-        """Take c off every path it is filed under, and drop the item sets
-        and nodes left empty."""
-        for tag, keys, check in self._paths.pop(c.cid, ()):
-            trail = []
-            node = self._root
-            for key in (tag, *keys, check):
-                trail.append((node, key))
-                node = node[key]
-            node.discard(c)
-            while not node and trail:
-                node, key = trail.pop()
-                del node[key]
+        """Take c off every path it is filed under, and drop the item sets,
+        nodes and REPEAT entries left empty."""
+        for tag, keys in self._paths.pop(c.cid, ()):
+            slots = []
+            node, edge = self._root, tag
+            for key in keys:
+                slots.append((node, edge))
+                node = node[edge]
+                if key is not STAR and key < 0:
+                    slots.append((node, REPEAT))
+                    node, edge = node[REPEAT], ~key
+                else:
+                    edge = key
+            node[edge].discard(c)
+            slots.append((node, edge))
+            while slots:
+                node, edge = slots.pop()
+                if node[edge]:
+                    break
+                del node[edge]
 
     def paths(self, c: Clause) -> tuple[tuple, ...]:
-        """The paths (tag, keys, check) c is filed under; () when it is not filed."""
+        """The paths (tag, keys) c is filed under; () when it is not filed."""
         return self._paths.get(c.cid, ())
 
     def generalizations(self, tag, walk: tuple) -> list[set]:
@@ -325,8 +300,8 @@ class DiscriminationTree:
             return []
         keys, ends = walk
         if not keys:
-            # a tag with no keys leads straight to its check edges
-            return list(node.values())
+            # a tag with no keys is its own leaf
+            return [node]
         out: list[set] = []
         self._collect(node, keys, ends, 0, len(keys), out)
         return out
@@ -341,22 +316,27 @@ class DiscriminationTree:
         nodes = [node]
         for key in walk[0]:
             if key < 0:
-                # every node one whole stored term further down
+                # every node one whole stored term further down, a repeat
+                # child being one stored variable, as a STAR child is
                 stack = [(node, 1) for node in nodes]
                 nodes = []
                 while stack:
                     node, pending = stack.pop()
                     for edge, child in node.items():
-                        left = pending - 1 if edge is STAR else pending - 1 + arity[edge]
-                        if left:
-                            stack.append((child, left))
+                        if edge is REPEAT:
+                            children, left = child.values(), pending - 1
                         else:
-                            nodes.append(child)
+                            children = (child,)
+                            left = pending - 1 if edge is STAR else pending - 1 + arity[edge]
+                        if left:
+                            stack.extend([(child, left) for child in children])
+                        else:
+                            nodes.extend(children)
             else:
                 nodes = [child for node in nodes if (child := node.get(key)) is not None]
             if not nodes:
                 break
-        return [items for node in nodes for items in node.values()]
+        return nodes
 
     def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set]:
         """The item set of every path under tag, each a single term, that
@@ -377,24 +357,31 @@ class DiscriminationTree:
     def _collect(node: dict, keys: tuple, ends: list[int], start: int, stop: int, out: list) -> None:
         """Append to out the item set of every path below node that
         generalizes the query keys[start:stop], its repeated variables bound
-        to equal subterms.  A query variable's key is negative, so it
-        follows no symbol edge."""
-        stack = [(node, start)]
+        to equal subterms.  Each stack entry carries the query position
+        each variable of its path so far is bound to, by number.  A query
+        variable's key is negative, so it follows no symbol edge."""
+        stack = [(node, start, ())]
         while stack:
-            node, i = stack.pop()
+            node, i, bound = stack.pop()
+            if i == stop:
+                out.append(node)
+                continue
+            end = ends[i]
             child = node.get(STAR)
             if child is not None:
-                end = ends[i]
-                if end == stop:
-                    _admit(child, keys, ends, start, out)
-                else:
-                    stack.append((child, end))
+                stack.append((child, end, bound + (i,)))
+            repeats = node.get(REPEAT)
+            if repeats is not None:
+                for n, child in repeats.items():
+                    # spans of unequal length differ without a look at
+                    # their keys, so a repeat edge costs no more than the
+                    # subterms it compares, which are disjoint and of one size
+                    p = bound[n]
+                    if ends[p] - p == end - i and keys[p:ends[p]] == keys[i:end]:
+                        stack.append((child, end, bound))
             child = node.get(keys[i])
             if child is not None:
-                if i + 1 == stop:
-                    _admit(child, keys, ends, start, out)
-                else:
-                    stack.append((child, i + 1))
+                stack.append((child, i + 1, bound))
 
 
 class FsdIndex:

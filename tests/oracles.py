@@ -720,25 +720,19 @@ def preorder(terms) -> tuple[list, list[int]]:
 
 
 def tree_path(tag, terms) -> tuple:
-    """The discrimination-tree path (tag, keys, check) of a term sequence, by
-    a walk of its own: the pre-order keys with None for each variable, and
-    the check of its repeated variables, None when none repeats.  The check
-    lists each variable occurrence up to the last repeated one as (the
-    number of symbol keys since the previous occurrence, the place in the
-    list of the variable's first occurrence or -1 at a first occurrence)."""
+    """The discrimination-tree path (tag, keys) of a term sequence, by a walk
+    of its own: the pre-order keys with the variables numbered 0, 1, ... by
+    first occurrence, None at a variable's first occurrence and ~n (that is
+    -1 - n) at each later occurrence of the n-th variable."""
     keys, _ = preorder(terms)
-    stored = tuple(None if k < 0 else k for k in keys)
-    occurrences = [(i, k) for i, k in enumerate(keys) if k < 0]
-    vids = [k for _, k in occurrences]
-    repeated = [n for n, k in enumerate(vids) if vids.index(k) < n]
-    if not repeated:
-        return tag, stored, None
-    check, after = [], 0
-    for n, (i, k) in enumerate(occurrences[: repeated[-1] + 1]):
-        first = vids.index(k)
-        check.append((i - after, first if first < n else -1))
-        after = i + 1
-    return tag, stored, tuple(check)
+    vids = [k for k in dict.fromkeys(keys) if k < 0]
+    stored = []
+    for i, k in enumerate(keys):
+        if k >= 0:
+            stored.append(k)
+        else:
+            stored.append(None if keys.index(k) == i else ~vids.index(k))
+    return tag, tuple(stored)
 
 
 def subterm_symbols(lits) -> set[int]:
