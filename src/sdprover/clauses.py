@@ -28,18 +28,19 @@ class Literal:
     A slotted class, immutable by convention: only __init__ assigns its
     attributes, apart from the atom that atom() builds once and keeps.
     Equality atoms (pred is None) are unordered pairs for identity purposes:
-    s = t and t = s compare equal and hash alike.  The hash, the weight and
-    whether the literal is ground are computed at construction, the last
-    two in one loop, as App's are: clauses, selection and the indexes read
-    them far more often than they build literals.
+    s = t and t = s compare equal and hash alike.  The hash, whether it is
+    an equality, the weight and whether it is ground are computed at
+    construction, the last two in one loop, as App's are: clauses, selection
+    and the indexes read them far more often than they build literals.
     """
 
-    __slots__ = ("positive", "pred", "args", "weight", "ground", "_hash", "_atom")
+    __slots__ = ("positive", "pred", "args", "is_equality", "weight", "ground", "_hash", "_atom")
 
     def __init__(self, positive: bool, pred: Optional[int], args: tuple[Term, ...]) -> None:
         self.positive = positive
         self.pred = pred
         self.args = args
+        self.is_equality = pred is None
         weight = 1
         ground = True
         for a in args:
@@ -53,10 +54,6 @@ class Literal:
         else:
             self._hash = hash((positive, pred, args))
         self._atom: Optional[Term] = None
-
-    @property
-    def is_equality(self) -> bool:
-        return self.pred is None
 
     def atom(self) -> Term:
         """The predicate atom as a term, built once per literal object

@@ -31,9 +31,13 @@ query variable past one whole stored term, whose extent the tree reads from
 a symbol-to-arity table it learns from the walks' ends on insert (bounded
 by the signature).  It ignores repeated variables, of the query and of the
 stored paths, whose repeat edges it takes as it takes STAR, so it returns
-every instance of the query, and possibly more.  An equality matches in
-either argument order, so an equality query also runs on the walk of its
-other order: the second argument's keys, then the first's.  Forward
+every instance of the query, and possibly more.  A ground query's only
+instance is itself, so the backward tree, the one that answers instance
+queries, also maps each ground path to its leaf and finds a ground query
+with one lookup there (exact retrieval by hashing, as in Sekar et al.,
+"Term Indexing", 2001).  An equality matches in either argument order, so
+an equality query also runs on the walk of its other order: the second
+argument's keys, then the first's.  Forward
 subsumption, demodulation and forward subsumption demodulation retrieve
 generalizations of a clause's literals or subterms; backward subsumption
 and backward subsumption demodulation retrieve instances of g's literals or
@@ -232,13 +236,16 @@ class DiscriminationTree:
     its last key, or root[tag] itself for a tag with no keys.  Paths of one
     tag are complete term sequences over fixed arities, so no path is a
     prefix of another.  _arity holds the arity of every symbol ever
-    inserted, and _paths each filed clause's paths by its id.
+    inserted, and _paths each filed clause's paths by its id.  With
+    ground_lookup, _ground maps each ground path, the tuple kept in _paths,
+    to its leaf, the trie's own set; otherwise it is None.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ground_lookup: bool = False) -> None:
         self._root: dict = {}
         self._arity: dict[int, int] = {}
         self._paths: dict[int, tuple[tuple, ...]] = {}
+        self._ground: Optional[dict[tuple, set]] = {} if ground_lookup else None
 
     def insert(self, c: Clause, paths: dict[tuple, list[int]]) -> None:
         """File c under every path (tag, keys) of paths, which maps each to
@@ -246,14 +253,16 @@ class DiscriminationTree:
         if not paths or c.cid in self._paths:
             return
         self._paths[c.cid] = tuple(paths)
-        arity = self._arity
-        for (tag, keys), ends in paths.items():
-            # node[edge] is the slot the next node or the leaf goes in
-            node, edge = self._root, tag
+        arity, ground = self._arity, self._ground
+        for path, ends in paths.items():
+            tag, keys = path
+            # node[edge] is the slot the next node or the leaf goes in, and
+            # table the ground-path table until a STAR shows up
+            node, edge, table = self._root, tag, ground
             for i, key in enumerate(keys):
                 node = node.setdefault(edge, {})
                 if key is STAR:
-                    edge = key
+                    edge, table = key, None
                 elif key < 0:
                     node, edge = node.setdefault(REPEAT, {}), ~key
                 else:
@@ -263,6 +272,8 @@ class DiscriminationTree:
                             count, j = count + 1, ends[j]
                         arity[key] = count
                     edge = key
+            if table is not None and edge not in node:
+                table[path] = node[edge] = set()
             node.setdefault(edge, set()).add(c)
 
     def remove(self, c: Clause) -> None:
@@ -280,6 +291,8 @@ class DiscriminationTree:
                 else:
                     edge = key
             node[edge].discard(c)
+            if self._ground is not None and not node[edge]:
+                self._ground.pop((tag, keys), None)
             slots.append((node, edge))
             while slots:
                 node, edge = slots.pop()
@@ -309,12 +322,16 @@ class DiscriminationTree:
     def instances(self, tag, walk: tuple) -> list[set]:
         """The item set of every path under tag whose keys are an instance of
         the walked argument tuple, repeated variables ignored."""
+        keys = walk[0]
+        if self._ground is not None and (not keys or min(keys) >= 0):
+            # a ground query's only instance is itself
+            return [] if (leaf := self._ground.get((tag, keys))) is None else [leaf]
         node = self._root.get(tag)
         if node is None:
             return []
         arity = self._arity
         nodes = [node]
-        for key in walk[0]:
+        for key in keys:
             if key < 0:
                 # every node one whole stored term further down, a repeat
                 # child being one stored variable, as a STAR child is
@@ -357,31 +374,44 @@ class DiscriminationTree:
     def _collect(node: dict, keys: tuple, ends: list[int], start: int, stop: int, out: list) -> None:
         """Append to out the item set of every path below node that
         generalizes the query keys[start:stop], its repeated variables bound
-        to equal subterms.  Each stack entry carries the query position
-        each variable of its path so far is bound to, by number.  A query
-        variable's key is negative, so it follows no symbol edge."""
+        to equal subterms; a leaf goes to out as its edge is taken.  Each
+        stack entry links the query positions its path's variables are bound
+        to as pairs (last position, pairs before), which a STAR edge extends
+        in O(1) and only a repeat edge walks.  A query variable's key is
+        negative, so it follows no symbol edge."""
         stack = [(node, start, ())]
         while stack:
             node, i, bound = stack.pop()
-            if i == stop:
-                out.append(node)
-                continue
             end = ends[i]
             child = node.get(STAR)
             if child is not None:
-                stack.append((child, end, bound + (i,)))
-            repeats = node.get(REPEAT)
+                if end == stop:
+                    out.append(child)
+                else:
+                    stack.append((child, end, (i, bound)))
+            repeats = node.get(REPEAT) if bound else None
             if repeats is not None:
+                # the positions, last variable first, so variable n's is at ~n
+                starts, pair = [], bound
+                while pair:
+                    starts.append(pair[0])
+                    pair = pair[1]
                 for n, child in repeats.items():
                     # spans of unequal length differ without a look at
                     # their keys, so a repeat edge costs no more than the
                     # subterms it compares, which are disjoint and of one size
-                    p = bound[n]
+                    p = starts[~n]
                     if ends[p] - p == end - i and keys[p:ends[p]] == keys[i:end]:
-                        stack.append((child, end, bound))
+                        if end == stop:
+                            out.append(child)
+                        else:
+                            stack.append((child, end, bound))
             child = node.get(keys[i])
             if child is not None:
-                stack.append((child, i + 1, bound))
+                if i + 1 == stop:
+                    out.append(child)
+                else:
+                    stack.append((child, i + 1, bound))
 
 
 class FsdIndex:
@@ -451,7 +481,7 @@ class BackwardIndex:
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
-        self._tree = DiscriminationTree()
+        self._tree = DiscriminationTree(ground_lookup=True)
         self._keys: dict[int, set[tuple]] = {}
         self._copies: dict[tuple, dict[int, Clause]] = {}
 

@@ -135,7 +135,8 @@ def _orientations(lit: Literal) -> tuple[Orientation, ...]:
 
 
 def _source_set_up(src: tuple[Literal, ...]) -> SourceSetUp:
-    order = tuple(sorted(range(len(src)), key=lambda i: (-src[i].weight, i)))
+    # heaviest first; the sort is stable, so ties go leftmost first
+    order = tuple(sorted(range(len(src)), key=[-lit.weight for lit in src].__getitem__))
     last_eq = max((k for k, i in enumerate(order) if src[i].positive and src[i].is_equality), default=-1)
     equations = tuple(_orientations(lit) if lit.positive and lit.is_equality else () for lit in src)
     triggers: Optional[set[int]] = set()

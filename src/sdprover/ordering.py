@@ -101,39 +101,41 @@ def compare_terms(s: Term, t: Term) -> OrderResult:
 
 
 def multiset_extension(xs: Sequence, ys: Sequence, cmp: Callable) -> OrderResult:
-    """Multiset extension of a partial order given by cmp.
+    """Multiset extension of a strict partial order cmp, whose EQUAL must
+    mean == (as with compare_terms and compare_literals).
 
-    Shared occurrences cancel first.  GREATER is certified when every
-    remaining right element is dominated by some remaining left element.
+    Shared occurrences cancel first, by ==.  GREATER is certified when every
+    remaining right element is dominated by some remaining left element,
+    LESS the other way round.  A strict order has no cycle, so both cannot
+    hold: LESS is tested only when GREATER fails, and the pairs compared
+    for GREATER are kept, so no pair is compared twice.
     """
-    left = list(xs)
-    right = list(ys)
-    for x in list(left):
-        for y in right:
-            if cmp(x, y) is OrderResult.EQUAL:
-                left.remove(x)
-                right.remove(y)
+    left, right = list(xs), []
+    for y in ys:
+        if y in left:
+            left.remove(y)
+        else:
+            right.append(y)
+    if not (left and right):
+        return OrderResult.LESS if right else OrderResult.GREATER if left else OrderResult.EQUAL
+    table: dict[tuple[int, int], OrderResult] = {}
+    for j, y in enumerate(right):
+        for i, x in enumerate(left):
+            table[i, j] = verdict = cmp(x, y)
+            if verdict is OrderResult.GREATER:
                 break
-    if not left and not right:
-        return OrderResult.EQUAL
-    if not right and left:
+        else:
+            break
+    else:
         return OrderResult.GREATER
-    if not left and right:
-        return OrderResult.LESS
-    table = {(i, j): cmp(x, y) for i, x in enumerate(left) for j, y in enumerate(right)}
-    greater = all(
-        any(table[i, j] is OrderResult.GREATER for i in range(len(left)))
-        for j in range(len(right))
-    )
-    less = all(
-        any(table[i, j] is OrderResult.LESS for j in range(len(right)))
-        for i in range(len(left))
-    )
-    if greater and not less:
-        return OrderResult.GREATER
-    if less and not greater:
-        return OrderResult.LESS
-    return OrderResult.INCOMPARABLE
+    for i, x in enumerate(left):
+        for j, y in enumerate(right):
+            verdict = table.get((i, j))
+            if (cmp(x, y) if verdict is None else verdict) is OrderResult.LESS:
+                break
+        else:
+            return OrderResult.INCOMPARABLE
+    return OrderResult.LESS
 
 
 def _eq_encoding(lit: "Literal") -> list[Term]:

@@ -13,7 +13,8 @@ drop-ins for the saturation steps whose partners the indexes retrieve.
 Replaced versions of engine code are kept as references too: renaming
 apart by an offset per call, KBO recounting variables at every level, the
 term walks each index and screen made for itself before every clause kept
-one walk per literal, the multi-literal search as a recursive generator,
+one walk per literal, the multiset extension that compared every remaining
+pair, the multi-literal search as a recursive generator,
 the variant test as a direct search for the renaming, the TPTP
 tokenizer that kept a line and column on every token, and the unification
 and matching kernels as they were before their per-pair dispatch was
@@ -70,6 +71,34 @@ def multiset_greater_ref(xs, ys, cmp) -> bool:
     if not xs:
         return False
     return all(any(cmp(x, y) is OrderResult.GREATER for x in xs) for y in ys)
+
+
+def multiset_extension_ref(xs, ys, cmp) -> OrderResult:
+    """ordering.multiset_extension as it was before it cancelled by == and
+    compared lazily: cancel pairs that cmp calls EQUAL, fill the whole
+    comparison table, then test GREATER and LESS both."""
+    left = list(xs)
+    right = list(ys)
+    for x in list(left):
+        for y in right:
+            if cmp(x, y) is OrderResult.EQUAL:
+                left.remove(x)
+                right.remove(y)
+                break
+    if not left and not right:
+        return OrderResult.EQUAL
+    if not right and left:
+        return OrderResult.GREATER
+    if not left and right:
+        return OrderResult.LESS
+    table = {(i, j): cmp(x, y) for i, x in enumerate(left) for j, y in enumerate(right)}
+    greater = all(any(table[i, j] is OrderResult.GREATER for i in range(len(left))) for j in range(len(right)))
+    less = all(any(table[i, j] is OrderResult.LESS for j in range(len(right))) for i in range(len(left)))
+    if greater and not less:
+        return OrderResult.GREATER
+    if less and not greater:
+        return OrderResult.LESS
+    return OrderResult.INCOMPARABLE
 
 
 def compare_clauses(lits1, lits2) -> OrderResult:
@@ -693,11 +722,12 @@ def top_symbol_key(lit: Literal) -> tuple:
     return lit.positive, lit.pred
 
 
-def preorder(terms) -> tuple[list, list[int]]:
+def preorder(terms) -> tuple[tuple, list[int]]:
     """The pre-order keys of a term sequence, -1 - vid for each variable, and
     for each position the position just past the subterm that starts there,
-    found from the arities.  The index walked a literal's terms this way on
-    every insertion and query before each clause kept one walk per literal."""
+    found from the arities: a walk in the form of clauses.literal_walks, the
+    keys a tuple.  The index walked a literal's terms this way on every
+    insertion and query before each clause kept one walk per literal."""
     keys: list = []
     arities: list[int] = []
     stack = list(reversed(terms))
@@ -716,7 +746,7 @@ def preorder(terms) -> tuple[list, list[int]]:
         for _ in range(arities[i]):
             end = ends[end]
         ends[i] = end
-    return keys, ends
+    return tuple(keys), ends
 
 
 def tree_path(tag, terms) -> tuple:

@@ -19,7 +19,7 @@ from oracles import (
 from randgen import Gen
 
 from sdprover import calculus, simplify
-from sdprover.clauses import ClauseFactory, Literal, eq, literal_walks, neq, predicate, select
+from sdprover.clauses import ClauseFactory, Literal, distinct_literals, eq, literal_walks, neq, predicate, select
 from sdprover.index import (
     REPEAT,
     REWRITABLE,
@@ -204,8 +204,10 @@ def test_backward_index_round_trip():
     for c in stored:
         ix.remove(c)
         ix.remove(c)
-    # removal drops every bucket, generation key, path and tree node it made
+    # removal drops every bucket, generation key, path, tree node and
+    # ground-path entry it made
     assert ix._buckets == {} and ix._keys == {} and ix._tree._paths == {} and ix._tree._root == {}
+    assert ix._tree._ground == {}
     # a permutative unit rewrites left to right and right to left from one
     # left-hand side path, stored once and removed once
     fx = FsdIndex()
@@ -238,6 +240,9 @@ def test_unit_left_hand_sides_are_filed_in_the_forward_tree_only():
     lit_keys = (f.sid, g.sid, STAR, g.sid, ~0)
     assert backward._tree.paths(unit) == (((True, None), lit_keys),)
     assert REWRITE_LHS not in backward._tree._root
+    # only the backward tree answers instance queries, so only it keeps
+    # the ground-path table
+    assert forward._tree._ground is None and backward._tree._ground == {}
 
 
 def test_bsd_retrieval_never_misses_a_rewritable_main():
@@ -457,9 +462,10 @@ def test_instance_retrieval_agrees_with_brute_force():
     lits += [gen.s(), gen.s().negated(), gen.p(ground_tower), gen.p(tower), eq(ground_tower, gen.b)]
     lits += [eq(gen.f(gen.b), ground_tower), gen.r(gen.a, ground_tower), gen.r(x, x), eq(x, x)]
     stored = [factory.make([lit]) for lit in lits]
-    tree = DiscriminationTree()
+    tree = DiscriminationTree(ground_lookup=True)
     for c in stored:
         tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
+    assert len(tree._ground) >= 60
     found_total = exact_total = swapped_differs = 0
     for query in _instance_queries(gen, tower):
         (walk,) = literal_walks(factory.make([query]))
@@ -480,7 +486,51 @@ def test_instance_retrieval_agrees_with_brute_force():
     assert swapped_differs >= 15, swapped_differs
     for c in stored:
         tree.remove(c)
-    assert tree._paths == {} and tree._root == {}
+    assert tree._paths == {} and tree._root == {} and tree._ground == {}
+
+
+def test_ground_table_maps_each_ground_path_to_its_leaf():
+    """Through seeded inserts and removals, the ground-path table maps
+    exactly the ground paths of the filed clauses, each to the trie's own
+    leaf at root, tag, keys (the same object); and a ground query's
+    instances, one lookup there, are the ones a tree without the table
+    finds by walking.  After the removals the table is empty."""
+    gen = Gen(seed=73)
+    gen.s = predicate(gen.sig, "s", 0)
+    factory = ClauseFactory()
+    ground = [gen.literal(depth=2, ground=True) for _ in range(40)] + [gen.s(), gen.s().negated()]
+    lits = ground + [gen.literal(depth=2) for _ in range(40)]
+    pool = [factory.make([gen.rng.choice(lits) for _ in range(gen.rng.randrange(1, 4))]) for _ in range(60)]
+    tree, plain = DiscriminationTree(ground_lookup=True), DiscriminationTree()
+    filed: dict[int, object] = {}
+    hits = 0
+    for step in range(600):
+        c = gen.rng.choice(pool)
+        if c.cid in filed:
+            del filed[c.cid]
+            tree.remove(c)
+            plain.remove(c)
+        else:
+            filed[c.cid] = c
+            paths = _paths(zip(distinct_literals(c), literal_walks(c)))
+            tree.insert(c, paths)
+            plain.insert(c, paths)
+        # a ground path has no STAR, since a variable's first occurrence is one
+        assert set(tree._ground) == {path for c in filed.values() for path in tree.paths(c) if STAR not in path[1]}
+        sets = _edges_to_sets(tree)
+        assert all(leaf is sets[(tag,) + keys] for (tag, keys), leaf in tree._ground.items())
+        if step % 10 == 0:
+            for lit in ground:
+                (walk,) = literal_walks(factory.make([lit]))
+                tag = (lit.positive, lit.pred)
+                found = tree.instances(tag, walk)
+                walked = plain.instances(tag, walk)
+                assert len(found) <= 1 and set().union(*found) == set().union(*walked), lit
+                hits += bool(found)
+    assert hits >= 1000 and len(filed) >= 20, (hits, len(filed))
+    for c in filed.values():
+        tree.remove(c)
+    assert tree._paths == {} and tree._root == {} and tree._ground == {}
 
 
 def test_demodulators_cover_every_rewriting_unit():
@@ -555,7 +605,7 @@ def test_stored_walks_agree_with_fresh_walks():
     for c in clauses:
         distinct = list(dict.fromkeys(c.literals))
         walks = literal_walks(c)
-        assert [(list(keys), ends) for keys, ends in walks] == [preorder(lit.args) for lit in distinct]
+        assert list(walks) == [preorder(lit.args) for lit in distinct]
         lhs_paths = {}
         if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
             for o in source_set_up(c).equations[0]:
@@ -578,7 +628,7 @@ def test_stored_walks_agree_with_fresh_walks():
                 assert leaves == _ids(retrieve(tag, preorder(lit.args)))
                 if lit.is_equality:
                     keys, ends = _other_order(walk)
-                    assert (list(keys), ends) == preorder(lit.args[::-1])
+                    assert (keys, ends) == preorder(lit.args[::-1])
                     swapped = _ids(retrieve(tag, (keys, ends)))
                     assert swapped == _ids(retrieve(tag, preorder(lit.args[::-1]))), lit
                     assert _ids(_leaves(retrieve, lit, walk)) == (leaves | swapped if lit.lhs != lit.rhs else leaves)

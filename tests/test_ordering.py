@@ -2,10 +2,10 @@
 
 import time
 
-from oracles import compare_clauses, multiset_greater_ref, recount_kbo_greater
+from oracles import compare_clauses, multiset_extension_ref, multiset_greater_ref, recount_kbo_greater
 from randgen import Gen
 
-from sdprover.clauses import eq, neq
+from sdprover.clauses import Literal, eq, neq
 from sdprover.ordering import (
     OrderResult,
     _kbo_greater,
@@ -160,6 +160,39 @@ def test_multiset_extension_matches_reference():
 def test_multiset_extension_cancels_equal_elements():
     lits = [eq(env.a, env.b), env.p(env.a)]
     assert multiset_extension(tuple(lits), tuple(reversed(lits)), compare_literals) is OrderResult.EQUAL
+
+
+def test_literals_compare_equal_exactly_when_equal():
+    """compare_literals is EQUAL exactly when the literals are ==, the fact
+    multiset_extension cancels by: on sampled pairs over a small signature,
+    each literal met as a rebuilt copy, negated, with an equality's sides
+    swapped, and against other sampled literals."""
+    gen = Gen(seed=11, n_vars=2)
+    lits = [gen.literal(depth=gen.rng.randrange(3)) for _ in range(300)]
+    equal = 0
+    for a in lits:
+        others = [Literal(a.positive, a.pred, a.args), Literal(a.positive, a.pred, a.args[::-1]), a.negated()]
+        for b in (others if a.is_equality else others[::2]) + gen.rng.sample(lits, 30):
+            assert (compare_literals(a, b) is OrderResult.EQUAL) == (a == b), (a, b)
+            equal += a == b
+    assert equal >= 450, equal
+
+
+def test_multiset_extension_agrees_with_the_full_table():
+    """multiset_extension, which cancels by == and stops at the first
+    certified verdict, gives the verdict of the version that filled the
+    whole table (oracles.multiset_extension_ref) on sampled literal
+    multisets of up to five elements, shared and repeated ones among them."""
+    gen = Gen(seed=13, n_vars=2)
+    pool = [gen.literal(depth=gen.rng.randrange(3)) for _ in range(12)]
+    verdicts = set()
+    for _ in range(1500):
+        xs = [gen.rng.choice(pool) for _ in range(gen.rng.randrange(6))]
+        ys = [gen.rng.choice(pool) for _ in range(gen.rng.randrange(6))]
+        want = multiset_extension_ref(xs, ys, compare_literals)
+        assert multiset_extension(xs, ys, compare_literals) is want, (xs, ys)
+        verdicts.add(want)
+    assert verdicts == set(OrderResult), verdicts
 
 
 def test_compare_clauses_accepts_sequences():
