@@ -345,15 +345,21 @@ class ClauseFactory:
         A conclusion that is a variant of an earlier one of the same call
         (equal once canonical) is dropped before it is minted, so it spends
         no id and no registry entry: created is what the clause limit reads.
+        Each tuple is hashed once (an add that does not grow seen found it),
+        the first only when a second conclusion comes.
         """
         out: list[Clause] = []
         seen: set[tuple[Literal, ...]] = set()
         for literals, unifier in conclusions:
             check_time()
             lits = canonical_instance(literals, unifier)
-            if lits in seen:
-                continue
-            seen.add(lits)
+            if out:
+                if not seen:
+                    seen.add(out[0].literals)
+                size = len(seen)
+                seen.add(lits)
+                if len(seen) == size:
+                    continue
             cid = next(self._counter)
             self.registry[cid] = Clause(lits, cid, rule, parents)
             out.append(Clause(lits, cid, rule, parents))

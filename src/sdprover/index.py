@@ -16,8 +16,8 @@ REWRITE_LHS, and any other under its best literals (best_literals):
 whichever of its two top literals is not the rewriting equality occurs,
 instantiated, in any main premise it simplifies.  Every leaf is the set of
 clauses filed under its path, so a retrieval returns clauses; the tree
-keeps the paths it filed each clause under, by clause id, until the clause
-is removed.
+keeps the paths it filed each clause under, and the leaves they end at, by
+clause id, until the clause is removed.
 
 Generalization retrieval follows a STAR edge by skipping the query's whole
 subterm at that point (the walk's ends say where it stops), which binds the
@@ -46,7 +46,10 @@ of c's best literals.
 Subsumption candidates also pass the count screen: a subsumer maps its
 literals one to one onto literals with the same polarity and predicate, so
 it has no more literals under any (polarity, predicate) key than the
-clause it subsumes (read off matching.target_set_up).  Subsumption
+clause it subsumes (read off matching.target_set_up).  Forward subsumption
+visits a clause only at its designated leaf, that of its longest path, and
+keeps it if the query reaches all its leaves, so a leaf that nearly every
+clause shares (a ground literal they all repeat) costs nothing.  Subsumption
 demodulation candidates pass the trigger screen: a side premise rewrites
 only at an occurrence of one of its triggers (matching.source_set_up), the
 top symbols of its rewriting left-hand sides, so a pair whose main premise
@@ -77,7 +80,6 @@ symbol, so generation_partners leaves out only pairs without a conclusion.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .clauses import Clause, Literal, distinct_literals, literal_walks, select
@@ -94,17 +96,17 @@ REPEAT = "="  # a node's entry for its repeat edges, a dict from variable number
 
 
 def _generation_keys(c: Clause) -> set[tuple]:
-    """The generation keys of c's selected literals (see the module docstring)."""
-    equations = source_set_up(c).equations
+    """The generation keys of c's selected literals (see the module docstring);
+    only a selected positive equality builds c's source set-up."""
     keys: set[tuple] = set()
     selected = set()
     for i in select(c):
         lit = c.literals[i]
-        if lit.is_equality:
-            for o in equations[i]:
-                keys.add((REWRITES, None if type(o.lhs) is Var else o.lhs.sym))
-        else:
+        if not lit.is_equality:
             keys.add((RESOLVES, lit.pred, lit.positive))
+        elif lit.positive:
+            for o in source_set_up(c).equations[i]:
+                keys.add((REWRITES, None if type(o.lhs) is Var else o.lhs.sym))
         selected.add(lit)
     symbols: set[int] = set()
     for lit, (lit_keys, _) in zip(distinct_literals(c), literal_walks(c)):
@@ -184,6 +186,12 @@ def _leaves(retrieve: Callable, lit: Literal, walk: tuple) -> list[set[int]]:
     return leaves
 
 
+def _longest(paths: Iterable[tuple]) -> int:
+    """The position of the path (tag, keys) with the most keys, first on ties."""
+    lengths = [len(keys) for _, keys in paths]
+    return lengths.index(max(lengths))
+
+
 def _fits(small: TargetSetUp, big: TargetSetUp) -> bool:
     """small has no more literals than big under any (polarity, predicate) key."""
     table = big.table
@@ -224,7 +232,7 @@ def _best_walked(c: Clause) -> list[tuple[Literal, tuple]]:
 
 class DiscriminationTree:
     """Perfect discrimination tree of clauses, for generalization and
-    instance retrieval; it keeps the paths each clause is filed under.
+    instance retrieval; it keeps the paths and leaves of each clause.
 
     A path (tag, keys) is a tag followed by pre-order symbol keys, STAR at
     a variable's first occurrence and ~n at each later occurrence of the
@@ -236,7 +244,8 @@ class DiscriminationTree:
     its last key, or root[tag] itself for a tag with no keys.  Paths of one
     tag are complete term sequences over fixed arities, so no path is a
     prefix of another.  _arity holds the arity of every symbol ever
-    inserted, and _paths each filed clause's paths by its id.  With
+    inserted, _paths each filed clause's paths by its id, and _leaves its
+    leaves in that order, so removal walks a path only to drop its leaf.  With
     ground_lookup, _ground maps each ground path, the tuple kept in _paths,
     to its leaf, the trie's own set; otherwise it is None.
     """
@@ -245,15 +254,17 @@ class DiscriminationTree:
         self._root: dict = {}
         self._arity: dict[int, int] = {}
         self._paths: dict[int, tuple[tuple, ...]] = {}
+        self._leaves: dict[int, list[set]] = {}
         self._ground: Optional[dict[tuple, set]] = {} if ground_lookup else None
 
-    def insert(self, c: Clause, paths: dict[tuple, list[int]]) -> None:
-        """File c under every path (tag, keys) of paths, which maps each to
-        its walk's ends; a filed clause, or one with no path, is left out."""
+    def insert(self, c: Clause, paths: dict[tuple, list[int]]) -> list[set]:
+        """File c under every path (tag, keys) of paths, which maps each to its walk's
+        ends, and return its leaves in that order; [] for a filed clause or no path."""
         if not paths or c.cid in self._paths:
-            return
+            return []
         self._paths[c.cid] = tuple(paths)
         arity, ground = self._arity, self._ground
+        leaves = self._leaves[c.cid] = []
         for path, ends in paths.items():
             tag, keys = path
             # node[edge] is the slot the next node or the leaf goes in, and
@@ -275,14 +286,22 @@ class DiscriminationTree:
             if table is not None and edge not in node:
                 table[path] = node[edge] = set()
             node.setdefault(edge, set()).add(c)
+            leaves.append(node[edge])
+        return leaves
 
-    def remove(self, c: Clause) -> None:
-        """Take c off every path it is filed under, and drop the item sets,
-        nodes and REPEAT entries left empty."""
-        for tag, keys in self._paths.pop(c.cid, ()):
+    def remove(self, c: Clause) -> tuple[tuple[tuple, ...], list[set]]:
+        """Take c off every path it is filed under, drop the item sets, nodes
+        and REPEAT entries left empty, and return c's paths and leaves."""
+        paths, leaves = self._paths.pop(c.cid, ()), self._leaves.pop(c.cid, [])
+        for path, leaf in zip(paths, leaves):
+            leaf.discard(c)
+            if leaf:
+                continue
+            if self._ground is not None:
+                self._ground.pop(path, None)
             slots = []
-            node, edge = self._root, tag
-            for key in keys:
+            node, edge = self._root, path[0]
+            for key in path[1]:
                 slots.append((node, edge))
                 node = node[edge]
                 if key is not STAR and key < 0:
@@ -290,19 +309,13 @@ class DiscriminationTree:
                     node, edge = node[REPEAT], ~key
                 else:
                     edge = key
-            node[edge].discard(c)
-            if self._ground is not None and not node[edge]:
-                self._ground.pop((tag, keys), None)
             slots.append((node, edge))
             while slots:
                 node, edge = slots.pop()
                 if node[edge]:
                     break
                 del node[edge]
-
-    def paths(self, c: Clause) -> tuple[tuple, ...]:
-        """The paths (tag, keys) c is filed under; () when it is not filed."""
-        return self._paths.get(c.cid, ())
+        return paths, leaves
 
     def generalizations(self, tag, walk: tuple) -> list[set]:
         """The item set of every path under tag that generalizes the walked
@@ -469,9 +482,10 @@ class BackwardIndex:
     and last literals (_copy_key), for the exact-copy screen in front of
     forward subsumption (copy_of).  The keys and paths of each clause are
     computed once, on insert, the paths from its stored literal walks; the
-    tree keeps the paths, _keys the generation keys, and _copies the
-    clauses by copy key and id.  insert and remove keep all three, so
-    however a clause leaves the active set, it leaves every table.
+    tree keeps the paths and leaves, _keys the generation keys, _copies the
+    clauses by copy key and id, and _designated the clauses by the id of
+    their designated leaf (_longest).  insert and remove keep all four,
+    so however a clause leaves the active set, it leaves every table.
 
     The copy key hashes two literals, not the whole tuple: Literal's hash
     is a Python call per literal, and keyed on whole tuples the screen
@@ -482,6 +496,7 @@ class BackwardIndex:
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
         self._tree = DiscriminationTree(ground_lookup=True)
+        self._designated: dict[int, set[Clause]] = {}
         self._keys: dict[int, set[tuple]] = {}
         self._copies: dict[tuple, dict[int, Clause]] = {}
 
@@ -489,7 +504,10 @@ class BackwardIndex:
         keys = self._keys[c.cid] = _generation_keys(c)
         for key in keys:
             self._buckets.setdefault(key, set()).add(c.cid)
-        self._tree.insert(c, _paths(zip(distinct_literals(c), literal_walks(c))))
+        paths = _paths(zip(distinct_literals(c), literal_walks(c)))
+        leaves = self._tree.insert(c, paths)
+        if leaves:
+            self._designated.setdefault(id(leaves[_longest(paths)]), set()).add(c)
         self._copies.setdefault(_copy_key(c.literals), {})[c.cid] = c
 
     def remove(self, c: Clause) -> None:
@@ -498,7 +516,12 @@ class BackwardIndex:
             bucket.discard(c.cid)
             if not bucket:
                 del self._buckets[key]
-        self._tree.remove(c)
+        paths, leaves = self._tree.remove(c)
+        if leaves:
+            key = id(leaves[_longest(paths)])
+            self._designated[key].discard(c)
+            if not self._designated[key]:
+                del self._designated[key]
         key = _copy_key(c.literals)
         copies = self._copies.get(key)
         if copies is not None and copies.pop(c.cid, None) is not None and not copies:
@@ -541,20 +564,16 @@ class BackwardIndex:
 
         A subsumer puts every literal into d, so each of its literal paths
         generalizes a literal of d, an equality in either argument order;
-        the clauses whose every path is hit go through the count screen.
+        the clauses designated at a reached leaf whose every leaf is
+        reached go through the count screen.
         """
-        # one entry per leaf, that is per path, however many queries reach it
-        hit: dict[int, set[Clause]] = {}
-        for lit, walk in zip(distinct_literals(d), literal_walks(d)):
-            for leaf in _leaves(self._tree.generalizations, lit, walk):
-                hit[id(leaf)] = leaf
-        counts: Counter = Counter()
-        for leaf in hit.values():
-            counts.update(leaf)
-        counts.pop(d, None)
-        target = target_set_up(d)
-        full = [c for c, n in counts.items() if n == len(self._tree.paths(c))]
-        return {c for c in full if _fits(target_set_up(c), target)}
+        walked = zip(distinct_literals(d), literal_walks(d))
+        reached = {id(leaf) for lit, walk in walked for leaf in _leaves(self._tree.generalizations, lit, walk)}
+        leaves, designated = self._tree._leaves, self._designated
+        full = [c for key in reached for c in designated.get(key, ())
+                if c is not d and all(id(leaf) in reached for leaf in leaves[c.cid])]
+        # d's target set-up is built only when some clause is left
+        return {c for c in full if _fits(target_set_up(c), target_set_up(d))}
 
     def backward_subsumption_candidates(self, g: Clause) -> set[Clause]:
         """Active clauses that g might subsume.

@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from sdprover import calculus
 from sdprover.clauses import Clause, Literal, eq, literal_occurrences, orientations, replace_in_literal, select
-from sdprover.index import BackwardIndex, best_literals
+from sdprover.index import RESOLVES, REWRITABLE, REWRITES, BackwardIndex, best_literals
 from sdprover.matching import literal_match_substs, match_solutions, source_set_up, subsumes, target_set_up
 from sdprover.ordering import OrderResult, _prec_greater, compare_literal_multisets, compare_terms
 from sdprover.simplify import RewriteStep, demodulate, remainder_exceeds
@@ -322,6 +322,23 @@ def naive_subsumes(c_lits, d_lits) -> bool:
     src = list(enumerate(c_lits))
     dst = list(d_lits)
     return next(_injective_matches(src, dst, {}, ()), None) is not None
+
+
+def forward_subsumption_candidates_ref(active, d: Clause) -> set:
+    """The clauses c other than d in active that forward-subsumption
+    retrieval returns for d, by brute force: every literal of c matches
+    some literal of d as a term, an equality in either argument order, and
+    no (polarity, predicate) key counts more literals in c than in d: the
+    set the index found by counting reached leaves per clause, before each
+    clause designated one leaf."""
+    keys = Counter((lit.positive, lit.pred) for lit in d.literals)
+    return {
+        c
+        for c in active
+        if c is not d
+        and all(n <= keys[key] for key, n in Counter((lit.positive, lit.pred) for lit in c.literals).items())
+        and all(any(naive_literal_matches(lit, m, {}) for m in d.literals) for lit in c.literals)
+    }
 
 
 def naive_ml_solutions(side_lits, main_lits) -> Counter:
@@ -713,6 +730,26 @@ def scan_retrievals(patch, retrievals) -> None:
         patch.setattr(owner, attr, every_other_held_clause)
 
 
+def generation_keys_ref(c: Clause) -> set[tuple]:
+    """The generation keys of c's selected literals, read off the eager
+    source set-up: REWRITES keys from each selected literal's entry in
+    source_set_up(c).equations, which is () for any literal but a
+    positive equality, as the index took them before it built the set-up
+    only for a selected positive equality."""
+    equations = source_set_up(c).equations
+    keys: set[tuple] = set()
+    for i in select(c):
+        lit = c.literals[i]
+        if lit.is_equality:
+            keys.update((REWRITES, None if isinstance(o.lhs, Var) else o.lhs.sym) for o in equations[i])
+        else:
+            keys.add((RESOLVES, lit.pred, lit.positive))
+    symbols = subterm_symbols(c.literals[i] for i in select(c))
+    if symbols:
+        keys.update((REWRITABLE, f) for f in symbols | {None})
+    return keys
+
+
 # -------------------------------------------------------------- term walks
 
 def top_symbol_key(lit: Literal) -> tuple:
@@ -763,6 +800,12 @@ def tree_path(tag, terms) -> tuple:
         else:
             stored.append(None if keys.index(k) == i else ~vids.index(k))
     return tag, tuple(stored)
+
+
+def filed_paths(tree, c: Clause) -> tuple[tuple, ...]:
+    """The paths (tag, keys) a discrimination tree files c under, in the
+    order it filed them; () when c is not filed."""
+    return tree._paths.get(c.cid, ())
 
 
 def subterm_symbols(lits) -> set[int]:

@@ -79,6 +79,30 @@ def test_factory_mints_ascending_ids_and_registers():
     assert factory.created == 2
 
 
+def test_make_all_drops_variants_within_one_call_only():
+    """A conclusion that is a variant of an earlier one of the same call
+    spends no id and no registry entry; a one-conclusion call mints its
+    conclusion; a later call mints a variant of an earlier call's clause."""
+    factory = ClauseFactory()
+    first = [env.p(Var(7)), env.q(env.f(Var(7)))]
+    second = (env.r(Var(2), Var(5)), eq(Var(5), env.a))
+    a, b = factory.make_all(
+        [
+            (first, {}),
+            ([env.p(Var(3)), env.q(env.f(Var(3)))], {}),
+            (second, {}),
+            # a variant of the second once the unifier is applied
+            ((env.r(Var(1), Var(4)), eq(Var(9), env.a)), {4: Var(9)}),
+        ],
+        "test",
+        (),
+    )
+    assert a.literals == (env.p(x), env.q(env.f(x))) and b.literals == (env.r(x, y), eq(y, env.a))
+    assert b.cid == a.cid + 1 and sorted(factory.registry) == [a.cid, b.cid]
+    (c,) = factory.make_all([(first, {})], "test", ())
+    assert c.literals == a.literals and c.cid == b.cid + 1 and factory.created == 3
+
+
 def test_factory_canonicalizes_variables():
     factory = ClauseFactory()
     c = factory.make([env.p(Var(7)), env.q(Var(7)), env.p(Var(3))])

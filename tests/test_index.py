@@ -5,6 +5,9 @@ import time
 
 from oracles import (
     apply,
+    filed_paths,
+    forward_subsumption_candidates_ref,
+    generation_keys_ref,
     linearized,
     naive_literal_matches,
     naive_match_args,
@@ -130,11 +133,11 @@ def test_fsd_index_insert_remove_round_trip():
     assert any(len(c.literals) == 1 for c in kept) and any(len(c.literals) > 1 for c in kept)
     assert set(ix._tree._paths) == {c.cid for c in kept}
     # each clause is in the tree once under each of its paths
-    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [c for c in kept for _ in ix._tree.paths(c)]
+    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [c for c in kept for _ in filed_paths(ix._tree, c)]
     for c in kept:
-        assert ix._tree.paths(c)
+        assert filed_paths(ix._tree, c)
         ix.remove(c)
-        assert ix._tree.paths(c) == ()
+        assert filed_paths(ix._tree, c) == ()
     # removal drops every path and tree node it made
     assert ix._tree._paths == {} and ix._tree._root == {}
     probe = factory.make([gen.p(gen.a)])
@@ -149,7 +152,7 @@ def test_fsd_index_double_insert_and_remove_are_idempotent():
         ix.insert(c)
         ix.insert(c)
     assert len(ix._tree._paths) == 2
-    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [side] * len(ix._tree.paths(side)) + [unit]
+    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [side] * len(filed_paths(ix._tree, side)) + [unit]
     for c in (side, unit):
         ix.remove(c)
         ix.remove(c)
@@ -199,8 +202,8 @@ def test_backward_index_round_trip():
         ix.insert(c)
     assert set(ix._keys) == set(ix._tree._paths) == {c.cid for c in stored}
     # each clause is in the tree once under each of its distinct literals
-    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [c for c in stored for _ in ix._tree.paths(c)]
-    assert all(len(ix._tree.paths(c)) == len(set(c.literals)) for c in stored)
+    assert sorted(_tree_items(ix._tree), key=lambda c: c.cid) == [c for c in stored for _ in filed_paths(ix._tree, c)]
+    assert all(len(filed_paths(ix._tree, c)) == len(set(c.literals)) for c in stored)
     for c in stored:
         ix.remove(c)
         ix.remove(c)
@@ -217,7 +220,7 @@ def test_backward_index_round_trip():
         unit = factory.make([eq(lhs, rhs)])
         fx.insert(unit)
         assert fx.demodulators(query) == {unit}
-        assert len(fx._tree.paths(unit)) == 1
+        assert len(filed_paths(fx._tree, unit)) == 1
         fx.remove(unit)
         assert fx._tree._paths == {} and fx._tree._root == {}
 
@@ -235,10 +238,10 @@ def test_unit_left_hand_sides_are_filed_in_the_forward_tree_only():
     # f(g(X)) is the one left-hand side, and X occurs once in it; in the
     # literal's path f(g(X)) = g(X), X is variable 0, and its second
     # occurrence is the repeat edge ~0
-    assert forward._tree.paths(unit) == ((REWRITE_LHS, (f.sid, g.sid, STAR)),)
+    assert filed_paths(forward._tree, unit) == ((REWRITE_LHS, (f.sid, g.sid, STAR)),)
     assert forward.demodulators(query) == {unit}
     lit_keys = (f.sid, g.sid, STAR, g.sid, ~0)
-    assert backward._tree.paths(unit) == (((True, None), lit_keys),)
+    assert filed_paths(backward._tree, unit) == (((True, None), lit_keys),)
     assert REWRITE_LHS not in backward._tree._root
     # only the backward tree answers instance queries, so only it keeps
     # the ground-path table
@@ -339,6 +342,31 @@ def test_backward_subsumption_retrieval_complete():
                 screened += 1
     assert hits > 0
     assert screened > 0
+
+
+def test_generation_keys_build_the_source_set_up_only_for_a_selected_positive_equality():
+    """Filing a clause reads its source set-up only when a selected literal
+    is a positive equality, and the keys equal those read off the eager
+    set-up, for clauses that select positive and negative equalities."""
+    factory = ClauseFactory()
+    side = factory.make([env.p(x).negated(), eq(env.f(x), x)])
+    ix = BackwardIndex()
+    ix.insert(side)
+    assert select(side) == (0,) and side._match_order is None
+    ix.remove(side)
+    gen = Gen(seed=71)
+    kinds = {True: 0, False: 0}
+    for k in range(400):
+        lits = gen.lits(gen.rng.randrange(1, 5))
+        # every other clause all positive, so that it selects its maximal literals
+        c = factory.make(lits if k % 2 else [lit if lit.positive else lit.negated() for lit in lits])
+        keys = _generation_keys(c)
+        selected_eqs = [c.literals[i].positive for i in select(c) if c.literals[i].is_equality]
+        assert (c._match_order is None) is not any(selected_eqs)
+        assert keys == generation_keys_ref(c), c
+        for positive in set(selected_eqs):
+            kinds[positive] += 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_generation_partners_cover_every_pair_with_a_conclusion():
@@ -516,7 +544,7 @@ def test_ground_table_maps_each_ground_path_to_its_leaf():
             tree.insert(c, paths)
             plain.insert(c, paths)
         # a ground path has no STAR, since a variable's first occurrence is one
-        assert set(tree._ground) == {path for c in filed.values() for path in tree.paths(c) if STAR not in path[1]}
+        assert set(tree._ground) == {path for c in filed.values() for path in filed_paths(tree, c) if STAR not in path[1]}
         sets = _edges_to_sets(tree)
         assert all(leaf is sets[(tag,) + keys] for (tag, keys), leaf in tree._ground.items())
         if step % 10 == 0:
@@ -614,10 +642,10 @@ def test_stored_walks_agree_with_fresh_walks():
         literal_paths = {}
         for lit in distinct:
             literal_paths[tree_path((lit.positive, lit.pred), lit.args)] = preorder(lit.args)[1]
-        assert ix._tree.paths(c) == tuple(literal_paths)
+        assert filed_paths(ix._tree, c) == tuple(literal_paths)
         if len(c.literals) == 1:
             assert _lhs_paths(c) == lhs_paths
-            assert fx._tree.paths(c) == tuple(lhs_paths)
+            assert filed_paths(fx._tree, c) == tuple(lhs_paths)
         symbols = subterm_symbols(c.literals[i] for i in select(c))
         assert {key[1] for key in _generation_keys(c) if key[0] == REWRITABLE} == (symbols | {None} if symbols else set())
         assert target_set_up(c).symbols == tuple(sorted(subterm_symbols(c.literals)))
@@ -674,7 +702,7 @@ def test_generalizations_check_repeated_variables():
     tree = DiscriminationTree()
     for c in stored:
         tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
-    assert any(_repeats(path) for c in stored for path in tree.paths(c))
+    assert any(_repeats(path) for c in stored for path in filed_paths(tree, c))
     queries = [gen.literal(depth=3) for _ in range(150)] + [gen.literal(depth=3, ground=True) for _ in range(150)]
     # instances of stored literals, so that many queries have matches
     for c in stored[::3]:
@@ -711,7 +739,7 @@ def test_demodulators_check_repeated_variables():
     for c in units:
         orientations = source_set_up(c).equations[0]
         lhs[c.cid] = [o.lhs for o in orientations if o.verdict is not OrderResult.EQUAL and not o.extra_vars]
-    assert any(_repeats(path) for c in units for path in ix._tree.paths(c))
+    assert any(_repeats(path) for c in units for path in filed_paths(ix._tree, c))
     rewriting = pruned = 0
     for k in range(200):
         g_lits = gen.lits(gen.rng.randrange(1, 4), depth=3, ground=k % 2 == 0)
@@ -769,6 +797,50 @@ def test_forward_subsumption_candidates_check_repeated_variables():
     assert ix._tree._paths == {} and ix._tree._root == {}
 
 
+def test_forward_subsumption_candidates_are_exactly_the_brute_force_set():
+    """Over seeded inserts with interleaved removals, forward-subsumption
+    retrieval returns exactly the clauses whose every literal matches some
+    literal of the query and that pass the count screen: no superset, so
+    a clause is found through its designated leaf or not at all.  Clauses
+    repeat variables, and some repeat one ground literal many times beside
+    a deep term, so most clauses share that literal's leaf."""
+    gen = Gen(seed=67, n_vars=2)
+    factory = ClauseFactory()
+    lits = _repeating_literals(gen, 100, 2)
+    ground = gen.r(gen.a, gen.b)
+    tower = gen.a
+    pool = []
+    for i in range(60):
+        pool.append(factory.make(gen.rng.sample(lits, gen.rng.randrange(1, 4))))
+        tower = gen.f(tower) if i % 2 else gen.g(tower)
+        wide = [ground] * gen.rng.randrange(1, 40) + [gen.p(tower)]
+        pool.append(factory.make(wide if i % 3 else [gen.q(x)] + wide))
+    queries = [factory.make(gen.lits(gen.rng.randrange(1, 4), ground=k % 2 == 0)) for k in range(40)]
+    for c in pool[::4]:
+        inst = {0: gen.term(1, ground=True), 1: gen.term(1)}
+        extra = gen.lits(gen.rng.randrange(0, 2), ground=True)
+        queries.append(factory.make(tuple(apply(lit, inst) for lit in c.literals) + extra))
+    queries += [c for c in pool if ground in c.literals][::3]
+    ix = BackwardIndex()
+    active: dict[int, object] = {}
+    found_total = 0
+    for step, c in enumerate(pool):
+        ix.insert(c)
+        active[c.cid] = c
+        if step % 3 == 2:
+            gone = gen.rng.choice(sorted(active))
+            ix.remove(active.pop(gone))
+        if step % 10 == 9:
+            for d in queries:
+                exact = forward_subsumption_candidates_ref(active.values(), d)
+                assert ix.forward_subsumption_candidates(d) == exact, d
+                found_total += len(exact)
+    assert found_total >= 250, found_total
+    for c in active.values():
+        ix.remove(c)
+    assert ix._tree._leaves == {} and ix._tree._paths == {} and ix._designated == {}
+
+
 def test_renamed_paths_share_a_leaf():
     """r(X, X) and r(Y, Y) end at one leaf, after a repeat edge, and r(X, Y)
     at its own: r(a, a) reaches both leaves, r(a, b) only the linear one,
@@ -782,8 +854,8 @@ def test_renamed_paths_share_a_leaf():
     for order in ((pair, same, renamed), (same, pair, renamed), (renamed, same, pair)):
         for c in order:
             tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
-        assert tree.paths(pair) == ((tag, (STAR, STAR)),)
-        assert tree.paths(same) == tree.paths(renamed) == ((tag, (STAR, ~0)),)
+        assert filed_paths(tree, pair) == ((tag, (STAR, STAR)),)
+        assert filed_paths(tree, same) == filed_paths(tree, renamed) == ((tag, (STAR, ~0)),)
         linear, repeated = tree._root[tag][STAR][STAR], tree._root[tag][STAR][REPEAT][0]
         assert linear == {pair} and repeated == {same, renamed}
         (walk,) = literal_walks(factory.make([r(a, a)]))

@@ -7,6 +7,7 @@ from itertools import product
 
 from oracles import (
     all_pairs_generate,
+    filed_paths,
     ground_entails,
     load_problem,
     nvars,
@@ -388,7 +389,7 @@ def test_fsd_off_files_no_side_premise_in_the_forward_index():
         st.activate(unit)
         main = s.clause(s.p(s.f(s.a)), s.q(s.a).negated())
         assert st.fsd_index.retrieve_fsd_candidates(main) == ({side} if fsd else set())
-        assert bool(st.fsd_index._tree.paths(side)) is fsd
+        assert bool(filed_paths(st.fsd_index._tree, side)) is fsd
         rewritten = saturation._demodulate_once(s.clause(s.p(s.g(s.a))), st)
         assert rewritten.literals == (s.p(s.a),) and rewritten.parents[1] == unit.cid
         st.remove_active(side)
