@@ -40,7 +40,13 @@ rule does not instantiate its conclusions itself: it hands each one to the
 factory as its uninstantiated literals and the unifier, all conclusions of
 one call together, and the factory applies the unifier while it
 canonicalizes, drops variants of earlier conclusions of the call, and mints
-the rest with the rule name and parent ids.
+the rest with the rule name and parent ids.  Superposition hands over the
+literal it rewrites as a context: the target with the hole, a variable of
+an id no clause carries, at the occurrence, kept with the occurrence once
+a unifier succeeds there, and the hole bound to t in the unifier.  So the
+factory builds the rewritten literal in the pass that numbers it, and no
+intermediate term is built.  A ground target that a ground t rewrites is
+built whole (replace_in_literal), since the factory keeps a ground literal.
 """
 
 from __future__ import annotations
@@ -112,15 +118,18 @@ def factoring(c: Clause, factory: ClauseFactory) -> list[Clause]:
     return factory.make_all(raw, "factoring", (c.cid,))
 
 
+# a minted clause's variables are 0, 1, ... and its renamed copy's -1, -2, ...
+_HOLE = Var(-(1 << 62))
+
+
 def _superposition_targets(c2: Clause, lits2: tuple[Literal, ...]) -> tuple:
-    """(position, verdict on the sides or None, non-variable occurrences) for
-    each selected literal of lits2, c2's renamed copy; kept on c2."""
+    """(position, verdict on the sides or None, non-variable occurrences,
+    contexts) for each selected literal of lits2, c2's renamed copy; kept
+    on c2.  contexts maps the path of an occurrence to the literal with
+    _HOLE there, added when a unifier first succeeds at it."""
     if c2._into is None:
-        targets = []
-        for j in select(c2):
-            lit = lits2[j]
-            targets.append((j, compare_terms(*lit.args) if lit.is_equality else None, tuple(literal_occurrences(lit))))
-        c2._into = tuple(targets)
+        c2._into = tuple((j, compare_terms(*lits2[j].args) if lits2[j].is_equality else None,
+                          tuple(literal_occurrences(lits2[j])), {}) for j in select(c2))
     return c2._into
 
 
@@ -128,10 +137,11 @@ def _superpose_into(
     eq_rest: tuple[Literal, ...], o: Orientation, target_lits: tuple[Literal, ...], into: tuple, raw: list
 ) -> None:
     """Conclusions of o into one entry of _superposition_targets, added to raw."""
-    target_pos, sides_verdict, occurrences = into
+    target_pos, sides_verdict, occurrences, contexts = into
     target = target_lits[target_pos]
     s, t = o.lhs, o.rhs
     sym = None if type(s) is Var else s.sym
+    ground = target.ground and t.ground
     for path, sub_term in occurrences:
         if sym is not None and sub_term.sym != sym:
             continue
@@ -153,7 +163,11 @@ def _superpose_into(
             other_side = instantiate(target.args[1 - path[0]], theta, images)
             if not _not_greater(other_side, into_side):
                 continue
-        new_target = replace_in_literal(target, path, t)
+        if ground:
+            new_target = replace_in_literal(target, path, t)
+        else:
+            new_target = contexts.get(path) or contexts.setdefault(path, replace_in_literal(target, path, _HOLE))
+            theta[_HOLE.vid] = t
         raw.append((eq_rest + target_lits[:target_pos] + (new_target,) + target_lits[target_pos + 1 :], theta))
 
 

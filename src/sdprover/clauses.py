@@ -28,7 +28,8 @@ class Literal:
     A slotted class, immutable by convention: only __init__ assigns its
     attributes, apart from the atom that atom() builds once and keeps.
     Equality atoms (pred is None) are unordered pairs for identity purposes:
-    s = t and t = s compare equal and hash alike.  The hash, whether it is
+    s = t and t = s compare equal and hash alike, on their sides' hashes
+    smaller first, so s = s and t = t hash apart.  The hash, whether it is
     an equality, the weight and whether it is ground are computed at
     construction, the last two in one loop, as App's are: clauses, selection
     and the indexes read them far more often than they build literals.
@@ -50,7 +51,8 @@ class Literal:
         self.weight = weight
         self.ground = ground
         if pred is None:
-            self._hash = hash((positive, hash(args[0]) ^ hash(args[1])))
+            left, right = hash(args[0]), hash(args[1])
+            self._hash = hash((positive, left, right) if left < right else (positive, right, left))
         else:
             self._hash = hash((positive, pred, args))
         self._atom: Optional[Term] = None
@@ -148,9 +150,10 @@ class Clause:
     use: its distinct literals (distinct_literals), the literal selection,
     the multi-literal matcher's set-up as source and as target, the copy
     renamed apart for generation (rename_apart), superposition's view of
-    the clause as the premise it rewrites into, and the pre-order walk of
-    each distinct literal (literal_walks).  The factory's registry keeps a
-    copy of its own (ClauseFactory), so they go with the search's object.
+    the clause as the premise it rewrites into, with a context literal for
+    each occurrence it has rewritten, and the pre-order walk of each
+    distinct literal (literal_walks).  The factory's registry keeps a copy
+    of its own (ClauseFactory), so they go with the search's object.
     """
 
     __slots__ = ("literals", "cid", "rule", "parents", "_distinct", "_selected", "_match_order", "_match_table",

@@ -49,7 +49,9 @@ it has no more literals under any (polarity, predicate) key than the
 clause it subsumes (read off matching.target_set_up).  Forward subsumption
 visits a clause only at its designated leaf, that of its longest path, and
 keeps it if the query reaches all its leaves, so a leaf that nearly every
-clause shares (a ground literal they all repeat) costs nothing.  Subsumption
+clause shares (a ground literal they all repeat) costs nothing.  A unit
+clause it keeps subsumes the query, since generalization retrieval is
+exact, so it skips the count screen, and the matcher too.  Subsumption
 demodulation candidates pass the trigger screen: a side premise rewrites
 only at an occurrence of one of its triggers (matching.source_set_up), the
 top symbols of its rewriting left-hand sides, so a pair whose main premise
@@ -186,12 +188,6 @@ def _leaves(retrieve: Callable, lit: Literal, walk: tuple) -> list[set[int]]:
     return leaves
 
 
-def _longest(paths: Iterable[tuple]) -> int:
-    """The position of the path (tag, keys) with the most keys, first on ties."""
-    lengths = [len(keys) for _, keys in paths]
-    return lengths.index(max(lengths))
-
-
 def _fits(small: TargetSetUp, big: TargetSetUp) -> bool:
     """small has no more literals than big under any (polarity, predicate) key."""
     table = big.table
@@ -289,9 +285,9 @@ class DiscriminationTree:
             leaves.append(node[edge])
         return leaves
 
-    def remove(self, c: Clause) -> tuple[tuple[tuple, ...], list[set]]:
-        """Take c off every path it is filed under, drop the item sets, nodes
-        and REPEAT entries left empty, and return c's paths and leaves."""
+    def remove(self, c: Clause) -> None:
+        """Take c off every path it is filed under, and drop the item sets,
+        nodes and REPEAT entries left empty."""
         paths, leaves = self._paths.pop(c.cid, ()), self._leaves.pop(c.cid, [])
         for path, leaf in zip(paths, leaves):
             leaf.discard(c)
@@ -315,7 +311,6 @@ class DiscriminationTree:
                 if node[edge]:
                     break
                 del node[edge]
-        return paths, leaves
 
     def generalizations(self, tag, walk: tuple) -> list[set]:
         """The item set of every path under tag that generalizes the walked
@@ -483,9 +478,10 @@ class BackwardIndex:
     forward subsumption (copy_of).  The keys and paths of each clause are
     computed once, on insert, the paths from its stored literal walks; the
     tree keeps the paths and leaves, _keys the generation keys, _copies the
-    clauses by copy key and id, and _designated the clauses by the id of
-    their designated leaf (_longest).  insert and remove keep all four,
-    so however a clause leaves the active set, it leaves every table.
+    clauses by copy key and id, _designated the clauses by the id of their
+    designated leaf and _designated_at that id by clause id.  insert and
+    remove keep all five, so however a clause leaves the active set, it
+    leaves every table.
 
     The copy key hashes two literals, not the whole tuple: Literal's hash
     is a Python call per literal, and keyed on whole tuples the screen
@@ -497,6 +493,7 @@ class BackwardIndex:
         self._buckets: dict[tuple, set[int]] = {}
         self._tree = DiscriminationTree(ground_lookup=True)
         self._designated: dict[int, set[Clause]] = {}
+        self._designated_at: dict[int, int] = {}
         self._keys: dict[int, set[tuple]] = {}
         self._copies: dict[tuple, dict[int, Clause]] = {}
 
@@ -507,7 +504,10 @@ class BackwardIndex:
         paths = _paths(zip(distinct_literals(c), literal_walks(c)))
         leaves = self._tree.insert(c, paths)
         if leaves:
-            self._designated.setdefault(id(leaves[_longest(paths)]), set()).add(c)
+            # the designated leaf is that of the path with the most keys, first on ties
+            lengths = [len(keys) for _, keys in paths]
+            key = self._designated_at[c.cid] = id(leaves[lengths.index(max(lengths))])
+            self._designated.setdefault(key, set()).add(c)
         self._copies.setdefault(_copy_key(c.literals), {})[c.cid] = c
 
     def remove(self, c: Clause) -> None:
@@ -516,9 +516,9 @@ class BackwardIndex:
             bucket.discard(c.cid)
             if not bucket:
                 del self._buckets[key]
-        paths, leaves = self._tree.remove(c)
-        if leaves:
-            key = id(leaves[_longest(paths)])
+        self._tree.remove(c)
+        key = self._designated_at.pop(c.cid, None)
+        if key is not None:
             self._designated[key].discard(c)
             if not self._designated[key]:
                 del self._designated[key]
@@ -560,20 +560,21 @@ class BackwardIndex:
         return {d for d in found if not wanted.isdisjoint(target_set_up(d).symbols)}
 
     def forward_subsumption_candidates(self, d: Clause) -> set[Clause]:
-        """Active clauses that might subsume d.
+        """Active clauses that might subsume d; each unit among them does.
 
         A subsumer puts every literal into d, so each of its literal paths
         generalizes a literal of d, an equality in either argument order;
         the clauses designated at a reached leaf whose every leaf is
-        reached go through the count screen.
+        reached are kept, those of two or more literals if they pass the
+        count screen.
         """
         walked = zip(distinct_literals(d), literal_walks(d))
         reached = {id(leaf) for lit, walk in walked for leaf in _leaves(self._tree.generalizations, lit, walk)}
         leaves, designated = self._tree._leaves, self._designated
         full = [c for key in reached for c in designated.get(key, ())
                 if c is not d and all(id(leaf) in reached for leaf in leaves[c.cid])]
-        # d's target set-up is built only when some clause is left
-        return {c for c in full if _fits(target_set_up(c), target_set_up(d))}
+        # d's target set-up is built only for a clause of two or more literals
+        return {c for c in full if len(c.literals) == 1 or _fits(target_set_up(c), target_set_up(d))}
 
     def backward_subsumption_candidates(self, g: Clause) -> set[Clause]:
         """Active clauses that g might subsume.

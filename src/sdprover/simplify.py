@@ -197,13 +197,14 @@ def forward_subsumption_delete(d: Clause, active: BackwardIndex) -> Optional[int
     An active copy of d, a clause with d's literal tuple, is returned
     before any retrieval or matcher call (BackwardIndex.copy_of).
     Otherwise the retrieved candidates are tried in ascending id order and
-    the first that subsumes d is returned.
+    the first that subsumes d is returned: a unit candidate subsumes d, so
+    only one of two or more literals goes to the matcher.
     """
     copy = active.copy_of(d)
     if copy is not None:
         return copy.cid
     for c in sorted(active.forward_subsumption_candidates(d), key=lambda c: c.cid):
-        if subsumes(c, d):
+        if len(c.literals) == 1 or subsumes(c, d):
             return c.cid
     return None
 

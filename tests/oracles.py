@@ -15,7 +15,9 @@ apart by an offset per call, KBO recounting variables at every level, the
 term walks each index and screen made for itself before every clause kept
 one walk per literal, the multiset extension that compared every remaining
 pair, the multi-literal search as a recursive generator,
-the variant test as a direct search for the renaming, the TPTP
+the variant test as a direct search for the renaming, superposition
+that puts the right-hand side in before it instantiates
+(replaced_superposition), the TPTP
 tokenizer that kept a line and column on every token, and the unification
 and matching kernels as they were before their per-pair dispatch was
 inlined (unify_pairs_ref, match_pairs_ref).  Five helpers only tests
@@ -640,6 +642,56 @@ def unscreened_superposition(c1, c2, factory) -> list:
     return factory.make_all(raw, "superposition", (c1.cid, c2.cid))
 
 
+def _resolved(term: Term, bindings: Substitution) -> Term:
+    """term under a triangular unifier with every binding chased to its end."""
+    if isinstance(term, Var):
+        bound = bindings.get(term.vid)
+        return term if bound is None else _resolved(bound, bindings)
+    return App(term.sym, tuple(_resolved(a, bindings) for a in term.args))
+
+
+def replaced_superposition(c1, c2) -> list[tuple[Literal, ...]]:
+    """The literal tuples superposition(c1, c2) mints, in order, built the
+    way it built them before it kept a context per occurrence: c2 renamed
+    by negating its variable ids (-1 - v), the right-hand side put in at
+    the rewritten position, then the unifier applied in full and the
+    variables renumbered (canonical_literals).  Every orientation is tried
+    at every non-variable position, and its instances are compared; a
+    tuple equal to an earlier one of the call is left out."""
+    rename = {v: Var(-1 - v) for v in clause_vars(c2.literals)}
+    lits2 = tuple(Literal(l.positive, l.pred, tuple(naive_apply(a, rename) for a in l.args)) for l in c2.literals)
+    out: list[tuple[Literal, ...]] = []
+    for i in select(c1):
+        li = c1.literals[i]
+        if not (li.positive and li.is_equality):
+            continue
+        rest = c1.literals[:i] + c1.literals[i + 1 :]
+        for s, t in orientations(li):
+            for j in select(c2):
+                target = lits2[j]
+                for k, arg in enumerate(target.args):
+                    for path, sub in _all_positions(arg, ()):
+                        if isinstance(sub, Var):
+                            continue
+                        theta = unify_pairs_ref([(s, sub)])
+                        if theta is None:
+                            continue
+                        if compare_terms(_resolved(t, theta), _resolved(s, theta)) is OrderResult.GREATER:
+                            continue
+                        other = target.args[1 - k] if target.is_equality else None
+                        if other is not None and compare_terms(
+                            _resolved(other, theta), _resolved(arg, theta)
+                        ) is OrderResult.GREATER:
+                            continue
+                        args = tuple(_replace(a, path, t) if m == k else a for m, a in enumerate(target.args))
+                        lits = rest + lits2[:j] + (Literal(target.positive, target.pred, args),) + lits2[j + 1 :]
+                        lits = tuple(Literal(l.positive, l.pred, tuple(_resolved(a, theta) for a in l.args)) for l in lits)
+                        canonical = canonical_literals(lits)
+                        if canonical not in out:
+                            out.append(canonical)
+    return out
+
+
 def offset_resolution(c1, c2, factory) -> list:
     """Resolution of c1 with c2 renamed apart by offset_rename_apart."""
     lits2 = offset_rename_apart(c2, c1)
@@ -701,7 +753,10 @@ def scan_retrievals(patch, retrievals) -> None:
     method) of retrievals, with the monkeypatch context patch, to return
     every clause the index holds except the query.  A drop-in for the
     subsumption and subsumption demodulation retrievals of BackwardIndex
-    and FsdIndex.
+    and FsdIndex.  forward_subsumption_candidates returns a unit clause
+    only when it subsumes the query, and forward subsumption takes such a
+    unit without the matcher, so its drop-in keeps the held units that
+    naive_subsumes says subsume the query, and every other held clause.
 
     The index classes' insert and remove are wrapped to record the clauses
     each index object was given: every one inserted into a BackwardIndex,
@@ -726,8 +781,18 @@ def scan_retrievals(patch, retrievals) -> None:
     def every_other_held_clause(index, d) -> set:
         return {c for c in held.get(index, {}).values() if c.cid != d.cid}
 
+    def subsuming_units_and_every_wider_clause(index, d) -> set:
+        return {
+            c
+            for c in every_other_held_clause(index, d)
+            if len(c.literals) > 1 or naive_subsumes(c.literals, d.literals)
+        }
+
     for owner, attr in retrievals:
-        patch.setattr(owner, attr, every_other_held_clause)
+        if attr == "forward_subsumption_candidates":
+            patch.setattr(owner, attr, subsuming_units_and_every_wider_clause)
+        else:
+            patch.setattr(owner, attr, every_other_held_clause)
 
 
 def generation_keys_ref(c: Clause) -> set[tuple]:

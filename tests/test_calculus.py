@@ -1,6 +1,15 @@
 """Generating rule tests: unit cases, selection discipline, ground soundness."""
 
-from oracles import apply, ground_entails, nvars, offset_resolution, unscreened_superposition, variant
+from oracles import (
+    apply,
+    clause_vars,
+    ground_entails,
+    nvars,
+    offset_resolution,
+    replaced_superposition,
+    unscreened_superposition,
+    variant,
+)
 from randgen import Gen, GroundGen
 
 from sdprover.calculus import (
@@ -274,3 +283,42 @@ def test_generation_agrees_with_the_offset_renaming():
                 minted["superposition"] += len(got)
                 minted["self"] += len(got) if c1 is c2 else 0
     assert minted["resolution"] > 80 and minted["superposition"] > 600 and minted["self"] > 30, minted
+
+
+def test_superposition_mints_what_replacing_then_canonicalizing_gives():
+    """Differential: each superposition conclusion, literal by literal and
+    in order, is what putting the right-hand side in at the rewritten
+    position and then applying the unifier and renumbering gives
+    (oracles.replaced_superposition), though superposition hands the
+    factory a context literal with a hole there instead.  Ground and
+    non-ground clauses pair in both roles, each clause with itself too,
+    and every pair twice, so a context kept from the first call serves the
+    second.  No minted clause, nor its registry copy, holds a variable
+    other than 0, 1, ..., so none holds the hole."""
+    gen = Gen(seed=139)
+    pool = []
+    for k in range(36):
+        ground = k % 3 == 2
+        lits = gen.lits(gen.rng.randrange(0, 2), depth=1, ground=ground)
+        if k % 2 == 0:
+            lits = (gen.pos_eq(ground=ground),) + lits
+        pool.append(lits or (gen.pos_eq(ground=ground),))
+    factory = ClauseFactory()
+    cs = [factory.make(lits) for lits in pool]
+    minted = {"ground": 0, "non-ground": 0}
+    for _ in range(2):
+        for c1 in cs:
+            for c2 in cs:
+                got = superposition(c1, c2, factory)
+                expected = replaced_superposition(c1, c2)
+                assert [_exact_literals(c.literals) for c in got] == [_exact_literals(e) for e in expected], (c1, c2)
+                for c in got:
+                    for lits in (c.literals, factory.registry[c.cid].literals):
+                        assert clause_vars(lits) == set(range(nvars(lits))), c
+                    minted["ground" if all(lit.ground for lit in c.literals) else "non-ground"] += 1
+    assert minted["ground"] > 100 and minted["non-ground"] > 400, minted
+
+
+def _exact_literals(lits):
+    # argument order too: equality literals compare as unordered pairs
+    return [(lit.positive, lit.pred, lit.args) for lit in lits]

@@ -46,6 +46,24 @@ def test_equality_literal_is_unordered_pair():
     assert eq(env.a, env.b) != neq(env.a, env.b)
 
 
+def test_equality_hash_tells_trivial_equalities_apart():
+    """An equality hashes the ordered pair of its side hashes, smaller
+    first: s = s and t = t of one polarity hash apart, as a hash that
+    cancelled equal sides would not, and s = t keeps its hash swapped.
+    Over seeded terms, the trivial equalities of distinct terms collide no
+    more often than the terms themselves."""
+    gen = Gen(seed=131)
+    terms = {gen.term(3) for _ in range(300)}
+    assert len(terms) > 100
+    for make in (eq, neq):
+        trivial = {hash(make(t, t)) for t in terms}
+        assert len(trivial) == len({hash(t) for t in terms})
+        for s, t in itertools.islice(itertools.permutations(sorted(terms, key=repr), 2), 2000):
+            assert hash(make(s, t)) == hash(make(t, s))
+    assert hash(eq(env.a, env.a)) != hash(eq(env.b, env.b))
+    assert hash(eq(env.a, env.a)) != hash(neq(env.a, env.a))
+
+
 def test_predicate_literal_is_positional():
     assert env.r(env.a, env.b) != env.r(env.b, env.a)
 

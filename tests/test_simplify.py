@@ -6,6 +6,7 @@ from oracles import (
     check_ordering_conditions,
     compare_clauses,
     naive_sd_results,
+    naive_subsumes,
     nvars,
     reference_demodulate,
     unscreened_sd_steps,
@@ -555,3 +556,48 @@ def test_redundancy_check_runs_only_at_the_top_of_a_positive_equality(monkeypatc
     out = demodulate(unit, factory.make([eq(f(a), d), p(f(a))]), factory)
     assert out is not None and out.literals == (eq(b, d), p(f(a)))
     assert len(calls) == 2
+
+
+def test_unit_candidates_of_forward_subsumption_subsume():
+    """Generalization retrieval of a unit's one path is exact, so forward
+    subsumption takes every unit candidate as a subsumer without the
+    matcher: each one subsumes the query, by the matcher and by brute
+    force.  Wider candidates still face the count screen and the matcher:
+    among them are clauses each of whose literals matches the query but
+    that do not subsume it (p(X) | q(X) into p(a) | q(b), a literal
+    repeated more often than the query holds it), and forward subsumption
+    returns a subsumer exactly when brute force finds one."""
+    gen = Gen(seed=149)
+    factory = ClauseFactory()
+    index = BackwardIndex()
+    active: dict = {}
+    units = wide_misses = 0
+    for _ in range(400):
+        shape = gen.rng.random()
+        if shape < 0.3:
+            lits = (gen.literal(depth=1),)
+        elif shape < 0.5:
+            lit = gen.literal(depth=1)
+            lits = (lit, lit)
+        elif shape < 0.7:
+            v = Var(gen.rng.randrange(2))
+            lits = (gen.rng.choice(gen.preds[:2])(v), gen.rng.choice(gen.preds[:2])(gen.rng.choice([v, gen.f(v)])))
+        else:
+            lits = gen.lits(gen.rng.randrange(1, 4), depth=1, ground=gen.rng.random() < 0.5)
+        d = factory.make(lits)
+        for cand in index.forward_subsumption_candidates(d):
+            if len(cand.literals) == 1:
+                assert subsumes(cand, d) and naive_subsumes(cand.literals, d.literals), (cand, d)
+                units += 1
+            elif not naive_subsumes(cand.literals, d.literals):
+                wide_misses += 1
+        found = forward_subsumption_delete(d, index)
+        subsumers = {cid for cid, c in active.items() if naive_subsumes(c.literals, d.literals)}
+        assert (found is None) == (not subsumers), d
+        assert found is None or found in subsumers
+        if gen.rng.random() < 0.7:
+            index.insert(d)
+            active[d.cid] = d
+        if active and gen.rng.random() < 0.2:
+            index.remove(active.pop(gen.rng.choice(sorted(active))))
+    assert units > 200 and wide_misses > 100, (units, wide_misses)
