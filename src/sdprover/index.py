@@ -43,15 +43,11 @@ generalizations of a clause's literals or subterms; backward subsumption
 and backward subsumption demodulation retrieve instances of g's literals or
 of c's best literals.
 
-Subsumption candidates also pass the count screen: a subsumer maps its
-literals one to one onto literals with the same polarity and predicate, so
-it has no more literals under any (polarity, predicate) key than the
-clause it subsumes (read off matching.target_set_up).  Forward subsumption
-visits a clause only at its designated leaf, that of its longest path, and
-keeps it if the query reaches all its leaves, so a leaf that nearly every
-clause shares (a ground literal they all repeat) costs nothing.  A unit
-clause it keeps subsumes the query, since generalization retrieval is
-exact, so it skips the count screen, and the matcher too.  Subsumption
+Forward subsumption visits a clause only at its designated leaf, that of
+its longest path, and keeps it if the query reaches all its leaves, so a
+leaf that nearly every clause shares (a ground literal they all repeat)
+costs nothing.  A unit clause it keeps subsumes the query, since
+generalization retrieval is exact, so it skips the matcher.  Subsumption
 demodulation candidates pass the trigger screen: a side premise rewrites
 only at an occurrence of one of its triggers (matching.source_set_up), the
 top symbols of its rewriting left-hand sides, so a pair whose main premise
@@ -85,7 +81,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .clauses import Clause, Literal, distinct_literals, literal_walks, select
-from .matching import TargetSetUp, source_set_up, target_set_up
+from .matching import source_set_up, target_set_up
 from .ordering import OrderResult
 from .terms import Var
 
@@ -186,15 +182,6 @@ def _leaves(retrieve: Callable, lit: Literal, walk: tuple) -> list[set[int]]:
     if lit.pred is None and lit.args[0] != lit.args[1]:
         leaves += retrieve(tag, _other_order(walk))
     return leaves
-
-
-def _fits(small: TargetSetUp, big: TargetSetUp) -> bool:
-    """small has no more literals than big under any (polarity, predicate) key."""
-    table = big.table
-    for key, positions in small.table.items():
-        if len(positions) > len(table.get(key, ())):
-            return False
-    return True
 
 
 def best_literals(c: Clause) -> list[Literal]:
@@ -565,23 +552,19 @@ class BackwardIndex:
         A subsumer puts every literal into d, so each of its literal paths
         generalizes a literal of d, an equality in either argument order;
         the clauses designated at a reached leaf whose every leaf is
-        reached are kept, those of two or more literals if they pass the
-        count screen.
+        reached are kept.
         """
         walked = zip(distinct_literals(d), literal_walks(d))
         reached = {id(leaf) for lit, walk in walked for leaf in _leaves(self._tree.generalizations, lit, walk)}
         leaves, designated = self._tree._leaves, self._designated
-        full = [c for key in reached for c in designated.get(key, ())
-                if c is not d and all(id(leaf) in reached for leaf in leaves[c.cid])]
-        # d's target set-up is built only for a clause of two or more literals
-        return {c for c in full if len(c.literals) == 1 or _fits(target_set_up(c), target_set_up(d))}
+        return {c for key in reached for c in designated.get(key, ())
+                if c is not d and all(id(leaf) in reached for leaf in leaves[c.cid])}
 
     def backward_subsumption_candidates(self, g: Clause) -> set[Clause]:
         """Active clauses that g might subsume.
 
         Any clause subsumed by g holds an instance of every literal of g,
-        an equality in either argument order; the clauses that do go
-        through the count screen.
+        an equality in either argument order.
         """
         if not g.literals:
             return set()
@@ -592,8 +575,7 @@ class BackwardIndex:
             if not found:
                 return set()
         found.discard(g)
-        source = target_set_up(g)
-        return {c for c in found if _fits(source, target_set_up(c))}
+        return found
 
     def generation_partners(self, g: Clause) -> tuple[set[int], set[int], set[int], set[int]]:
         """Ids of the indexed clauses a on which a generating inference with g may fire.

@@ -10,33 +10,38 @@ For subsumption every source literal must be matched.  For subsumption
 demodulation exactly one positive equality of the source is left out of the
 match and reserved as the rewriting equality; any positive equality may take
 that role, so the enumeration branches between "reserve this equality" and
-"match it like the rest".  Backtracking runs over source literals in order
-of decreasing weight, on an explicit stack of per-level iterators rather
-than one recursive call per literal, so a clause of any width gets an
-answer; enumeration is exhaustive and duplicate-free, and the generator
-resumes where the previous solution left off.  That stack is the one
-search path, for a one-literal source as for any other.  A ground source
-literal matches exactly the target literals equal to it, binding nothing,
-so it goes only to their positions, read off the target's set-up.  Nothing
-caps the number of solutions: the run's deadline, checked every few
-hundred search nodes, is the one bound on a search, and it also stops one
-that finds nothing.
+"match it like the rest".  Matched literals land on distinct target
+literals of their own polarity and predicate, so there is no solution when
+the target has fewer literals than the source under some (polarity,
+predicate) key, a reserved equality needing one positive equality fewer.
+That count screen ends such a pair, a pigeonhole search otherwise, before
+the search starts, for subsumption and subsumption demodulation alike.
+
+Backtracking runs over source literals in order of decreasing weight, on
+an explicit stack of per-level iterators rather than one recursive call
+per literal, so a clause of any width gets an answer; enumeration is
+exhaustive and duplicate-free, and the generator resumes where the
+previous solution left off.  That stack is the one search path, for a
+one-literal source as for any other.  A ground source literal matches
+exactly the target literals equal to it, binding nothing, so it goes only
+to their positions, read off the target's set-up.  Nothing caps the number
+of solutions: the run's deadline, checked every few hundred search nodes,
+is the one bound on a search, and it also stops one that finds nothing.
 
 Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
 source variable that shares an id with a target variable is still a
 variable of its own.  The set-up each side needs is computed once per
 clause object and kept on it: as a source, the literal order, whether a
-literal is ground, and each positive equality oriented as a rewrite rule
-together with the top symbols it can rewrite (SourceSetUp, which
-superposition reads too); as a target,
-the table of compatible literals, the symbols that occur, read off the
-clause's stored literal walks (clauses.literal_walks), not off a walk of
-its own, and the positions of each ground literal, filled when a ground
-source literal first needs them (TargetSetUp).  Subsumption demodulation
-screens a pair on those symbols before it starts the matcher.  Both
-set-ups go with the search's clause object; the factory's registry keeps
-a copy without them.
+literal is ground, the literal count per key, and each positive equality
+oriented as a rewrite rule together with the top symbols it can rewrite
+(SourceSetUp, which superposition reads too); as a target, the table of
+compatible literals, the symbols that occur, read off the clause's stored
+literal walks (clauses.literal_walks), not off a walk of its own, and the
+positions of each ground literal, filled when a ground source literal
+first needs them (TargetSetUp).  Subsumption demodulation screens a pair
+on those symbols before it starts the matcher.  Both set-ups go with the
+search's clause object; the factory's registry keeps a copy without them.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ class SourceSetUp(NamedTuple):
         of the main premise.
     ground: whether some literal is ground; the matcher then reads the
         target's ground positions.
+    counts: (key, number of literals) for each (polarity, predicate) key.
     """
 
     order: tuple[int, ...]
@@ -102,6 +108,7 @@ class SourceSetUp(NamedTuple):
     equations: tuple[tuple[Orientation, ...], ...]
     triggers: Optional[tuple[int, ...]]
     ground: bool
+    counts: tuple[tuple[tuple[bool, Optional[int]], int], ...]
 
 
 class TargetSetUp(NamedTuple):
@@ -112,8 +119,9 @@ class TargetSetUp(NamedTuple):
         arguments, each once (a tuple: it is short, and kept on every
         target clause).
     ground: target positions by ground literal, ascending, or None until
-        a ground source literal first needs them (_ground_positions): most
-        target set-ups serve only the index's count screen.
+        a ground source literal first needs them (_ground_positions): many
+        target set-ups serve only the trigger screens' symbols, or a count
+        screen that ends the search at once.
     """
 
     table: dict[tuple[bool, Optional[int]], list[int]]
@@ -147,12 +155,17 @@ def _source_set_up(src: tuple[Literal, ...]) -> SourceSetUp:
             triggers = None
             break
         triggers.add(o.lhs.sym)
+    counts: dict[tuple[bool, Optional[int]], int] = {}
+    for lit in src:
+        key = lit.positive, lit.pred
+        counts[key] = counts.get(key, 0) + 1
     return SourceSetUp(
         order,
         last_eq,
         equations,
         None if triggers is None else tuple(sorted(triggers)),
         any(lit.ground for lit in src),
+        tuple(counts.items()),
     )
 
 
@@ -223,9 +236,10 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     With reserve_equality, each solution reserves exactly one positive
     equality of the source as the rewriting equality and matches everything
     else; otherwise all source literals are matched (plain subsumption).
-    The run's deadline is the only bound on the search: it is checked
-    every 256 search nodes, so a search that finds nothing still stops
-    there.
+    A pair that fails the count screen (see the module docstring) yields
+    nothing before the search starts.  The run's deadline is the only
+    bound on the search: it is checked every 256 search nodes, so a search
+    that finds nothing still stops there.
 
     Source and target may share variable ids.  Target variables are rigid,
     and each solution's substitution binds source variables only, keeping
@@ -233,10 +247,13 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     """
     src = source.literals
     dst = target.literals
-    if len(src) - (1 if reserve_equality else 0) > len(dst):
-        return
-    order, last_eq, _, _, has_ground = source_set_up(source)
+    order, last_eq, _, _, has_ground, counts = source_set_up(source)
     compatible = target_set_up(target).table
+    # the count screen: the key a reserved equality leaves one literal short
+    reserved = (True, None) if reserve_equality else None
+    for key, n in counts:
+        if len(compatible.get(key, ())) < n - (key == reserved):
+            return
     ground = _ground_positions(target) if has_ground else {}
 
     def children(k: int, subst: Substitution, eq_pos: Optional[int]):

@@ -45,7 +45,7 @@ scan:
     (index.FsdIndex.demodulators), the other side premises by their
     trigger symbols (index.FsdIndex.retrieve_fsd_candidates and
     index.BackwardIndex.retrieve_bsd_candidates), so the matcher starts
-    on no other pair;
+    on no other pair, and its count screen (matching) ends more at once;
   - those retrievals check repeated variables, so a unit's left-hand side,
     or an active clause's literal for forward subsumption, comes back
     only when it matches the query as a term;
@@ -111,7 +111,7 @@ def sd_simplifications(side: Clause, main: Clause) -> Iterator[RewriteStep]:
     image, so that match is made here: the matcher starts only for a side
     of two or more literals.
     """
-    _, last_eq, equations, _, _ = source_set_up(side)
+    _, last_eq, equations, _, _, _ = source_set_up(side)
     if last_eq < 0:
         return
     unit = len(side.literals) == 1

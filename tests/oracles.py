@@ -329,17 +329,13 @@ def naive_subsumes(c_lits, d_lits) -> bool:
 def forward_subsumption_candidates_ref(active, d: Clause) -> set:
     """The clauses c other than d in active that forward-subsumption
     retrieval returns for d, by brute force: every literal of c matches
-    some literal of d as a term, an equality in either argument order, and
-    no (polarity, predicate) key counts more literals in c than in d: the
+    some literal of d as a term, an equality in either argument order: the
     set the index found by counting reached leaves per clause, before each
     clause designated one leaf."""
-    keys = Counter((lit.positive, lit.pred) for lit in d.literals)
     return {
         c
         for c in active
-        if c is not d
-        and all(n <= keys[key] for key, n in Counter((lit.positive, lit.pred) for lit in c.literals).items())
-        and all(any(naive_literal_matches(lit, m, {}) for m in d.literals) for lit in c.literals)
+        if c is not d and all(any(naive_literal_matches(lit, m, {}) for m in d.literals) for lit in c.literals)
     }
 
 
@@ -376,7 +372,7 @@ def recursive_match_solutions(source, target, *, reserve_equality: bool) -> Iter
     dst = target.literals
     if len(src) - (1 if reserve_equality else 0) > len(dst):
         return
-    order, last_eq, _, _, _ = source_set_up(source)
+    order, last_eq, _, _, _, _ = source_set_up(source)
     compatible = target_set_up(target).table
 
     def search(k: int, subst: Substitution, used: frozenset, eq_pos: Optional[int]) -> Iterator[tuple]:

@@ -317,7 +317,7 @@ def test_forward_subsumption_retrieval_complete():
             elif _shares_a_key(c, d) and c not in found:
                 screened += 1
     assert hits > 0
-    # the tree and the count screen drop clauses a top-symbol lookup returns
+    # the tree drops clauses a top-symbol lookup returns
     assert screened > 0
 
 
@@ -800,10 +800,12 @@ def test_forward_subsumption_candidates_check_repeated_variables():
 def test_forward_subsumption_candidates_are_exactly_the_brute_force_set():
     """Over seeded inserts with interleaved removals, forward-subsumption
     retrieval returns exactly the clauses whose every literal matches some
-    literal of the query and that pass the count screen: no superset, so
-    a clause is found through its designated leaf or not at all.  Clauses
-    repeat variables, and some repeat one ground literal many times beside
-    a deep term, so most clauses share that literal's leaf."""
+    literal of the query: no superset, so a clause is found through its
+    designated leaf or not at all.  Clauses repeat variables, and some
+    repeat one ground literal many times beside a deep term, so most
+    clauses share that literal's leaf.  Some queries hold each literal of
+    such a clause once, so it comes back with more literals than the
+    query: the index leaves literal counts to the matcher."""
     gen = Gen(seed=67, n_vars=2)
     factory = ClauseFactory()
     lits = _repeating_literals(gen, 100, 2)
@@ -821,9 +823,10 @@ def test_forward_subsumption_candidates_are_exactly_the_brute_force_set():
         extra = gen.lits(gen.rng.randrange(0, 2), ground=True)
         queries.append(factory.make(tuple(apply(lit, inst) for lit in c.literals) + extra))
     queries += [c for c in pool if ground in c.literals][::3]
+    queries += [factory.make(tuple(dict.fromkeys(c.literals))) for c in pool if ground in c.literals][1::3]
     ix = BackwardIndex()
     active: dict[int, object] = {}
-    found_total = 0
+    found_total = wider = 0
     for step, c in enumerate(pool):
         ix.insert(c)
         active[c.cid] = c
@@ -835,7 +838,8 @@ def test_forward_subsumption_candidates_are_exactly_the_brute_force_set():
                 exact = forward_subsumption_candidates_ref(active.values(), d)
                 assert ix.forward_subsumption_candidates(d) == exact, d
                 found_total += len(exact)
-    assert found_total >= 250, found_total
+                wider += sum(len(c.literals) > len(d.literals) for c in exact)
+    assert found_total >= 250 and wider >= 40, (found_total, wider)
     for c in active.values():
         ix.remove(c)
     assert ix._tree._leaves == {} and ix._tree._paths == {} and ix._designated == {}

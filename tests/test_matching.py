@@ -2,6 +2,7 @@
 variants, and clauses too wide for a recursive search."""
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -21,7 +22,7 @@ from sdprover import matching
 from sdprover.clauses import Clause, ClauseFactory, Literal, eq, predicate
 from sdprover.matching import match_solutions, subsumes
 from sdprover.simplify import sd_simplifications
-from sdprover.terms import Signature, Var
+from sdprover.terms import Signature, Var, run_scope
 
 # the fixed symbols only: a test that draws random inputs makes a generator
 # of its own, so its inputs do not depend on which tests ran before it
@@ -138,6 +139,21 @@ def test_match_solutions_exhaustive_and_duplicate_free():
         assert got == naive_ml_solutions(side, main)
         checked += 1
     assert checked == 300
+    # a pair with more side literals under some key than main has there,
+    # and one the reserved equality brings within the count
+    a, b, c, f, p, q = env.a, env.b, env.c, env.f, env.p, env.q
+    for side, main, solved in (
+        ((eq(f(x), x), p(y), p(x)), (p(a), q(b)), False),
+        ((eq(x, a), eq(y, b)), (eq(c, b),), True),
+    ):
+        side = rename_apart(side, main)
+        got = Counter(
+            (m.rewrite_eq_pos, m.image, tuple(sorted(m.subst.items())))
+            for m in match_solutions(_clause(side), _clause(main), reserve_equality=True)
+        )
+        assert got == naive_ml_solutions(side, main) and bool(got) == solved
+        assert list(match_solutions(_clause(side), _clause(main), reserve_equality=False)) == []
+        assert not naive_subsumes(side, main)
 
 
 def test_match_solutions_reserves_exactly_one_positive_equality():
@@ -333,3 +349,22 @@ def test_one_search_path_holds_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 1024 * 1024, peak
+
+
+def test_pigeonhole_pairs_end_at_the_count_screen():
+    """Twelve side literals ~p(Xi), each matching any of the main premise's
+    eleven ~p(aj): a search fails only after trying every assignment.  The
+    count screen ends forward and backward subsumption demodulation
+    (sd_simplifications), the plain matcher and subsumption before the
+    search starts, well inside a 1 s deadline."""
+    sig = Signature()
+    p, q = predicate(sig, "p", 1), predicate(sig, "q", 1)
+    f = sig.function("f", 1)
+    n = 12
+    side = _clause([p(Var(i)).negated() for i in range(n)] + [eq(f(Var(n)), Var(n))])
+    main = _clause([p(sig.constant(f"a{i}")).negated() for i in range(n - 1)] + [q(f(sig.constant("b")))], 1)
+    with run_scope(time.monotonic() + 1):
+        assert list(sd_simplifications(side, main)) == []
+        assert list(match_solutions(side, main, reserve_equality=False)) == []
+        # as many literals as main, so only the per-key counts tell
+        assert not subsumes(_clause(side.literals[:n]), main)

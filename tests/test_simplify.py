@@ -562,7 +562,7 @@ def test_unit_candidates_of_forward_subsumption_subsume():
     """Generalization retrieval of a unit's one path is exact, so forward
     subsumption takes every unit candidate as a subsumer without the
     matcher: each one subsumes the query, by the matcher and by brute
-    force.  Wider candidates still face the count screen and the matcher:
+    force.  Wider candidates face the matcher, count screen included:
     among them are clauses each of whose literals matches the query but
     that do not subsume it (p(X) | q(X) into p(a) | q(b), a literal
     repeated more often than the query holds it), and forward subsumption
@@ -571,7 +571,7 @@ def test_unit_candidates_of_forward_subsumption_subsume():
     factory = ClauseFactory()
     index = BackwardIndex()
     active: dict = {}
-    units = wide_misses = 0
+    units = wide_misses = wider = 0
     for _ in range(400):
         shape = gen.rng.random()
         if shape < 0.3:
@@ -591,6 +591,7 @@ def test_unit_candidates_of_forward_subsumption_subsume():
                 units += 1
             elif not naive_subsumes(cand.literals, d.literals):
                 wide_misses += 1
+                wider += len(cand.literals) > len(d.literals)
         found = forward_subsumption_delete(d, index)
         subsumers = {cid for cid, c in active.items() if naive_subsumes(c.literals, d.literals)}
         assert (found is None) == (not subsumers), d
@@ -600,4 +601,12 @@ def test_unit_candidates_of_forward_subsumption_subsume():
             active[d.cid] = d
         if active and gen.rng.random() < 0.2:
             index.remove(active.pop(gen.rng.choice(sorted(active))))
-    assert units > 200 and wide_misses > 100, (units, wide_misses)
+    assert units > 200 and wide_misses > 100 and wider > 50, (units, wide_misses, wider)
+    # r(a, b) twice against a query that holds it once: the index returns
+    # the candidate, and the matcher's count screen refuses it
+    index = BackwardIndex()
+    twice = factory.make([gen.r(gen.a, gen.b)] * 2 + [gen.p(x)])
+    index.insert(twice)
+    d = factory.make([gen.r(gen.a, gen.b), gen.p(gen.a), gen.q(gen.b)])
+    assert index.forward_subsumption_candidates(d) == {twice}
+    assert forward_subsumption_delete(d, index) is None
