@@ -2,15 +2,17 @@
 
 The time limit counts from reading the input: the problem is read and
 parsed under the run's deadline (terms.run_scope), minting checks it per
-input clause, and saturate gets the time that is left.
+input clause, and saturate gets the time that is left.  Every refutation
+is re-checked by verify_proof before it is printed, so Unsatisfiable is
+reported only with a proof that replays.
 
 Exit codes: 0 unsatisfiable, 1 satisfiable, 2 a limit hit (SZS status
 Timeout for the time limit, MemoryOut for the memory limit, ResourceOut
 for the clause cap),
 3 bad input (unreadable file or one that is not UTF-8, parse error, arity
 conflict, or bad usage),
-4 any other error, reported as SZS status Error so a crash never reads as
-a verdict.
+4 any other error, a refutation whose proof verify_proof rejects among
+them, reported as SZS status Error so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 from typing import Optional
 
 from .clauses import ClauseFactory
-from .saturation import ProverConfig, SatStatus, SaturationResult, saturate
+from .saturation import ProverConfig, SatStatus, SaturationResult, saturate, verify_proof
 from .terms import ResourceLimit, Signature, SignatureError, run_scope
 from .tptp import ParseError, emit_result, parse_problem
 
@@ -123,6 +125,13 @@ def _run(argv: Optional[list[str]]) -> int:
         memory_limit=args.memory_limit,
     )
     result = saturate(problem.clauses, config, factory)
+    if result.status is SatStatus.UNSATISFIABLE:
+        failures = verify_proof(result)
+        if failures:
+            print("% SZS status Error")
+            for failure in failures:
+                print(f"sdprover: proof rejected: {failure}", file=sys.stderr)
+            return 4
     print(emit_result(result, sig, proof=config.proof))
     return _EXIT_CODES[result.status]
 

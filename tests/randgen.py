@@ -99,3 +99,41 @@ class GroundGen:
 
     def lits(self, size: int) -> tuple[Literal, ...]:
         return tuple(self.literal() for _ in range(size))
+
+
+class ConstantGen:
+    """Non-ground generator whose only function symbols are constants.
+
+    Two constants, two variables, predicates p/1, q/1 and r/2, and
+    equalities between variables and constants.  A problem over it is
+    unsatisfiable exactly when its grounding over the two constants is
+    (Herbrand's theorem), and that grounding is small enough for model
+    enumeration.
+    """
+
+    def __init__(self, seed: int = 0) -> None:
+        self.rng = random.Random(seed)
+        self.sig = Signature()
+        self.a = self.sig.constant("a")
+        self.b = self.sig.constant("b")
+        self.p = predicate(self.sig, "p", 1)
+        self.q = predicate(self.sig, "q", 1)
+        self.r = predicate(self.sig, "r", 2)
+        self.consts = [self.a, self.b]
+
+    def term(self) -> Term:
+        if self.rng.random() < 0.5:
+            return Var(self.rng.randrange(2))
+        return self.rng.choice(self.consts)
+
+    def literal(self) -> Literal:
+        positive = self.rng.random() < 0.5
+        if self.rng.random() < 0.3:
+            make = eq if positive else neq
+            return make(self.term(), self.term())
+        sym = self.rng.choice([self.p, self.q, self.r])
+        atom = sym(*(self.term() for _ in range(sym.arity)))
+        return atom if positive else atom.negated()
+
+    def lits(self, size: int) -> tuple[Literal, ...]:
+        return tuple(self.literal() for _ in range(size))

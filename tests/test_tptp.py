@@ -841,3 +841,25 @@ def test_cli_unexpected_exception_is_status_error(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out.strip() == "% SZS status Error"
     assert "RuntimeError: boom" in captured.err
+
+
+def test_cli_rejected_proof_is_status_error(tmp_path, capsys, monkeypatch):
+    """A refutation is printed only once verify_proof accepts its proof."""
+    checked = []
+
+    def reject(result):
+        checked.append(result.status)
+        return ["clause 3 not reproduced by rule resolution"]
+
+    monkeypatch.setattr("sdprover.cli.verify_proof", reject)
+    path = _write(tmp_path, "cnf(a, axiom, p(c)). cnf(b, negated_conjecture, ~p(c)).")
+    assert main([path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "% SZS status Error"
+    assert "proof rejected: clause 3 not reproduced by rule resolution" in captured.err
+    assert checked == [SatStatus.UNSATISFIABLE]
+    # a satisfiable run has no proof to check
+    path = _write(tmp_path, "cnf(a, axiom, p(c)).")
+    assert main([path]) == 1
+    assert capsys.readouterr().out.startswith("% SZS status Satisfiable")
+    assert len(checked) == 1
