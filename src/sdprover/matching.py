@@ -15,7 +15,10 @@ literals of their own polarity and predicate, so there is no solution when
 the target has fewer literals than the source under some (polarity,
 predicate) key, a reserved equality needing one positive equality fewer.
 That count screen ends such a pair, a pigeonhole search otherwise, before
-the search starts, for subsumption and subsumption demodulation alike.
+the search starts, for subsumption and subsumption demodulation alike.  So
+does the ground screen: a ground source literal matches only a target
+literal equal to it, so there is no solution when one has none, unless it
+is a positive equality that a reserved equality may leave out.
 
 Backtracking runs over source literals in order of decreasing weight, on
 an explicit stack of per-level iterators rather than one recursive call
@@ -32,8 +35,8 @@ Source and target are matched as stored, with no renaming: the target's
 variables are rigid constants, and substitutions keep X -> X bindings, so a
 source variable that shares an id with a target variable is still a
 variable of its own.  The set-up each side needs is computed once per
-clause object and kept on it: as a source, the literal order, whether a
-literal is ground, the literal count per key, and each positive equality
+clause object and kept on it: as a source, the literal order, its distinct
+ground literals, the literal count per key, and each positive equality
 oriented as a rewrite rule together with the top symbols it can rewrite
 (SourceSetUp, which superposition reads too); as a target, the table of
 compatible literals, the symbols that occur, read off the clause's stored
@@ -98,8 +101,9 @@ class SourceSetUp(NamedTuple):
         (verdict GREATER or INCOMPARABLE), or None when one of them is a
         variable.  A rewrite needs one of them at a non-variable position
         of the main premise.
-    ground: whether some literal is ground; the matcher then reads the
-        target's ground positions.
+    ground: the distinct ground literals, in order of first occurrence
+        (() when there are none); the matcher then reads the target's
+        ground positions.
     counts: (key, number of literals) for each (polarity, predicate) key.
     """
 
@@ -107,7 +111,7 @@ class SourceSetUp(NamedTuple):
     last_eq: int
     equations: tuple[tuple[Orientation, ...], ...]
     triggers: Optional[tuple[int, ...]]
-    ground: bool
+    ground: tuple[Literal, ...]
     counts: tuple[tuple[tuple[bool, Optional[int]], int], ...]
 
 
@@ -164,7 +168,7 @@ def _source_set_up(src: tuple[Literal, ...]) -> SourceSetUp:
         last_eq,
         equations,
         None if triggers is None else tuple(sorted(triggers)),
-        any(lit.ground for lit in src),
+        tuple(dict.fromkeys(lit for lit in src if lit.ground)),
         tuple(counts.items()),
     )
 
@@ -236,8 +240,8 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     With reserve_equality, each solution reserves exactly one positive
     equality of the source as the rewriting equality and matches everything
     else; otherwise all source literals are matched (plain subsumption).
-    A pair that fails the count screen (see the module docstring) yields
-    nothing before the search starts.  The run's deadline is the only
+    A pair that fails the count screen or the ground screen (see the module
+    docstring) yields nothing before the search starts.  The run's deadline is the only
     bound on the search: it is checked every 256 search nodes, so a search
     that finds nothing still stops there.
 
@@ -247,14 +251,18 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     """
     src = source.literals
     dst = target.literals
-    order, last_eq, _, _, has_ground, counts = source_set_up(source)
+    order, last_eq, _, _, ground_lits, counts = source_set_up(source)
     compatible = target_set_up(target).table
     # the count screen: the key a reserved equality leaves one literal short
     reserved = (True, None) if reserve_equality else None
     for key, n in counts:
         if len(compatible.get(key, ())) < n - (key == reserved):
             return
-    ground = _ground_positions(target) if has_ground else {}
+    ground = _ground_positions(target) if ground_lits else {}
+    # the ground screen: a ground literal with no equal target literal
+    for lit in ground_lits:
+        if lit not in ground and (lit.positive, lit.pred) != reserved:
+            return
 
     def children(k: int, subst: Substitution, eq_pos: Optional[int]):
         # the states of level k, in enumeration order: (subst, the target

@@ -368,3 +368,29 @@ def test_pigeonhole_pairs_end_at_the_count_screen():
         assert list(match_solutions(side, main, reserve_equality=False)) == []
         # as many literals as main, so only the per-key counts tell
         assert not subsumes(_clause(side.literals[:n]), main)
+
+
+def test_a_ground_literal_without_an_equal_target_ends_the_search():
+    """~p(X0)|...|~p(X11)|~q(c) against ~p(a0)|...|~p(a11)|~q(d): the
+    counts fit and every literal is as heavy as the next, so ~q(c) comes
+    last in the search order, and a search fails only after trying every
+    assignment of the twelve ~p literals.  The ground screen ends it
+    before the search starts, well inside a 1 s deadline.  A positive
+    ground equality that a reserved equality may leave out is not
+    screened."""
+    sig = Signature()
+    p, q = predicate(sig, "p", 1), predicate(sig, "q", 1)
+    c, d = sig.constant("c"), sig.constant("d")
+    n = 12
+    wide = [p(Var(i)).negated() for i in range(n)]
+    source = _clause(wide + [q(c).negated()])
+    target = _clause([p(sig.constant(f"a{i}")).negated() for i in range(n)] + [q(d).negated()], 1)
+    with run_scope(time.monotonic() + 1):
+        assert not subsumes(source, target)
+        assert list(match_solutions(source, target, reserve_equality=True)) == []
+        # the ground literal that has an equal target literal is no obstacle
+        assert subsumes(_clause(wide[:2] + [q(d).negated()]), target)
+    side = _clause([p(Var(0)).negated(), eq(c, d)])
+    main = _clause([p(c).negated(), q(d)], 1)
+    assert [m.rewrite_eq_pos for m in match_solutions(side, main, reserve_equality=True)] == [1]
+    assert list(match_solutions(side, main, reserve_equality=False)) == []
