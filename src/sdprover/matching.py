@@ -241,9 +241,9 @@ def match_solutions(source: Clause, target: Clause, *, reserve_equality: bool) -
     equality of the source as the rewriting equality and matches everything
     else; otherwise all source literals are matched (plain subsumption).
     A pair that fails the count screen or the ground screen (see the module
-    docstring) yields nothing before the search starts.  The run's deadline is the only
-    bound on the search: it is checked every 256 search nodes, so a search
-    that finds nothing still stops there.
+    docstring) yields nothing before the search starts.  The run's
+    deadline is the only bound on the search: it is checked every 256
+    search nodes, so a search that finds nothing still stops there.
 
     Source and target may share variable ids.  Target variables are rigid,
     and each solution's substitution binds source variables only, keeping

@@ -273,20 +273,27 @@ def test_four_configurations_agree_with_the_ground_oracle():
 
 
 def test_passive_queue_alternates_age_and_weight():
+    """One pop by age, AGE_EVERY - 1 by weight, then age again and weight again."""
+    every = PassiveQueue.AGE_EVERY
+    assert every >= 2
     s = Setup()
     queue = PassiveQueue()
+    n = every + 3
+    # each clause is older and heavier than the next
     clauses = []
-    for i in range(8):
+    for i in range(n):
         term = s.a
-        for _ in range(8 - i):
+        for _ in range(n - i):
             term = s.f(term)
         clauses.append(s.clause(s.p(term)))
     for c in clauses:
         queue.push(c)
-    order = [queue.pop().cid for _ in range(8)]
+    order = [queue.pop().cid for _ in range(n)]
     by_cid = [c.cid for c in clauses]
-    # first pop by age, five by weight, then age again
-    expected = [by_cid[0], by_cid[7], by_cid[6], by_cid[5], by_cid[4], by_cid[3], by_cid[1], by_cid[2]]
+    # the oldest; the every - 1 lightest, newest first; the oldest left;
+    # then the lighter of the last two
+    expected = [by_cid[0]] + by_cid[:3:-1] + [by_cid[1], by_cid[3], by_cid[2]]
+    assert len(by_cid[:3:-1]) == every - 1
     assert order == expected
 
 
