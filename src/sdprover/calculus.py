@@ -45,8 +45,12 @@ literal it rewrites as a context: the target with the hole, a variable of
 an id no clause carries, at the occurrence, kept with the occurrence once
 a unifier succeeds there, and the hole bound to t in the unifier.  So the
 factory builds the rewritten literal in the pass that numbers it, and no
-intermediate term is built.  A ground target that a ground t rewrites is
-built whole (replace_in_literal), since the factory keeps a ground literal.
+intermediate term is built.  The context's spine, the applications above
+the hole, is built with App, not make_app, so the run's term table never
+holds the hole: instantiate rebuilds every spine node with make_app once
+the hole is bound, since the hole's image is never the hole.  A ground
+target that a ground t rewrites is built whole (replace_in_literal), since
+the factory keeps a ground literal.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from .clauses import (
 )
 from .matching import Orientation, source_set_up
 from .ordering import OrderResult, compare_terms
-from .terms import Term, Var, instantiate, unify_pairs
+from .terms import App, Term, Var, instantiate, unify_pairs
 
 
 def _not_greater(a: Term, b: Term) -> bool:
@@ -166,7 +170,7 @@ def _superpose_into(
         if ground:
             new_target = replace_in_literal(target, path, t)
         else:
-            new_target = contexts.get(path) or contexts.setdefault(path, replace_in_literal(target, path, _HOLE))
+            new_target = contexts.get(path) or contexts.setdefault(path, replace_in_literal(target, path, _HOLE, App))
             theta[_HOLE.vid] = t
         raw.append((eq_rest + target_lits[:target_pos] + (new_target,) + target_lits[target_pos + 1 :], theta))
 

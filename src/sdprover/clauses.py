@@ -13,12 +13,14 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    WalkMemo,
     check_time,
     instantiate,
     make_app,
     make_var,
     preorder_subterms,
     replace_at,
+    walk_memo,
 )
 
 
@@ -266,47 +268,82 @@ def distinct_literals(clause: Clause) -> tuple[Literal, ...]:
     return clause._distinct
 
 
-def _walk(args: tuple[Term, ...]) -> tuple[tuple[int, ...], list[int]]:
+def _walk(args: tuple[Term, ...], memo: WalkMemo) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The pre-order keys of an argument tuple, -1 - vid for each variable,
-    and for each position the position just past the subterm that starts
-    there: a term's weight is its number of nodes, so that is the start
-    plus the weight.
+    and the size of the subterm at each position, its weight, since a
+    term's weight is its number of nodes.
+
+    The walk of each ground argument is kept in memo, the run's walk memo
+    (terms.walk_memo), and a ground argument found there is spliced in with
+    one extend, or is the whole walk when it is the only argument.  A
+    subterm of a ground argument walked afresh is looked up there too, so
+    the tower p(f(t)) after p(t) costs one step and a copy: sizes do not
+    depend on where a walk starts, so a kept walk splices in anywhere as it
+    is.  Subterms of a non-ground argument are not looked up, and no walk of
+    a subterm is kept on its own, which would be quadratic on a tower.
 
     The walk takes time and memory linear in the terms' weights, which can
     be exponential in their stored size, so the run's deadline is checked
-    every 1,024 applications walked."""
+    every 1,024 applications walked afresh."""
     keys: list[int] = []
-    ends: list[int] = []
-    stack = list(reversed(args))
+    sizes: list[int] = []
+    get = memo.get
     walked = 0
-    while stack:
-        t = stack.pop()
-        if type(t) is Var:
-            ends.append(len(keys) + 1)
-            keys.append(-1 - t.vid)
-        else:
-            ends.append(len(keys) + t.weight)
-            keys.append(t.sym)
-            stack.extend(reversed(t.args))
-            walked += 1
-            if not walked & 1023:
-                check_time()
-    return tuple(keys), ends
+    for arg in args:
+        ground = arg.ground
+        if ground:
+            hit = get(id(arg))
+            if hit is not None:
+                if len(args) == 1:
+                    return hit[1], hit[2]
+                keys += hit[1]
+                sizes += hit[2]
+                continue
+            start = len(keys)
+        stack = [arg]
+        while stack:
+            t = stack.pop()
+            if type(t) is Var:
+                keys.append(-1 - t.vid)
+                sizes.append(1)
+            elif ground and t.args and (hit := get(id(t))) is not None:
+                keys += hit[1]
+                sizes += hit[2]
+            else:
+                keys.append(t.sym)
+                sizes.append(t.weight)
+                stack.extend(reversed(t.args))
+                walked += 1
+                if not walked & 1023:
+                    check_time()
+        if ground:
+            hit = memo[id(arg)] = (arg, tuple(keys[start:]), tuple(sizes[start:]))
+            if len(args) == 1:
+                return hit[1], hit[2]
+    return tuple(keys), tuple(sizes)
 
 
-def literal_walks(clause: Clause) -> tuple[tuple[tuple[int, ...], list[int]], ...]:
+def literal_walks(clause: Clause) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The pre-order walk of each distinct literal's arguments, aligned with
     distinct_literals(clause), computed on the first call and kept on it.
 
-    A walk is (keys, ends): keys holds the symbol of each subterm in
+    A walk is (keys, sizes): keys holds the symbol of each subterm in
     pre-order and -1 - vid for each variable, so a key is negative exactly
-    at a variable, and equal keys mean the same variable; ends[i] is the
-    position just past the subterm that starts at i, so ends[0] is where
-    the second argument starts.  Every term index and screen reads a literal's terms
+    at a variable, and equal keys mean the same variable; sizes[i] is the
+    number of keys of the subterm that starts at i, so i + sizes[i] is the
+    position just past it, and sizes[0] is where the second argument
+    starts.  The walk of a subterm is a slice of both, whatever its
+    position, so the walk of a ground literal argument is kept in the
+    run's walk memo (terms.walk_memo) and spliced into every later walk
+    that holds it (_walk); a literal with one ground argument shares the
+    memo's tuples.  Every term index and screen reads a literal's terms
     from here, so each literal is walked once per clause.
     """
     if clause._walks is None:
-        clause._walks = tuple(_walk(lit.args) for lit in distinct_literals(clause))
+        memo = walk_memo()
+        if memo is None:
+            memo = {}
+        clause._walks = tuple(_walk(lit.args, memo) for lit in distinct_literals(clause))
     return clause._walks
 
 
@@ -382,10 +419,13 @@ def literal_occurrences(lit: Literal) -> Iterator[tuple[tuple[int, ...], Term]]:
                 yield path, sub
 
 
-def replace_in_literal(lit: Literal, path: tuple[int, ...], new: Term) -> Literal:
-    """lit with the occurrence at path (as literal_occurrences gives it) replaced by new."""
+def replace_in_literal(
+    lit: Literal, path: tuple[int, ...], new: Term, build: Optional[Callable[[int, tuple], App]] = None
+) -> Literal:
+    """lit with the occurrence at path (as literal_occurrences gives it)
+    replaced by new, the applications on the path rebuilt with build."""
     args = list(lit.args)
-    args[path[0]] = replace_at(args[path[0]], path[1:], new)
+    args[path[0]] = replace_at(args[path[0]], path[1:], new, build)
     return Literal(lit.positive, lit.pred, tuple(args))
 
 

@@ -20,7 +20,7 @@ keeps the paths it filed each clause under, and the leaves they end at, by
 clause id, until the clause is removed.
 
 Generalization retrieval follows a STAR edge by skipping the query's whole
-subterm at that point (the walk's ends say where it stops), which binds the
+subterm at that point (the walk's sizes say where it stops), which binds the
 variable to it; a repeat edge only when the query subterm there equals the
 one its variable is bound to, a query variable being equal only to itself;
 and a symbol edge only on the same symbol.  A query variable follows no
@@ -28,20 +28,29 @@ symbol edge, since the matcher treats it as a rigid constant.  So
 generalization retrieval returns exactly the paths that match the query.
 Instance retrieval follows a query symbol only along its own edge, and a
 query variable past one whole stored term, whose extent the tree reads from
-a symbol-to-arity table it learns from the walks' ends on insert (bounded
+a symbol-to-arity table it learns from the walks' sizes on insert (bounded
 by the signature).  It ignores repeated variables, of the query and of the
 stored paths, whose repeat edges it takes as it takes STAR, so it returns
-every instance of the query, and possibly more.  A ground query's only
-instance is itself, so the backward tree, the one that answers instance
-queries, also maps each ground path to its leaf and finds a ground query
-with one lookup there (exact retrieval by hashing, as in Sekar et al.,
-"Term Indexing", 2001).  An equality matches in either argument order, so
-an equality query also runs on the walk of its other order: the second
-argument's keys, then the first's.  Forward
-subsumption, demodulation and forward subsumption demodulation retrieve
-generalizations of a clause's literals or subterms; backward subsumption
-and backward subsumption demodulation retrieve instances of g's literals or
-of c's best literals.
+every instance of the query, and possibly more.
+
+A ground path generalizes only a query equal to it, and a ground query's
+only instance is itself.  So the backward tree, which holds the deep
+ground literals of a run without subsumption demodulation, files its
+ground paths in a trie of their own, and maps each to its leaf in a ground
+table (exact retrieval by hashing, as in Sekar et al., "Term Indexing",
+2001).  A ground query finds its ground paths with one lookup there, and
+generalization retrieval walks only the trie of paths with a variable;
+only an instance query with a variable walks both tries.  The caller
+passes whether the query is ground (lit.ground), so no retrieval scans its
+keys to learn it.  The forward tree keeps one trie, since its subterm
+retrieval (demodulators) reads no table.
+
+An equality matches in either argument order, so an equality query also
+runs on the walk of its other order: the second argument's keys, then the
+first's.  Forward subsumption, demodulation and forward subsumption
+demodulation retrieve generalizations of a clause's literals or subterms;
+backward subsumption and backward subsumption demodulation retrieve
+instances of g's literals or of c's best literals.
 
 Forward subsumption visits a clause only at its designated leaf, that of
 its longest path, and keeps it if the query reaches all its leaves, so a
@@ -139,48 +148,49 @@ def _tree_path(tag, keys: tuple, ground: bool) -> tuple:
     return tag, tuple(path)
 
 
-def _paths(walked: Iterable[tuple[Literal, tuple]]) -> dict[tuple, list[int]]:
+def _paths(walked: Iterable[tuple[Literal, tuple]]) -> dict[tuple, tuple[tuple[int, ...], bool]]:
     """The tree path (tag, keys) of each walked literal, each path once,
-    mapped to the ends of its walk."""
-    return {_tree_path((lit.positive, lit.pred), keys, lit.ground): ends for lit, (keys, ends) in walked}
+    mapped to the sizes of its walk and whether it is ground."""
+    return {
+        _tree_path((lit.positive, lit.pred), keys, lit.ground): (sizes, lit.ground) for lit, (keys, sizes) in walked
+    }
 
 
-def _lhs_paths(c: Clause) -> dict[tuple, list[int]]:
+def _lhs_paths(c: Clause) -> dict[tuple, tuple[tuple[int, ...], bool]]:
     """The paths of the left-hand sides the unit clause c can rewrite with,
-    each mapped to its ends; {} unless c is a positive equality."""
+    each mapped to its sizes and whether it is ground; {} unless c is a
+    positive equality."""
     lit = c.literals[0]
     if not (lit.positive and lit.is_equality):
         return {}
-    keys, ends = literal_walks(c)[0]
-    m = ends[0]
+    keys, sizes = literal_walks(c)[0]
+    m = sizes[0]
     # both sides of a permutative unit such as h(X,Y) = h(Y,X) give one
     # path, and a path is removed once, so it is stored once
     paths = {}
     for o in source_set_up(c).equations[0]:
         if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
-            if o.lhs is lit.lhs:
-                paths[_tree_path(REWRITE_LHS, keys[:m], o.lhs.ground)] = ends[:m]
-            else:
-                paths[_tree_path(REWRITE_LHS, keys[m:], o.lhs.ground)] = [e - m for e in ends[m:]]
+            side = slice(None, m) if o.lhs is lit.lhs else slice(m, None)
+            paths[_tree_path(REWRITE_LHS, keys[side], o.lhs.ground)] = (sizes[side], o.lhs.ground)
     return paths
 
 
 def _other_order(walk: tuple) -> tuple:
     """The walk of an equality's arguments in the other order: the second
-    argument's keys, then the first's, with the ends shifted to match."""
-    keys, ends = walk
-    m, n = ends[0], len(keys)
-    return keys[m:] + keys[:m], [e - m for e in ends[m:]] + [e + n - m for e in ends[:m]]
+    argument's keys and sizes, then the first's."""
+    keys, sizes = walk
+    m = sizes[0]
+    return keys[m:] + keys[:m], sizes[m:] + sizes[:m]
 
 
 def _leaves(retrieve: Callable, lit: Literal, walk: tuple) -> list[set[int]]:
     """The leaves that retrieve (a tree's generalizations or instances)
     reaches from lit's walk under lit's tag, and for an equality with two
     different sides from the walk of its other order too."""
-    tag = (lit.positive, lit.pred)
-    leaves = retrieve(tag, walk)
+    tag, ground = (lit.positive, lit.pred), lit.ground
+    leaves = retrieve(tag, walk, ground)
     if lit.pred is None and lit.args[0] != lit.args[1]:
-        leaves += retrieve(tag, _other_order(walk))
+        leaves += retrieve(tag, _other_order(walk), ground)
     return leaves
 
 
@@ -219,7 +229,7 @@ class DiscriminationTree:
 
     A path (tag, keys) is a tag followed by pre-order symbol keys, STAR at
     a variable's first occurrence and ~n at each later occurrence of the
-    n-th variable (see _tree_path); the tree descends its edges in that
+    n-th variable (see _tree_path); a trie descends its edges in that
     order.  Inner nodes are dicts from edge to child, with a node's repeat
     edges under its one REPEAT entry, a dict from n to child, so a descent
     looks them up at once and a query variable's negative key meets none.
@@ -228,62 +238,77 @@ class DiscriminationTree:
     tag are complete term sequences over fixed arities, so no path is a
     prefix of another.  _arity holds the arity of every symbol ever
     inserted, _paths each filed clause's paths by its id, and _leaves its
-    leaves in that order, so removal walks a path only to drop its leaf.  With
-    ground_lookup, _ground maps each ground path, the tuple kept in _paths,
-    to its leaf, the trie's own set; otherwise it is None.
+    leaves in that order, so removal walks a path only to drop its leaf.
+
+    Without ground_lookup every path is in the one trie at _root.  With
+    it, _root holds the paths with a variable, and the ground paths are in
+    a trie of their own at _ground_root, each also mapped by _ground, the
+    ground-path table, from the tuple kept in _paths to its leaf, that
+    trie's own set.  A ground path generalizes only a query equal to it,
+    and a ground query's only instance is itself, so a ground query finds
+    its ground paths with one lookup in the table: generalization retrieval
+    walks _root only, and only an instance query with a variable walks
+    both tries.  A filed ground path takes a new clause by that lookup too.
+    Without ground_lookup, _ground is None and _ground_root stays empty.
     """
 
     def __init__(self, ground_lookup: bool = False) -> None:
         self._root: dict = {}
+        self._ground_root: dict = {}
         self._arity: dict[int, int] = {}
         self._paths: dict[int, tuple[tuple, ...]] = {}
         self._leaves: dict[int, list[set]] = {}
         self._ground: Optional[dict[tuple, set]] = {} if ground_lookup else None
 
-    def insert(self, c: Clause, paths: dict[tuple, list[int]]) -> list[set]:
-        """File c under every path (tag, keys) of paths, which maps each to its walk's
-        ends, and return its leaves in that order; [] for a filed clause or no path."""
+    def insert(self, c: Clause, paths: dict[tuple, tuple[tuple[int, ...], bool]]) -> list[set]:
+        """File c under every path (tag, keys) of paths, which maps each to
+        its walk's sizes and whether it is ground, and return its leaves in
+        that order; [] for a filed clause or no path."""
         if not paths or c.cid in self._paths:
             return []
         self._paths[c.cid] = tuple(paths)
-        arity, ground = self._arity, self._ground
+        arity, table = self._arity, self._ground
         leaves = self._leaves[c.cid] = []
-        for path, ends in paths.items():
+        for path, (sizes, ground) in paths.items():
+            ground = ground and table is not None
+            if ground and (leaf := table.get(path)) is not None:
+                leaf.add(c)
+                leaves.append(leaf)
+                continue
             tag, keys = path
-            # node[edge] is the slot the next node or the leaf goes in, and
-            # table the ground-path table until a STAR shows up
-            node, edge, table = self._root, tag, ground
+            # node[edge] is the slot the next node or the leaf goes in
+            node, edge = self._ground_root if ground else self._root, tag
             for i, key in enumerate(keys):
                 node = node.setdefault(edge, {})
                 if key is STAR:
-                    edge, table = key, None
+                    edge = key
                 elif key < 0:
                     node, edge = node.setdefault(REPEAT, {}), ~key
                 else:
                     if key not in arity:
-                        count, j = 0, i + 1
-                        while j < ends[i]:
-                            count, j = count + 1, ends[j]
+                        count, j, stop = 0, i + 1, i + sizes[i]
+                        while j < stop:
+                            count, j = count + 1, j + sizes[j]
                         arity[key] = count
                     edge = key
-            if table is not None and edge not in node:
-                table[path] = node[edge] = set()
-            node.setdefault(edge, set()).add(c)
-            leaves.append(node[edge])
+            leaf = node.setdefault(edge, set())
+            if ground:
+                table[path] = leaf
+            leaf.add(c)
+            leaves.append(leaf)
         return leaves
 
     def remove(self, c: Clause) -> None:
         """Take c off every path it is filed under, and drop the item sets,
-        nodes and REPEAT entries left empty."""
+        nodes, REPEAT entries and ground-table entries left empty."""
         paths, leaves = self._paths.pop(c.cid, ()), self._leaves.pop(c.cid, [])
         for path, leaf in zip(paths, leaves):
             leaf.discard(c)
             if leaf:
                 continue
-            if self._ground is not None:
-                self._ground.pop(path, None)
+            ground = self._ground is not None and self._ground.pop(path, None) is not None
             slots = []
-            node, edge = self._root, path[0]
+            node, edge = self._ground_root if ground else self._root, path[0]
             for key in path[1]:
                 slots.append((node, edge))
                 node = node[edge]
@@ -299,34 +324,38 @@ class DiscriminationTree:
                     break
                 del node[edge]
 
-    def generalizations(self, tag, walk: tuple) -> list[set]:
+    def generalizations(self, tag, walk: tuple, ground: bool) -> list[set]:
         """The item set of every path under tag that generalizes the walked
-        argument tuple (clauses.literal_walks), its repeated variables
-        bound to equal subterms."""
-        node = self._root.get(tag)
-        if node is None:
-            return []
-        keys, ends = walk
-        if not keys:
-            # a tag with no keys is its own leaf
-            return [node]
+        argument tuple (clauses.literal_walks), ground when ground says so,
+        its repeated variables bound to equal subterms."""
         out: list[set] = []
-        self._collect(node, keys, ends, 0, len(keys), out)
+        keys, sizes = walk
+        if ground and self._ground:
+            leaf = self._ground.get((tag, keys))
+            if leaf is not None:
+                out.append(leaf)
+        node = self._root.get(tag)
+        if node is not None:
+            if keys:
+                self._collect(node, keys, sizes, 0, len(keys), out)
+            else:
+                # a tag with no keys is its own leaf
+                out.append(node)
         return out
 
-    def instances(self, tag, walk: tuple) -> list[set]:
+    def instances(self, tag, walk: tuple, ground: bool) -> list[set]:
         """The item set of every path under tag whose keys are an instance of
-        the walked argument tuple, repeated variables ignored."""
+        the walked argument tuple, ground when ground says so, repeated
+        variables ignored."""
         keys = walk[0]
-        if self._ground is not None and (not keys or min(keys) >= 0):
+        if ground and self._ground is not None:
             # a ground query's only instance is itself
             return [] if (leaf := self._ground.get((tag, keys))) is None else [leaf]
-        node = self._root.get(tag)
-        if node is None:
-            return []
+        nodes = [node for node in (self._root.get(tag), self._ground_root.get(tag)) if node is not None]
         arity = self._arity
-        nodes = [node]
         for key in keys:
+            if not nodes:
+                break
             if key < 0:
                 # every node one whole stored term further down, a repeat
                 # child being one stored variable, as a STAR child is
@@ -346,27 +375,26 @@ class DiscriminationTree:
                             nodes.extend(children)
             else:
                 nodes = [child for node in nodes if (child := node.get(key)) is not None]
-            if not nodes:
-                break
         return nodes
 
     def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set]:
         """The item set of every path under tag, each a single term, that
         generalizes some non-variable subterm of the walked argument tuples,
-        its repeated variables bound to equal subterms."""
+        its repeated variables bound to equal subterms.  It walks _root
+        only, so it serves a tree without ground_lookup."""
         node = self._root.get(tag)
         if node is None:
             return []
         out: list[set] = []
         star = STAR in node
-        for keys, ends in walks:
+        for keys, sizes in walks:
             for i, key in enumerate(keys):
                 if key >= 0 and (star or key in node):
-                    self._collect(node, keys, ends, i, ends[i], out)
+                    self._collect(node, keys, sizes, i, i + sizes[i], out)
         return out
 
     @staticmethod
-    def _collect(node: dict, keys: tuple, ends: list[int], start: int, stop: int, out: list) -> None:
+    def _collect(node: dict, keys: tuple, sizes: tuple[int, ...], start: int, stop: int, out: list) -> None:
         """Append to out the item set of every path below node that
         generalizes the query keys[start:stop], its repeated variables bound
         to equal subterms; a leaf goes to out as its edge is taken.  Each
@@ -377,9 +405,9 @@ class DiscriminationTree:
         stack = [(node, start, ())]
         while stack:
             node, i, bound = stack.pop()
-            end = ends[i]
             child = node.get(STAR)
             if child is not None:
+                end = i + sizes[i]
                 if end == stop:
                     out.append(child)
                 else:
@@ -391,12 +419,14 @@ class DiscriminationTree:
                 while pair:
                     starts.append(pair[0])
                     pair = pair[1]
+                size = sizes[i]
+                end = i + size
                 for n, child in repeats.items():
-                    # spans of unequal length differ without a look at
-                    # their keys, so a repeat edge costs no more than the
+                    # spans of unequal size differ without a look at their
+                    # keys, so a repeat edge costs no more than the
                     # subterms it compares, which are disjoint and of one size
                     p = starts[~n]
-                    if ends[p] - p == end - i and keys[p:ends[p]] == keys[i:end]:
+                    if sizes[p] == size and keys[p:p + size] == keys[i:end]:
                         if end == stop:
                             out.append(child)
                         else:

@@ -820,12 +820,12 @@ def top_symbol_key(lit: Literal) -> tuple:
     return lit.positive, lit.pred
 
 
-def preorder(terms) -> tuple[tuple, list[int]]:
+def preorder(terms) -> tuple[tuple, tuple]:
     """The pre-order keys of a term sequence, -1 - vid for each variable, and
-    for each position the position just past the subterm that starts there,
-    found from the arities: a walk in the form of clauses.literal_walks, the
-    keys a tuple.  The index walked a literal's terms this way on every
-    insertion and query before each clause kept one walk per literal."""
+    for each position the number of keys of the subterm that starts there,
+    found from the arities: a walk in the form of clauses.literal_walks.
+    The index walked a literal's terms this way on every insertion and
+    query before each clause kept one walk per literal."""
     keys: list = []
     arities: list[int] = []
     stack = list(reversed(terms))
@@ -838,13 +838,13 @@ def preorder(terms) -> tuple[tuple, list[int]]:
             keys.append(t.sym)
             arities.append(len(t.args))
             stack.extend(reversed(t.args))
-    ends = [0] * len(keys)
+    sizes = [0] * len(keys)
     for i in range(len(keys) - 1, -1, -1):
         end = i + 1
         for _ in range(arities[i]):
-            end = ends[end]
-        ends[i] = end
-    return tuple(keys), ends
+            end += sizes[end]
+        sizes[i] = end - i
+    return tuple(keys), tuple(sizes)
 
 
 def tree_path(tag, terms) -> tuple:

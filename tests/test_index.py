@@ -22,7 +22,17 @@ from oracles import (
 from randgen import Gen
 
 from sdprover import calculus, simplify
-from sdprover.clauses import ClauseFactory, Literal, distinct_literals, eq, literal_walks, neq, predicate, select
+from sdprover.clauses import (
+    Clause,
+    ClauseFactory,
+    Literal,
+    distinct_literals,
+    eq,
+    literal_walks,
+    neq,
+    predicate,
+    select,
+)
 from sdprover.index import (
     REPEAT,
     REWRITABLE,
@@ -40,7 +50,7 @@ from sdprover.index import (
 )
 from sdprover.matching import literal_match_substs, source_set_up, target_set_up
 from sdprover.ordering import OrderResult
-from sdprover.terms import App, Signature, Var, preorder_subterms
+from sdprover.terms import App, Signature, Var, preorder_subterms, run_scope, walk_memo
 
 # the fixed symbols only: a test that draws random inputs makes a generator
 # of its own, so its inputs do not depend on which tests ran before it
@@ -95,9 +105,9 @@ def test_unindexable_clauses_have_no_keys():
     assert best_literals(factory.make([])) == []
 
 
-def _edges_to_sets(tree):
-    """Each set in the tree, keyed by the edges that lead to it from the root."""
-    out, stack = {}, [((), tree._root)]
+def _edges_to_sets(root):
+    """Each set in the trie at root, keyed by the edges that lead to it from root."""
+    out, stack = {}, [((), root)]
     while stack:
         edges, node = stack.pop()
         if isinstance(node, set):
@@ -108,8 +118,9 @@ def _edges_to_sets(tree):
 
 
 def _tree_items(tree):
-    """Every item stored in the tree, once per path it is stored under."""
-    return [c for items in _edges_to_sets(tree).values() for c in items]
+    """Every item stored in the tree, in either trie, once per path it is
+    stored under."""
+    return [c for root in (tree._root, tree._ground_root) for items in _edges_to_sets(root).values() for c in items]
 
 
 def _rewrites(c):
@@ -210,7 +221,7 @@ def test_backward_index_round_trip():
     # removal drops every bucket, generation key, path, tree node and
     # ground-path entry it made
     assert ix._buckets == {} and ix._keys == {} and ix._tree._paths == {} and ix._tree._root == {}
-    assert ix._tree._ground == {}
+    assert ix._tree._ground == {} and ix._tree._ground_root == {}
     # a permutative unit rewrites left to right and right to left from one
     # left-hand side path, stored once and removed once
     fx = FsdIndex()
@@ -502,7 +513,7 @@ def test_instance_retrieval_agrees_with_brute_force():
             walks.append((_other_order(walk), query.args[::-1]))
         founds = []
         for w, args in walks:
-            found = {c.cid for c in set().union(*tree.instances(top_symbol_key(query), w))}
+            found = {c.cid for c in set().union(*tree.instances(top_symbol_key(query), w, query.ground))}
             exact, linear = _instance_ids(stored, query, args)
             assert found == linear, (query, args)
             assert exact <= found
@@ -514,24 +525,33 @@ def test_instance_retrieval_agrees_with_brute_force():
     assert swapped_differs >= 15, swapped_differs
     for c in stored:
         tree.remove(c)
-    assert tree._paths == {} and tree._root == {} and tree._ground == {}
+    assert tree._paths == {} and tree._root == {} and tree._ground == {} and tree._ground_root == {}
+
+
+def _item_sets(leaves):
+    """The leaves a retrieval returns, as their sets of clause ids, in order."""
+    return sorted(sorted(c.cid for c in leaf) for leaf in leaves)
 
 
 def test_ground_table_maps_each_ground_path_to_its_leaf():
     """Through seeded inserts and removals, the ground-path table maps
-    exactly the ground paths of the filed clauses, each to the trie's own
-    leaf at root, tag, keys (the same object); and a ground query's
-    instances, one lookup there, are the ones a tree without the table
-    finds by walking.  After the removals the table is empty."""
+    exactly the ground paths of the filed clauses, each to the ground
+    trie's own leaf at ground root, tag, keys (the same object), and the
+    other trie holds the other paths.  Every retrieval returns the item sets
+    that a tree without the table, which files every path in one trie,
+    returns: a ground query's instances (one lookup in the table) and
+    generalizations, and a non-ground query's generalizations and
+    instances.  After the removals the table and both tries are empty."""
     gen = Gen(seed=73)
     gen.s = predicate(gen.sig, "s", 0)
     factory = ClauseFactory()
     ground = [gen.literal(depth=2, ground=True) for _ in range(40)] + [gen.s(), gen.s().negated()]
     lits = ground + [gen.literal(depth=2) for _ in range(40)]
     pool = [factory.make([gen.rng.choice(lits) for _ in range(gen.rng.randrange(1, 4))]) for _ in range(60)]
+    queries = [(lit, literal_walks(factory.make([lit]))[0]) for lit in lits]
     tree, plain = DiscriminationTree(ground_lookup=True), DiscriminationTree()
     filed: dict[int, object] = {}
-    hits = 0
+    hits = ground_general = general = instances = 0
     for step in range(600):
         c = gen.rng.choice(pool)
         if c.cid in filed:
@@ -544,21 +564,31 @@ def test_ground_table_maps_each_ground_path_to_its_leaf():
             tree.insert(c, paths)
             plain.insert(c, paths)
         # a ground path has no STAR, since a variable's first occurrence is one
-        assert set(tree._ground) == {path for c in filed.values() for path in filed_paths(tree, c) if STAR not in path[1]}
-        sets = _edges_to_sets(tree)
+        every = {path for c in filed.values() for path in filed_paths(tree, c)}
+        assert set(tree._ground) == {path for path in every if STAR not in path[1]}
+        sets = _edges_to_sets(tree._ground_root)
+        assert len(sets) == len(tree._ground)
         assert all(leaf is sets[(tag,) + keys] for (tag, keys), leaf in tree._ground.items())
+        assert len(_edges_to_sets(tree._root)) == len(every) - len(tree._ground)
         if step % 10 == 0:
-            for lit in ground:
-                (walk,) = literal_walks(factory.make([lit]))
+            for lit, walk in queries:
                 tag = (lit.positive, lit.pred)
-                found = tree.instances(tag, walk)
-                walked = plain.instances(tag, walk)
-                assert len(found) <= 1 and set().union(*found) == set().union(*walked), lit
-                hits += bool(found)
+                found = tree.generalizations(tag, walk, lit.ground)
+                assert _item_sets(found) == _item_sets(plain.generalizations(tag, walk, lit.ground)), lit
+                found_instances = tree.instances(tag, walk, lit.ground)
+                assert _item_sets(found_instances) == _item_sets(plain.instances(tag, walk, lit.ground)), lit
+                if lit.ground:
+                    assert len(found_instances) <= 1, lit
+                    hits += bool(found_instances)
+                    ground_general += bool(found)
+                else:
+                    general += bool(found)
+                    instances += bool(found_instances)
     assert hits >= 1000 and len(filed) >= 20, (hits, len(filed))
+    assert ground_general >= 2000 and general >= 800 and instances >= 800, (ground_general, general, instances)
     for c in filed.values():
         tree.remove(c)
-    assert tree._paths == {} and tree._root == {} and tree._ground == {}
+    assert tree._paths == {} and tree._root == {} and tree._ground == {} and tree._ground_root == {}
 
 
 def test_demodulators_cover_every_rewriting_unit():
@@ -638,10 +668,11 @@ def test_stored_walks_agree_with_fresh_walks():
         if len(c.literals) == 1 and c.literals[0].positive and c.literals[0].is_equality:
             for o in source_set_up(c).equations[0]:
                 if o.verdict is not OrderResult.EQUAL and not o.extra_vars:
-                    lhs_paths[tree_path(REWRITE_LHS, (o.lhs,))] = preorder((o.lhs,))[1]
+                    lhs_paths[tree_path(REWRITE_LHS, (o.lhs,))] = (preorder((o.lhs,))[1], o.lhs.ground)
         literal_paths = {}
         for lit in distinct:
-            literal_paths[tree_path((lit.positive, lit.pred), lit.args)] = preorder(lit.args)[1]
+            literal_paths[tree_path((lit.positive, lit.pred), lit.args)] = (preorder(lit.args)[1], lit.ground)
+        assert _paths(zip(distinct, walks)) == literal_paths
         assert filed_paths(ix._tree, c) == tuple(literal_paths)
         if len(c.literals) == 1:
             assert _lhs_paths(c) == lhs_paths
@@ -652,13 +683,13 @@ def test_stored_walks_agree_with_fresh_walks():
         for lit, walk in zip(distinct, walks):
             tag = (lit.positive, lit.pred)
             for retrieve in (tree.generalizations, tree.instances):
-                leaves = _ids(retrieve(tag, walk))
-                assert leaves == _ids(retrieve(tag, preorder(lit.args)))
+                leaves = _ids(retrieve(tag, walk, lit.ground))
+                assert leaves == _ids(retrieve(tag, preorder(lit.args), lit.ground))
                 if lit.is_equality:
-                    keys, ends = _other_order(walk)
-                    assert (keys, ends) == preorder(lit.args[::-1])
-                    swapped = _ids(retrieve(tag, (keys, ends)))
-                    assert swapped == _ids(retrieve(tag, preorder(lit.args[::-1]))), lit
+                    keys, sizes = _other_order(walk)
+                    assert (keys, sizes) == preorder(lit.args[::-1])
+                    swapped = _ids(retrieve(tag, (keys, sizes), lit.ground))
+                    assert swapped == _ids(retrieve(tag, preorder(lit.args[::-1]), lit.ground)), lit
                     assert _ids(_leaves(retrieve, lit, walk)) == (leaves | swapped if lit.lhs != lit.rhs else leaves)
                     swapped_differs += swapped != leaves
         demodulators = _ids(fx._tree.subterm_generalizations(REWRITE_LHS, walks))
@@ -666,6 +697,39 @@ def test_stored_walks_agree_with_fresh_walks():
         assert demodulators == _ids(fx._tree.subterm_generalizations(REWRITE_LHS, [preorder(args)]))
         subterm_hits += bool(demodulators)
     assert swapped_differs >= 150 and subterm_hits >= 150, (swapped_differs, subterm_hits)
+
+
+def test_walks_spliced_from_the_run_memo_agree_with_fresh_walks():
+    """Inside a run, the walk of a ground literal argument goes into the
+    run's walk memo, and a later walk splices it in, whole or as a subterm
+    of a ground argument: the towers p(g^k(a)) of a run without subsumption
+    demodulation, ground and non-ground literals over them, and a tower of
+    2,000 more levels, each walked one level at a time, all give the walks
+    that walking afresh gives.  The memo holds each ground literal argument
+    walked, with its walk, and nothing else."""
+    gen = Gen(seed=97)
+    h, g, a, b, p, r = gen.h, gen.g, gen.a, gen.b, gen.p, gen.r
+    with run_scope(None):
+        memo = walk_memo()
+        tower, clauses = a, []
+        for k in range(300):
+            tower = g(tower)
+            lits = [p(tower), r(h(tower, x), g(a)), eq(h(tower, b), tower), neq(g(x), h(a, tower))]
+            clauses.append(Clause((lits[k % 4], gen.literal(depth=2)), k))
+        args = set()
+        for c in clauses:
+            walks = literal_walks(c)
+            assert list(walks) == [preorder(lit.args) for lit in distinct_literals(c)]
+            args.update(arg for lit in c.literals for arg in lit.args if arg.ground)
+        assert {key: t for key, (t, _, _) in memo.items()} == {id(t): t for t in args}
+        assert all((tuple(keys), sizes) == preorder((t,)) for t, keys, sizes in memo.values())
+        for _ in range(2000):
+            tower = g(tower)
+            (walk,) = literal_walks(Clause((p(tower),), 0))
+        # the lone ground argument's walk is the memo's own
+        assert walk == preorder((tower,)) and walk == memo[id(tower)][1:]
+        assert memo[id(tower)][0] is tower
+    assert walk_memo() is None
 
 
 def _repeats(path):
@@ -794,7 +858,7 @@ def test_forward_subsumption_candidates_check_repeated_variables():
     assert hits >= 120 and pruned >= 50, (hits, pruned)
     for c in active:
         ix.remove(c)
-    assert ix._tree._paths == {} and ix._tree._root == {}
+    assert ix._tree._paths == {} and ix._tree._root == {} and ix._tree._ground_root == {}
 
 
 def test_forward_subsumption_candidates_are_exactly_the_brute_force_set():
@@ -863,9 +927,9 @@ def test_renamed_paths_share_a_leaf():
         linear, repeated = tree._root[tag][STAR][STAR], tree._root[tag][STAR][REPEAT][0]
         assert linear == {pair} and repeated == {same, renamed}
         (walk,) = literal_walks(factory.make([r(a, a)]))
-        assert _ids(tree.generalizations(tag, walk)) == _ids([linear, repeated])
+        assert _ids(tree.generalizations(tag, walk, True)) == _ids([linear, repeated])
         (walk,) = literal_walks(factory.make([r(a, b)]))
-        assert _ids(tree.generalizations(tag, walk)) == _ids([linear])
+        assert _ids(tree.generalizations(tag, walk, True)) == _ids([linear])
         every = {pair, same, renamed}
         for query, want in ((r(a, b), {pair}), (r(a, a), every), (r(x, y), {pair}), (r(y, y), every)):
             assert _tree_hits(tree, factory.make([query])) == {c.cid for c in want}, query
@@ -904,10 +968,11 @@ def test_every_leaf_is_a_set_after_its_last_key():
     for order in itertools.permutations(filed):
         for k, (c, paths) in enumerate(order):
             tree.insert(c, paths)
-            assert _edges_to_sets(tree) == expected(order[: k + 1])
+            assert _edges_to_sets(tree._root) == expected(order[: k + 1])
         for k, (c, _) in enumerate(order):
             tree.remove(c)
-            assert _edges_to_sets(tree) == expected(order[k + 1 :])
+            assert _edges_to_sets(tree._root) == expected(order[k + 1 :])
+        assert tree._ground_root == {}
         assert tree._root == {} and tree._paths == {}
 
 
