@@ -13,14 +13,12 @@ from .terms import (
     Substitution,
     Term,
     Var,
-    WalkMemo,
     check_time,
     instantiate,
     make_app,
     make_var,
     preorder_subterms,
     replace_at,
-    walk_memo,
 )
 
 
@@ -268,36 +266,35 @@ def distinct_literals(clause: Clause) -> tuple[Literal, ...]:
     return clause._distinct
 
 
-def _walk(args: tuple[Term, ...], memo: WalkMemo) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _walk(args: tuple[Term, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The pre-order keys of an argument tuple, -1 - vid for each variable,
     and the size of the subterm at each position, its weight, since a
     term's weight is its number of nodes.
 
-    The walk of each ground argument is kept in memo, the run's walk memo
-    (terms.walk_memo), and a ground argument found there is spliced in with
-    one extend, or is the whole walk when it is the only argument.  A
-    subterm of a ground argument walked afresh is looked up there too, so
-    the tower p(f(t)) after p(t) costs one step and a copy: sizes do not
-    depend on where a walk starts, so a kept walk splices in anywhere as it
-    is.  Subterms of a non-ground argument are not looked up, and no walk of
-    a subterm is kept on its own, which would be quadratic on a tower.
+    The walk of each ground argument is kept on it (App._walk), and a
+    ground argument that has one is spliced in with one extend, or is the
+    whole walk when it is the only argument.  A subterm of a ground
+    argument walked afresh is read there too, so the tower p(f(t)) after
+    p(t) costs one step and a copy: sizes do not depend on where a walk
+    starts, so a kept walk splices in anywhere as it is.  Subterms of a
+    non-ground argument are not read, and no walk of a subterm is kept on
+    its own, which would be quadratic on a tower.
 
     The walk takes time and memory linear in the terms' weights, which can
     be exponential in their stored size, so the run's deadline is checked
     every 1,024 applications walked afresh."""
     keys: list[int] = []
     sizes: list[int] = []
-    get = memo.get
     walked = 0
     for arg in args:
         ground = arg.ground
         if ground:
-            hit = get(id(arg))
+            hit = arg._walk
             if hit is not None:
                 if len(args) == 1:
-                    return hit[1], hit[2]
-                keys += hit[1]
-                sizes += hit[2]
+                    return hit
+                keys += hit[0]
+                sizes += hit[1]
                 continue
             start = len(keys)
         stack = [arg]
@@ -306,9 +303,9 @@ def _walk(args: tuple[Term, ...], memo: WalkMemo) -> tuple[tuple[int, ...], tupl
             if type(t) is Var:
                 keys.append(-1 - t.vid)
                 sizes.append(1)
-            elif ground and t.args and (hit := get(id(t))) is not None:
-                keys += hit[1]
-                sizes += hit[2]
+            elif ground and (hit := t._walk) is not None:
+                keys += hit[0]
+                sizes += hit[1]
             else:
                 keys.append(t.sym)
                 sizes.append(t.weight)
@@ -317,9 +314,9 @@ def _walk(args: tuple[Term, ...], memo: WalkMemo) -> tuple[tuple[int, ...], tupl
                 if not walked & 1023:
                     check_time()
         if ground:
-            hit = memo[id(arg)] = (arg, tuple(keys[start:]), tuple(sizes[start:]))
+            hit = arg._walk = (tuple(keys[start:]), tuple(sizes[start:]))
             if len(args) == 1:
-                return hit[1], hit[2]
+                return hit
     return tuple(keys), tuple(sizes)
 
 
@@ -333,17 +330,14 @@ def literal_walks(clause: Clause) -> tuple[tuple[tuple[int, ...], tuple[int, ...
     number of keys of the subterm that starts at i, so i + sizes[i] is the
     position just past it, and sizes[0] is where the second argument
     starts.  The walk of a subterm is a slice of both, whatever its
-    position, so the walk of a ground literal argument is kept in the
-    run's walk memo (terms.walk_memo) and spliced into every later walk
-    that holds it (_walk); a literal with one ground argument shares the
-    memo's tuples.  Every term index and screen reads a literal's terms
-    from here, so each literal is walked once per clause.
+    position, so the walk of a ground literal argument is kept on the term
+    and spliced into every later walk that holds it (_walk); a literal with
+    one ground argument shares the term's tuples.  Every term index and
+    screen reads a literal's terms from here, so each literal is walked
+    once per clause.
     """
     if clause._walks is None:
-        memo = walk_memo()
-        if memo is None:
-            memo = {}
-        clause._walks = tuple(_walk(lit.args, memo) for lit in distinct_literals(clause))
+        clause._walks = tuple(_walk(lit.args) for lit in distinct_literals(clause))
     return clause._walks
 
 

@@ -34,16 +34,15 @@ stored paths, whose repeat edges it takes as it takes STAR, so it returns
 every instance of the query, and possibly more.
 
 A ground path generalizes only a query equal to it, and a ground query's
-only instance is itself.  So the backward tree, which holds the deep
-ground literals of a run without subsumption demodulation, files its
-ground paths in a trie of their own, and maps each to its leaf in a ground
-table (exact retrieval by hashing, as in Sekar et al., "Term Indexing",
-2001).  A ground query finds its ground paths with one lookup there, and
-generalization retrieval walks only the trie of paths with a variable;
-only an instance query with a variable walks both tries.  The caller
-passes whether the query is ground (lit.ground), so no retrieval scans its
-keys to learn it.  The forward tree keeps one trie, since its subterm
-retrieval (demodulators) reads no table.
+only instance is itself.  So a tree files its ground paths, such as the
+deep ground literals of a run without subsumption demodulation, in a trie
+of their own, and maps each to its leaf in a ground table (exact
+retrieval by hashing, as in Sekar et al., "Term Indexing", 2001).  A
+ground query finds its ground paths with one lookup there, and
+generalization retrieval walks only the trie of paths with a variable; an
+instance query with a variable, and subterm retrieval (demodulators), walk
+both tries.  The caller passes whether the query is ground (lit.ground),
+so no retrieval scans its keys to learn it.
 
 An equality matches in either argument order, so an equality query also
 runs on the walk of its other order: the second argument's keys, then the
@@ -240,25 +239,21 @@ class DiscriminationTree:
     inserted, _paths each filed clause's paths by its id, and _leaves its
     leaves in that order, so removal walks a path only to drop its leaf.
 
-    Without ground_lookup every path is in the one trie at _root.  With
-    it, _root holds the paths with a variable, and the ground paths are in
-    a trie of their own at _ground_root, each also mapped by _ground, the
+    _root holds the paths with a variable, and the ground paths are in a
+    trie of their own at _ground_root, each also mapped by _ground, the
     ground-path table, from the tuple kept in _paths to its leaf, that
-    trie's own set.  A ground path generalizes only a query equal to it,
-    and a ground query's only instance is itself, so a ground query finds
-    its ground paths with one lookup in the table: generalization retrieval
-    walks _root only, and only an instance query with a variable walks
-    both tries.  A filed ground path takes a new clause by that lookup too.
-    Without ground_lookup, _ground is None and _ground_root stays empty.
+    trie's own set.  A ground query finds its ground paths with one lookup
+    in the table (see the module docstring), and a filed ground path takes
+    a new clause by that lookup too.
     """
 
-    def __init__(self, ground_lookup: bool = False) -> None:
+    def __init__(self) -> None:
         self._root: dict = {}
         self._ground_root: dict = {}
         self._arity: dict[int, int] = {}
         self._paths: dict[int, tuple[tuple, ...]] = {}
         self._leaves: dict[int, list[set]] = {}
-        self._ground: Optional[dict[tuple, set]] = {} if ground_lookup else None
+        self._ground: dict[tuple, set] = {}
 
     def insert(self, c: Clause, paths: dict[tuple, tuple[tuple[int, ...], bool]]) -> list[set]:
         """File c under every path (tag, keys) of paths, which maps each to
@@ -270,7 +265,6 @@ class DiscriminationTree:
         arity, table = self._arity, self._ground
         leaves = self._leaves[c.cid] = []
         for path, (sizes, ground) in paths.items():
-            ground = ground and table is not None
             if ground and (leaf := table.get(path)) is not None:
                 leaf.add(c)
                 leaves.append(leaf)
@@ -306,7 +300,7 @@ class DiscriminationTree:
             leaf.discard(c)
             if leaf:
                 continue
-            ground = self._ground is not None and self._ground.pop(path, None) is not None
+            ground = self._ground.pop(path, None) is not None
             slots = []
             node, edge = self._ground_root if ground else self._root, path[0]
             for key in path[1]:
@@ -336,11 +330,8 @@ class DiscriminationTree:
                 out.append(leaf)
         node = self._root.get(tag)
         if node is not None:
-            if keys:
-                self._collect(node, keys, sizes, 0, len(keys), out)
-            else:
-                # a tag with no keys is its own leaf
-                out.append(node)
+            # _root holds no path without keys, since such a path is ground
+            self._collect(node, keys, sizes, 0, len(keys), out)
         return out
 
     def instances(self, tag, walk: tuple, ground: bool) -> list[set]:
@@ -348,7 +339,7 @@ class DiscriminationTree:
         the walked argument tuple, ground when ground says so, repeated
         variables ignored."""
         keys = walk[0]
-        if ground and self._ground is not None:
+        if ground:
             # a ground query's only instance is itself
             return [] if (leaf := self._ground.get((tag, keys))) is None else [leaf]
         nodes = [node for node in (self._root.get(tag), self._ground_root.get(tag)) if node is not None]
@@ -380,17 +371,18 @@ class DiscriminationTree:
     def subterm_generalizations(self, tag, walks: Sequence[tuple]) -> list[set]:
         """The item set of every path under tag, each a single term, that
         generalizes some non-variable subterm of the walked argument tuples,
-        its repeated variables bound to equal subterms.  It walks _root
-        only, so it serves a tree without ground_lookup."""
-        node = self._root.get(tag)
-        if node is None:
-            return []
+        its repeated variables bound to equal subterms.  It walks both
+        tries, since a literal with a variable holds ground subterms too."""
         out: list[set] = []
-        star = STAR in node
-        for keys, sizes in walks:
-            for i, key in enumerate(keys):
-                if key >= 0 and (star or key in node):
-                    self._collect(node, keys, sizes, i, i + sizes[i], out)
+        for root in (self._root, self._ground_root):
+            node = root.get(tag)
+            if node is None:
+                continue
+            star = STAR in node
+            for keys, sizes in walks:
+                for i, key in enumerate(keys):
+                    if key >= 0 and (star or key in node):
+                        self._collect(node, keys, sizes, i, i + sizes[i], out)
         return out
 
     @staticmethod
@@ -508,7 +500,7 @@ class BackwardIndex:
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, set[int]] = {}
-        self._tree = DiscriminationTree(ground_lookup=True)
+        self._tree = DiscriminationTree()
         self._designated: dict[int, set[Clause]] = {}
         self._designated_at: dict[int, int] = {}
         self._keys: dict[int, set[tuple]] = {}

@@ -1,7 +1,7 @@
 """First-order terms, signatures, substitutions, unification, and matching.
 
 A saturation run holds one run scope (run_scope, entered by saturate for
-the length of its loop) that installs three things together and puts back
+the length of its loop) that installs two things together and puts back
 whatever was in force before when it exits, however it exits:
 
   - the run's term table: every application that make_app builds, which
@@ -19,14 +19,7 @@ whatever was in force before when it exits, however it exits:
   - the run's deadline: check_time raises ResourceLimit("time") once it
     has passed, and does nothing outside a run or in a run with no time
     limit.  Every long step calls it, so no search function takes a
-    deadline argument;
-  - the run's walk memo (walk_memo): the pre-order walk of every ground
-    literal argument that clauses.literal_walks has walked in the run, so
-    a ground term that recurs, whole or inside a larger one, as the towers
-    p(f(...f(a)...)) of a run without subsumption demodulation do, is
-    walked once and spliced in at C speed after that.  It holds the walks
-    of ground literal arguments only, not of every subterm, so it grows
-    with what the run walks, and it goes with the run.
+    deadline argument.
 """
 
 from __future__ import annotations
@@ -84,7 +77,8 @@ class App:
     """A function application; constants are applications with no arguments.
 
     A slotted class, immutable by convention: only __init__ assigns its
-    attributes.  weight, ground, and the hash are computed there, weight
+    attributes, except the cache _walk, which clauses.literal_walks sets
+    (below).  weight, ground, and the hash are computed there, weight
     and ground in one loop over the arguments: the term ordering reads
     them on every comparison, and recomputing them is quadratic on the
     deep towers that saturation builds.  Equality and hashing are
@@ -92,9 +86,15 @@ class App:
     applications with make_app, which shares them within a run (see the
     module docstring); equal shared terms compare equal at the identity
     test.
+
+    _walk is None until clauses.literal_walks walks the term as a ground
+    literal argument and keeps its walk (keys, sizes) there, so every later
+    walk of a literal that holds the term, whole or inside a larger ground
+    argument, splices it in.  A walk depends only on the term, so it is
+    kept for as long as the term lives, in a run or outside one.
     """
 
-    __slots__ = ("sym", "args", "weight", "ground", "_hash")
+    __slots__ = ("sym", "args", "weight", "ground", "_hash", "_walk")
 
     def __init__(self, sym: int, args: tuple["Term", ...] = ()) -> None:
         self.sym = sym
@@ -108,6 +108,7 @@ class App:
         self.weight = weight
         self.ground = ground
         self._hash = hash((sym, args))
+        self._walk: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -142,15 +143,11 @@ class App:
 
 
 Term = Union[Var, App]
-# id(t) -> (t, keys, sizes): the walk of the ground term t (clauses.literal_walks)
-WalkMemo = dict[int, tuple[App, tuple[int, ...], tuple[int, ...]]]
 
-# the run's term table, (sym, args) -> App and vid -> Var, its deadline, a
-# time.monotonic() value, and its walk memo, id(t) -> (t, keys, sizes) for
-# each ground term t walked as a literal argument; all None outside run_scope
+# the run's term table, (sym, args) -> App and vid -> Var, and its
+# deadline, a time.monotonic() value; both None outside run_scope
 _shared: Optional[dict[Union[tuple[int, tuple[Term, ...]], int], Term]] = None
 _deadline: Optional[float] = None
-_walks: Optional[WalkMemo] = None
 
 
 def make_app(sym: int, args: tuple[Term, ...]) -> App:
@@ -178,15 +175,6 @@ def make_var(vid: int) -> Var:
     return var
 
 
-def walk_memo() -> Optional[WalkMemo]:
-    """The run's walk memo, which maps id(t) to (t, keys, sizes), the walk
-    of the ground term t in the form of clauses.literal_walks, for each
-    ground literal argument walked in the run; None outside run_scope.
-    Keyed by id, so a lookup calls no Python-level __hash__; the entry
-    holds t, so no other object can take its id while the run lasts."""
-    return _walks
-
-
 def check_time() -> None:
     """Raise ResourceLimit("time") once the run's deadline has passed."""
     if _deadline is not None and time.monotonic() > _deadline:
@@ -197,17 +185,16 @@ def check_time() -> None:
 def run_scope(deadline: Optional[float]) -> Iterator[None]:
     """One saturation run: while the block runs, make_app and make_var
     share the applications and variables they make in a table that starts
-    empty, check_time enforces deadline (None: no time limit), and
-    clauses.literal_walks keeps the walks of ground literal arguments in a
-    walk memo that starts empty.  However the block exits, the table,
-    deadline and memo in force before are put back."""
-    global _shared, _deadline, _walks
-    saved = _shared, _deadline, _walks
-    _shared, _deadline, _walks = {}, deadline, {}
+    empty, and check_time enforces deadline (None: no time limit).
+    However the block exits, the table and deadline in force before are
+    put back."""
+    global _shared, _deadline
+    saved = _shared, _deadline
+    _shared, _deadline = {}, deadline
     try:
         yield
     finally:
-        _shared, _deadline, _walks = saved
+        _shared, _deadline = saved
 
 
 def render(t: Term, name: Callable[[int], str], sep: str) -> str:

@@ -1,5 +1,6 @@
 """Index tests: indexed literals, tree retrieval against brute force, and retrieval completeness."""
 
+import contextlib
 import itertools
 import time
 
@@ -50,7 +51,7 @@ from sdprover.index import (
 )
 from sdprover.matching import literal_match_substs, source_set_up, target_set_up
 from sdprover.ordering import OrderResult
-from sdprover.terms import App, Signature, Var, preorder_subterms, run_scope, walk_memo
+from sdprover.terms import App, Signature, Var, preorder_subterms, run_scope
 
 # the fixed symbols only: a test that draws random inputs makes a generator
 # of its own, so its inputs do not depend on which tests ran before it
@@ -233,7 +234,7 @@ def test_backward_index_round_trip():
         assert fx.demodulators(query) == {unit}
         assert len(filed_paths(fx._tree, unit)) == 1
         fx.remove(unit)
-        assert fx._tree._paths == {} and fx._tree._root == {}
+        assert fx._tree._paths == {} and fx._tree._root == {} and fx._tree._ground == {}
 
 
 def test_unit_left_hand_sides_are_filed_in_the_forward_tree_only():
@@ -254,9 +255,41 @@ def test_unit_left_hand_sides_are_filed_in_the_forward_tree_only():
     lit_keys = (f.sid, g.sid, STAR, g.sid, ~0)
     assert filed_paths(backward._tree, unit) == (((True, None), lit_keys),)
     assert REWRITE_LHS not in backward._tree._root
-    # only the backward tree answers instance queries, so only it keeps
-    # the ground-path table
-    assert forward._tree._ground is None and backward._tree._ground == {}
+    # both trees keep a ground-path table, empty here since every path
+    # has a variable
+    assert forward._tree._ground == {} and backward._tree._ground == {}
+    assert forward._tree._ground_root == {} and backward._tree._ground_root == {}
+
+
+def test_forward_tree_files_ground_paths_in_its_ground_trie():
+    """The forward tree files a ground left-hand side and a ground best
+    literal in its ground trie and table, and finds them there: the ground
+    unit f(a) = b rewrites a clause that holds f(a) deep inside a ground
+    tower, so it is among its demodulators, and a side premise whose best
+    literal is ground is a candidate for a ground main premise that holds
+    that literal.  Removal empties both tries and the table."""
+    factory = ClauseFactory()
+    f, g, h, a, b = env.f, env.g, env.h, env.a, env.b
+    unit = factory.make([eq(f(a), b)])
+    variable_unit = factory.make([eq(h(x, a), x)])
+    best = env.q(g(g(g(a))))
+    side = factory.make([eq(f(x), x), best])
+    assert best_literals(side) == [best]
+    fx = FsdIndex()
+    for c in (unit, variable_unit, side):
+        fx.insert(c)
+    assert set(fx._tree._ground) == {tree_path(REWRITE_LHS, (f(a),)), tree_path((True, best.pred), best.args)}
+    tower = h(f(a), b)
+    for _ in range(500):
+        tower = g(tower)
+    query = factory.make([env.p(tower), env.r(x, h(a, a))])
+    assert fx.demodulators(query) == {unit, variable_unit}
+    main = factory.make([best, env.p(f(b))])
+    assert fx.retrieve_fsd_candidates(main) == {side}
+    assert fx.demodulators(main) == set()
+    for c in (unit, variable_unit, side):
+        fx.remove(c)
+    assert fx._tree._root == {} and fx._tree._ground_root == {} and fx._tree._ground == {}
 
 
 def test_bsd_retrieval_never_misses_a_rewritable_main():
@@ -455,7 +488,7 @@ def test_generalization_tree_retrieves_every_matching_literal():
     assert retrieved < same_key // 2, (retrieved, same_key)
     for c in stored:
         tree.remove(c)
-    assert tree._paths == {} and tree._root == {}
+    assert tree._paths == {} and tree._root == {} and tree._ground == {} and tree._ground_root == {}
 
 
 def _instance_ids(stored, query, args):
@@ -501,7 +534,7 @@ def test_instance_retrieval_agrees_with_brute_force():
     lits += [gen.s(), gen.s().negated(), gen.p(ground_tower), gen.p(tower), eq(ground_tower, gen.b)]
     lits += [eq(gen.f(gen.b), ground_tower), gen.r(gen.a, ground_tower), gen.r(x, x), eq(x, x)]
     stored = [factory.make([lit]) for lit in lits]
-    tree = DiscriminationTree(ground_lookup=True)
+    tree = DiscriminationTree()
     for c in stored:
         tree.insert(c, _paths(zip(c.literals, literal_walks(c))))
     assert len(tree._ground) >= 60
@@ -533,23 +566,45 @@ def _item_sets(leaves):
     return sorted(sorted(c.cid for c in leaf) for leaf in leaves)
 
 
+def _brute_force_item_sets(filed, query, generalizations):
+    """The item sets, as _item_sets gives them, of the filed clauses' paths
+    that generalize the query literal (generalizations), or that it matches
+    onto with its repeated variables ignored (instances), in its stored
+    argument order: the brute-force oracles of
+    test_generalization_tree_retrieves_every_matching_literal and
+    test_instance_retrieval_agrees_with_brute_force, path by path."""
+    by_path: dict[tuple, tuple] = {}
+    for c in filed:
+        for lit in distinct_literals(c):
+            path = tree_path((lit.positive, lit.pred), lit.args)
+            by_path.setdefault(path, (lit, set()))[1].add(c.cid)
+    tag, args = (query.positive, query.pred), query.args
+    out = []
+    for (path_tag, _), (lit, cids) in by_path.items():
+        if path_tag != tag:
+            continue
+        if naive_match_args(lit.args, args) if generalizations else naive_match_args(linearized(args), lit.args):
+            out.append(sorted(cids))
+    return sorted(out)
+
+
 def test_ground_table_maps_each_ground_path_to_its_leaf():
     """Through seeded inserts and removals, the ground-path table maps
     exactly the ground paths of the filed clauses, each to the ground
     trie's own leaf at ground root, tag, keys (the same object), and the
     other trie holds the other paths.  Every retrieval returns the item sets
-    that a tree without the table, which files every path in one trie,
-    returns: a ground query's instances (one lookup in the table) and
-    generalizations, and a non-ground query's generalizations and
-    instances.  After the removals the table and both tries are empty."""
+    that brute force finds among the filed paths: a ground query's
+    instances (one lookup in the table) and generalizations, and a
+    non-ground query's generalizations and instances.  After the removals
+    the table and both tries are empty."""
     gen = Gen(seed=73)
     gen.s = predicate(gen.sig, "s", 0)
     factory = ClauseFactory()
     ground = [gen.literal(depth=2, ground=True) for _ in range(40)] + [gen.s(), gen.s().negated()]
     lits = ground + [gen.literal(depth=2) for _ in range(40)]
     pool = [factory.make([gen.rng.choice(lits) for _ in range(gen.rng.randrange(1, 4))]) for _ in range(60)]
-    queries = [(lit, literal_walks(factory.make([lit]))[0]) for lit in lits]
-    tree, plain = DiscriminationTree(ground_lookup=True), DiscriminationTree()
+    queries = [(c.literals[0], literal_walks(c)[0]) for c in (factory.make([lit]) for lit in lits)]
+    tree = DiscriminationTree()
     filed: dict[int, object] = {}
     hits = ground_general = general = instances = 0
     for step in range(600):
@@ -557,12 +612,9 @@ def test_ground_table_maps_each_ground_path_to_its_leaf():
         if c.cid in filed:
             del filed[c.cid]
             tree.remove(c)
-            plain.remove(c)
         else:
             filed[c.cid] = c
-            paths = _paths(zip(distinct_literals(c), literal_walks(c)))
-            tree.insert(c, paths)
-            plain.insert(c, paths)
+            tree.insert(c, _paths(zip(distinct_literals(c), literal_walks(c))))
         # a ground path has no STAR, since a variable's first occurrence is one
         every = {path for c in filed.values() for path in filed_paths(tree, c)}
         assert set(tree._ground) == {path for path in every if STAR not in path[1]}
@@ -574,9 +626,9 @@ def test_ground_table_maps_each_ground_path_to_its_leaf():
             for lit, walk in queries:
                 tag = (lit.positive, lit.pred)
                 found = tree.generalizations(tag, walk, lit.ground)
-                assert _item_sets(found) == _item_sets(plain.generalizations(tag, walk, lit.ground)), lit
+                assert _item_sets(found) == _brute_force_item_sets(filed.values(), lit, True), lit
                 found_instances = tree.instances(tag, walk, lit.ground)
-                assert _item_sets(found_instances) == _item_sets(plain.instances(tag, walk, lit.ground)), lit
+                assert _item_sets(found_instances) == _brute_force_item_sets(filed.values(), lit, False), lit
                 if lit.ground:
                     assert len(found_instances) <= 1, lit
                     hits += bool(found_instances)
@@ -699,37 +751,46 @@ def test_stored_walks_agree_with_fresh_walks():
     assert swapped_differs >= 150 and subterm_hits >= 150, (swapped_differs, subterm_hits)
 
 
-def test_walks_spliced_from_the_run_memo_agree_with_fresh_walks():
-    """Inside a run, the walk of a ground literal argument goes into the
-    run's walk memo, and a later walk splices it in, whole or as a subterm
-    of a ground argument: the towers p(g^k(a)) of a run without subsumption
-    demodulation, ground and non-ground literals over them, and a tower of
-    2,000 more levels, each walked one level at a time, all give the walks
-    that walking afresh gives.  The memo holds each ground literal argument
-    walked, with its walk, and nothing else."""
-    gen = Gen(seed=97)
-    h, g, a, b, p, r = gen.h, gen.g, gen.a, gen.b, gen.p, gen.r
-    with run_scope(None):
-        memo = walk_memo()
-        tower, clauses = a, []
-        for k in range(300):
-            tower = g(tower)
-            lits = [p(tower), r(h(tower, x), g(a)), eq(h(tower, b), tower), neq(g(x), h(a, tower))]
-            clauses.append(Clause((lits[k % 4], gen.literal(depth=2)), k))
-        args = set()
-        for c in clauses:
-            walks = literal_walks(c)
-            assert list(walks) == [preorder(lit.args) for lit in distinct_literals(c)]
-            args.update(arg for lit in c.literals for arg in lit.args if arg.ground)
-        assert {key: t for key, (t, _, _) in memo.items()} == {id(t): t for t in args}
-        assert all((tuple(keys), sizes) == preorder((t,)) for t, keys, sizes in memo.values())
-        for _ in range(2000):
-            tower = g(tower)
-            (walk,) = literal_walks(Clause((p(tower),), 0))
-        # the lone ground argument's walk is the memo's own
-        assert walk == preorder((tower,)) and walk == memo[id(tower)][1:]
-        assert memo[id(tower)][0] is tower
-    assert walk_memo() is None
+def _apps(clauses):
+    """Every application in the clauses' literal arguments, each object once."""
+    seen: dict[int, App] = {}
+    stack = [arg for c in clauses for lit in c.literals for arg in lit.args]
+    while stack:
+        t = stack.pop()
+        if type(t) is App and id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t.args)
+    return seen.values()
+
+
+def test_walks_kept_on_ground_terms_agree_with_fresh_walks():
+    """The walk of a ground literal argument is kept on the term, and a
+    later walk splices it in, whole or as a subterm of a ground argument:
+    the towers p(g^k(a)) of a run without subsumption demodulation, ground
+    and non-ground literals over them, and a tower of 2,000 more levels,
+    each walked one level at a time, all give the walks that walking afresh
+    gives, inside a run and outside one.  Exactly the ground literal
+    arguments carry a walk, and a lone ground argument's walk is the
+    term's own tuple."""
+    for scope in (run_scope(None), contextlib.nullcontext()):
+        gen = Gen(seed=97)
+        h, g, a, b, p, r = gen.h, gen.g, gen.a, gen.b, gen.p, gen.r
+        with scope:
+            tower, clauses = a, []
+            for k in range(300):
+                tower = g(tower)
+                lits = [p(tower), r(h(tower, x), g(a)), eq(h(tower, b), tower), neq(g(x), h(a, tower))]
+                clauses.append(Clause((lits[k % 4], gen.literal(depth=2)), k))
+            for c in clauses:
+                walks = literal_walks(c)
+                assert list(walks) == [preorder(lit.args) for lit in distinct_literals(c)]
+            args = {id(arg) for c in clauses for lit in c.literals for arg in lit.args if arg.ground}
+            assert {id(t) for t in _apps(clauses) if t._walk is not None} == args
+            assert all(t._walk == preorder((t,)) for t in _apps(clauses) if t._walk is not None)
+            for _ in range(2000):
+                tower = g(tower)
+                (walk,) = literal_walks(Clause((p(tower),), 0))
+            assert walk == preorder((tower,)) and walk is tower._walk
 
 
 def _repeats(path):
@@ -942,7 +1003,8 @@ def test_every_leaf_is_a_set_after_its_last_key():
     """Every set in the tree is reached as root, tag, keys, through REPEAT
     at each repeat edge, the set of a tag with no keys being root[tag]
     itself, and no other node is a set, whatever order the clauses come and
-    go in; after the removals the tree is empty."""
+    go in, a ground path's in the ground trie and any other's in the other
+    trie; after the removals the tree is empty."""
     sig = env.sig
     r, h, a = env.r, env.h, env.a
     s = predicate(sig, "s", 0)
@@ -952,6 +1014,11 @@ def test_every_leaf_is_a_set_after_its_last_key():
     unit = factory.make([eq(h(x, x), a)])
     filed.append((unit, _lhs_paths(unit)))
     tree = DiscriminationTree()
+
+    def sets():
+        ground, other = _edges_to_sets(tree._ground_root), _edges_to_sets(tree._root)
+        assert all(STAR in edges for edges in other) and not any(STAR in edges for edges in ground)
+        return {**other, **ground}
 
     def expected(present):
         out = {}
@@ -968,11 +1035,11 @@ def test_every_leaf_is_a_set_after_its_last_key():
     for order in itertools.permutations(filed):
         for k, (c, paths) in enumerate(order):
             tree.insert(c, paths)
-            assert _edges_to_sets(tree._root) == expected(order[: k + 1])
+            assert sets() == expected(order[: k + 1])
         for k, (c, _) in enumerate(order):
             tree.remove(c)
-            assert _edges_to_sets(tree._root) == expected(order[k + 1 :])
-        assert tree._ground_root == {}
+            assert sets() == expected(order[k + 1 :])
+        assert tree._ground_root == {} and tree._ground == {}
         assert tree._root == {} and tree._paths == {}
 
 

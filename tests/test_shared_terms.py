@@ -1,10 +1,9 @@
 """The run scope: inside a saturation run every application the term
 constructors build is the run's one App equal to it, every variable that
-minting and renaming apart make is the run's one Var of its id,
-check_time enforces the run's deadline, and the run keeps a walk memo of
-ground literal arguments; outside a run each construction is a new object,
-check_time never raises and there is no memo; and neither the table, the
-deadline nor the memo outlives saturate."""
+minting and renaming apart make is the run's one Var of its id, and
+check_time enforces the run's deadline; outside a run each construction is
+a new object and check_time never raises; and neither the table nor the
+deadline outlives saturate."""
 
 import glob
 import os
@@ -17,7 +16,7 @@ from oracles import nvars
 
 from sdprover import calculus, saturation, terms
 from sdprover.calculus import superposition
-from sdprover.clauses import Clause, ClauseFactory, Literal, literal_walks, predicate, rename_apart
+from sdprover.clauses import ClauseFactory, Literal, predicate, rename_apart
 from sdprover.saturation import ProverConfig, SatStatus, saturate, verify_proof
 from sdprover.terms import (
     App,
@@ -30,7 +29,6 @@ from sdprover.terms import (
     replace_at,
     run_scope,
     term_vars,
-    walk_memo,
 )
 from sdprover.tptp import emit_result, parse_problem
 
@@ -75,10 +73,6 @@ def _sharing_installed() -> bool:
 
 def _deadline_installed() -> bool:
     return terms._deadline is not None
-
-
-def _memo_installed() -> bool:
-    return walk_memo() is not None
 
 
 def _fresh_constructions(s: Setup) -> list[tuple]:
@@ -219,12 +213,10 @@ def _exits(s: Setup):
 
 
 def test_no_table_outlives_saturate(monkeypatch):
-    """Every way out of saturate leaves sharing off and no deadline and no
-    walk memo installed: construction builds new objects again, check_time
-    does not raise, also after the run that stopped at its time limit, and
-    walks are kept nowhere."""
+    """Every way out of saturate leaves sharing off and no deadline
+    installed: construction builds new objects again, and check_time does
+    not raise, also after the run that stopped at its time limit."""
     s = Setup()
-    assert not _memo_installed()
     for name, inputs, config, patches, expected in _exits(s):
         with monkeypatch.context() as patch:
             for attr, replacement in patches.items():
@@ -241,35 +233,29 @@ def test_no_table_outlives_saturate(monkeypatch):
                     saturate(inputs, config, s.factory)
         assert not _sharing_installed(), name
         assert not _deadline_installed(), name
-        assert not _memo_installed(), name
         assert s.f(s.a) is not s.f(s.a), name
         check_time()
 
 
 def test_a_table_in_force_before_saturate_is_put_back():
-    """An enclosing scope gets its table, its deadline and its walk memo
-    back, the memo holding only what the scope walked.  Its deadline has
-    passed, but the run, which has no time limit, stops at its clause cap:
-    inside saturate only the run's own deadline holds."""
+    """An enclosing scope gets its table and its deadline back.  Its
+    deadline has passed, but the run, which has no time limit, stops at
+    its clause cap: inside saturate only the run's own deadline holds."""
     s = Setup()
     grow = [s.clause(s.p(s.a)), s.clause(s.p(X).negated(), s.p(s.f(X)))]
     passed = time.monotonic() - 1.0
     with run_scope(passed):
-        outer, memo = terms._shared, walk_memo()
+        outer = terms._shared
         built = s.f(s.a)
-        literal_walks(Clause((s.p(built),), 0))
-        assert list(memo) == [id(built)]
         result = saturate(grow, ProverConfig(time_limit=0, clause_limit=30), s.factory)
         assert result.limit_reason == "clauses"
         assert terms._shared is outer
         assert terms._deadline == passed
-        assert walk_memo() is memo and list(memo) == [id(built)]
         assert s.f(s.a) is built
         with pytest.raises(ResourceLimit):
             check_time()
     assert not _sharing_installed()
     assert not _deadline_installed()
-    assert not _memo_installed()
 
 
 def test_superposition_contexts_stay_out_of_the_term_table():

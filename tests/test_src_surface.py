@@ -11,6 +11,9 @@ error, which argparse calls.
 Term walks, the matcher's backtracking and the reading of nested include
 directives run on explicit stacks, so a deep term, a wide clause or a
 long include chain cannot exhaust Python's stack.
+
+The one global statement is terms.run_scope's, which installs a run's term
+table and deadline: any other cache lives on the object it serves.
 """
 
 import ast
@@ -147,3 +150,25 @@ def deadline_plumbing() -> list[str]:
 
 def test_the_deadline_reaches_every_step_through_the_run_scope():
     assert deadline_plumbing() == []
+
+
+def global_statements() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(module, enclosing function, names) for every global statement in
+    src/sdprover, the function "" at module level."""
+    out = []
+    for mod, tree in _modules().items():
+        stack = [(tree, "")]
+        while stack:
+            node, owner = stack.pop()
+            if isinstance(node, ast.Global):
+                out.append((mod, owner, tuple(node.names)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def test_the_run_scope_installs_the_only_run_global_state():
+    """The term table and the deadline are the only module state a run
+    sets, so no run-global cache can come back unnoticed."""
+    assert global_statements() == [("terms.py", "run_scope", ("_shared", "_deadline"))]
